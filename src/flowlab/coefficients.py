@@ -26,7 +26,8 @@ from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
 from .errors import CapabilityError
-from .gaussian import fd_jacobian, ou_smooth, ou_smooth_grad, refined_quadrature
+from .gaussian import (_delta, _fd_column_jacobian, fd_jacobian, ou_smooth, ou_smooth_grad,
+                       refined_quadrature)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -154,8 +155,7 @@ class CoefficientField:
             return np.asarray(self.sigma_jac(t, X), dtype=float)
         if not self.sigma_continuous:
             raise CapabilityError(f"sigma of '{self.name}' has no derivative access")
-        raw = fd_jacobian(lambda P: self.sigma(t, P), X)   # (..., a, j, b)
-        return np.moveaxis(raw, -2, -3)
+        return _fd_column_jacobian(lambda P: self.sigma(t, P), X)
 
     def b_jacobian(self, t, X):
         if self.b_jac is not None:
@@ -169,19 +169,14 @@ class CoefficientField:
     def delta_sigma(self, t, X):
         """δ(σ_t)(x) in R^m: component j is <σ^{.j}, x> - trace ∇σ^{.j}."""
         X = np.asarray(X, dtype=float)
-        sig = np.asarray(self.sigma(t, X), dtype=float)
-        jac = self.sigma_jacobian(t, X)
-        inner = np.einsum("...am,...a->...m", sig, X)
-        return inner - np.trace(jac, axis1=-2, axis2=-1)
+        return _delta(np.asarray(self.sigma(t, X), dtype=float), X, self.sigma_jacobian(t, X))
 
     def delta_b(self, t, X):
         """δ(b_t)(x) = <b, x> - div b, with explicit override when supplied."""
         X = np.asarray(X, dtype=float)
         if self.delta_b_fn is not None:
             return np.asarray(self.delta_b_fn(t, X), dtype=float)
-        bval = np.asarray(self.b(t, X), dtype=float)
-        jac = self.b_jacobian(t, X)
-        return np.einsum("...a,...a->...", bval, X) - np.trace(jac, axis1=-2, axis2=-1)
+        return _delta(np.asarray(self.b(t, X), dtype=float), X, self.b_jacobian(t, X))
 
     # -- scalar diagnostics ---------------------------------------------------
 
@@ -328,20 +323,13 @@ def regularize_drift(field, level, quad):
         return ou_smooth(lambda P: b_conv(t, P), eps, X, quad)
 
     def new_b_jac(t, X):
-        grad = ou_smooth_grad(lambda P: b_conv(t, P), eps, X, grad_quad)
-        return grad  # (..., a, b)
-
-    def new_delta_b(t, X):
-        X = np.asarray(X, dtype=float)
-        bval = new_b(t, X)
-        jac = new_b_jac(t, X)
-        return np.einsum("...a,...a->...", bval, X) - np.trace(jac, axis1=-2, axis2=-1)
+        return ou_smooth_grad(lambda P: b_conv(t, P), eps, X, grad_quad)  # (..., a, b)
 
     return replace(
         field,
         b=new_b,
         b_jac=new_b_jac,
-        delta_b_fn=new_delta_b,
+        delta_b_fn=None,  # an inherited a.e. representative of δ(b) is wrong for b^n
         growth_const=field.growth_const * (1.0 + gaussian_abs_moment(field.d)),
         exp_const=field.exp_const / (2.0 * math.e),
         b_measurable_only=False,

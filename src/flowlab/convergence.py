@@ -9,7 +9,6 @@ Brownian substream and is compared pathwise against the finest level.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,7 @@ import numpy as np
 from .coefficients import regularize
 from .density import Estimate, batch_statistic
 from .errors import ConfigError
-from .rng import brownian_increments
-from .sde import _chunk_edges, _resolve_initials, make_grid, simulate_ensemble
+from .sde import _euler, _resolve_initials, _run_chunks, make_grid, simulate_ensemble
 
 __all__ = [
     "CouplingReport",
@@ -145,14 +143,9 @@ def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, thr
     sup_dev = np.zeros((len(etas), n_traj))
     moments = np.zeros((n_eta, n_traj))
     final_sq = np.zeros(n_traj)
-    sq_int = 0.0
 
-    def run_chunk(lo, hi):
-        nonlocal sq_int
+    def body(lo, hi, inc):
         nc = hi - lo
-        inc = np.empty((nc, n_steps, m))
-        for j in range(nc):
-            inc[j] = brownian_increments(seed, lo + j, n_steps, m, dt)
         W = np.zeros((nc, m))
         I = np.zeros((n_eta, nc, d))
         running = np.zeros((len(etas), nc))
@@ -174,10 +167,12 @@ def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, thr
             W = W + dW
         sup_dev[:, lo:hi] = running
         final_sq[lo:hi] = np.einsum("na,na->n", I[-1], I[-1])
-        sq_int += local_sq * nc
+        return local_sq * nc
 
-    for lo, hi in _chunk_edges(n_traj, n_steps, m):
-        run_chunk(lo, hi)
+    # partial sums are added in chunk order, so the total is thread-invariant
+    sq_int = 0.0
+    for part in _run_chunks(n_traj, n_steps, m, dt, seed, body, threads):
+        sq_int += part
 
     labels = tuple(getattr(e, "__name__", f"eta_{i}") for i, e in enumerate(etas))
     deviations = tuple(batch_statistic(sup_dev[i], lambda v: float(np.mean(v))) for i in range(len(etas)))
@@ -240,38 +235,18 @@ def coupling_convergence(
 
     fields = [regularizer(field, _level(n), quad) for n in levels]
     fields.append(regularizer(field, _level(n_ref), quad))
-    n_lvl = len(fields)
 
     sup_dev = np.zeros((len(levels), n_traj))
 
-    def run_chunk(lo, hi):
-        nc = hi - lo
-        inc = np.empty((nc, n_steps, field.m))
-        for j in range(nc):
-            inc[j] = brownian_increments(seed, lo + j, n_steps, field.m, dt)
-        states = [x0[lo:hi].copy() for _ in range(n_lvl)]
-        running = np.zeros((len(levels), nc))
-        for k in range(n_steps):
-            t = s + k * dt
-            dW = inc[:, k, :]
-            for li in range(n_lvl):
-                fl = fields[li]
-                sig = np.asarray(fl.sigma(t, states[li]), dtype=float)
-                drift = np.asarray(fl.b(t, states[li]), dtype=float)
-                states[li] = states[li] + np.einsum("nam,nm->na", sig, dW) + drift * dt
-            ref = states[-1]
+    def body(lo, hi, inc):
+        def track(k, t, before, after):
             for li in range(len(levels)):
-                dev = np.linalg.norm(states[li] - ref, axis=-1)
-                np.maximum(running[li], dev, out=running[li])
-        sup_dev[:, lo:hi] = running
+                dev = np.linalg.norm(after[li] - after[-1], axis=-1)
+                np.maximum(sup_dev[li, lo:hi], dev, out=sup_dev[li, lo:hi])
 
-    chunks = _chunk_edges(n_traj, n_steps, field.m)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
-    else:
-        for lo, hi in chunks:
-            run_chunk(lo, hi)
+        _euler(fields, x0[lo:hi], inc, s, dt, 0, n_steps, track)
+
+    _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
 
     deviations = tuple(
         batch_statistic(sup_dev[i], lambda v: float(np.mean(v))) for i in range(len(levels))

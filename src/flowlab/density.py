@@ -24,7 +24,7 @@ from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
 from .errors import BoundUnavailableError
-from .gaussian import fd_jacobian
+from .gaussian import _delta, fd_jacobian
 from .oracles import gaussian_abs_moment, m2_exponential_moment
 from .sde import simulate_ensemble
 
@@ -138,10 +138,8 @@ def _strat_correction_divergence(field, t, X):
         jac = field.sigma_jacobian(t, P)
         return np.einsum("...jab,...bj->...a", jac, sig)
 
-    c = correction(X)
-    inner = np.einsum("...a,...a->...", c, np.asarray(X, dtype=float))
-    div = np.trace(fd_jacobian(correction, X), axis1=-2, axis2=-1)
-    return inner - div
+    X = np.asarray(X, dtype=float)
+    return _delta(correction(X), X, fd_jacobian(correction, X))
 
 
 def stratonovich_log_density(field, trajectory, path):

@@ -185,12 +185,20 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
 
     coarse_grid = FPGrid.gaussian(field.d, cfg.grid_R, 2 * cfg.grid_h)
     sol_coarse = fp_solve(field, coarse_grid, cfg.s, cfg.t, 4 * tau)
-    phis = [smooth_bump(c, 1.5) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    centers = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    phis = [smooth_bump(c, 1.5) for c in centers]
     wrep = weak_error(sol, field, ("gaussian", cfg.trajectories), phis, cfg.s, cfg.t,
                       cfg.dt, seed, threads=threads, fp_coarse=sol_coarse)
     bar = wrep.max_combined_bar()
     rows.append(ReportRow(cfg.name, "weak_error_max", wrep.max_discrepancy, None,
                           3.0 * bar, wrep.max_discrepancy <= 3.0 * bar))
+    details = {
+        "grid": (("mass", "leakage", "variance"),
+                 [(sol.grid.mass(), sol.total_leakage, sol.grid.variance())]),
+        "weak": (("center", "fp_value", "fp_error", "mc_value", "mc_stderr"),
+                 [(c, fv, fe, mc.value, mc.stderr)
+                  for c, (_, fv, fe, mc) in zip(centers, wrep.rows())]),
+    }
 
     if cfg.factorization_samples:
         frep = density_factorization(field, grid0, sol, cfg.s, cfg.t,
@@ -199,9 +207,11 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
                               5e-2, frep.l1_discrepancy <= 5e-2))
         rows.append(ReportRow(cfg.name, "factorization_flagged_mass", frep.flagged_mass,
                               None, None, None))
+        details["factorization"] = (("valid_cells", "flagged_cells"),
+                                    [(frep.n_valid_cells, frep.n_flagged_cells)])
     if out_dir is not None:
         write_solution_csv(sol, f"{out_dir}/{cfg.name}_solution.csv")
-    return rows, {}
+    return rows, details
 
 
 def run_oracle_suite(cfg, seed, threads, out_dir=None):

@@ -177,23 +177,35 @@ def fd_jacobian(fn, x, step_scale=FD_STEP_SCALE):
     return jac[0] if single else jac
 
 
-def _handle_jacobian(handle, x):
-    if handle.jac is not None:
-        return np.asarray(handle.jac(x), dtype=float)
-    if not handle.differentiable:
-        raise CapabilityError(
-            f"field '{handle.name}' has no Jacobian and finite differences are disabled"
-        )
-    return fd_jacobian(handle.fn, x)
+def _fd_column_jacobian(sigma_fn, x):
+    """Central-difference column Jacobians (..., m, d, b) of a matrix field."""
+    return np.moveaxis(fd_jacobian(sigma_fn, x), -2, -3)
+
+
+def _delta(values, x, jac):
+    """δ = <values, x> - trace(jac), the one implementation of δ in the package.
+
+    Vector values (..., d) with ``jac[..., a, b]`` = ∂B^a/∂x_b give a scalar.
+    Matrix values (..., d, m) with ``jac[..., j, a, b]`` = ∂σ^{aj}/∂x_b give
+    δ of each column.
+    """
+    spec = "...am,...a->...m" if values.ndim > x.ndim else "...a,...a->..."
+    return np.einsum(spec, values, x) - np.trace(jac, axis1=-2, axis2=-1)
 
 
 def gauss_divergence(B, x):
     """δ(B)(x) = <B(x), x> - trace(∇B(x)) for a VectorFieldHandle B."""
     x = np.asarray(x, dtype=float)
     values = np.asarray(B(x), dtype=float)
-    jac = _handle_jacobian(B, x)
-    inner = np.einsum("...a,...a->...", values, x)
-    return inner - np.trace(jac, axis1=-2, axis2=-1)
+    if B.jac is not None:
+        jac = np.asarray(B.jac(x), dtype=float)
+    elif B.differentiable:
+        jac = fd_jacobian(B.fn, x)
+    else:
+        raise CapabilityError(
+            f"field '{B.name}' has no Jacobian and finite differences are disabled"
+        )
+    return _delta(values, x, jac)
 
 
 def matrix_divergence(sigma_fn, x, column_jacs=None, differentiable=True):
@@ -207,12 +219,10 @@ def matrix_divergence(sigma_fn, x, column_jacs=None, differentiable=True):
     if column_jacs is not None:
         jac = np.asarray(column_jacs(x), dtype=float)
     elif differentiable:
-        raw = fd_jacobian(sigma_fn, x)          # (..., d, m, b)
-        jac = np.moveaxis(raw, -2, -3)          # (..., m, d, b)
+        jac = _fd_column_jacobian(sigma_fn, x)
     else:
         raise CapabilityError("matrix field has no Jacobian access")
-    inner = np.einsum("...am,...a->...m", sig, x)
-    return inner - np.trace(jac, axis1=-2, axis2=-1)
+    return _delta(sig, x, jac)
 
 
 def ou_smooth(f, eps, x, quad):

@@ -24,7 +24,9 @@ class ReportRow:
     """One measured quantity, optionally checked against a bound.
 
     ``passed`` is recomputable from the stored fields by the documented rule
-    value <= bound + 3 * stderr (and is None for unchecked quantities).
+    value <= bound + 3 * stderr (and is None for unchecked quantities).  A
+    verdict is stored as a Python bool, so a numpy comparison result is
+    written as ``true``/``false`` in CSV and as a JSON boolean.
     """
 
     experiment: str
@@ -33,6 +35,10 @@ class ReportRow:
     stderr: float = None
     bound: float = None
     passed: bool = None
+
+    def __post_init__(self):
+        if self.passed is not None:
+            object.__setattr__(self, "passed", bool(self.passed))
 
     @staticmethod
     def checked(experiment, quantity, value, stderr, bound, slack=3.0):

@@ -2,10 +2,18 @@
 
 Each trajectory owns a counter-based random substream keyed by
 ``(seed, trajectory index)``, so ensembles are bitwise reproducible for a
-fixed ``(seed, dt, grid)`` at any worker count: trajectories are partitioned
-into chunks whose boundaries depend only on the problem size, chunk results
-are written into disjoint slices of preallocated arrays, and reductions run
-after all chunks complete, in index order.
+fixed ``(seed, dt, grid)`` at any worker count.
+
+One package-private driver is the only place where chunks, threads and
+trajectory noise are handled: ``_run_chunks`` partitions trajectories into
+chunks whose boundaries depend only on the problem size, draws each chunk's
+increments and runs the caller's body on it, serially or on a thread pool;
+bodies write into disjoint slices of preallocated arrays, and per-chunk
+results come back in chunk order for the caller to reduce.  ``_euler`` is the
+only Euler step: it advances one state per field under shared increments and
+guards every path against explosion.  Ensembles, the regularization
+coupling, the flow-composition check, single paths and the stochastic
+integral study are all built on these two functions.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density
@@ -13,7 +21,6 @@ accumulation in :mod:`flowlab.density`.  Higher-order schemes are deliberately
 not offered: the drift may be discontinuous.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -85,8 +92,7 @@ class BrownianPath:
 
 def sample_brownian(s, T, dt, m, seed, index):
     """The Brownian path of substream ``(seed, index)`` on the grid."""
-    n_steps = make_grid(s, T, dt)
-    inc = brownian_increments(seed, index, n_steps, m, dt)
+    inc = _increments(seed, index, index + 1, make_grid(s, T, dt), m, dt)[0]
     return BrownianPath(s=s, dt=dt, increments=inc, seed=seed, index=index)
 
 
@@ -100,16 +106,11 @@ def simulate(field, s, T, x0, path):
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     out = np.empty((n_steps + 1, x0.shape[1]))
     out[0] = x0[0]
-    X = x0.copy()
-    for k in range(n_steps):
-        t = s + k * path.dt
-        dW = path.increments[k][None, :]
-        sig = np.asarray(field.sigma(t, X), dtype=float)
-        drift = np.asarray(field.b(t, X), dtype=float)
-        X = X + np.einsum("nam,nm->na", sig, dW) + drift * path.dt
-        if not np.all(np.isfinite(X)) or np.abs(X).max() > EXPLOSION_RADIUS:
-            raise ExplosionError(f"trajectory exploded at step {k + 1}", step=k + 1)
-        out[k + 1] = X[0]
+
+    def store(k, t, before, after):
+        out[k + 1] = after[0][0]
+
+    _euler([field], x0, path.increments[None], s, path.dt, 0, n_steps, store)
     return out
 
 
@@ -142,6 +143,82 @@ def _chunk_edges(n_traj, n_steps, m):
     size = max(64, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
     edges = list(range(0, n_traj, size)) + [n_traj]
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+
+def _increments(seed, lo, hi, n_steps, m, dt):
+    """Brownian increments (hi - lo, n_steps, m) of substreams lo .. hi-1."""
+    inc = np.empty((hi - lo, n_steps, m))
+    if n_steps:  # a degenerate horizon needs no generators
+        for j in range(hi - lo):
+            inc[j] = brownian_increments(seed, lo + j, n_steps, m, dt)
+    return inc
+
+
+def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
+    """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
+
+    ``inc`` holds the increments of substreams lo .. hi-1.  Chunks run on a
+    pool of ``threads`` workers when there is more than one chunk.  A chunk
+    whose body raises ``ExplosionError`` stops there while the others run to
+    the end; then one error names the earliest step and every exploded index.
+    """
+    failures = []
+
+    def run(edge):
+        lo, hi = edge
+        try:
+            return body(lo, hi, _increments(seed, lo, hi, n_steps, m, dt))
+        except ExplosionError as exc:
+            failures.append((exc.step, [lo + i for i in exc.indices]))
+
+    chunks = _chunk_edges(n_traj, n_steps, m)
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, chunks))
+    else:
+        results = [run(c) for c in chunks]
+    if failures:
+        step = min(f[0] for f in failures)
+        indices = sorted(i for f in failures for i in f[1])
+        raise ExplosionError(
+            f"{len(indices)} trajectories exploded (earliest step {step})",
+            step=step,
+            indices=indices,
+        )
+    return results
+
+
+def _euler(fields, X, inc, s, dt, k_from, k_to, on_step=None):
+    """Advance one state per field from X under the shared increments ``inc``.
+
+    Step k maps each state to X + σ(t_k, X) dW_k + b(t_k, X) dt with
+    t_k = s + k dt and dW_k = inc[:, k], for k in k_from .. k_to-1.
+    ``on_step(k, t_k, before, after)`` then sees the left-point and stepped
+    states, one per field.  A non-finite state or one beyond
+    ``EXPLOSION_RADIUS`` raises ``ExplosionError`` with the step and the
+    exploded rows.  Returns the final states.
+    """
+    states = [X] * len(fields)
+    for k in range(k_from, k_to):
+        t = s + k * dt
+        dW = inc[:, k, :]
+        new = []
+        for fl, Y in zip(fields, states):
+            sig = np.asarray(fl.sigma(t, Y), dtype=float)
+            drift = np.asarray(fl.b(t, Y), dtype=float)
+            Y = Y + np.einsum("nam,nm->na", sig, dW) + drift * dt
+            # one whole-array test per step; NaN fails the comparison too
+            if not np.abs(Y).max() <= EXPLOSION_RADIUS:
+                bad = ~np.isfinite(Y).all(axis=1) | (np.abs(Y).max(axis=1) > EXPLOSION_RADIUS)
+                rows = np.where(bad)[0].tolist()
+                raise ExplosionError(
+                    f"{len(rows)} trajectories exploded at step {k + 1}", step=k + 1, indices=rows
+                )
+            new.append(Y)
+        if on_step is not None:
+            on_step(k, t, states, new)
+        states = new
+    return states
 
 
 def _resolve_initials(initials, d, seed):
@@ -189,62 +266,21 @@ def simulate_ensemble(
     paths = np.empty((n_traj, n_steps + 1, field.d)) if store_paths else None
     for acc in accumulators:
         acc.alloc(n_traj)
-    failures = []
 
-    if n_steps == 0:
-        xT[:] = x0
-        if store_paths:
-            paths[:, 0] = x0
-        extras = {}
-        for acc in accumulators:
-            extras.update(acc.finalize())
-        return FlowEnsemble(
-            field_name=field.name, s=s, T=T, dt=dt, seed=seed,
-            x0=x0, xT=xT, n_initials=n0, replicas=replicas, paths=paths, extras=extras,
-        )
-
-    def run_chunk(lo, hi):
-        nc = hi - lo
-        inc = np.empty((nc, n_steps, field.m))
-        for j in range(nc):
-            inc[j] = brownian_increments(seed, lo + j, n_steps, field.m, dt)
-        X = x0[lo:hi].copy()
-        if store_paths:
-            paths[lo:hi, 0] = X
+    def body(lo, hi, inc):
         sl = slice(lo, hi)
-        for k in range(n_steps):
-            t = s + k * dt
-            dW = inc[:, k, :]
+        if store_paths:
+            paths[sl, 0] = x0[sl]
+
+        def record(k, t, before, after):
             for acc in accumulators:
-                acc.step(sl, k, t, X, dW)
-            sig = np.asarray(field.sigma(t, X), dtype=float)
-            drift = np.asarray(field.b(t, X), dtype=float)
-            X = X + np.einsum("nam,nm->na", sig, dW) + drift * dt
-            bad = ~np.isfinite(X).all(axis=1) | (np.abs(X).max(axis=1) > EXPLOSION_RADIUS)
-            if bad.any():
-                failures.append((k + 1, (lo + np.where(bad)[0]).tolist()))
-                return
+                acc.step(sl, k, t, before[0], inc[:, k, :])
             if store_paths:
-                paths[lo:hi, k + 1] = X
-        xT[lo:hi] = X
+                paths[sl, k + 1] = after[0]
 
-    chunks = _chunk_edges(n_traj, n_steps, field.m)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
-    else:
-        for lo, hi in chunks:
-            run_chunk(lo, hi)
+        xT[sl] = _euler([field], x0[sl], inc, s, dt, 0, n_steps, record)[0]
 
-    if failures:
-        step = min(f[0] for f in failures)
-        indices = sorted(i for f in failures for i in f[1])
-        raise ExplosionError(
-            f"{len(indices)} trajectories exploded (earliest step {step})",
-            step=step,
-            indices=indices,
-        )
-
+    _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
     extras = {}
     for acc in accumulators:
         extras.update(acc.finalize())
@@ -298,25 +334,13 @@ def flow_composition_check(field, s, t, u, initials, dt, seed, replicas=1):
     if not (s <= t <= u):
         raise ConfigError("need s <= t <= u")
     n_su = make_grid(s, u, dt) if u > s else 0
-    x_init = _resolve_initials(initials, field.d, seed)
-    x0 = np.repeat(x_init, replicas, axis=0)
-    n = x0.shape[0]
+    x0 = np.repeat(_resolve_initials(initials, field.d, seed), replicas, axis=0)
     k_mid = int(round((t - s) / dt))
-    inc = np.empty((n, max(n_su, 1), field.m))
-    for j in range(n):
-        inc[j] = brownian_increments(seed, j, max(n_su, 1), field.m, dt)
 
-    def run(xstart, k_from, k_to):
-        X = xstart.copy()
-        for k in range(k_from, k_to):
-            tk = s + k * dt
-            dW = inc[:, k, :]
-            sig = np.asarray(field.sigma(tk, X), dtype=float)
-            drift = np.asarray(field.b(tk, X), dtype=float)
-            X = X + np.einsum("nam,nm->na", sig, dW) + drift * dt
-        return X
+    def body(lo, hi, inc):
+        direct = _euler([field], x0[lo:hi], inc, s, dt, 0, n_su)[0]
+        mid = _euler([field], x0[lo:hi], inc, s, dt, 0, k_mid)[0]
+        composed = _euler([field], mid, inc, s, dt, k_mid, n_su)[0]
+        return float(np.abs(direct - composed).max())
 
-    direct = run(x0, 0, n_su)
-    mid = run(x0, 0, k_mid)
-    composed = run(mid, k_mid, n_su)
-    return float(np.abs(direct - composed).max())
+    return max(_run_chunks(x0.shape[0], n_su, field.m, dt, seed, body))

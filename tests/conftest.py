@@ -37,6 +37,19 @@ def sign1():
     return builtin_coefficients("sign_drift", d=1, beta=1.0)
 
 
+@pytest.fixture(scope="session")
+def rocket1():
+    """Unit noise under a drift of 1e9: every path leaves the explosion radius."""
+    return builtin_coefficients(
+        "custom", d=1, m=1,
+        sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
+        b=lambda t, X: 1e9 * np.ones(np.shape(X)),
+        sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
+        b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
+        growth_const=1e9, exp_const=0.1, name="rocket",
+    )
+
+
 def make_sine_field():
     """d = m = 1 field with genuinely varying diffusion: σ(x) = 2 + sin x, b = 0."""
 

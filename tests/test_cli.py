@@ -1,4 +1,5 @@
 import csv
+import glob
 import json
 import os
 
@@ -27,6 +28,24 @@ a = 1.0
 d = 1
 horizon = 1.0
 """
+
+# a tiny Fokker-Planck section: its mass-audit verdict is a numpy comparison
+FP_SECTION = """
+[fp-small]
+kind = fokker_planck
+field = translate
+d = 1
+s = 0.0
+t = 0.1
+dt = 0.01
+trajectories = 2000
+grid_R = 6.0
+grid_h = 0.2
+grid_tau = 0.005
+seed = 42
+"""
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 @pytest.fixture
@@ -112,9 +131,17 @@ class TestCli:
         assert main(["validate", str(p)]) == 2
         assert "wibble" in capsys.readouterr().err
 
-    def test_run_produces_reports(self, config_path, tmp_path, capsys):
+    def test_shipped_configs_validate(self):
+        paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.ini")))
+        assert paths
+        for path in paths:
+            assert main(["validate", path]) == 0, path
+
+    def test_run_produces_reports(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(GOOD_CONFIG + FP_SECTION)
         out = str(tmp_path / "out")
-        assert main(["run", config_path, "--out", out, "--threads", "2"]) == 0
+        assert main(["run", str(config_path), "--out", out, "--threads", "2"]) == 0
         with open(os.path.join(out, "lp-small.csv")) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["quantity"] for r in rows} >= {"mass_abs_error", "lp_norm(p=2)"}
@@ -127,6 +154,9 @@ class TestCli:
                 assert (r["passed"] == "true") == (value <= bound + 3.0 * stderr)
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["passed"] is True
+        verdicts = [r["passed"] for e in summary["experiments"].values() for r in e["rows"]]
+        assert "fp-small" in summary["experiments"]
+        assert all(v is None or isinstance(v, bool) for v in verdicts)
 
     def test_rerun_byte_identical_across_threads(self, config_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

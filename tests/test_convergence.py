@@ -9,7 +9,8 @@ from flowlab.convergence import (
     integral_convergence,
     krylov_ratio,
 )
-from flowlab.errors import ConfigError
+from flowlab.errors import ConfigError, ExplosionError
+from flowlab.gaussian import GaussianQuadrature
 from flowlab.oracles import krylov_translate_functional
 
 
@@ -97,6 +98,14 @@ class TestIntegralConvergence:
                                    T=0.1, dt=1e-2, m=1, seed=9, n_traj=50)
         assert rep.warnings
 
+    def test_thread_invariance(self):
+        # 20000 trajectories x 100 steps make three chunks
+        etas = [lambda t, w: (1.0 + np.sin(w))[..., None, :]]
+        limit = lambda t, w: np.ones(w.shape[:-1] + (1, 1))
+        kw = dict(T=1.0, dt=1e-2, m=1, seed=13, n_traj=20000)
+        assert integral_convergence(etas, limit, threads=1, **kw) == \
+            integral_convergence(etas, limit, threads=3, **kw)
+
 
 class TestCoupling:
     def test_reference_against_itself(self, translate1, quad1):
@@ -126,3 +135,10 @@ class TestCoupling:
                                    2e-3, seed=11, quad=quad1, replicas=500)
         assert all(est.value >= 0 for est in rep.deviations)
         assert rep.run.levels == (8, 32)
+
+    def test_explosion_guard(self, rocket1):
+        with pytest.raises(ExplosionError) as err:
+            coupling_convergence(rocket1, [4, 8], 16, 0.0, 1.0, np.zeros((1, 1)), 0.1, seed=0,
+                                 quad=GaussianQuadrature.gauss_hermite(1, 8), replicas=16)
+        assert err.value.step is not None
+        assert err.value.indices and all(0 <= i < 16 for i in err.value.indices)

@@ -96,18 +96,10 @@ class TestSimulate:
         traj = simulate(translate1, 0.0, 0.0, np.array([2.0]), path)
         np.testing.assert_array_equal(traj, [[2.0]])
 
-    def test_explosion_guard(self):
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
-            sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
-            b=lambda t, X: 1e9 * np.ones(np.shape(X)),
-            sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
-            b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
-            growth_const=1e9, exp_const=0.1, name="rocket",
-        )
+    def test_explosion_guard(self, rocket1):
         path = sample_brownian(0.0, 1.0, 0.1, 1, seed=0, index=0)
         with pytest.raises(ExplosionError) as err:
-            simulate(field, 0.0, 1.0, np.array([0.0]), path)
+            simulate(rocket1, 0.0, 1.0, np.array([0.0]), path)
         assert err.value.step is not None
 
 
@@ -137,17 +129,9 @@ class TestEnsemble:
         # Var X_T = 2; sample variance std ~ sqrt(2/n) * 2
         assert abs(var - 2.0) <= 3.0 * 2.0 * math.sqrt(2.0 / ens.n_traj)
 
-    def test_explosions_aggregated(self):
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
-            sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
-            b=lambda t, X: 1e9 * np.ones(np.shape(X)),
-            sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
-            b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
-            growth_const=1e9, exp_const=0.1, name="rocket",
-        )
+    def test_explosions_aggregated(self, rocket1):
         with pytest.raises(ExplosionError) as err:
-            simulate_ensemble(field, 0.0, 1.0, ("gaussian", 16), 0.1, seed=0)
+            simulate_ensemble(rocket1, 0.0, 1.0, ("gaussian", 16), 0.1, seed=0)
         # every reported index is a real trajectory and the first bad step is named
         assert err.value.indices and all(0 <= i < 16 for i in err.value.indices)
         assert err.value.step == 1
@@ -220,3 +204,9 @@ class TestFlowComposition:
         dt = 1e-3
         dev = flow_composition_check(ou1, 0.0, 0.5, 1.0, np.zeros((1, 1)), dt, seed=4, replicas=100)
         assert dev <= 5.0 * dt
+
+    def test_explosion_guard(self, rocket1):
+        with pytest.raises(ExplosionError) as err:
+            flow_composition_check(rocket1, 0.0, 0.5, 1.0, ("gaussian", 16), 0.1, seed=0)
+        assert err.value.step == 1
+        assert err.value.indices and all(0 <= i < 16 for i in err.value.indices)
