@@ -14,6 +14,7 @@ The default output directory is $FLOWLAB_OUT, falling back to ./flowlab_out.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -32,19 +33,22 @@ def _out_dir(args):
 
 def _run(args):
     try:
-        configs = parse_config(args.config)
+        configs = parse_config(args.config, seed=args.seed)
     except ConfigError as exc:
         loc = f" [section={exc.section!r} key={exc.key!r}]" if exc.section or exc.key else ""
         print(f"config error: {exc}{loc}", file=sys.stderr)
         return 2
 
     out = _out_dir(args)
-    summary = {"config": os.path.abspath(args.config), "experiments": {}}
+    # the path as given plus a content hash: the same config run from any
+    # checkout writes the same bytes
+    with open(args.config, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    summary = {"config": args.config, "config_sha256": digest, "experiments": {}}
     status = 0
     for cfg in configs:
-        seed = args.seed if args.seed is not None else cfg.seed
         try:
-            rows, details = EXECUTORS[cfg.kind](cfg, seed, args.threads, out_dir=out)
+            rows, details = EXECUTORS[cfg.kind](cfg, cfg.seed, args.threads, out_dir=out)
         except FlowLabError as exc:
             print(f"experiment [{cfg.name}] failed: {exc}", file=sys.stderr)
             return 1
@@ -54,7 +58,7 @@ def _run(args):
         ok = rows_all_passed(rows)
         summary["experiments"][cfg.name] = {
             "kind": cfg.kind,
-            "seed": seed,
+            "seed": cfg.seed,
             "passed": ok,
             "rows": [
                 {"quantity": r.quantity, "value": r.value, "stderr": r.stderr,

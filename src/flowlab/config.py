@@ -34,7 +34,11 @@ EXPERIMENT_KINDS = (
     "oracle_suite",
 )
 
-FIELD_KEYS = ("translate", "ou_linear", "sign_drift", "anisotropic")
+# fields ``build_field`` can construct from config keys alone; ``anisotropic``
+# needs a matrix, which no config key supplies
+FIELD_KEYS = ("translate", "ou_linear", "sign_drift")
+
+SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
 
 
 def _float_list(raw):
@@ -132,7 +136,7 @@ class ExperimentConfig:
             raise AttributeError(key)
 
 
-def _parse_section(name, section):
+def _parse_section(name, section, seed=None):
     if "kind" not in section:
         raise ConfigError(f"section [{name}] is missing 'kind'", section=name, key="kind")
     kind = section["kind"].strip()
@@ -167,6 +171,8 @@ def _parse_section(name, section):
                 f"section [{name}]: required key {key!r} missing", section=name, key=key
             )
         options[key] = default
+    if seed is not None:
+        options["seed"] = seed
     cfg = ExperimentConfig(name=name, kind=kind, options=options)
     _validate_numerics(cfg)
     return cfg
@@ -195,14 +201,21 @@ def _validate_numerics(cfg):
             raise ConfigError(
                 f"section [{cfg.name}]: dt exceeds the horizon", section=cfg.name, key="dt"
             )
+    if not 0 <= opt["seed"] < SEED_LIMIT:
+        raise ConfigError(
+            f"section [{cfg.name}]: seed {opt['seed']} outside [0, 2^64)", section=cfg.name, key="seed"
+        )
     if "field" in opt and opt["field"] not in FIELD_KEYS:
         raise ConfigError(
             f"section [{cfg.name}]: unknown field {opt['field']!r}", section=cfg.name, key="field"
         )
 
 
-def parse_config(path):
-    """Parse and validate a config file; returns a list of ExperimentConfig."""
+def parse_config(path, seed=None):
+    """Parse and validate a config file; returns a list of ExperimentConfig.
+
+    ``seed``, when given, replaces every section's seed and is checked as one.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive, matched exactly
     try:
@@ -212,7 +225,7 @@ def parse_config(path):
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}")
-    configs = [_parse_section(name, parser[name]) for name in parser.sections()]
+    configs = [_parse_section(name, parser[name], seed) for name in parser.sections()]
     if not configs:
         raise ConfigError(f"config {path!r} defines no experiments")
     return configs

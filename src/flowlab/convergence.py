@@ -28,6 +28,7 @@ __all__ = [
     "coupling_convergence",
     "integral_convergence",
     "krylov_ratio",
+    "krylov_ratios",
 ]
 
 
@@ -95,20 +96,36 @@ def krylov_ratio(field, f, lam, s, T, x0, dt, seed, n_traj, threads=1, f_norm=No
     estimate; no value of that constant is certified.  ``f_norm`` must be
     supplied for general integrands; ``SpaceTimeBox`` carries its own.
     """
-    if f_norm is None:
-        if isinstance(f, SpaceTimeBox):
-            f_norm = f.norm_d1(field.d)
-        else:
+    return krylov_ratios(field, [f], lam, s, T, x0, dt, seed, n_traj, threads=threads,
+                         f_norms=None if f_norm is None else [f_norm])[0]
+
+
+def krylov_ratios(field, fs, lam, s, T, x0, dt, seed, n_traj, threads=1, f_norms=None):
+    """``krylov_ratio`` for every integrand in ``fs`` over one shared ensemble.
+
+    The flow is simulated once with one ``KrylovAccumulator`` per integrand,
+    so each report equals ``krylov_ratio`` of that integrand bit for bit.
+    ``f_norms`` gives one norm per integrand; without it every integrand must
+    be a ``SpaceTimeBox``, which carries its own.
+    """
+    if f_norms is None:
+        if not all(isinstance(f, SpaceTimeBox) for f in fs):
             raise ConfigError("krylov_ratio needs f_norm (or a SpaceTimeBox integrand)")
-    acc = KrylovAccumulator(f, lam, dt)
+        f_norms = [f.norm_d1(field.d) for f in fs]
+    if len(f_norms) != len(fs):
+        raise ConfigError(f"{len(fs)} integrands but {len(f_norms)} norms")
+    accs = [KrylovAccumulator(f, lam, dt) for f in fs]
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     simulate_ensemble(
         field, s, T, x0, dt, seed,
-        replicas=n_traj, threads=threads, accumulators=(acc,),
+        replicas=n_traj, threads=threads, accumulators=accs,
     )
-    functional = batch_statistic(acc.values, lambda v: float(np.mean(v)))
-    ratio = functional.value / f_norm if f_norm > 0 else 0.0
-    return KrylovReport(functional=functional, norm=f_norm, ratio=ratio)
+    reports = []
+    for acc, norm in zip(accs, f_norms):
+        functional = batch_statistic(acc.values, lambda v: float(np.mean(v)))
+        ratio = functional.value / norm if norm > 0 else 0.0
+        reports.append(KrylovReport(functional=functional, norm=norm, ratio=ratio))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import oracles
 from .config import build_field
-from .convergence import SpaceTimeBox, coupling_convergence, krylov_ratio
+from .convergence import SpaceTimeBox, coupling_convergence, krylov_ratios
 from .coefficients import RegularizationLevel, regularize, validate_hypotheses
 from .density import (
     budget_constants,
@@ -142,22 +142,24 @@ def run_coupling(cfg, seed, threads, out_dir=None):
 def run_krylov(cfg, seed, threads, out_dir=None):
     field = build_field(cfg)
     lam = cfg.lambda_discount
+    # the slabs and the translate unit box are read off one shared ensemble
+    boxes = [SpaceTimeBox(t0=cfg.s, t1=cfg.t, lo=(0.0,) * field.d, hi=(width,) + (1.0,) * (field.d - 1))
+             for width in cfg.slab_widths]
+    if cfg.field == "translate":
+        boxes.append(SpaceTimeBox(t0=0.0, t1=1.0, lo=(0.0,) * field.d, hi=(1.0,) * field.d))
+    reps = krylov_ratios(field, boxes, lam, cfg.s, cfg.t, np.zeros(field.d),
+                         cfg.dt, seed, cfg.trajectories, threads=threads)
     rows = []
     table = []
     baseline = None
-    for width in cfg.slab_widths:
-        slab = SpaceTimeBox(t0=cfg.s, t1=cfg.t, lo=(0.0,) * field.d, hi=(width,) + (1.0,) * (field.d - 1))
-        rep = krylov_ratio(field, slab, lam, cfg.s, cfg.t, np.zeros(field.d),
-                           cfg.dt, seed, cfg.trajectories, threads=threads)
+    for width, rep in zip(cfg.slab_widths, reps):
         if baseline is None:
             baseline = rep.ratio
         table.append((width, rep.functional.value, rep.functional.stderr, rep.norm, rep.ratio))
         rows.append(ReportRow(cfg.name, f"slab_ratio(w={width:g})", rep.ratio, None,
                               10.0 * baseline, rep.ratio <= 10.0 * baseline))
     if cfg.field == "translate":
-        box = SpaceTimeBox(t0=0.0, t1=1.0, lo=(0.0,) * field.d, hi=(1.0,) * field.d)
-        rep = krylov_ratio(field, box, lam, cfg.s, cfg.t, np.zeros(field.d),
-                           cfg.dt, seed, cfg.trajectories, threads=threads)
+        rep = reps[-1]
         oracle = oracles.krylov_translate_functional(0.0, lam, cfg.t - cfg.s)
         # dt/2 is the first-order allowance of the left-endpoint time rule
         rows.append(ReportRow.checked(

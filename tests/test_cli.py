@@ -1,5 +1,6 @@
 import csv
 import glob
+import hashlib
 import json
 import os
 
@@ -136,6 +137,31 @@ class TestCli:
         assert paths
         for path in paths:
             assert main(["validate", path]) == 0, path
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("lines, key", [
+        ("field = anisotropic\nd = 2", "field"),  # no config key supplies its matrix
+        ("field = translate\nseed = -1", "seed"),
+        (f"field = translate\nseed = {2**64}", "seed"),
+    ])
+    def test_config_fault_exits_2(self, tmp_path, capsys, command, lines, key):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[x]\nkind = validate\n{lines}\n")
+        argv = [command, str(p)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == 2
+        assert f"[section='x' key='{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_override_out_of_range(self, config_path, tmp_path, capsys, seed):
+        assert main(["run", config_path, "--out", str(tmp_path / "out"), "--seed", seed]) == 2
+        assert "[section='lp-small' key='seed']" in capsys.readouterr().err
+
+    def test_summary_records_config_as_given(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "cfg.ini", "--out", "out"]) == 0
+        summary = json.load(open(os.path.join("out", "summary.json")))
+        assert summary["config"] == "cfg.ini"
+        assert summary["config_sha256"] == hashlib.sha256(GOOD_CONFIG.encode()).hexdigest()
 
     def test_run_produces_reports(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.ini"

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from flowlab import convergence
+from flowlab.config import parse_config
 from flowlab.convergence import (
     SpaceTimeBox,
     coupling_convergence,
     integral_convergence,
     krylov_ratio,
+    krylov_ratios,
 )
 from flowlab.errors import ConfigError, ExplosionError
+from flowlab.experiments import run_krylov
 from flowlab.gaussian import GaussianQuadrature
 from flowlab.oracles import krylov_translate_functional
 
@@ -43,6 +47,30 @@ class TestKrylov:
                                seed=7, n_traj=4000)
             ratios.append(rep.ratio)
         assert all(r <= 10.0 * ratios[0] for r in ratios[1:])
+
+    def test_shared_ensemble_matches_one_per_integrand(self, translate1):
+        boxes = [SpaceTimeBox(t0=0.0, t1=1.0, lo=(0.0,), hi=(w,)) for w in (0.1, 0.05, 0.025)]
+        boxes.append(SpaceTimeBox(t0=0.0, t1=1.0, lo=(0.0,), hi=(1.0,)))
+        args = (1.0, 0.0, 1.0, np.zeros(1), 2e-3)
+        shared = krylov_ratios(translate1, boxes, *args, seed=7, n_traj=2000)
+        assert shared == [krylov_ratio(translate1, f, *args, seed=7, n_traj=2000) for f in boxes]
+
+    def test_run_krylov_simulates_one_ensemble(self, tmp_path, monkeypatch):
+        path = tmp_path / "k.ini"
+        path.write_text("[k]\nkind = krylov\nfield = translate\nt = 0.5\ndt = 0.01\n"
+                        "trajectories = 300\nseed = 3\n")
+        calls = []
+        real = convergence.simulate_ensemble
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(convergence, "simulate_ensemble", counted)
+        rows, details = run_krylov(parse_config(str(path))[0], 3, 1)
+        assert len(calls) == 1
+        # three slab rows and the translate box row
+        assert len(rows) == 4 and len(details["slabs"][1]) == 3
 
     def test_missing_norm_rejected(self, translate1):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowlab import fokker_planck
 from flowlab.coefficients import builtin_coefficients
 from flowlab.errors import ConfigError, SolverFailureError
 from flowlab.fokker_planck import (
@@ -159,6 +160,42 @@ class TestWeakError:
                          0.0, 1.0, 2e-3, seed=13, fp_coarse=coarse)
         assert rep.max_discrepancy <= 2e-2
         assert rep.max_discrepancy <= 3.0 * rep.max_combined_bar()
+
+    def test_labels_name_each_bump(self, translate1):
+        grid = FPGrid.gaussian(1, 8.0, 0.2)
+        sol = fp_solve(translate1, grid, 0.0, 0.0, 1e-2)
+        phis = [smooth_bump(c, 1.5) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        rep = weak_error(sol, translate1, ("gaussian", 200), phis, 0.0, 0.0, 1e-2, seed=3)
+        assert len(set(rep.labels)) == len(phis)
+        assert rep.labels[0] == "bump(c=-2,w=1.5)"
+        assert smooth_bump((1.0, -0.5), 0.25).__name__ == "bump(c=(1,-0.5),w=0.25)"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mc_values_equal_mc_measure(self, translate1, threads):
+        # 10000 paths make two chunks, so threads=2 runs them on the pool
+        grid = FPGrid.gaussian(1, 8.0, 0.2)
+        sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-2)
+        phis = self._phis()
+        rep = weak_error(sol, translate1, ("gaussian", 10000), phis, 0.0, 0.25, 1e-2,
+                         seed=19, threads=threads)
+        for phi, mc in zip(phis, rep.mc_values):
+            ref = mc_measure(translate1, ("gaussian", 10000), phi, 0.0, 0.25, 1e-2,
+                             seed=19, threads=threads)
+            assert (mc.value, mc.stderr) == (ref.value, ref.stderr)
+
+    def test_simulates_one_ensemble(self, translate1, monkeypatch):
+        calls = []
+        real = fokker_planck.simulate_ensemble
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fokker_planck, "simulate_ensemble", counted)
+        grid = FPGrid.gaussian(1, 8.0, 0.2)
+        sol = fp_solve(translate1, grid, 0.0, 0.1, 1e-2)
+        weak_error(sol, translate1, ("gaussian", 500), self._phis(), 0.0, 0.1, 1e-2, seed=5)
+        assert len(calls) == 1
 
     def test_support_outside_domain(self, translate1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)

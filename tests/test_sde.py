@@ -203,7 +203,7 @@ class TestFlowComposition:
     def test_ou_within_tolerance(self, ou1):
         dt = 1e-3
         dev = flow_composition_check(ou1, 0.0, 0.5, 1.0, np.zeros((1, 1)), dt, seed=4, replicas=100)
-        assert dev <= 5.0 * dt
+        assert dev == 0.0
 
     def test_explosion_guard(self, rocket1):
         with pytest.raises(ExplosionError) as err:
