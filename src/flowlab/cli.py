@@ -8,8 +8,13 @@ Usage::
 
 Experiments run sequentially; within one experiment the module-level
 parallel contracts apply (``--threads`` only changes wall time, never a
-byte of output).  Exit codes: 0 all checks passed, 1 experiment failure or
-bound violation beyond the documented slack, 2 configuration error.
+byte of output).  A section that raises is recorded in summary.json as
+``{"kind", "seed", "passed": false, "error": <message>}`` and the remaining
+sections still run; summary.json is always written.  Exit codes: 0 all
+checks passed, 1 experiment failure or bound violation beyond the
+documented slack, 2 configuration error, whether found by ``validate`` at
+parse time or raised while running (e.g. a grid step above the
+Fokker-Planck stability bound).
 The default output directory is $FLOWLAB_OUT, falling back to ./flowlab_out.
 """
 
@@ -17,6 +22,7 @@ import argparse
 import hashlib
 import os
 import sys
+import traceback
 
 from .config import parse_config
 from .errors import ConfigError, FlowLabError, OracleMismatchError
@@ -31,13 +37,19 @@ def _out_dir(args):
     return out
 
 
+def _config_error(exc):
+    loc = f" [section={exc.section!r} key={exc.key!r}]" if exc.section or exc.key else ""
+    print(f"config error: {exc}{loc}", file=sys.stderr)
+    return 2
+
+
 def _run(args):
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}", key="threads")
         configs = parse_config(args.config, seed=args.seed)
     except ConfigError as exc:
-        loc = f" [section={exc.section!r} key={exc.key!r}]" if exc.section or exc.key else ""
-        print(f"config error: {exc}{loc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
 
     out = _out_dir(args)
     # the path as given plus a content hash: the same config run from any
@@ -47,27 +59,28 @@ def _run(args):
     summary = {"config": args.config, "config_sha256": digest, "experiments": {}}
     status = 0
     for cfg in configs:
+        entry = summary["experiments"][cfg.name] = {"kind": cfg.kind, "seed": cfg.seed}
         try:
             rows, details = EXECUTORS[cfg.kind](cfg, cfg.seed, args.threads, out_dir=out)
-        except FlowLabError as exc:
-            print(f"experiment [{cfg.name}] failed: {exc}", file=sys.stderr)
-            return 1
+        except Exception as exc:
+            # a failed section is recorded and the remaining sections still run
+            if not isinstance(exc, FlowLabError):
+                traceback.print_exc()  # a fault of the program, not of the input
+            entry.update(passed=False, error=f"{type(exc).__name__}: {exc}")
+            print(f"experiment [{cfg.name}] failed: {entry['error']}", file=sys.stderr)
+            status = 2 if isinstance(exc, ConfigError) else max(status, 1)
+            continue
         write_rows_csv(rows, os.path.join(out, f"{cfg.name}.csv"))
         for label, (header, table) in details.items():
             write_table_csv(header, table, os.path.join(out, f"{cfg.name}_{label}.csv"))
         ok = rows_all_passed(rows)
-        summary["experiments"][cfg.name] = {
-            "kind": cfg.kind,
-            "seed": cfg.seed,
-            "passed": ok,
-            "rows": [
-                {"quantity": r.quantity, "value": r.value, "stderr": r.stderr,
-                 "bound": r.bound, "passed": r.passed}
-                for r in rows
-            ],
-        }
+        entry.update(passed=ok, rows=[
+            {"quantity": r.quantity, "value": r.value, "stderr": r.stderr,
+             "bound": r.bound, "passed": r.passed}
+            for r in rows
+        ])
         if not ok:
-            status = 1
+            status = max(status, 1)
         for r in rows:
             mark = "" if r.passed is None else ("  PASS" if r.passed else "  FAIL")
             print(f"[{cfg.name}] {r.quantity} = {r.value:.6g}{mark}")
@@ -80,9 +93,7 @@ def _validate(args):
     try:
         configs = parse_config(args.config)
     except ConfigError as exc:
-        loc = f" [section={exc.section!r} key={exc.key!r}]" if exc.section or exc.key else ""
-        print(f"config error: {exc}{loc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     for cfg in configs:
         print(f"[{cfg.name}] kind={cfg.kind} ok")
     return 0

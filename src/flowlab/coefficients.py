@@ -19,19 +19,20 @@ smoothing commutes with differentiation up to an explicit e^{-ε} factor, and
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
-from .errors import CapabilityError
+from .errors import BoundUnavailableError, CapabilityError
 from .gaussian import (_delta, _fd_column_jacobian, fd_jacobian, ou_smooth, ou_smooth_grad,
                        refined_quadrature)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
     "CoefficientField",
+    "CoefficientValues",
     "HypothesisReport",
     "RegularizationLevel",
     "builtin_coefficients",
@@ -178,21 +179,55 @@ class CoefficientField:
             return np.asarray(self.delta_b_fn(t, X), dtype=float)
         return _delta(np.asarray(self.b(t, X), dtype=float), X, self.b_jacobian(t, X))
 
-    # -- scalar diagnostics ---------------------------------------------------
-
-    def sigma_hs2(self, t, X):
+    def evaluate(self, t, X):
+        """σ, ∇σ, b, δ(σ_t) and δ(b_t) at (t, X), each coefficient map called once."""
+        X = np.asarray(X, dtype=float)
         sig = np.asarray(self.sigma(t, X), dtype=float)
-        return np.einsum("...am,...am->...", sig, sig)
+        jac = self.sigma_jacobian(t, X)
+        b = np.asarray(self.b(t, X), dtype=float)
+        db = self.delta_b(t, X) if self.delta_b_fn is not None else _delta(b, X, self.b_jacobian(t, X))
+        return CoefficientValues(sigma=sig, sigma_jac=jac, b=b, delta_sigma=_delta(sig, X, jac),
+                                 delta_b=db)
 
-    def grad_sigma_hs2(self, t, X):
+
+@dataclass(frozen=True)
+class CoefficientValues:
+    """One evaluation of a field at (t, X), and the scalars derived from it.
+
+    The density weight, the L^p bound, the entropy budget and the hypothesis
+    integral all read these; each derived scalar is computed on first use.
+    """
+
+    sigma: np.ndarray        # (..., d, m)
+    sigma_jac: np.ndarray    # (..., m, d, d)
+    b: np.ndarray            # (..., d)
+    delta_sigma: np.ndarray  # (..., m)
+    delta_b: np.ndarray      # (...)
+
+    @cached_property
+    def hs2(self):
+        """||σ||^2, the squared Hilbert-Schmidt norm."""
+        return np.einsum("...am,...am->...", self.sigma, self.sigma)
+
+    @cached_property
+    def grad_hs2(self):
         """|∇σ|^2: squared Hilbert-Schmidt norm of the full gradient tensor."""
-        jac = self.sigma_jacobian(t, X)
-        return np.einsum("...jab,...jab->...", jac, jac)
+        return np.einsum("...jab,...jab->...", self.sigma_jac, self.sigma_jac)
 
-    def column_grad_pairing(self, t, X):
+    @cached_property
+    def pairing(self):
         """Σ_j trace(∇σ^{.j} · ∇σ^{.j}), the column-gradient pairing term."""
-        jac = self.sigma_jacobian(t, X)
-        return np.einsum("...jab,...jba->...", jac, jac)
+        return np.einsum("...jab,...jba->...", self.sigma_jac, self.sigma_jac)
+
+    @cached_property
+    def delta_sigma2(self):
+        """|δ(σ)|^2."""
+        return np.einsum("...m,...m->...", self.delta_sigma, self.delta_sigma)
+
+    @cached_property
+    def phi(self):
+        """Φ = δ(b) + ||σ||^2/2 + Σ_j <∇σ^{.j}, (∇σ^{.j})*>/2, the Ito drift of -log K~."""
+        return self.delta_b + 0.5 * self.hs2 + 0.5 * self.pairing
 
 
 @dataclass(frozen=True)
@@ -208,14 +243,6 @@ class RegularizationLevel:
     @property
     def eps(self):
         return 1.0 / self.n
-
-    @property
-    def time_scale(self):
-        return 1.0 / self.n
-
-    @property
-    def cutoff_radius(self):
-        return float(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +386,19 @@ class HypothesisReport:
     ellipticity_ok: bool
     growth_ok: bool
 
-    def summary(self):
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "growth_ratio": self.growth_ratio,
-            "sigma_T": self.sigma_T,
-            "divergent": self.divergent,
-            "grad_norm_sup": self.grad_norm_sup,
-            "ellipticity_ok": self.ellipticity_ok,
-            "growth_ok": self.growth_ok,
-        }
+
+def _hypothesis_integral(values, times, lam, logw, log_cap):
+    """Σ_T from one ``CoefficientValues`` per time node (see ``validate_hypotheses``).
+
+    Raises ``BoundUnavailableError`` when any node's log integral exceeds ``log_cap``.
+    """
+    log_inner = np.array([
+        logsumexp(logw + lam * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
+        for ev in values
+    ])
+    if log_inner.max() > log_cap:
+        raise BoundUnavailableError("hypothesis integral diverges")
+    return float(trapezoid(np.exp(log_inner), times))
 
 
 def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
@@ -381,39 +411,32 @@ def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
     times = np.linspace(0.0, T, tgrid) if np.isscalar(tgrid) else np.asarray(tgrid, float)
     X = quad.nodes
     logw = quad.log_weights
-    lam = field.exp_const
 
     min_eig = math.inf
     growth_ratio = 0.0
     grad_norm_sup = 0.0
-    log_inner = np.empty(times.shape[0])
     norm_radius = 1.0 + np.linalg.norm(X, axis=-1)
     p_grad = 2 * (field.d + 1)
 
-    for i, t in enumerate(times):
-        sig = np.asarray(field.sigma(t, X), dtype=float)
-        a = np.einsum("kam,kbm->kab", sig, sig)
+    values = [field.evaluate(t, X) for t in times]
+    for ev in values:
+        a = np.einsum("kam,kbm->kab", ev.sigma, ev.sigma)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(a)[:, 0].min()))
-
-        hs = np.sqrt(np.einsum("kam,kam->k", sig, sig))
-        bval = np.asarray(field.b(t, X), dtype=float)
+        hs = np.sqrt(ev.hs2)
         growth_ratio = max(
-            growth_ratio, float((np.maximum(hs, np.linalg.norm(bval, axis=-1)) / norm_radius).max())
+            growth_ratio, float((np.maximum(hs, np.linalg.norm(ev.b, axis=-1)) / norm_radius).max())
         )
-
-        grad2 = np.asarray(field.grad_sigma_hs2(t, X), dtype=float)
-        dsig = field.delta_sigma(t, X)
-        db = np.asarray(field.delta_b(t, X), dtype=float)
+        grad2 = ev.grad_hs2
         if grad2.max() > 0:
             grad_norm_sup = max(
                 grad_norm_sup,
                 float(np.exp(logsumexp(logw + (p_grad / 2.0) * np.log(np.maximum(grad2, 1e-300))) / p_grad)),
             )
-        g = lam * (grad2 + np.einsum("km,km->k", dsig, dsig) + np.abs(db))
-        log_inner[i] = logsumexp(logw + g)
 
-    divergent = bool(np.any(log_inner > log_cap))
-    sigma_T = math.inf if divergent else float(trapezoid(np.exp(log_inner), times))
+    try:
+        sigma_T, divergent = _hypothesis_integral(values, times, field.exp_const, logw, log_cap), False
+    except BoundUnavailableError:
+        sigma_T, divergent = math.inf, True
 
     ellipticity_ok = True if field.c1 is None else min_eig >= field.c1 - 1e-9
     growth_ok = growth_ratio <= field.growth_const + 1e-9

@@ -23,6 +23,7 @@ import configparser
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
+from .sde import make_grid
 
 EXPERIMENT_KINDS = (
     "density_bound",
@@ -181,34 +182,36 @@ def _parse_section(name, section, seed=None):
 def _validate_numerics(cfg):
     opt = cfg.options
 
-    def need_positive(key):
-        if key in opt and opt[key] is not None and opt[key] <= 0:
-            raise ConfigError(
-                f"section [{cfg.name}]: {key} must be positive", section=cfg.name, key=key
-            )
+    def fault(key, message):
+        return ConfigError(f"section [{cfg.name}]: {message}", section=cfg.name, key=key)
 
-    for key in ("dt", "t", "trajectories", "horizon", "grid_R", "grid_h", "grid_tau", "a", "beta"):
-        need_positive(key)
-    if "p_list" in opt:
-        for p in opt["p_list"]:
-            if p <= 1.0:
-                raise ConfigError(
-                    f"section [{cfg.name}]: p values must exceed 1", section=cfg.name, key="p_list"
-                )
-    if "dt" in opt and "t" in opt and opt.get("t") is not None:
-        s = opt.get("s", 0.0)
-        if opt["dt"] > opt["t"] - s:
-            raise ConfigError(
-                f"section [{cfg.name}]: dt exceeds the horizon", section=cfg.name, key="dt"
-            )
+    for key in ("d", "dt", "t", "trajectories", "replicas", "horizon", "grid_R", "grid_h", "grid_tau",
+                "a", "beta"):
+        if key in opt and opt[key] is not None and opt[key] <= 0:
+            raise fault(key, f"{key} must be positive")
+    if opt.get("trajectories", 2) < 2:
+        raise fault("trajectories", "trajectories must be at least 2 (error bars need two batches)")
+    if any(p <= 1.0 for p in opt.get("p_list", ())):
+        raise fault("p_list", "p values must exceed 1")
+    # every step ``run`` simulates with must divide the horizon [s, t]; the
+    # Fokker-Planck check also solves a coarse companion grid with step 4 grid_tau
+    steps = [("dt", opt["dt"])] if "t" in opt else []
+    if "grid_tau" in opt:
+        steps += [("grid_tau", opt["grid_tau"]), ("grid_tau", 4 * opt["grid_tau"])]
+    for key, step in steps:
+        try:
+            make_grid(opt["s"], opt["t"], step)
+        except ConfigError as exc:
+            raise fault(key, f"{key}: {exc}")
+    if cfg.kind == "fokker_planck" and opt["d"] not in (1, 2):
+        raise fault("d", "the Fokker-Planck grid needs d = 1 or 2")
+    samples = opt.get("factorization_samples", 0)
+    if samples < 0 or (samples and opt["d"] != 1):
+        raise fault("factorization_samples", "factorization_samples must be >= 0, and > 0 only for d = 1")
     if not 0 <= opt["seed"] < SEED_LIMIT:
-        raise ConfigError(
-            f"section [{cfg.name}]: seed {opt['seed']} outside [0, 2^64)", section=cfg.name, key="seed"
-        )
+        raise fault("seed", f"seed {opt['seed']} outside [0, 2^64)")
     if "field" in opt and opt["field"] not in FIELD_KEYS:
-        raise ConfigError(
-            f"section [{cfg.name}]: unknown field {opt['field']!r}", section=cfg.name, key="field"
-        )
+        raise fault("field", f"unknown field {opt['field']!r}")
 
 
 def parse_config(path, seed=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import regularize
+from .coefficients import RegularizationLevel, regularize
 from .density import Estimate, batch_statistic
 from .errors import ConfigError
 from .sde import _euler, _resolve_initials, _run_chunks, make_grid, simulate_ensemble
@@ -250,8 +250,8 @@ def coupling_convergence(
     x0 = np.repeat(x_init, replicas, axis=0)
     n_traj = x0.shape[0]
 
-    fields = [regularizer(field, _level(n), quad) for n in levels]
-    fields.append(regularizer(field, _level(n_ref), quad))
+    fields = [regularizer(field, RegularizationLevel(n), quad) for n in levels]
+    fields.append(regularizer(field, RegularizationLevel(n_ref), quad))
 
     sup_dev = np.zeros((len(levels), n_traj))
 
@@ -277,9 +277,3 @@ def coupling_convergence(
         monotone_steps=monotone,
         final_over_first=ratio,
     )
-
-
-def _level(n):
-    from .coefficients import RegularizationLevel
-
-    return RegularizationLevel(n=n)

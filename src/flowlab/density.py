@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
+from .coefficients import _hypothesis_integral
 from .errors import BoundUnavailableError
-from .gaussian import _delta, fd_jacobian
+from .gaussian import _delta, fd_jacobian, refined_quadrature
 from .oracles import gaussian_abs_moment, m2_exponential_moment
 from .sde import simulate_ensemble
 
@@ -50,11 +50,7 @@ __all__ = [
 
 def phi_integrand(field, t, X):
     """Φ_t(x): drift term of -log K~ (Ito form)."""
-    return (
-        np.asarray(field.delta_b(t, X), dtype=float)
-        + 0.5 * field.sigma_hs2(t, X)
-        + 0.5 * field.column_grad_pairing(t, X)
-    )
+    return field.evaluate(t, X).phi
 
 
 @dataclass
@@ -95,9 +91,9 @@ class DensityAccumulator:
         self.D = np.zeros(n_traj)
 
     def step(self, sl, k, t, X, dW):
-        ds = self.field.delta_sigma(t, X)
-        self.S[sl] += np.einsum("nm,nm->n", ds, dW)
-        self.D[sl] += phi_integrand(self.field, t, X) * self.dt
+        ev = self.field.evaluate(t, X)
+        self.S[sl] += np.einsum("nm,nm->n", ev.delta_sigma, dW)
+        self.D[sl] += ev.phi * self.dt
 
     def finalize(self):
         return {"S": self.S, "D": self.D}
@@ -118,16 +114,11 @@ def run_density_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1,
 def log_density_along(field, trajectory, path):
     """Single-trajectory density record from stored states (Ito accumulation)."""
     X = np.asarray(trajectory, dtype=float)
-    n_steps = path.n_steps
-    S = 0.0
-    D = 0.0
-    for k in range(n_steps):
-        t = path.s + k * path.dt
-        xk = X[k][None, :]
-        ds = field.delta_sigma(t, xk)[0]
-        S += float(ds @ path.increments[k])
-        D += float(phi_integrand(field, t, xk)[0]) * path.dt
-    return DensityRecordBatch(S=np.array([S]), D=np.array([D]))
+    acc = DensityAccumulator(field, path.dt)
+    acc.alloc(1)
+    for k in range(path.n_steps):
+        acc.step(slice(0, 1), k, path.s + k * path.dt, X[k][None, :], path.increments[k][None, :])
+    return DensityRecordBatch(S=acc.S, D=acc.D)
 
 
 def _strat_correction_divergence(field, t, X):
@@ -157,10 +148,12 @@ def stratonovich_log_density(field, trajectory, path):
         t1 = t0 + path.dt
         x0 = X[k][None, :]
         x1 = X[k + 1][None, :]
-        ds_mid = 0.5 * (field.delta_sigma(t0, x0)[0] + field.delta_sigma(t1, x1)[0])
+        ev0 = field.evaluate(t0, x0)
+        ev1 = field.evaluate(t1, x1)
+        ds_mid = 0.5 * (ev0.delta_sigma[0] + ev1.delta_sigma[0])
         S += float(ds_mid @ path.increments[k])
-        db0 = float(np.asarray(field.delta_b(t0, x0), dtype=float)[0])
-        db1 = float(np.asarray(field.delta_b(t1, x1), dtype=float)[0])
+        db0 = float(ev0.delta_b[0])
+        db1 = float(ev1.delta_b[0])
         corr0 = float(_strat_correction_divergence(field, t0, x0)[0])
         corr1 = float(_strat_correction_divergence(field, t1, x1)[0])
         D += 0.5 * ((db0 - 0.5 * corr0) + (db1 - 0.5 * corr1)) * path.dt
@@ -248,12 +241,10 @@ def _bound_log_average(field, s, t, p, quad, times, log_cap):
     X = quad.nodes
     log_inner = np.empty(times.shape[0])
     for i, u in enumerate(times):
-        db = np.abs(np.asarray(field.delta_b(u, X), dtype=float))
-        hs2 = field.sigma_hs2(u, X)
-        g2 = field.grad_sigma_hs2(u, X)
-        ds = field.delta_sigma(u, X)
-        ds2 = np.einsum("km,km->k", ds, ds)
-        expo = p * tau * (2.0 * db + hs2 + g2 + 2.0 * (p - 1.0) * ds2)
+        ev = field.evaluate(u, X)
+        expo = p * tau * (
+            2.0 * np.abs(ev.delta_b) + ev.hs2 + ev.grad_hs2 + 2.0 * (p - 1.0) * ev.delta_sigma2
+        )
         log_inner[i] = logsumexp(logw + expo)
     if log_inner.max() > log_cap:
         raise BoundUnavailableError(
@@ -266,8 +257,6 @@ def _refined(quad):
     """Order-doubled companion rule (None when not a tensor rule)."""
     if quad.exactness < 1:
         return None
-    from .gaussian import refined_quadrature
-
     fine = refined_quadrature(quad, factor=2, max_order=1024)
     return None if fine is quad else fine
 
@@ -333,19 +322,17 @@ class BoundBudget:
         return self.entropy_bound + 2.0 * math.exp(-1.0)
 
 
-def _spacetime_power_norm(fn, times, quad, q):
+def _spacetime_power_norm(f, times, quad, q):
     """[∫_0^T ∫ f^q dγ_d dt]^{1/q} in shifted log space; exact for huge q.
 
+    ``f`` holds the values at (time, node), shape (len(times), n_nodes).
     For q beyond float range the value degrades gracefully to the essential
     sup of f over the sample set, which is the q -> ∞ limit of the norm on
     the discrete rule.
     """
     logw = quad.log_weights
     log_tw = _trapezoid_log_weights(times)
-    logf = np.empty((times.shape[0], quad.nodes.shape[0]))
-    for i, u in enumerate(times):
-        f = np.asarray(fn(u, quad.nodes), dtype=float)
-        logf[i] = np.log(np.maximum(f, 1e-300))
+    logf = np.log(np.maximum(f, 1e-300))
     peak = logf.max()
     if peak <= math.log(1e-300):
         return 0.0
@@ -377,17 +364,8 @@ def budget_constants(field, T, quad, tgrid=17, log_cap=700.0):
     M2 = m2_exponential_moment(field.d)
 
     times = np.linspace(0.0, T, tgrid)
-    logw = quad.log_weights
-    log_inner = np.empty(times.shape[0])
-    for i, u in enumerate(times):
-        g2 = field.grad_sigma_hs2(u, quad.nodes)
-        ds = field.delta_sigma(u, quad.nodes)
-        db = np.abs(np.asarray(field.delta_b(u, quad.nodes), dtype=float))
-        g = lam * (g2 + np.einsum("km,km->k", ds, ds) + db)
-        log_inner[i] = logsumexp(logw + g)
-    if log_inner.max() > log_cap:
-        raise BoundUnavailableError("hypothesis integral diverges; budget unavailable")
-    sigma_T = float(trapezoid(np.exp(log_inner), times))
+    values = [field.evaluate(u, quad.nodes) for u in times]
+    sigma_T = _hypothesis_integral(values, times, lam, quad.log_weights, log_cap)
 
     log_lambda = (math.log(M2) + math.log(sigma_T) - math.log(T0)) / 12.0
     if log_lambda > log_cap:
@@ -398,22 +376,11 @@ def budget_constants(field, T, quad, tgrid=17, log_cap=700.0):
     q2 = _pow2(n_tilde)
 
     e = math.e
-
-    def f1(u, X):
-        hs = np.sqrt(field.sigma_hs2(u, X))
-        ds = field.delta_sigma(u, X)
-        return hs + e * np.sqrt(np.einsum("km,km->k", ds, ds))
-
-    def f2(u, X):
-        bval = np.asarray(field.b(u, X), dtype=float)
-        db = np.abs(np.asarray(field.delta_b(u, X), dtype=float))
-        return (
-            np.linalg.norm(bval, axis=-1)
-            + e * db
-            + 1.5 * field.sigma_hs2(u, X)
-            + field.grad_sigma_hs2(u, X)
-        )
-
+    f1 = np.array([np.sqrt(ev.hs2) + e * np.sqrt(ev.delta_sigma2) for ev in values])
+    f2 = np.array([
+        np.linalg.norm(ev.b, axis=-1) + e * np.abs(ev.delta_b) + 1.5 * ev.hs2 + ev.grad_hs2
+        for ev in values
+    ])
     C1 = _spacetime_power_norm(f1, times, quad, q1)
     C2 = _spacetime_power_norm(f2, times, quad, q2)
 

@@ -3,12 +3,16 @@ import glob
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlab.cli import main
 from flowlab.config import build_field, parse_config
-from flowlab.errors import ConfigError
+from flowlab import errors
+from flowlab.errors import ConfigError, FlowLabError
 
 GOOD_CONFIG = """
 [lp-small]
@@ -47,6 +51,43 @@ seed = 42
 """
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+VALIDATE_BASE = "kind = validate"
+DENSITY_BASE = "kind = density_bound\nfield = translate\nt = 0.1\ntrajectories = 8"
+FP_BASE = "kind = fokker_planck\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
+KRYLOV_BASE = "kind = krylov\nfield = translate\nt = 0.1\ndt = 0.01"
+FLOWLAB_ERRORS = {
+    c.__name__ for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FlowLabError)
+}
+
+
+@st.composite
+def _sections(draw):
+    """Body of a small validate, density_bound or krylov section, valid or not."""
+    kind = draw(st.sampled_from(["validate", "density_bound", "krylov"]))
+    keys = {
+        "kind": kind,
+        "field": draw(st.sampled_from(["translate", "ou_linear", "sign_drift"])),
+        "d": draw(st.sampled_from([1, 1, 2, 0])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    if kind == "validate":
+        keys["horizon"] = draw(st.sampled_from(["0.05", "0.5", "1.0"]))
+    else:
+        keys["s"] = draw(st.sampled_from(["0.0", "0.0", "0.05"]))
+        keys["t"] = draw(st.sampled_from(["0.02", "0.05", "0.1"]))
+        keys["dt"] = draw(st.sampled_from(["0.005", "0.01", "0.01", "0.03"]))
+        keys["trajectories"] = draw(st.integers(1, 64))
+        if kind == "density_bound":
+            keys["p_list"] = draw(st.sampled_from(["1.5", "2, 3"]))
+        else:
+            keys["slab_widths"] = draw(st.sampled_from(["0.1, 0.05", "0.5"]))
+    return "\n".join(f"{k} = {v}" for k, v in keys.items())
+
+
+def _fault(base, lines, key):
+    """A section ``base`` plus the faulty ``lines``; the test id names the fault."""
+    return pytest.param(f"{base}\n{lines}", key, id=f"{lines}-{key}")
 
 
 @pytest.fixture
@@ -139,17 +180,49 @@ class TestCli:
             assert main(["validate", path]) == 0, path
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("lines, key", [
-        ("field = anisotropic\nd = 2", "field"),  # no config key supplies its matrix
-        ("field = translate\nseed = -1", "seed"),
-        (f"field = translate\nseed = {2**64}", "seed"),
+    @pytest.mark.parametrize("body, key", [
+        _fault(VALIDATE_BASE, "field = anisotropic\nd = 2", "field"),  # no key supplies its matrix
+        _fault(VALIDATE_BASE, "field = translate\nseed = -1", "seed"),
+        _fault(VALIDATE_BASE, f"field = translate\nseed = {2**64}", "seed"),
+        _fault(VALIDATE_BASE, "field = translate\nd = 0", "d"),
+        _fault(KRYLOV_BASE, "trajectories = 1", "trajectories"),  # a one-trajectory error bar
+        _fault(DENSITY_BASE, "dt = 0.03", "dt"),
+        _fault(FP_BASE, "grid_tau = 0.003", "grid_tau"),
+        _fault(FP_BASE, "grid_tau = 0.01", "grid_tau"),  # the companion step 0.04 does not divide 0.1
+        _fault(FP_BASE, "grid_tau = 0.005\nd = 3", "d"),
+        _fault(FP_BASE, "grid_tau = 0.005\nd = 2\nfactorization_samples = 100", "factorization_samples"),
     ])
-    def test_config_fault_exits_2(self, tmp_path, capsys, command, lines, key):
+    def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"
-        p.write_text(f"[x]\nkind = validate\n{lines}\n")
+        p.write_text(f"[x]\n{body}\n")
         argv = [command, str(p)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
         assert main(argv) == 2
         assert f"[section='x' key='{key}']" in capsys.readouterr().err
+
+    def test_threads_below_one_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", config_path, "--out", str(out), "--threads", "0"]) == 2
+        assert "key='threads'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_section_recorded_and_rest_run(self, tmp_path, capsys):
+        # grid_tau divides the horizon but breaks the FP stability bound, a
+        # fault only the run can find
+        unstable = FP_SECTION.replace("grid_tau = 0.005", "grid_tau = 0.025")
+        p = tmp_path / "cfg.ini"
+        p.write_text(unstable + "\n[hypotheses]\nkind = validate\nfield = ou_linear\nd = 1\n")
+        out = tmp_path / "out"
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert "stability bound" in capsys.readouterr().err
+        summary = json.load(open(out / "summary.json"))
+        assert summary["passed"] is False
+        failed = summary["experiments"]["fp-small"]
+        assert failed["passed"] is False and failed["kind"] == "fokker_planck"
+        assert "ConfigError" in failed["error"] and "stability bound" in failed["error"]
+        rows = summary["experiments"]["hypotheses"]["rows"]
+        assert {r["quantity"] for r in rows} >= {"min_eigenvalue", "sigma_T"}
+        assert (out / "hypotheses.csv").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_override_out_of_range(self, config_path, tmp_path, capsys, seed):
@@ -215,3 +288,27 @@ class TestCli:
         assert main(["oracle-suite", "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "oracle_suite.csv"))
         assert "PASS" in capsys.readouterr().out
+
+
+class TestValidateMatchesRun:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_sections(), min_size=1, max_size=2))
+    def test_validated_config_runs(self, sections):
+        """Whenever validate accepts a config, run exits 0 or 1 and writes summary.json.
+
+        A section may fail only with a flowlab error, never a crash of the program.
+        """
+        names = [f"s{i}" for i in range(len(sections))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.ini")
+            with open(path, "w") as fh:
+                fh.write("".join(f"[{n}]\n{body}\n" for n, body in zip(names, sections)))
+            if main(["validate", path]) != 0:
+                return
+            out = os.path.join(tmp, "out")
+            assert main(["run", path, "--out", out]) in (0, 1)
+            with open(os.path.join(out, "summary.json")) as fh:
+                summary = json.load(fh)
+        assert sorted(summary["experiments"]) == names
+        failures = [e["error"] for e in summary["experiments"].values() if "error" in e]
+        assert all(err.split(":")[0] in FLOWLAB_ERRORS for err in failures), failures

@@ -218,6 +218,36 @@ class TestRegularizeDrift:
         assert sign1.b_measurable_only
 
 
+def _parent_phi(field, t, X):
+    """Φ as the density module summed it before ``evaluate`` existed."""
+    sig = np.asarray(field.sigma(t, X), dtype=float)
+    jac = field.sigma_jacobian(t, X)
+    return (
+        np.asarray(field.delta_b(t, X), dtype=float)
+        + 0.5 * np.einsum("...am,...am->...", sig, sig)
+        + 0.5 * np.einsum("...jab,...jba->...", jac, jac)
+    )
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("key", [
+        "translate1", "translate2", "ou1", "sign1", "sign1_n8", "sine_field",
+    ])
+    def test_matches_separate_calls_bitwise(self, request, quad1, key):
+        if key == "translate2":
+            field = builtin_coefficients("translate", d=2)
+        elif key == "sign1_n8":
+            field = regularize(request.getfixturevalue("sign1"), RegularizationLevel(8), quad1)
+        else:
+            field = request.getfixturevalue(key)
+        X = np.random.default_rng(5).normal(size=(33, field.d)) * 2.0
+        t = 0.3
+        ev = field.evaluate(t, X)
+        assert np.array_equal(ev.delta_sigma, field.delta_sigma(t, X))
+        assert np.array_equal(ev.delta_b, field.delta_b(t, X))
+        assert np.array_equal(ev.phi, _parent_phi(field, t, X))
+
+
 class TestValidateHypotheses:
     def test_sigma_integral_translate(self, quad1):
         field = builtin_coefficients("translate", d=1, lam=0.25)

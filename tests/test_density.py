@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize
+from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize, validate_hypotheses
 from flowlab.density import (
+    DensityAccumulator,
     DensityRecordBatch,
     batch_statistic,
     budget_constants,
@@ -51,6 +52,36 @@ class TestPhiIntegrand:
         x = pts[:, 0]
         expected = 0.5 * (2.0 + np.sin(x)) ** 2 + 0.5 * np.cos(x) ** 2
         np.testing.assert_allclose(phi_integrand(sine_field, 0.0, pts), expected, rtol=1e-10)
+
+
+class TestAccumulatorStep:
+    def test_regularized_step_smooths_each_coefficient_once(self, sign1, quad1, monkeypatch):
+        from flowlab import coefficients
+
+        reg = regularize(sign1, RegularizationLevel(8), quad1)
+        calls = {"ou_smooth": 0, "ou_smooth_grad": 0}
+
+        def counted(name):
+            fn = getattr(coefficients, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(coefficients, name, counted(name))
+        acc = DensityAccumulator(reg, 1e-3)
+        acc.alloc(16)
+        X = np.linspace(-2.0, 2.0, 16)[:, None]
+        acc.step(slice(0, 16), 0, 0.1, X, np.full((16, 1), 0.01))
+        # σ^n once, ∇σ^n (P_ε σ and P_ε ∇σ) once, b^n once, ∇b^n once
+        assert calls == {"ou_smooth": 4, "ou_smooth_grad": 1}
+
+    def test_sigma_T_shared_by_budget_and_hypotheses(self, sign1, quad1):
+        reg = regularize(sign1, RegularizationLevel(8), quad1)
+        tau = time_threshold(reg)
+        assert budget_constants(reg, tau, quad1).Sigma_T == validate_hypotheses(reg, tau, quad1).sigma_T
 
 
 class TestRecords:
