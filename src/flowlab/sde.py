@@ -7,8 +7,9 @@ fixed ``(seed, dt, grid)`` at any worker count.
 One package-private driver is the only place where chunks, threads and
 trajectory noise are handled: ``_run_chunks`` partitions trajectories into
 chunks whose boundaries depend only on the problem size, draws each chunk's
-increments and runs the caller's body on it, serially or on a thread pool;
-bodies write into disjoint slices of preallocated arrays, and per-chunk
+increments in one block (bit for bit the per-trajectory substreams, see
+:mod:`flowlab.rng`) and runs the caller's body on it, serially or on a thread
+pool; bodies write into disjoint slices of preallocated arrays, and per-chunk
 results come back in chunk order for the caller to reduce.  ``_euler`` is the
 only Euler step: it advances one state per field under shared increments and
 guards every path against explosion.  Ensembles, the regularization
@@ -92,7 +93,7 @@ class BrownianPath:
 
 def sample_brownian(s, T, dt, m, seed, index):
     """The Brownian path of substream ``(seed, index)`` on the grid."""
-    inc = _increments(seed, index, index + 1, make_grid(s, T, dt), m, dt)[0]
+    inc = brownian_increments(seed, index, make_grid(s, T, dt), m, dt)
     return BrownianPath(s=s, dt=dt, increments=inc, seed=seed, index=index)
 
 
@@ -145,29 +146,21 @@ def _chunk_edges(n_traj, n_steps, m):
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
-def _increments(seed, lo, hi, n_steps, m, dt):
-    """Brownian increments (hi - lo, n_steps, m) of substreams lo .. hi-1."""
-    inc = np.empty((hi - lo, n_steps, m))
-    if n_steps:  # a degenerate horizon needs no generators
-        for j in range(hi - lo):
-            inc[j] = brownian_increments(seed, lo + j, n_steps, m, dt)
-    return inc
-
-
 def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
 
-    ``inc`` holds the increments of substreams lo .. hi-1.  Chunks run on a
-    pool of ``threads`` workers when there is more than one chunk.  A chunk
-    whose body raises ``ExplosionError`` stops there while the others run to
-    the end; then one error names the earliest step and every exploded index.
+    ``inc`` holds the increments of substreams lo .. hi-1, drawn in one
+    ``brownian_increments`` call per chunk.  Chunks run on a pool of
+    ``threads`` workers when there is more than one chunk.  A chunk whose
+    body raises ``ExplosionError`` stops there while the others run to the
+    end; then one error names the earliest step and every exploded index.
     """
     failures = []
 
     def run(edge):
         lo, hi = edge
         try:
-            return body(lo, hi, _increments(seed, lo, hi, n_steps, m, dt))
+            return body(lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt))
         except ExplosionError as exc:
             failures.append((exc.step, [lo + i for i in exc.indices]))
 

@@ -56,6 +56,8 @@ VALIDATE_BASE = "kind = validate"
 DENSITY_BASE = "kind = density_bound\nfield = translate\nt = 0.1\ntrajectories = 8"
 FP_BASE = "kind = fokker_planck\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
 KRYLOV_BASE = "kind = krylov\nfield = translate\nt = 0.1\ndt = 0.01"
+COUPLING_BASE = "kind = coupling\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
+ENTROPY_BASE = "kind = entropy_budget\nfield = translate\nhorizon = 0.1\ndt = 0.01\ntrajectories = 8"
 FLOWLAB_ERRORS = {
     c.__name__ for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FlowLabError)
 }
@@ -63,8 +65,11 @@ FLOWLAB_ERRORS = {
 
 @st.composite
 def _sections(draw):
-    """Body of a small validate, density_bound or krylov section, valid or not."""
-    kind = draw(st.sampled_from(["validate", "density_bound", "krylov"]))
+    """Body of a small validate, density_bound, krylov, coupling or entropy_budget section.
+
+    Sections are valid or not; the trajectory counts and horizons are kept small.
+    """
+    kind = draw(st.sampled_from(["validate", "density_bound", "krylov", "coupling", "entropy_budget"]))
     keys = {
         "kind": kind,
         "field": draw(st.sampled_from(["translate", "ou_linear", "sign_drift"])),
@@ -73,6 +78,11 @@ def _sections(draw):
     }
     if kind == "validate":
         keys["horizon"] = draw(st.sampled_from(["0.05", "0.5", "1.0"]))
+    elif kind == "entropy_budget":
+        keys["horizon"] = draw(st.sampled_from(["0.02", "0.05"]))
+        keys["dt"] = draw(st.sampled_from(["0.005", "0.01", "0.03"]))
+        keys["trajectories"] = draw(st.integers(1, 64))
+        keys["n_list"] = draw(st.sampled_from(["4", "2, 8", "0, 4", ""]))
     else:
         keys["s"] = draw(st.sampled_from(["0.0", "0.0", "0.05"]))
         keys["t"] = draw(st.sampled_from(["0.02", "0.05", "0.1"]))
@@ -80,8 +90,11 @@ def _sections(draw):
         keys["trajectories"] = draw(st.integers(1, 64))
         if kind == "density_bound":
             keys["p_list"] = draw(st.sampled_from(["1.5", "2, 3"]))
-        else:
+        elif kind == "krylov":
             keys["slab_widths"] = draw(st.sampled_from(["0.1, 0.05", "0.5"]))
+        else:
+            keys["n_list"] = draw(st.sampled_from(["2, 4", "4, 8", "8", "0, 4", ""]))
+            keys["n_ref"] = draw(st.sampled_from(["4", "8", "16"]))
     return "\n".join(f"{k} = {v}" for k, v in keys.items())
 
 
@@ -191,6 +204,10 @@ class TestCli:
         _fault(FP_BASE, "grid_tau = 0.01", "grid_tau"),  # the companion step 0.04 does not divide 0.1
         _fault(FP_BASE, "grid_tau = 0.005\nd = 3", "d"),
         _fault(FP_BASE, "grid_tau = 0.005\nd = 2\nfactorization_samples = 100", "factorization_samples"),
+        _fault(COUPLING_BASE, "n_list = 0, 4\nn_ref = 8", "n_list"),
+        _fault(COUPLING_BASE, "n_list =\nn_ref = 8", "n_list"),  # a coupling needs a level
+        _fault(COUPLING_BASE, "n_list = 4, 16\nn_ref = 8", "n_ref"),  # the reference is the finest
+        _fault(ENTROPY_BASE, "n_list = 0, 4", "n_list"),
     ])
     def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import flowlab.sde
+from flowlab import rng
 from flowlab.coefficients import builtin_coefficients
+from flowlab.convergence import coupling_convergence
 from flowlab.errors import ConfigError, ExplosionError
-from flowlab.rng import brownian_increments
+from flowlab.rng import brownian_increments, standard_normals, substream
 from flowlab.sde import (
     BrownianPath,
     FlowEnsemble,
@@ -55,6 +58,127 @@ class TestBrownianPath:
             make_grid(0.0, 1.0, 0.3)
         with pytest.raises(ConfigError):
             make_grid(0.0, 1.0, -0.1)
+
+
+def _generator_draw(seed, index, n_steps, m, dt):
+    """Increments through a ``substream`` generator: the path the block draw replays."""
+    return standard_normals(seed, index, (n_steps, m)) * np.sqrt(dt)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize(
+        "seed, lo, count, n_steps, m",
+        [   # blocks of 2**14 words
+            (3, 0, 70, 500, 1),                 # 32 rows per block: blocks of 32, 32, 6
+            (11, 5, 12, 1000, 3),               # 5 rows per block: blocks of 5, 5, 2
+            ((1 << 64) - 1, (1 << 40) - 3, 9, 7, 2),  # indices across 2**40, one block
+            (5, 1, 3, 12000, 2),                # one row exceeds the block size
+        ],
+    )
+    def test_range_equals_scalar_draws(self, seed, lo, count, n_steps, m):
+        dt = 0.01
+        streams = range(lo, lo + count)
+        block = brownian_increments(seed, streams, n_steps, m, dt)
+        scalar = np.stack([brownian_increments(seed, j, n_steps, m, dt) for j in streams])
+        generator = np.stack([_generator_draw(seed, j, n_steps, m, dt) for j in streams])
+        assert block.shape == (count, n_steps, m)
+        assert np.array_equal(block, scalar)
+        assert np.array_equal(block, generator)
+
+    def test_empty_range_and_degenerate_horizon(self):
+        assert brownian_increments(1, range(4, 4), 10, 2, 0.1).shape == (0, 10, 2)
+        assert brownian_increments(1, range(0, 3), 0, 2, 0.1).shape == (3, 0, 2)
+
+    def test_lemire_replay_matches_the_generator(self):
+        seed, size = 17, 8
+        words = np.stack([
+            np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(size)
+            for j in range(1000)
+        ])
+        uniforms, rejected = rng._lemire_uniforms(words)
+        expected = np.stack([
+            substream(seed, j).integers(1, 1 << 53, size) / 2.0**53 for j in range(1000)
+        ])
+        assert not rejected.any()
+        assert np.array_equal(uniforms, expected)
+
+    def test_lemire_replay_against_exact_products(self):
+        span = (1 << 53) - 1
+        inverse = pow(span, -1, 1 << 64)
+        # words whose low product half is 0, 2047 (rejected) and 2048 (kept)
+        crafted = [0, 2047 * inverse % (1 << 64), 2048 * inverse % (1 << 64)]
+        edges = [1, (1 << 11) - 1, 1 << 11, (1 << 64) - 1, (1 << 63) + 12345]
+        words = np.array(crafted + edges, dtype=np.uint64)
+        uniforms, rejected = rng._lemire_uniforms(words)
+        products = [int(w) * span for w in words]
+        assert rejected.tolist() == [p % (1 << 64) < 2048 for p in products]
+        assert rejected[:3].tolist() == [True, True, False]
+        assert uniforms.tolist() == [((p >> 64) + 1) / 2.0**53 for p in products]
+
+    def test_rejected_row_is_redrawn_through_the_generator(self, monkeypatch):
+        seed, n_steps, dt = 23, 500, 0.01
+        expected = np.stack([_generator_draw(seed, j, n_steps, 1, dt) for j in range(70)])
+        real_lemire, real_normals = rng._lemire_uniforms, rng.standard_normals
+        blocks, redrawn = [], []
+
+        def reject_one(words):
+            uniforms, rejected = real_lemire(words)
+            blocks.append(len(words))
+            if len(blocks) == 2:           # second block: rows 32 .. 63
+                rejected[1, 3] = True
+                uniforms[1] = 0.5          # what a row left unredrawn would read
+            return uniforms, rejected
+
+        def counted(seed, index, shape):
+            redrawn.append(index)
+            return real_normals(seed, index, shape)
+
+        monkeypatch.setattr(rng, "_lemire_uniforms", reject_one)
+        monkeypatch.setattr(rng, "standard_normals", counted)
+        block = brownian_increments(seed, range(70), n_steps, 1, dt)
+        assert blocks == [32, 32, 6]
+        assert redrawn == [33]
+        assert np.array_equal(block, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_chunks_increments_are_chunk_invariant(self, monkeypatch, threads):
+        n_traj, n_steps, m, dt, seed = 300, 50, 2, 0.01, 4
+        whole = brownian_increments(seed, range(n_traj), n_steps, m, dt)
+        for budget in (flowlab.sde._CHUNK_BUDGET, 64 * n_steps * m):
+            monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", budget)
+            parts = flowlab.sde._run_chunks(
+                n_traj, n_steps, m, dt, seed, lambda lo, hi, inc: (lo, hi, inc), threads
+            )
+            assert [(lo, hi) for lo, hi, _ in parts] == flowlab.sde._chunk_edges(n_traj, n_steps, m)
+            assert np.array_equal(np.concatenate([inc for _, _, inc in parts]), whole)
+        assert len(parts) == 5
+        assert np.array_equal(whole[299], _generator_draw(seed, 299, n_steps, m, dt))
+
+
+class TestNoiseSpan:
+    """perfbench times the noise layer by wrapping ``flowlab.sde.brownian_increments``."""
+
+    @pytest.mark.parametrize("driver", ["simulate_ensemble", "coupling_convergence"])
+    def test_chunks_draw_through_the_module_name(self, monkeypatch, translate1, quad1, driver):
+        n_steps, n_traj = 10, 200
+        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * n_steps)
+        drawn = []
+        real = flowlab.sde.brownian_increments
+
+        def counted(seed, index, n_steps, m, dt):
+            drawn.append(index)
+            return real(seed, index, n_steps, m, dt)
+
+        monkeypatch.setattr(flowlab.sde, "brownian_increments", counted)
+        starts = np.zeros((1, 1))
+        if driver == "simulate_ensemble":
+            simulate_ensemble(translate1, 0.0, 0.1, starts, 1e-2, seed=1, replicas=n_traj, threads=2)
+        else:
+            coupling_convergence(translate1, [4], 8, 0.0, 0.1, starts, 1e-2, seed=1, quad=quad1,
+                                 replicas=n_traj, threads=2)
+        edges = flowlab.sde._chunk_edges(n_traj, n_steps, 1)
+        assert len(edges) == 4
+        assert sorted(drawn, key=lambda r: r.start) == [range(lo, hi) for lo, hi in edges]
 
 
 class TestSimulate:
