@@ -12,9 +12,12 @@ The regularization pipeline produces smooth approximations:
 * ``regularize_drift``: time mollification then OU smoothing,
   b^n_t = P_{1/n}[(b_.(x) * χ_n)(t)], with b extended by zero to t < 0.
 
-Both keep analytic derivative access whenever the input field has it: the
-smoothing commutes with differentiation up to an explicit e^{-ε} factor, and
-δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)].
+Both come with derivative access: ∇b^n is the kernel gradient of P_ε, so the
+drift needs no derivative, and ∇σ^n differentiates the cutoff and the
+smoothing.  In d = 1, for coefficients that do not depend on time, each level
+is tabulated once on fixed Mehler nodes, and σ^n, ∇σ^n, b^n and ∇b^n are a
+Hermite interpolant and its exact derivative.  For smooth b,
+δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)] (``drift_divergence_identity``).
 """
 
 import math
@@ -26,8 +29,8 @@ from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
 from .errors import BoundUnavailableError, CapabilityError
-from .gaussian import (_delta, _fd_column_jacobian, fd_jacobian, ou_smooth, ou_smooth_grad,
-                       refined_quadrature)
+from .gaussian import (TABLE_RADIUS, HermiteTable, _delta, _fd_column_jacobian, fd_jacobian, ou_smooth,
+                       ou_smooth_grad, ou_smooth_table, refined_quadrature)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -83,6 +86,12 @@ def _bump_cdf(u):
     """∫_{-1}^{u} of the normalized bump (0 below -1, 1 above 1)."""
     _, grid, cdf = _bump_tables()
     return np.interp(np.asarray(u, dtype=float), grid, cdf)
+
+
+# largest table step for σ^n = φ_n · P_ε σ: the bump edge of φ_n, not the
+# kernel width, sets the resolution there (∇σ^n within 1e-7 of the moving-node
+# rule on the sine field at n = 4)
+CUTOFF_TABLE_STEP = 1.0 / 512
 
 
 def cutoff(n, x):
@@ -249,25 +258,86 @@ class RegularizationLevel:
 # regularization pipeline
 # ---------------------------------------------------------------------------
 
+def _on_table(X, on_table, off_table):
+    """``on_table(x)`` at the points of X (..., 1) with |x| <= TABLE_RADIUS, ``off_table(P)`` elsewhere."""
+    X = np.asarray(X, dtype=float)
+    x = X.reshape(-1)
+    inside = np.abs(x) <= TABLE_RADIUS
+    if inside.all():
+        out = on_table(x)
+    else:
+        off = np.asarray(off_table(x[~inside, None]), dtype=float)
+        out = np.empty((x.shape[0],) + off.shape[1:])
+        out[~inside] = off
+        out[inside] = on_table(x[inside])
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+def _sigma_table(field, level):
+    """Hermite table of φ_n · P_ε σ and its derivative, or None where none applies.
+
+    Only a time-independent σ in d = 1 is tabulated (see ``ou_smooth_table``).
+    """
+    if field.d != 1 or field.sigma_time_dependent:
+        return None
+    tab = ou_smooth_table(lambda P: field.sigma(0.0, P), level.eps, max_step=CUTOFF_TABLE_STEP)
+    if tab is None:
+        return None
+    pts = tab.x[:, None]
+    ph = cutoff(level.n, pts)[:, None, None]
+    gph = cutoff_grad(level.n, pts)[:, :, None]
+    return HermiteTable.fit(tab.x, ph * tab.values, gph * tab.values + ph * tab.grads)
+
+
 def regularize_sigma(field, level, quad):
-    """Smooth compactly-supported diffusion:  σ^n_t = φ_n · P_{1/n} σ_t."""
+    """Smooth compactly-supported diffusion:  σ^n_t = φ_n · P_{1/n} σ_t.
+
+    In d = 1 with a time-independent σ, σ^n and ∇σ^n are read off one Hermite
+    table built here (fixed Mehler nodes, kernel gradient; ``quad`` is not
+    used), so ∇σ^n is the exact derivative of the σ^n computed and σ needs no
+    derivative.  Elsewhere, and at |x| > TABLE_RADIUS = 16, P_ε
+    moves the ``quad`` nodes with the point, and ∇σ^n = ∇φ_n P_ε σ +
+    φ_n e^{-ε} P_ε ∇σ needs the analytic ∇σ (else central differences).
+    """
     n, eps = level.n, level.eps
     decay = math.exp(-eps)
+    d, m = field.d, field.m
 
-    def new_sigma(t, X):
+    def moving_sigma(t, X):
         ph = cutoff(n, X)
         sm = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
         return np.asarray(ph)[..., None, None] * sm
 
-    new_jac = None
+    moving_jac = None
     if field.sigma_jac is not None:
-        def new_jac(t, X):
+        def moving_jac(t, X):
+            # P_ε σ and P_ε ∇σ from one smoothing pass over the stacked values
+            def stacked(P):
+                sig = np.asarray(field.sigma(t, P), dtype=float).reshape(P.shape[0], d * m)
+                jac = np.asarray(field.sigma_jac(t, P), dtype=float).reshape(P.shape[0], m * d * d)
+                return np.concatenate([sig, jac], axis=-1)
+
+            X = np.asarray(X, dtype=float)
+            both = ou_smooth(stacked, eps, X, quad)
+            psig = both[..., :d * m].reshape(X.shape[:-1] + (d, m))
+            pjac = both[..., d * m:].reshape(X.shape[:-1] + (m, d, d))
             ph = np.asarray(cutoff(n, X))
-            gph = cutoff_grad(n, X)                                    # (..., b)
-            psig = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)    # (..., a, j)
-            pjac = ou_smooth(lambda P: field.sigma_jac(t, P), eps, X, quad)
-            term1 = np.einsum("...b,...aj->...jab", gph, psig)
+            term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, X), psig)
             return term1 + ph[..., None, None, None] * (decay * pjac)
+
+    table = _sigma_table(field, level)
+    if table is None:
+        new_sigma, new_jac = moving_sigma, moving_jac
+    else:
+        off_jac = moving_jac or (lambda t, P: _fd_column_jacobian(lambda Q: moving_sigma(t, Q), P))
+
+        def new_sigma(t, X):
+            return _on_table(X, table, lambda P: moving_sigma(t, P))
+
+        def new_jac(t, X):
+            # d/dx σ^{1j} is component j of column j's Jacobian (..., m, 1, 1)
+            return _on_table(X, lambda x: np.swapaxes(table.derivative(x), -1, -2)[..., None],
+                             lambda P: off_jac(t, P))
 
     return replace(
         field,
@@ -337,20 +407,47 @@ def regularize_drift(field, level, quad):
 
     Derivative access comes from the smoothing kernel itself (Gaussian
     integration by parts), so no derivative of the input drift is needed and
-    merely measurable drifts are handled exactly: δ(b^n) is the divergence
-    of the actual smooth field, singular parts of div b included.
+    merely measurable drifts are handled: δ(b^n) is the divergence of the
+    smooth field, singular parts of div b included.
+
+    In d = 1 with a time-independent b, b^n_t = (∫_{-∞}^t χ_n) · P_{1/n} b and
+    P_{1/n} b with its kernel gradient are tabulated once here on fixed
+    Mehler nodes (``ou_smooth_table``; ``quad`` is not used): b^n is smooth in
+    fact, and ∇b^n is the exact derivative of the b^n computed.  Elsewhere,
+    and at |x| > TABLE_RADIUS = 16, P_ε moves the ``quad`` nodes
+    with the point, and the kernel gradient of a measurable-only drift uses
+    a 4x refined rule.
     """
     eps = level.eps
     b_conv = _time_convolved(field, level, field.b, field.b_time_dependent)
-    # the kernel-gradient integrand is one derivative rougher than b itself
-    # (for a jump drift it is a step function), so it gets a finer rule
-    grad_quad = refined_quadrature(quad, factor=4) if field.b_measurable_only else quad
+    @lru_cache(maxsize=1)
+    def grad_quad():
+        # the kernel-gradient integrand is one derivative rougher than b itself
+        # (for a jump drift it is a step function), so it gets a finer rule
+        return refined_quadrature(quad, factor=4) if field.b_measurable_only else quad
 
-    def new_b(t, X):
+    def moving_b(t, X):
         return ou_smooth(lambda P: b_conv(t, P), eps, X, quad)
 
-    def new_b_jac(t, X):
-        return ou_smooth_grad(lambda P: b_conv(t, P), eps, X, grad_quad)  # (..., a, b)
+    def moving_b_jac(t, X):
+        return ou_smooth_grad(lambda P: b_conv(t, P), eps, X, grad_quad())  # (..., a, b)
+
+    table = None
+    if field.d == 1 and not field.b_time_dependent:
+        tab = ou_smooth_table(lambda P: field.b(0.0, P), eps)
+        if tab is not None:
+            table = HermiteTable.fit(tab.x, tab.values, tab.grads)
+    if table is None:
+        new_b, new_b_jac = moving_b, moving_b_jac
+    else:
+        def new_b(t, X):
+            ramp = float(mollifier_mass_below(level.n, t))
+            return _on_table(X, lambda x: ramp * table(x), lambda P: moving_b(t, P))
+
+        def new_b_jac(t, X):
+            ramp = float(mollifier_mass_below(level.n, t))
+            return _on_table(X, lambda x: ramp * table.derivative(x)[..., None],
+                             lambda P: moving_b_jac(t, P))
 
     return replace(
         field,

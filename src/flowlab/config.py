@@ -203,10 +203,10 @@ def _validate_numerics(cfg):
             make_grid(opt["s"], opt["t"], step)
         except ConfigError as exc:
             raise fault(key, f"{key}: {exc}")
-    # regularization levels: each n >= 1, the coupling needs one and its reference is the finest
+    # regularization levels: each n >= 1, at least one, and a coupling's reference is the finest
     levels = opt.get("n_list", ())
-    if any(n < 1 for n in levels) or (cfg.kind == "coupling" and not levels):
-        raise fault("n_list", "n_list needs levels n >= 1 (at least one for a coupling)")
+    if any(n < 1 for n in levels) or ("n_list" in opt and not levels):
+        raise fault("n_list", "n_list needs at least one level, each n >= 1")
     if "n_ref" in opt and levels and opt["n_ref"] < max(levels):
         raise fault("n_ref", f"n_ref = {opt['n_ref']} is below the finest level {max(levels)}")
     if cfg.kind == "fokker_planck" and opt["d"] not in (1, 2):

@@ -271,3 +271,119 @@ def ou_smooth_grad(f, eps, x, quad):
     out = np.tensordot(weighted, values, axes=(0, 0))  # (d, n, ...)
     out = np.moveaxis(out, 0, -1) * (decay / spread)   # (n, ..., d)
     return out[0] if single else out
+
+
+# fixed-node tables of P_ε f in d = 1 (see ``ou_smooth_table``)
+TABLE_RADIUS = 16.0          # |x| a table covers; the GH-64 nodes reach 14.9
+TABLE_NODES_PER_WIDTH = 64   # nodes per kernel width s = sqrt(1 - e^{-2ε})
+TABLE_KERNEL_WIDTHS = 10     # kernel cut at ±10 s, where its tail mass is below 1e-22
+TABLE_MAX_NODES = 1 << 22    # beyond this (ε below about 1e-7) no table is built
+TABLE_MAX_GROWTH = 1e6       # FFT round-off is ~1e-16 of the largest sample: refuse faster growth
+
+
+@dataclass(frozen=True)
+class OUTable:
+    """P_ε f and ∇P_ε f at the points ``x`` (ascending, uniform, covering |x| <= TABLE_RADIUS)."""
+
+    x: np.ndarray       # (M,)
+    values: np.ndarray  # (M, ...) like f's values
+    grads: np.ndarray   # (M, ...)
+
+
+def ou_smooth_table(f, eps, max_step=None):
+    """P_ε f and its gradient on a uniform grid over [-TABLE_RADIUS, TABLE_RADIUS], d = 1.
+
+    Mehler form: P_ε f(x) = ∫ f(z) M_ε(x, z) dγ(z) = ∫ f(z) g_s(z - ρx) dz with
+    ρ = e^{-ε}, s = sqrt(1 - ρ^2) and g_s the N(0, s^2) density, so f is read
+    at fixed nodes z_i = (i + 1/2) h, h = s / 64: cell centres symmetric about
+    0, so a jump of f at 0 falls on a cell boundary.  At the table points
+    x_j = z_j / ρ the weight of z_i depends on i - j only, and the whole table
+    is one discrete Gaussian convolution (by FFT) of the samples f(z_i):
+
+        P_ε f(x_j) ≈ Σ_k f(z_{j+k}) K_k,    K_k ∝ exp(-(k h/s)^2 / 2),  Σ_k K_k = 1,
+        ∇P_ε f(x_j) ≈ (ρ/s) Σ_k f(z_{j+k}) (k h/s) K_k,
+
+    the value and x-derivative of one Riemann sum, so the gradient is the
+    kernel gradient and needs no derivative of f.  ``f`` maps (K, 1) points
+    to (K, ...) values; ``max_step`` caps the table step where f itself needs a
+    finer grid than the kernel.  Returns an ``OUTable``, or None when the grid
+    would exceed ``TABLE_MAX_NODES``, or f is not finite at some node or grows
+    beyond ``TABLE_MAX_GROWTH`` times its size on |z| <= 1 (e^{|z|} does).
+    """
+    if eps <= 0:
+        raise ValueError("smoothing parameter must be positive")
+    decay = math.exp(-eps)
+    spread = math.sqrt(1.0 - decay * decay)
+    per_width = TABLE_NODES_PER_WIDTH
+    if max_step is not None:
+        per_width = max(per_width, math.ceil(spread / (decay * max_step)))
+    h = spread / per_width
+    taps = TABLE_KERNEL_WIDTHS * per_width
+    half = int(math.ceil(decay * TABLE_RADIUS / h)) + 2   # table points z_j / ρ, j = -half .. half-1
+    n_z = 2 * (half + taps)
+    if n_z > TABLE_MAX_NODES:
+        return None
+    z = (np.arange(n_z) - n_z // 2 + 0.5) * h
+    values = np.asarray(f(z[:, None]), dtype=float)
+    size = np.abs(values).max(initial=0.0)
+    if not math.isfinite(size) or size > TABLE_MAX_GROWTH * max(1.0, np.abs(values[np.abs(z) <= 1.0]).max()):
+        return None
+    u = np.arange(-taps, taps + 1) * (h / spread)
+    kern = np.exp(-0.5 * u * u)
+    kern /= kern.sum()
+    # correlation with K (even) and with u K (odd, so its reversal is -u K)
+    n_fft = 1 << (n_z - 1).bit_length()
+    spec = np.fft.rfft(values.reshape(n_z, -1), n_fft, axis=0)
+    valid = slice(2 * taps, n_z)
+
+    def correlate(kernel):
+        out = np.fft.irfft(spec * np.fft.rfft(kernel, n_fft)[:, None], n_fft, axis=0)[valid]
+        return out.reshape((n_z - 2 * taps,) + values.shape[1:])
+
+    return OUTable(
+        x=z[taps:n_z - taps] / decay,
+        values=correlate(kern),
+        grads=correlate(-u * kern) * (decay / spread),
+    )
+
+
+@dataclass(frozen=True)
+class HermiteTable:
+    """C¹ piecewise-cubic Hermite interpolant of tabulated values and slopes.
+
+    ``derivative`` is the exact derivative of the interpolant, so a field read
+    off the table and its Jacobian read off the same table agree to rounding.
+    Points beyond the grid use its end cubics.
+    """
+
+    x0: float
+    h: float
+    coef: np.ndarray   # (M - 1, 4, k): cubic in the local coordinate τ ∈ [0, 1) of each cell
+    shape: tuple       # value shape of one point
+
+    @classmethod
+    def fit(cls, x, values, slopes):
+        x = np.asarray(x, dtype=float)
+        h = (x[-1] - x[0]) / (x.shape[0] - 1)
+        v = np.asarray(values, dtype=float).reshape(x.shape[0], -1)
+        g = np.asarray(slopes, dtype=float).reshape(x.shape[0], -1) * h
+        dv = v[1:] - v[:-1]
+        coef = np.stack([v[:-1], g[:-1], 3.0 * dv - 2.0 * g[:-1] - g[1:], g[:-1] + g[1:] - 2.0 * dv], axis=1)
+        return cls(x0=float(x[0]), h=float(h), coef=coef, shape=np.shape(values)[1:])
+
+    def _cells(self, x):
+        u = (np.asarray(x, dtype=float) - self.x0) / self.h
+        j = np.clip(np.floor(u).astype(np.intp), 0, self.coef.shape[0] - 1)
+        return np.take(self.coef, j, axis=0), (u - j)[:, None]
+
+    def __call__(self, x):
+        """Interpolated values at the points x (n,); shape (n,) + ``shape``."""
+        c, tau = self._cells(x)
+        out = c[:, 0] + tau * (c[:, 1] + tau * (c[:, 2] + tau * c[:, 3]))
+        return out.reshape((-1,) + self.shape)
+
+    def derivative(self, x):
+        """Exact derivative of the interpolant at the points x (n,)."""
+        c, tau = self._cells(x)
+        out = (c[:, 1] + tau * (2.0 * c[:, 2] + 3.0 * tau * c[:, 3])) / self.h
+        return out.reshape((-1,) + self.shape)

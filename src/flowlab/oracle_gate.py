@@ -59,6 +59,14 @@ def oracle_suite(mc_samples=10_000_000):
     ou_val = float(ou_smooth(lambda p: p[:, 0] ** 2, math.log(2.0), np.array([2.0]), gq))
     checks.append(OracleCheck("ou_second_moment", 1.75, ou_val, 1e-10))
 
+    # P_ε of the sign drift, the field every d = 1 regularization table smooths
+    eps, x = 1.0 / 8.0, 0.3
+    sign_quad, sign_grad_quad = oracles.smoothed_sign_quad(1.0, eps, x)
+    checks.append(OracleCheck("smoothed_sign", float(oracles.smoothed_sign(1.0, eps, x)), sign_quad, 1e-10))
+    checks.append(
+        OracleCheck("smoothed_sign_grad", float(oracles.smoothed_sign_grad(1.0, eps, x)), sign_grad_quad, 1e-10)
+    )
+
     lp_formula = oracles.translate_lp_norm(2.0, 0.25)
     lp_mc, lp_se = oracles.translate_lp_mc(2.0, 0.25, mc_samples)
     checks.append(OracleCheck("translate_L2_norm", lp_formula, lp_mc, 4.0 * lp_se))

@@ -110,15 +110,57 @@ def scipy_gaussian_integral(f, lo=-40.0, hi=40.0):
 
 
 def translate_lp_mc(p, tau, n, seed=123):
-    """Direct Monte-Carlo of the translate L^p norm (independent of the flow code)."""
+    """Direct Monte-Carlo of the translate L^p norm (independent of the flow code).
+
+    Two n-arrays are live at once: log K and then K^{p-1} are formed in place.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    x = rng.standard_normal(n)
-    dw = rng.standard_normal(n) * math.sqrt(tau)
-    logk = x * dw + dw * dw / 2.0  # log K at push-forward points
-    vals = np.exp((p - 1.0) * logk)
+    vals = rng.standard_normal(n)                  # x
+    dw = rng.standard_normal(n)
+    dw *= math.sqrt(tau)
+    vals *= dw
+    np.multiply(dw, dw, out=dw)
+    dw /= 2.0
+    vals += dw                                     # log K = x Δw + Δw^2/2 at push-forward points
+    del dw
+    vals *= p - 1.0
+    np.exp(vals, out=vals)
     mean = vals.mean()
     stderr = vals.std(ddof=1) / math.sqrt(n)
     return mean ** (1.0 / p), stderr * (mean ** (1.0 / p - 1.0)) / p
+
+
+def smoothed_sign(beta, eps, x):
+    """P_ε[β sign](x) = β (2Φ(ρx/s) - 1), ρ = e^{-ε}, s = sqrt(1 - ρ^2)."""
+    rho = math.exp(-eps)
+    s = math.sqrt(1.0 - rho * rho)
+    return beta * (2.0 * ndtr(rho * np.asarray(x, dtype=float) / s) - 1.0)
+
+
+def smoothed_sign_grad(beta, eps, x):
+    """d/dx P_ε[β sign](x) = 2β (ρ/s) φ(ρx/s)."""
+    rho = math.exp(-eps)
+    s = math.sqrt(1.0 - rho * rho)
+    u = rho * np.asarray(x, dtype=float) / s
+    return 2.0 * beta * (rho / s) * np.exp(-u * u / 2.0) / math.sqrt(2.0 * math.pi)
+
+
+def smoothed_sign_quad(beta, eps, x):
+    """P_ε[β sign](x) and its kernel gradient (ρ/s)∫ β sign(ρx + s y) y dγ(y) by adaptive quadrature.
+
+    Each integral is split at the jump y = -ρx/s (independent of the closed form).
+    """
+    rho = math.exp(-eps)
+    s = math.sqrt(1.0 - rho * rho)
+    jump = -rho * x / s
+    dens = lambda y: math.exp(-y * y / 2.0) / math.sqrt(2.0 * math.pi)
+
+    def signed(g):
+        below, _ = integrate.quad(g, -40.0, jump, limit=200, epsabs=1e-14)
+        above, _ = integrate.quad(g, jump, 40.0, limit=200, epsabs=1e-14)
+        return beta * (above - below)
+
+    return signed(dens), (rho / s) * signed(lambda y: y * dens(y))
 
 
 def translate_entropy_mc(tau, n, seed=321):

@@ -208,6 +208,7 @@ class TestCli:
         _fault(COUPLING_BASE, "n_list =\nn_ref = 8", "n_list"),  # a coupling needs a level
         _fault(COUPLING_BASE, "n_list = 4, 16\nn_ref = 8", "n_ref"),  # the reference is the finest
         _fault(ENTROPY_BASE, "n_list = 0, 4", "n_list"),
+        _fault(ENTROPY_BASE, "n_list =", "n_list"),  # a budget section that checks no level
     ])
     def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
+from flowlab import coefficients, oracles
 from flowlab.coefficients import (
     drift_divergence_identity,
     RegularizationLevel,
@@ -212,10 +213,72 @@ class TestRegularizeDrift:
             norms.append(trapezoid(acc, times) ** 0.5)
         assert all(b < a for a, b in zip(norms[:-1], norms[1:]))
 
+    @pytest.mark.parametrize("n", [4, 8, 32, 128])
+    def test_sign_drift_smooth_in_fact(self, sign1, quad1, n):
+        # the d = 1 table gives b^n = P_ε[sign] up to its node rule, and ∇b^n is
+        # the derivative of the b^n computed, not of a nearby field
+        reg = regularize_drift(sign1, RegularizationLevel(n), quad1)
+        xs = np.linspace(-4.0, 4.0, 1601)[:, None]
+        t, h, eps = 0.7, 1e-6, 1.0 / n
+        b = reg.b(t, xs)[:, 0]
+        fd = (reg.b(t, xs + h)[:, 0] - reg.b(t, xs - h)[:, 0]) / (2 * h)
+        jac = reg.b_jacobian(t, xs)[:, 0, 0]
+        assert np.abs(jac - fd).max() <= 1e-6
+        assert np.abs(b - oracles.smoothed_sign(1.0, eps, xs[:, 0])).max() <= 1e-4
+        grad = oracles.smoothed_sign_grad(1.0, eps, xs[:, 0])
+        assert np.abs(jac - grad).max() <= 1e-4 * grad.max()
+
+    def test_table_beyond_radius_uses_moving_nodes(self, sign1, quad1, monkeypatch):
+        level = RegularizationLevel(8)
+        reg = regularize(sign1, level, quad1)
+        monkeypatch.setattr(coefficients, "ou_smooth_table", lambda *args, **kwargs: None)
+        moving = regularize(sign1, level, quad1)
+        far = np.array([[-30.0], [25.0], [1e3]])
+        mixed = np.array([[0.3], [-30.0], [2.0], [25.0]])
+        for name in ("sigma", "sigma_jacobian", "b", "b_jacobian"):
+            assert np.array_equal(getattr(reg, name)(0.5, far), getattr(moving, name)(0.5, far))
+            got = getattr(reg, name)(0.5, mixed)
+            assert np.array_equal(got[[1, 3]], getattr(moving, name)(0.5, mixed[[1, 3]]))
+            assert np.array_equal(got[[0, 2]], getattr(reg, name)(0.5, mixed[[0, 2]]))
+
     def test_measurable_only_flag_cleared(self, sign1, quad1):
         reg = regularize_drift(sign1, RegularizationLevel(4), quad1)
         assert not reg.b_measurable_only
         assert sign1.b_measurable_only
+
+
+class TestTablesMatchMovingNodes:
+    """The d = 1 tables against the moving-node rule they replace, on smooth inputs."""
+
+    @pytest.fixture
+    def moving(self, monkeypatch):
+        def build(regularizer, field, level, quad):
+            with monkeypatch.context() as m:
+                m.setattr(coefficients, "ou_smooth_table", lambda *args, **kwargs: None)
+                return regularizer(field, level, quad)
+        return build
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_sine_sigma_and_jacobian(self, quad1, moving, n):
+        field = make_sine_field()
+        level = RegularizationLevel(n)
+        table = regularize_sigma(field, level, quad1)
+        ref = moving(regularize_sigma, field, level, quad1)
+        xs = np.linspace(-(n + 3.0), n + 3.0, 2001)[:, None]
+        np.testing.assert_allclose(table.sigma(0.2, xs), ref.sigma(0.2, xs), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(
+            table.sigma_jacobian(0.2, xs), ref.sigma_jacobian(0.2, xs), rtol=0, atol=1e-6
+        )
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_ou_drift_and_jacobian(self, ou1, quad1, moving, n):
+        level = RegularizationLevel(n)
+        table = regularize_drift(ou1, level, quad1)
+        ref = moving(regularize_drift, ou1, level, quad1)
+        xs = np.linspace(-8.0, 8.0, 2001)[:, None]
+        for t in (0.0, 0.5 / n, 0.6):
+            np.testing.assert_allclose(table.b(t, xs), ref.b(t, xs), rtol=0, atol=1e-6)
+            np.testing.assert_allclose(table.b_jacobian(t, xs), ref.b_jacobian(t, xs), rtol=0, atol=1e-6)
 
 
 def _parent_phi(field, t, X):

@@ -55,10 +55,11 @@ class TestPhiIntegrand:
 
 
 class TestAccumulatorStep:
-    def test_regularized_step_smooths_each_coefficient_once(self, sign1, quad1, monkeypatch):
+    @staticmethod
+    def _smoothing_calls(field, monkeypatch):
+        """``ou_smooth``/``ou_smooth_grad`` calls made by one accumulator step on ``field``."""
         from flowlab import coefficients
 
-        reg = regularize(sign1, RegularizationLevel(8), quad1)
         calls = {"ou_smooth": 0, "ou_smooth_grad": 0}
 
         def counted(name):
@@ -71,12 +72,22 @@ class TestAccumulatorStep:
 
         for name in calls:
             monkeypatch.setattr(coefficients, name, counted(name))
-        acc = DensityAccumulator(reg, 1e-3)
+        acc = DensityAccumulator(field, 1e-3)
         acc.alloc(16)
-        X = np.linspace(-2.0, 2.0, 16)[:, None]
-        acc.step(slice(0, 16), 0, 0.1, X, np.full((16, 1), 0.01))
-        # σ^n once, ∇σ^n (P_ε σ and P_ε ∇σ) once, b^n once, ∇b^n once
-        assert calls == {"ou_smooth": 4, "ou_smooth_grad": 1}
+        X = np.stack([np.linspace(-2.0, 2.0, 16)] * field.d, axis=-1)
+        acc.step(slice(0, 16), 0, 0.1, X, np.full((16, field.m), 0.01))
+        return calls
+
+    def test_regularized_step_smooths_each_coefficient_once(self, quad2, monkeypatch):
+        # d = 2 smooths on moving nodes: σ^n once, ∇σ^n (P_ε σ and P_ε ∇σ stacked) once,
+        # b^n once, ∇b^n once
+        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
+        assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 3, "ou_smooth_grad": 1}
+
+    def test_regularized_step_in_d1_reads_tables(self, sign1, quad1, monkeypatch):
+        # d = 1 and time-independent: every coefficient is a lookup in the level's tables
+        reg = regularize(sign1, RegularizationLevel(8), quad1)
+        assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 0, "ou_smooth_grad": 0}
 
     def test_sigma_T_shared_by_budget_and_hypotheses(self, sign1, quad1):
         reg = regularize(sign1, RegularizationLevel(8), quad1)

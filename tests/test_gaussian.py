@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from flowlab.errors import CapabilityError, EvaluationError
 from flowlab.gaussian import (
+    TABLE_RADIUS,
     GaussianQuadrature,
+    HermiteTable,
     VectorFieldHandle,
     default_quadrature,
     fd_jacobian,
@@ -17,6 +19,7 @@ from flowlab.gaussian import (
     matrix_divergence,
     ou_smooth,
     ou_smooth_grad,
+    ou_smooth_table,
 )
 from flowlab.oracles import gaussian_abs_moment, gaussian_exp_quadratic
 
@@ -210,3 +213,52 @@ class TestSmoothing:
     def test_rejects_bad_eps(self, quad1):
         with pytest.raises(ValueError):
             ou_smooth(lambda p: p[:, 0], 0.0, np.array([1.0]), quad1)
+
+
+class TestSmoothingTable:
+    def test_quadratic_closed_form(self):
+        # P_ε x^2 = ρ^2 x^2 + s^2 and its gradient 2 ρ^2 x, at every table point
+        for eps in (1.0 / 4, 1.0 / 64):
+            rho = math.exp(-eps)
+            tab = ou_smooth_table(lambda p: p[:, 0] ** 2, eps)
+            assert tab.x[0] < -TABLE_RADIUS and tab.x[-1] > TABLE_RADIUS
+            np.testing.assert_allclose(tab.values, rho**2 * tab.x**2 + 1.0 - rho**2, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(tab.grads, 2.0 * rho**2 * tab.x, rtol=1e-12, atol=1e-11)
+
+    def test_constant_and_tensor_values(self):
+        tab = ou_smooth_table(lambda p: np.broadcast_to([[4.2, -1.0]], (p.shape[0], 1, 2)), 0.3)
+        assert tab.values.shape == (tab.x.shape[0], 1, 2)
+        np.testing.assert_allclose(tab.values, np.broadcast_to([[4.2, -1.0]], tab.values.shape), rtol=1e-14)
+        assert np.abs(tab.grads).max() <= 1e-12
+
+    def test_no_table_where_round_off_would_show(self):
+        # samples reach about ±(TABLE_RADIUS + 10 s); e^{z^2} overflows there, e^z is 1e7 against e
+        assert ou_smooth_table(lambda p: np.exp(p[:, 0] ** 2), 0.5) is None
+        assert ou_smooth_table(lambda p: np.exp(p[:, 0]), 0.5) is None
+        assert ou_smooth_table(lambda p: p[:, 0] ** 4, 0.5) is not None
+
+    def test_matches_quadrature_on_smooth_integrand(self, quad1_fine):
+        f = lambda p: np.sin(p[:, 0]) + 0.1 * p[:, 0] ** 3
+        tab = ou_smooth_table(f, 0.2)
+        pick = np.flatnonzero(np.abs(tab.x) <= 6.0)[::97]
+        pts = tab.x[pick, None]
+        np.testing.assert_allclose(tab.values[pick], ou_smooth(f, 0.2, pts, quad1_fine), atol=1e-11)
+        np.testing.assert_allclose(tab.grads[pick], ou_smooth_grad(f, 0.2, pts, quad1_fine)[:, 0], atol=1e-10)
+
+
+class TestHermiteTable:
+    def test_reproduces_cubics_and_their_derivative(self):
+        x = np.linspace(-3.0, 3.0, 61)
+        p = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.7])
+        table = HermiteTable.fit(x, p(x), p.deriv()(x))
+        pts = np.linspace(-3.0, 3.0, 1001)
+        np.testing.assert_allclose(table(pts), p(pts), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.derivative(pts), p.deriv()(pts), rtol=0, atol=1e-11)
+
+    def test_interpolates_node_values_and_slopes(self):
+        x = np.linspace(0.0, 1.0, 11)
+        vals = np.stack([np.sin(7 * x), np.cos(3 * x)], axis=-1)[:, None, :]
+        slopes = np.stack([7 * np.cos(7 * x), -3 * np.sin(3 * x)], axis=-1)[:, None, :]
+        table = HermiteTable.fit(x, vals, slopes)
+        np.testing.assert_allclose(table(x), vals, atol=1e-14)
+        np.testing.assert_allclose(table.derivative(x), slopes, atol=1e-12)
