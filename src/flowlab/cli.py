@@ -27,8 +27,8 @@ import traceback
 from .config import parse_config
 from .errors import ConfigError, FlowLabError, OracleMismatchError
 from .experiments import EXECUTORS
-from .oracle_gate import oracle_suite
-from .report import ReportRow, rows_all_passed, write_rows_csv, write_summary_json, write_table_csv
+from .oracle_gate import oracle_rows, oracle_suite
+from .report import rows_all_passed, write_rows_csv, write_summary_json, write_table_csv
 
 
 def _out_dir(args):
@@ -41,6 +41,12 @@ def _config_error(exc):
     loc = f" [section={exc.section!r} key={exc.key!r}]" if exc.section or exc.key else ""
     print(f"config error: {exc}{loc}", file=sys.stderr)
     return 2
+
+
+def _write_outputs(out, name, rows, details):
+    write_rows_csv(rows, os.path.join(out, f"{name}.csv"))
+    for label, (header, table) in details.items():
+        write_table_csv(header, table, os.path.join(out, f"{name}_{label}.csv"))
 
 
 def _run(args):
@@ -70,9 +76,7 @@ def _run(args):
             print(f"experiment [{cfg.name}] failed: {entry['error']}", file=sys.stderr)
             status = 2 if isinstance(exc, ConfigError) else max(status, 1)
             continue
-        write_rows_csv(rows, os.path.join(out, f"{cfg.name}.csv"))
-        for label, (header, table) in details.items():
-            write_table_csv(header, table, os.path.join(out, f"{cfg.name}_{label}.csv"))
+        _write_outputs(out, cfg.name, rows, details)
         ok = rows_all_passed(rows)
         entry.update(passed=ok, rows=[
             {"quantity": r.quantity, "value": r.value, "stderr": r.stderr,
@@ -106,8 +110,7 @@ def _oracle(args):
     except OracleMismatchError as exc:
         print(f"oracle suite FAILED: {exc}", file=sys.stderr)
         return 1
-    rows = [ReportRow("oracle_suite", c.name, c.value, None, c.recomputed, c.passed) for c in checks]
-    write_rows_csv(rows, os.path.join(out, "oracle_suite.csv"))
+    _write_outputs(out, "oracle_suite", *oracle_rows("oracle_suite", checks))
     for c in checks:
         print(f"[oracle] {c.name}: {c.value:.12g} vs {c.recomputed:.12g}  PASS")
     return 0

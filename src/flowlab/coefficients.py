@@ -151,7 +151,6 @@ class CoefficientField:
     c1: float = None
     growth_const: float = 1.0
     exp_const: float = 0.25
-    sigma_continuous: bool = True
     b_measurable_only: bool = False
     sigma_time_dependent: bool = False
     b_time_dependent: bool = False
@@ -163,8 +162,6 @@ class CoefficientField:
         """Column Jacobians (..., m, d, d), analytic or central differences."""
         if self.sigma_jac is not None:
             return np.asarray(self.sigma_jac(t, X), dtype=float)
-        if not self.sigma_continuous:
-            raise CapabilityError(f"sigma of '{self.name}' has no derivative access")
         return _fd_column_jacobian(lambda P: self.sigma(t, P), X)
 
     def b_jacobian(self, t, X):
@@ -359,21 +356,24 @@ def _time_convolved(field, level, values_fn, time_dependent):
             return ramp * np.asarray(values_fn(max(t, 0.0), X), dtype=float)
         return conv
 
-    # composite Simpson with 65 nodes on the mollifier support
+    # composite Simpson with 65 nodes on the mollifier support, its weights
+    # normalized so the discrete χ_n has unit mass (the raw rule sums to
+    # 1 - 1.2e-6) and t >= 1/n agrees with the time-independent route
     k = 64
     offsets = np.linspace(-1.0 / n, 1.0 / n, k + 1)
     simp = np.ones(k + 1)
     simp[1:-1:2] = 4.0
     simp[2:-1:2] = 2.0
-    simp *= (offsets[1] - offsets[0]) / 3.0
+    chi = simp * time_mollifier(n, offsets)
+    chi /= chi.sum()
 
     def conv(t, X):
         total = None
-        for off, w in zip(offsets, simp):
+        for off, w in zip(offsets, chi):
             s = t - off
             if s < 0:
                 continue
-            term = w * float(time_mollifier(n, off)) * np.asarray(values_fn(s, X), dtype=float)
+            term = w * np.asarray(values_fn(s, X), dtype=float)
             total = term if total is None else total + term
         if total is None:
             probe = np.asarray(values_fn(0.0, X), dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import RegularizationLevel, regularize
+from .coefficients import RegularizationLevel, builtin_coefficients, regularize
 from .density import Estimate, batch_statistic
 from .errors import ConfigError
 from .sde import _euler, _resolve_initials, _run_chunks, make_grid, simulate_ensemble
@@ -78,9 +78,6 @@ class KrylovAccumulator:
     def step(self, sl, k, t, X, dW):
         self.values[sl] += math.exp(-self.lam * t) * np.asarray(self.f(t, X), dtype=float) * self.dt
 
-    def finalize(self):
-        return {"krylov": self.values}
-
 
 @dataclass(frozen=True)
 class KrylovReport:
@@ -144,62 +141,70 @@ class IntegralConvergenceReport:
         return list(zip(self.labels, self.deviations))
 
 
+class _IntegralAccumulator:
+    """Streaming Itô integrals I^e_t = ∫_0^t η_e(u, w_u) dw_u along each path.
+
+    The states it is stepped with are the Brownian values w_t.  The last
+    integrand is the limit: per trajectory the accumulator keeps the running
+    sup of |I^e - I^limit|^2 for the others, ∫ ||η_e||^{2+α} dt for all of
+    them and ∫ ||η_limit||^2 dt.
+    """
+
+    def __init__(self, etas, d, alpha, dt):
+        self.etas = etas
+        self.d = d
+        self.power = (2.0 + alpha) / 2.0
+        self.dt = dt
+
+    def alloc(self, n_traj):
+        n_eta = len(self.etas)
+        self.I = np.zeros((n_eta, n_traj, self.d))
+        self.sup_dev = np.zeros((n_eta - 1, n_traj))
+        self.moments = np.zeros((n_eta, n_traj))
+        self.sq_int = np.zeros(n_traj)
+
+    def step(self, sl, k, t, W, dW):
+        I = self.I[:, sl]
+        for e, eta in enumerate(self.etas):
+            vals = np.asarray(eta(t, W), dtype=float)
+            if vals.ndim == 2:
+                vals = np.broadcast_to(vals, (W.shape[0],) + vals.shape)
+            I[e] += np.einsum("nam,nm->na", vals, dW)
+            hs = np.einsum("nam,nam->n", vals, vals)
+            self.moments[e, sl] += hs ** self.power * self.dt
+        self.sq_int[sl] += hs * self.dt  # hs of the last integrand, the limit
+        diff = I[:-1] - I[-1][None]
+        dev = self.sup_dev[:, sl]
+        np.maximum(dev, np.einsum("ena,ena->en", diff, diff), out=dev)
+
+
 def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, threads=1):
     """E sup_{t<=T} |I^n_t - I_t|^2 against a common Brownian path per trajectory.
 
     Integrands are callables (t, w) -> (..., d, m) of time and the current
     Brownian value.  The 2+α moment of each integrand is estimated and a
     non-finite (or wildly large) value attaches a warning to the report.
+    The Brownian path of trajectory j is the translate flow from 0 on
+    substream j (its Euler step is w + dw exactly), and the integrals are an
+    accumulator on that ensemble.
     """
-    n_steps = make_grid(0.0, T, dt)
     probe = np.asarray(eta_limit(0.0, np.zeros((1, m))), dtype=float)
-    d = probe.shape[-2]
-    all_etas = list(etas) + [eta_limit]
-    n_eta = len(all_etas)
-
-    sup_dev = np.zeros((len(etas), n_traj))
-    moments = np.zeros((n_eta, n_traj))
-    final_sq = np.zeros(n_traj)
-
-    def body(lo, hi, inc):
-        nc = hi - lo
-        W = np.zeros((nc, m))
-        I = np.zeros((n_eta, nc, d))
-        running = np.zeros((len(etas), nc))
-        local_sq = 0.0
-        for k in range(n_steps):
-            t = k * dt
-            dW = inc[:, k, :]
-            for e_idx, eta in enumerate(all_etas):
-                vals = np.asarray(eta(t, W), dtype=float)
-                if vals.ndim == 2:
-                    vals = np.broadcast_to(vals, (nc,) + vals.shape)
-                I[e_idx] += np.einsum("nam,nm->na", vals, dW)
-                hs = np.einsum("nam,nam->n", vals, vals)
-                moments[e_idx, lo:hi] += hs ** ((2.0 + alpha) / 2.0) * dt
-                if e_idx == n_eta - 1:
-                    local_sq += float(hs.mean()) * dt
-            diff = I[:-1] - I[-1][None]
-            running = np.maximum(running, np.einsum("ena,ena->en", diff, diff))
-            W = W + dW
-        sup_dev[:, lo:hi] = running
-        final_sq[lo:hi] = np.einsum("na,na->n", I[-1], I[-1])
-        return local_sq * nc
-
-    # partial sums are added in chunk order, so the total is thread-invariant
-    sq_int = 0.0
-    for part in _run_chunks(n_traj, n_steps, m, dt, seed, body, threads):
-        sq_int += part
+    acc = _IntegralAccumulator(list(etas) + [eta_limit], probe.shape[-2], alpha, dt)
+    simulate_ensemble(
+        builtin_coefficients("translate", d=m), 0.0, T, np.zeros((1, m)), dt, seed,
+        replicas=n_traj, threads=threads, accumulators=(acc,),
+    )
 
     labels = tuple(getattr(e, "__name__", f"eta_{i}") for i, e in enumerate(etas))
-    deviations = tuple(batch_statistic(sup_dev[i], lambda v: float(np.mean(v))) for i in range(len(etas)))
-    moment_means = tuple(float(moments[i].mean()) for i in range(n_eta))
+    deviations = tuple(batch_statistic(dev, lambda v: float(np.mean(v))) for dev in acc.sup_dev)
+    moment_means = tuple(float(mo.mean()) for mo in acc.moments)
     warnings = tuple(
         f"{lab}: 2+alpha moment not finite"
         for lab, mo in zip(labels + ("limit",), moment_means)
         if not math.isfinite(mo)
     )
-    isometry = (batch_statistic(final_sq, lambda v: float(np.mean(v))), sq_int / n_traj)
+    final_sq = np.einsum("na,na->n", acc.I[-1], acc.I[-1])
+    isometry = (batch_statistic(final_sq, lambda v: float(np.mean(v))), float(acc.sq_int.mean()))
     return IntegralConvergenceReport(
         labels=labels,
         deviations=deviations,
@@ -233,7 +238,7 @@ class CouplingReport:
 
 def coupling_convergence(
     field, n_list, n_ref, s, T, initials, dt, seed, quad,
-    replicas=1, threads=1, regularizer=regularize,
+    replicas=1, threads=1,
 ):
     """Pathwise deviation of regularization levels from the finest level.
 
@@ -250,8 +255,7 @@ def coupling_convergence(
     x0 = np.repeat(x_init, replicas, axis=0)
     n_traj = x0.shape[0]
 
-    fields = [regularizer(field, RegularizationLevel(n), quad) for n in levels]
-    fields.append(regularizer(field, RegularizationLevel(n_ref), quad))
+    fields = [regularize(field, RegularizationLevel(n), quad) for n in levels + [n_ref]]
 
     sup_dev = np.zeros((len(levels), n_traj))
 
@@ -261,7 +265,7 @@ def coupling_convergence(
                 dev = np.linalg.norm(after[li] - after[-1], axis=-1)
                 np.maximum(sup_dev[li, lo:hi], dev, out=sup_dev[li, lo:hi])
 
-        _euler(fields, x0[lo:hi], inc, s, dt, 0, n_steps, track)
+        _euler(fields, x0[lo:hi], inc, s, dt, n_steps, track)
 
     _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
 

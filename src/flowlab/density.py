@@ -95,20 +95,15 @@ class DensityAccumulator:
         self.S[sl] += np.einsum("nm,nm->n", ev.delta_sigma, dW)
         self.D[sl] += ev.phi * self.dt
 
-    def finalize(self):
-        return {"S": self.S, "D": self.D}
 
-
-def run_density_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1,
-                         store_paths=False):
+def run_density_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1):
     """Simulate an ensemble and accumulate its density record alongside."""
     acc = DensityAccumulator(field, dt)
     ens = simulate_ensemble(
         field, s, T, initials, dt, seed,
-        replicas=replicas, threads=threads,
-        accumulators=(acc,), store_paths=store_paths,
+        replicas=replicas, threads=threads, accumulators=(acc,),
     )
-    return ens, DensityRecordBatch(S=ens.extras["S"], D=ens.extras["D"])
+    return ens, DensityRecordBatch(S=acc.S, D=acc.D)
 
 
 def log_density_along(field, trajectory, path):

@@ -32,7 +32,7 @@ from .fokker_planck import (
     write_solution_csv,
 )
 from .gaussian import default_quadrature
-from .oracle_gate import oracle_suite
+from .oracle_gate import oracle_rows, oracle_suite
 from .report import ReportRow
 
 
@@ -217,11 +217,7 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
 
 
 def run_oracle_suite(cfg, seed, threads, out_dir=None):
-    checks = oracle_suite()
-    rows = [
-        ReportRow(cfg.name, c.name, c.value, None, c.recomputed, c.passed) for c in checks
-    ]
-    return rows, {}
+    return oracle_rows(cfg.name, oracle_suite())
 
 
 EXECUTORS = {

@@ -22,7 +22,7 @@ import numpy as np
 from .density import Estimate, batch_statistic, run_density_ensemble
 from .errors import ConfigError, SolverFailureError
 from .rng import GRID_SAMPLER_STREAM, substream, uniform_open
-from .sde import simulate_ensemble
+from .sde import make_grid, simulate_ensemble
 
 __all__ = [
     "FPGrid",
@@ -141,13 +141,12 @@ class FPSolution:
         return float(self.clip_series.sum())
 
 
-def _stability_bound(field, grid, t):
-    pts = grid.points()
-    a = diffusion_matrix(field, t, pts)
+def _stability_bound(a, b, h):
+    """τ bound h^2 / (2 d max||a|| + h max|b|) from a (N, d, d) and b (N, d) at the grid points."""
     amax = float(np.abs(np.linalg.eigvalsh(a)).max())
-    bmax = float(np.abs(np.asarray(field.b(t, pts), dtype=float)).max())
-    denom = 2.0 * grid.d * amax + grid.h * bmax
-    return math.inf if denom == 0 else grid.h**2 / denom
+    bmax = float(np.abs(b).max())
+    denom = 2.0 * a.shape[-1] * amax + h * bmax
+    return math.inf if denom == 0 else h**2 / denom
 
 
 def _step_1d(u, a, b, h, tau):
@@ -223,9 +222,7 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     every coefficient refresh) and ``SolverFailureError`` when a step clips
     more than ``max_clip_per_step`` of negative mass.
     """
-    n_steps = int(round((T - s) / tau)) if T > s else 0
-    if T > s and abs(s + n_steps * tau - T) > 1e-9 * max(1.0, T - s):
-        raise ConfigError(f"tau={tau} does not divide the horizon [{s}, {T}]")
+    n_steps = make_grid(s, T, tau) if T != s else 0
     grid = FPGrid(d=grid0.d, R=grid0.R, h=grid0.h, u=grid0.u.copy())
     if n_steps == 0:
         return FPSolution(
@@ -240,15 +237,16 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     shape = grid.u.shape
 
     def coeffs(t):
+        """a and b on the grid at t, once τ is checked against the stability bound there."""
         a = diffusion_matrix(field, t, pts)
         b = np.asarray(field.b(t, pts), dtype=float)
+        bound = _stability_bound(a, b, grid.h)
+        if tau > bound * (1 + 1e-12):
+            raise ConfigError(f"tau={tau:g} violates the stability bound {bound:g} at t={t:g}")
         if grid.d == 1:
             return a.reshape(-1), b.reshape(-1)
         return a.reshape(shape + (2, 2)), b.reshape(shape + (2,))
 
-    bound = _stability_bound(field, grid, s)
-    if tau > bound * (1 + 1e-12):
-        raise ConfigError(f"tau={tau:g} violates the stability bound {bound:g}")
     a_cur, b_cur = coeffs(s)
 
     vol = grid.h**grid.d
@@ -264,9 +262,6 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
         t = s + k * tau
         if time_dep and k > 0:
             a_cur, b_cur = coeffs(t)
-            bound = _stability_bound(field, grid, t)
-            if tau > bound * (1 + 1e-12):
-                raise ConfigError(f"tau={tau:g} violates the stability bound {bound:g} at t={t:g}")
         mass_before = u.sum() * vol
         if grid.d == 1:
             u_new, boundary = _step_1d(u, a_cur, b_cur, grid.h, tau)

@@ -225,12 +225,11 @@ def matrix_divergence(sigma_fn, x, column_jacs=None, differentiable=True):
     return _delta(sig, x, jac)
 
 
-def ou_smooth(f, eps, x, quad):
-    """Ornstein-Uhlenbeck smoothing P_ε f(x) by quadrature.
+def _moving_node_values(f, eps, x, quad):
+    """f at the nodes e^{-ε} x + sqrt(1-e^{-2ε}) y_k, shaped (K, n, ...).
 
-    P_ε f(x) = ∫ f(e^{-ε} x + sqrt(1-e^{-2ε}) y) dγ_d(y).  ``f`` must accept
-    stacked points of shape (..., d); scalar- or tensor-valued outputs are
-    both supported.  ``x`` may be a single point (d,) or a batch (n, d).
+    Returns the values, the spread sqrt(1-e^{-2ε}), e^{-ε} and whether ``x``
+    was a single point (d,) rather than a batch (n, d).
     """
     if eps <= 0:
         raise ValueError("smoothing parameter must be positive")
@@ -244,6 +243,17 @@ def ou_smooth(f, eps, x, quad):
     values = np.asarray(f(shifted.reshape(-1, d)), dtype=float)
     values = values.reshape((quad.nodes.shape[0], n) + values.shape[1:])
     _check_finite(values, quad)
+    return values, decay, spread, single
+
+
+def ou_smooth(f, eps, x, quad):
+    """Ornstein-Uhlenbeck smoothing P_ε f(x) by quadrature.
+
+    P_ε f(x) = ∫ f(e^{-ε} x + sqrt(1-e^{-2ε}) y) dγ_d(y).  ``f`` must accept
+    stacked points of shape (..., d); scalar- or tensor-valued outputs are
+    both supported.  ``x`` may be a single point (d,) or a batch (n, d).
+    """
+    values, _, _, single = _moving_node_values(f, eps, x, quad)
     out = np.tensordot(quad.weights, values, axes=(0, 0))
     return out[0] if single else out
 
@@ -255,18 +265,7 @@ def ou_smooth_grad(f, eps, x, quad):
     ∇P_ε f(x) = e^{-ε}/sqrt(1-e^{-2ε}) ∫ f(e^{-ε}x + r y) y dγ_d(y).
     Output shape is f-output shape with a trailing d axis.
     """
-    if eps <= 0:
-        raise ValueError("smoothing parameter must be positive")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    n, d = pts.shape
-    decay = math.exp(-eps)
-    spread = math.sqrt(max(1.0 - decay * decay, 0.0))
-    shifted = decay * pts[None, :, :] + spread * quad.nodes[:, None, :]
-    values = np.asarray(f(shifted.reshape(-1, d)), dtype=float)
-    values = values.reshape((quad.nodes.shape[0], n) + values.shape[1:])
-    _check_finite(values, quad)
+    values, decay, spread, single = _moving_node_values(f, eps, x, quad)
     weighted = quad.weights[:, None] * quad.nodes  # (K, d)
     out = np.tensordot(weighted, values, axes=(0, 0))  # (d, n, ...)
     out = np.moveaxis(out, 0, -1) * (decay / spread)   # (n, ..., d)

@@ -18,8 +18,9 @@ from .density import theorem_bound_rhs
 from .errors import OracleMismatchError
 from .fokker_planck import FPGrid, fp_solve
 from .gaussian import GaussianQuadrature, gauss_expectation, ou_smooth
+from .report import ReportRow
 
-__all__ = ["OracleCheck", "oracle_suite"]
+__all__ = ["OracleCheck", "oracle_rows", "oracle_suite"]
 
 
 @dataclass(frozen=True)
@@ -89,3 +90,15 @@ def oracle_suite(mc_samples=10_000_000):
         )
         raise OracleMismatchError(f"oracle disagreement: {detail}")
     return checks
+
+
+def oracle_rows(experiment, checks):
+    """Report rows and detail table of the checks.
+
+    Each row is the discrepancy |value - recomputed| checked against the
+    tolerance as its bound; the ``checks`` table keeps the two values and
+    the tolerance.
+    """
+    rows = [ReportRow.checked(experiment, c.name, abs(c.value - c.recomputed), None, c.tol) for c in checks]
+    table = [(c.name, c.value, c.recomputed, c.tol) for c in checks]
+    return rows, {"checks": (("quantity", "value", "recomputed", "tol"), table)}

@@ -12,9 +12,11 @@ increments in one block (bit for bit the per-trajectory substreams, see
 pool; bodies write into disjoint slices of preallocated arrays, and per-chunk
 results come back in chunk order for the caller to reduce.  ``_euler`` is the
 only Euler step: it advances one state per field under shared increments and
-guards every path against explosion.  Ensembles, the regularization
-coupling, the flow-composition check, single paths and the stochastic
-integral study are all built on these two functions.
+guards every path against explosion.  ``simulate_ensemble`` and the
+regularization coupling are the two callers of ``_run_chunks``; ``simulate``
+runs ``_euler`` on a single path.  Every path functional (the density
+weight, the occupation functional, the stochastic integrals) is an
+accumulator streamed through ``simulate_ensemble``.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density
@@ -23,7 +25,7 @@ not offered: the drift may be discontinuous.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,6 @@ __all__ = [
     "BrownianPath",
     "FlowEnsemble",
     "empirical_modulus",
-    "flow_composition_check",
     "make_grid",
     "sample_brownian",
     "simulate",
@@ -111,7 +112,7 @@ def simulate(field, s, T, x0, path):
     def store(k, t, before, after):
         out[k + 1] = after[0][0]
 
-    _euler([field], x0, path.increments[None], s, path.dt, 0, n_steps, store)
+    _euler([field], x0, path.increments[None], s, path.dt, n_steps, store)
     return out
 
 
@@ -129,7 +130,6 @@ class FlowEnsemble:
     n_initials: int
     replicas: int
     paths: np.ndarray = None  # (n_traj, n_steps+1, d) when stored
-    extras: dict = dc_field(default_factory=dict)
 
     @property
     def n_traj(self):
@@ -181,18 +181,18 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     return results
 
 
-def _euler(fields, X, inc, s, dt, k_from, k_to, on_step=None):
+def _euler(fields, X, inc, s, dt, n_steps, on_step=None):
     """Advance one state per field from X under the shared increments ``inc``.
 
     Step k maps each state to X + σ(t_k, X) dW_k + b(t_k, X) dt with
-    t_k = s + k dt and dW_k = inc[:, k], for k in k_from .. k_to-1.
+    t_k = s + k dt and dW_k = inc[:, k], for k in 0 .. n_steps-1.
     ``on_step(k, t_k, before, after)`` then sees the left-point and stepped
     states, one per field.  A non-finite state or one beyond
     ``EXPLOSION_RADIUS`` raises ``ExplosionError`` with the step and the
     exploded rows.  Returns the final states.
     """
     states = [X] * len(fields)
-    for k in range(k_from, k_to):
+    for k in range(n_steps):
         t = s + k * dt
         dW = inc[:, k, :]
         new = []
@@ -242,15 +242,21 @@ def simulate_ensemble(
 
     ``initials`` is an (n0, d) array or ``("gaussian", n0)`` for γ_d starts
     drawn from a reserved substream.  Trajectory j uses initial point
-    ``j // replicas`` and Brownian substream index j.  ``accumulators`` are
-    objects with ``alloc(n_traj)``, ``step(slice, k, t, X, dW)`` and
-    ``finalize() -> dict`` used for streaming per-step statistics; their
-    outputs are merged into ``FlowEnsemble.extras``.
+    ``j // replicas`` and Brownian substream index j.
+
+    ``accumulators`` stream path functionals: each has ``alloc(n_traj)``,
+    called once before the run, and ``step(sl, k, t, X, dW)``, called at
+    every step k of every chunk with the chunk's trajectory slice ``sl``,
+    t = s + k dt, the left-point states X and the increments dW of that
+    step.  An accumulator keeps its per-trajectory results in arrays it
+    allocates and writes only the entries of the trajectories in ``sl``, so
+    chunks on different threads never touch the same entry; callers read
+    those arrays after the run.
 
     ``T == s`` yields the degenerate ensemble (endpoints equal the starts,
-    accumulators see no steps).
+    accumulators see no steps); otherwise dt must divide [s, T] (``make_grid``).
     """
-    n_steps = make_grid(s, T, dt) if T > s else 0
+    n_steps = make_grid(s, T, dt) if T != s else 0
     x_init = _resolve_initials(initials, field.d, seed)
     n0 = x_init.shape[0]
     n_traj = n0 * replicas
@@ -271,12 +277,9 @@ def simulate_ensemble(
             if store_paths:
                 paths[sl, k + 1] = after[0]
 
-        xT[sl] = _euler([field], x0[sl], inc, s, dt, 0, n_steps, record)[0]
+        xT[sl] = _euler([field], x0[sl], inc, s, dt, n_steps, record)[0]
 
     _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
-    extras = {}
-    for acc in accumulators:
-        extras.update(acc.finalize())
     return FlowEnsemble(
         field_name=field.name,
         s=s,
@@ -288,7 +291,6 @@ def simulate_ensemble(
         n_initials=n0,
         replicas=replicas,
         paths=paths,
-        extras=extras,
     )
 
 
@@ -321,25 +323,3 @@ def empirical_modulus(ensemble, window_lengths):
     exponent = float(np.polyfit(np.log(lengths), np.log(moments), 1)[0])
     return lengths, moments, exponent
 
-
-def flow_composition_check(field, s, t, u, initials, dt, seed, replicas=1):
-    """Max deviation of X_{s,u} from X_{t,u} ∘ X_{s,t} under the same noise.
-
-    Both sides are the same Euler recursion: the composed run restarts from
-    its own state at step t under the same increments, so the result is
-    exactly 0.0 for every field.  This checks that a restart reproduces the
-    run bit for bit, not the flow property of the continuous solution.
-    """
-    if not (s <= t <= u):
-        raise ConfigError("need s <= t <= u")
-    n_su = make_grid(s, u, dt) if u > s else 0
-    x0 = np.repeat(_resolve_initials(initials, field.d, seed), replicas, axis=0)
-    k_mid = int(round((t - s) / dt))
-
-    def body(lo, hi, inc):
-        direct = _euler([field], x0[lo:hi], inc, s, dt, 0, n_su)[0]
-        mid = _euler([field], x0[lo:hi], inc, s, dt, 0, k_mid)[0]
-        composed = _euler([field], mid, inc, s, dt, k_mid, n_su)[0]
-        return float(np.abs(direct - composed).max())
-
-    return max(_run_chunks(x0.shape[0], n_su, field.m, dt, seed, body))

@@ -304,8 +304,17 @@ class TestCli:
     def test_oracle_suite_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "oracle")
         assert main(["oracle-suite", "--out", out]) == 0
-        assert os.path.exists(os.path.join(out, "oracle_suite.csv"))
         assert "PASS" in capsys.readouterr().out
+        with open(os.path.join(out, "oracle_suite.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        with open(os.path.join(out, "oracle_suite_checks.csv")) as fh:
+            checks = list(csv.DictReader(fh))
+        # each row is the discrepancy of its two routes, checked against the tolerance
+        assert [r["quantity"] for r in rows] == [c["quantity"] for c in checks]
+        for r, c in zip(rows, checks):
+            assert float(r["value"]) == abs(float(c["value"]) - float(c["recomputed"]))
+            assert r["bound"] == c["tol"]
+            assert r["passed"] == "true" and float(r["value"]) <= float(r["bound"])
 
 
 class TestValidateMatchesRun:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,16 +248,18 @@ class TestRegularizeDrift:
         assert sign1.b_measurable_only
 
 
+@pytest.fixture
+def moving(monkeypatch):
+    """Build a regularized field on the moving-node rule, with no d = 1 table."""
+    def build(regularizer, field, level, quad):
+        with monkeypatch.context() as m:
+            m.setattr(coefficients, "ou_smooth_table", lambda *args, **kwargs: None)
+            return regularizer(field, level, quad)
+    return build
+
+
 class TestTablesMatchMovingNodes:
     """The d = 1 tables against the moving-node rule they replace, on smooth inputs."""
-
-    @pytest.fixture
-    def moving(self, monkeypatch):
-        def build(regularizer, field, level, quad):
-            with monkeypatch.context() as m:
-                m.setattr(coefficients, "ou_smooth_table", lambda *args, **kwargs: None)
-                return regularizer(field, level, quad)
-        return build
 
     @pytest.mark.parametrize("n", [4, 32])
     def test_sine_sigma_and_jacobian(self, quad1, moving, n):
@@ -279,6 +282,43 @@ class TestTablesMatchMovingNodes:
         for t in (0.0, 0.5 / n, 0.6):
             np.testing.assert_allclose(table.b(t, xs), ref.b(t, xs), rtol=0, atol=1e-6)
             np.testing.assert_allclose(table.b_jacobian(t, xs), ref.b_jacobian(t, xs), rtol=0, atol=1e-6)
+
+
+class TestTimeDependentRoutes:
+    """The routes for time-dependent σ and b, which no config field reaches."""
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_time_convolved_drift_matches_after_ramp(self, ou1, quad1, moving, n):
+        # for t >= 1/n the whole mollifier support lies in [0, t], so a drift
+        # flagged time-dependent must regularize to the time-independent result
+        level = RegularizationLevel(n)
+        timed = regularize_drift(replace(ou1, b_time_dependent=True), level, quad1)
+        ref = moving(regularize_drift, ou1, level, quad1)
+        xs = np.linspace(-8.0, 8.0, 201)[:, None]
+        for t in (1.0 / n, 0.7):
+            b = ref.b(t, xs)
+            np.testing.assert_allclose(timed.b(t, xs), b, rtol=0, atol=1e-12 * np.abs(b).max())
+            jac = ref.b_jacobian(t, xs)
+            np.testing.assert_allclose(timed.b_jacobian(t, xs), jac, rtol=0, atol=1e-12 * np.abs(jac).max())
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_time_dependent_sigma(self, quad1, n):
+        # σ_t = (1 + t) I is constant in x, so σ^n_t = φ_n (1 + t) I
+        field = builtin_coefficients(
+            "custom", d=1, m=1,
+            sigma=lambda t, X: np.full(np.shape(X)[:-1] + (1, 1), 1.0 + t),
+            b=lambda t, X: np.zeros(np.shape(X)),
+            sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
+            b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
+            growth_const=2.0, exp_const=0.1, sigma_time_dependent=True, name="ramp_sigma",
+        )
+        reg = regularize(field, RegularizationLevel(n), quad1)
+        xs = np.linspace(-(n + 3.0), n + 3.0, 301)[:, None]
+        for t in (0.0, 0.3, 1.0):
+            np.testing.assert_allclose(reg.sigma(t, xs)[:, 0, 0], cutoff(n, xs) * (1.0 + t), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                reg.sigma_jacobian(t, xs)[:, 0, 0, 0], cutoff_grad(n, xs)[:, 0] * (1.0 + t), rtol=0, atol=1e-12
+            )
 
 
 def _parent_phi(field, t, X):

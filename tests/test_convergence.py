@@ -126,6 +126,12 @@ class TestIntegralConvergence:
                                    T=0.1, dt=1e-2, m=1, seed=9, n_traj=50)
         assert rep.warnings
 
+    @pytest.mark.parametrize("T, dt", [(-0.5, 1e-2), (0.5, 0.3)])
+    def test_horizon_must_be_a_grid(self, T, dt):
+        eta = lambda t, w: np.ones(w.shape[:-1] + (1, 1))
+        with pytest.raises(ConfigError):
+            integral_convergence([eta], eta, T=T, dt=dt, m=1, seed=1, n_traj=10)
+
     def test_thread_invariance(self):
         # 20000 trajectories x 100 steps make three chunks
         etas = [lambda t, w: (1.0 + np.sin(w))[..., None, :]]

@@ -61,6 +61,11 @@ class TestSolver:
         sol = fp_solve(translate1, grid, 0.0, 0.0, 1e-3)
         np.testing.assert_array_equal(sol.grid.u, grid.u)
 
+    @pytest.mark.parametrize("T, tau", [(-0.1, 1e-3), (0.1, 0.03), (0.1, 0.0)])
+    def test_horizon_must_be_a_grid(self, translate1, T, tau):
+        with pytest.raises(ConfigError):
+            fp_solve(translate1, FPGrid.gaussian(1, 6.0, 0.1), 0.0, T, tau)
+
     def test_mass_audit(self, ou1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(ou1, grid, 0.0, 0.25, 5e-4)

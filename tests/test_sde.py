@@ -13,7 +13,6 @@ from flowlab.sde import (
     BrownianPath,
     FlowEnsemble,
     empirical_modulus,
-    flow_composition_check,
     make_grid,
     sample_brownian,
     simulate,
@@ -314,23 +313,3 @@ class TestStrongOrder:
         with pytest.raises(ConfigError):
             empirical_modulus(ens, [0.05])
 
-
-class TestFlowComposition:
-    def test_collapsed_middle(self, ou1):
-        dev = flow_composition_check(ou1, 0.0, 0.5, 0.5, np.zeros((1, 1)), 1e-2, seed=2, replicas=50)
-        assert dev == 0.0
-
-    def test_translate_additive(self, translate1):
-        dev = flow_composition_check(translate1, 0.0, 0.3, 0.7, ("gaussian", 20), 1e-2, seed=3, replicas=5)
-        assert dev == 0.0
-
-    def test_ou_within_tolerance(self, ou1):
-        dt = 1e-3
-        dev = flow_composition_check(ou1, 0.0, 0.5, 1.0, np.zeros((1, 1)), dt, seed=4, replicas=100)
-        assert dev == 0.0
-
-    def test_explosion_guard(self, rocket1):
-        with pytest.raises(ExplosionError) as err:
-            flow_composition_check(rocket1, 0.0, 0.5, 1.0, ("gaussian", 16), 0.1, seed=0)
-        assert err.value.step == 1
-        assert err.value.indices and all(0 <= i < 16 for i in err.value.indices)
