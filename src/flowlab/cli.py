@@ -13,8 +13,8 @@ byte of output).  A section that raises is recorded in summary.json as
 sections still run; summary.json is always written.  Exit codes: 0 all
 checks passed, 1 experiment failure or bound violation beyond the
 documented slack, 2 configuration error, whether found by ``validate`` at
-parse time or raised while running (e.g. a grid step above the
-Fokker-Planck stability bound).
+parse time (e.g. a grid step above the Fokker-Planck stability bound) or
+raised while running.
 The default output directory is $FLOWLAB_OUT, falling back to ./flowlab_out.
 """
 

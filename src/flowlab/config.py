@@ -218,6 +218,29 @@ def _validate_numerics(cfg):
         raise fault("seed", f"seed {opt['seed']} outside [0, 2^64)")
     if "field" in opt and opt["field"] not in FIELD_KEYS:
         raise fault("field", f"unknown field {opt['field']!r}")
+    if cfg.kind == "fokker_planck":
+        _check_fp_stability(cfg, fault)
+
+
+def _check_fp_stability(cfg, fault):
+    """grid_tau within the stability bound on both grids ``run`` solves.
+
+    Those are grid_tau on grid_h and the coarse companion step 4 grid_tau
+    on 2 grid_h, with the coefficients at s; ``fp_solve`` checks again at
+    every refresh of time-dependent coefficients.
+    """
+    from .fokker_planck import FPGrid, stable_coefficients
+
+    opt = cfg.options
+    field = build_field(cfg)
+    h, tau = opt["grid_h"], opt["grid_tau"]
+    for label, h_k, tau_k in (("grid_tau on grid_h", h, tau),
+                              ("coarse companion step 4 grid_tau on 2 grid_h", 2 * h, 4 * tau)):
+        pts = FPGrid.gaussian(field.d, opt["grid_R"], h_k).points()
+        try:
+            stable_coefficients(field, opt["s"], pts, h_k, tau_k)
+        except ConfigError as exc:
+            raise fault("grid_tau", f"{label}: {exc}")
 
 
 def parse_config(path, seed=None):

@@ -9,6 +9,13 @@ interior update telescopes exactly and the per-step mass change equals the
 recorded boundary flux up to float roundoff; truncation losses are reported,
 never hidden.  Negative undershoots are clipped and accounted separately.
 
+The step is built once per coefficient refresh (once per solve unless σ or
+b depends on time): the upwind split of the face velocities and, in d = 2,
+contiguous copies of a11, a12 and a22.  In d = 2 the zero-bordered padded
+planes and face-flux buffers are allocated once per solve; every step fills
+their interiors in place, in the operation order of the flux formula, so
+each float equals that of the plain array expression.
+
 The PDE side is deliberately modest (d <= 2, explicit stepping with the
 stability bound τ <= h^2 / (2 d max||a|| + h max|b|)); it exists as an
 independent check of the flow ensembles, not as a production PDE code.
@@ -35,6 +42,7 @@ __all__ = [
     "fp_solve",
     "mc_measure",
     "smooth_bump",
+    "stable_coefficients",
     "suggest_radius",
     "weak_error",
     "write_solution_csv",
@@ -149,78 +157,125 @@ def _stability_bound(a, b, h):
     return math.inf if denom == 0 else h**2 / denom
 
 
-def _step_1d(u, a, b, h, tau):
-    """One conservative step; returns (u_new, boundary_outflow)."""
-    G = a * u
-    # faces 0..N: ghost cells are zero
-    Gpad = np.concatenate([[0.0], G, [0.0]])
-    upad = np.concatenate([[0.0], u, [0.0]])
+def stable_coefficients(field, t, pts, h, tau):
+    """a (N, d, d) and b (N, d) at the grid points ``pts`` at time t, once τ is checked there.
+
+    Raises ``ConfigError`` when τ exceeds the stability bound
+    h^2 / (2 d max||a|| + h max|b|).  ``fp_solve`` calls it at every
+    coefficient refresh and ``validate`` on the grids ``run`` solves.
+    """
+    a = diffusion_matrix(field, t, pts)
+    b = np.asarray(field.b(t, pts), dtype=float)
+    bound = _stability_bound(a, b, h)
+    if tau > bound * (1 + 1e-12):
+        raise ConfigError(f"tau={tau:g} violates the stability bound {bound:g} at t={t:g}")
+    return a, b
+
+
+def _upwind_split(bf):
+    """max(bf, 0) and min(bf, 0): the face velocities that carry the cell below and above."""
+    return np.maximum(bf, 0.0), np.minimum(bf, 0.0)
+
+
+def _build_step_1d(a, b, h, tau):
+    """The d = 1 conservative step for a (N,) and b (N,) held fixed.
+
+    ``step(u, out)`` writes the stepped density into ``out`` and returns the
+    mass that left the domain.
+    """
+    # faces 0..N: the velocity is edge-extended, ghost cells are zero
     bpad = np.concatenate([[b[0]], b, [b[-1]]])
-    bf = 0.5 * (bpad[:-1] + bpad[1:])
-    diff_flux = 0.5 * (Gpad[1:] - Gpad[:-1]) / h
-    adv_flux = np.maximum(bf, 0.0) * upad[:-1] + np.minimum(bf, 0.0) * upad[1:]
-    F = diff_flux - adv_flux
-    u_new = u + (tau / h) * (F[1:] - F[:-1])
-    boundary = -tau * (F[-1] - F[0])  # mass leaving the domain
-    return u_new, boundary
+    pos, neg = _upwind_split(0.5 * (bpad[:-1] + bpad[1:]))
+
+    def step(u, out):
+        Gpad = np.concatenate([[0.0], a * u, [0.0]])
+        upad = np.concatenate([[0.0], u, [0.0]])
+        diff_flux = 0.5 * (Gpad[1:] - Gpad[:-1]) / h
+        F = diff_flux - (pos * upad[:-1] + neg * upad[1:])
+        np.add(u, (tau / h) * (F[1:] - F[:-1]), out=out)
+        return -tau * (F[-1] - F[0])
+
+    return step
 
 
-def _step_2d(u, a, b, h, tau):
-    a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
-    b1, b2 = b[..., 0], b[..., 1]
-    G11, G12, G22 = a11 * u, a12 * u, a22 * u
+def _scratch_2d(n):
+    """Buffers of the d = 2 step on an n x n grid, allocated once per solve.
 
-    def pad(v, axis):
-        shape = list(v.shape)
-        shape[axis] = 1
-        z = np.zeros(shape)
-        return np.concatenate([z, v, z], axis=axis)
+    Four zero-bordered (n + 2)^2 planes hold u, G (a12 u, then a^ii u) and the
+    two cross derivatives; the face fluxes and two work arrays hold
+    n (n + 1) values.  Steps write only interiors, so the borders stay the
+    zero ghost cells.
+    """
+    padded = [np.zeros((n + 2, n + 2)) for _ in range(4)]
+    faces = [np.empty((n + 1, n)), np.empty((n, n + 1)), np.empty(n * (n + 1)), np.empty(n * (n + 1))]
+    return padded + faces
 
-    def centered(v, axis):
-        vp = pad(v, axis)
-        if axis == 0:
-            return (vp[2:, :] - vp[:-2, :]) / (2.0 * h)
-        return (vp[:, 2:] - vp[:, :-2]) / (2.0 * h)
 
-    def edge_extend(v, axis):
-        if axis == 0:
-            return np.concatenate([v[:1, :], v, v[-1:, :]], axis=0)
-        return np.concatenate([v[:, :1], v, v[:, -1:]], axis=1)
+def _build_step_2d(a, b, h, tau, scratch):
+    """The d = 2 conservative step for a (N, N, 2, 2) and b (N, N, 2) held fixed.
 
-    def face_flux(G_diag, cross_term, bvel, uv, axis):
-        Gp = pad(G_diag, axis)
-        up = pad(uv, axis)
-        cp = pad(cross_term, axis)
-        bp = edge_extend(bvel, axis)
-        if axis == 0:
-            diff = 0.5 * (Gp[1:, :] - Gp[:-1, :]) / h
-            cross = 0.5 * (cp[1:, :] + cp[:-1, :])
-            bf = 0.5 * (bp[1:, :] + bp[:-1, :])
-            adv = np.maximum(bf, 0.0) * up[:-1, :] + np.minimum(bf, 0.0) * up[1:, :]
-        else:
-            diff = 0.5 * (Gp[:, 1:] - Gp[:, :-1]) / h
-            cross = 0.5 * (cp[:, 1:] + cp[:, :-1])
-            bf = 0.5 * (bp[:, 1:] + bp[:, :-1])
-            adv = np.maximum(bf, 0.0) * up[:, :-1] + np.minimum(bf, 0.0) * up[:, 1:]
-        return diff + 0.5 * cross - adv
-
-    DyG12 = centered(G12, 1)
-    DxG12 = centered(G12, 0)
-    Fx = face_flux(G11, DyG12, b1, u, axis=0)
-    Fy = face_flux(G22, DxG12, b2, u, axis=1)
-    u_new = u + (tau / h) * ((Fx[1:, :] - Fx[:-1, :]) + (Fy[:, 1:] - Fy[:, :-1]))
-    boundary = -tau * h * (
-        (Fx[-1, :] - Fx[0, :]).sum() + (Fy[:, -1] - Fy[:, 0]).sum()
+    ``step(u, out)`` writes the stepped density into ``out`` and returns the
+    mass that left the domain.  The face flux along each axis is
+    (0.5 (G+ - G-)) / h + 0.5 (0.5 (c+ + c-)) - (pos u- + neg u+), G = a^ii u and
+    c the centered cross derivative of a12 u, evaluated in that order in the
+    buffers of ``scratch``.
+    """
+    upad, gpad, cxpad, cypad, fx, fy, w1, w2 = scratch
+    n = a.shape[0]
+    a11, a12, a22 = (np.ascontiguousarray(a[..., i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    b1 = np.concatenate([b[:1, :, 0], b[..., 0], b[-1:, :, 0]], axis=0)
+    b2 = np.concatenate([b[:, :1, 1], b[..., 1], b[:, -1:, 1]], axis=1)
+    pos1, neg1 = _upwind_split(0.5 * (b1[1:, :] + b1[:-1, :]))
+    pos2, neg2 = _upwind_split(0.5 * (b2[:, 1:] + b2[:, :-1]))
+    u_in, g_in, cx_in, cy_in = (p[1:-1, 1:-1] for p in (upad, gpad, cxpad, cypad))
+    # per axis: flux, a^ii, G+, G-, c+, c-, pos, u-, neg, u+, work arrays
+    axes = (
+        (fx, a11, gpad[1:, 1:-1], gpad[:-1, 1:-1], cxpad[1:, 1:-1], cxpad[:-1, 1:-1],
+         pos1, upad[:-1, 1:-1], neg1, upad[1:, 1:-1], w1.reshape(n + 1, n), w2.reshape(n + 1, n)),
+        (fy, a22, gpad[1:-1, 1:], gpad[1:-1, :-1], cypad[1:-1, 1:], cypad[1:-1, :-1],
+         pos2, upad[1:-1, :-1], neg2, upad[1:-1, 1:], w1.reshape(n, n + 1), w2.reshape(n, n + 1)),
     )
-    return u_new, boundary
+    two_h = 2.0 * h
+    w_cells = w1[: n * n].reshape(n, n)
+
+    def step(u, out):
+        u_in[...] = u
+        # centered ∂_2 and ∂_1 of G12 = a12 u: the cross terms of the x and y fluxes
+        np.multiply(a12, u, out=g_in)
+        np.subtract(gpad[1:-1, 2:], gpad[1:-1, :-2], out=cx_in)
+        np.divide(cx_in, two_h, out=cx_in)
+        np.subtract(gpad[2:, 1:-1], gpad[:-2, 1:-1], out=cy_in)
+        np.divide(cy_in, two_h, out=cy_in)
+        for F, a_ii, g_hi, g_lo, c_hi, c_lo, pos, u_lo, neg, u_hi, wa, wb in axes:
+            np.multiply(a_ii, u, out=g_in)
+            np.subtract(g_hi, g_lo, out=F)
+            F *= 0.5
+            F /= h
+            np.add(c_hi, c_lo, out=wa)
+            wa *= 0.5
+            wa *= 0.5
+            F += wa
+            np.multiply(pos, u_lo, out=wa)
+            np.multiply(neg, u_hi, out=wb)
+            wa += wb
+            F -= wa
+        np.subtract(fx[1:, :], fx[:-1, :], out=out)
+        np.subtract(fy[:, 1:], fy[:, :-1], out=w_cells)
+        out += w_cells
+        out *= tau / h
+        out += u
+        return -tau * h * ((fx[-1, :] - fx[0, :]).sum() + (fy[:, -1] - fy[:, 0]).sum())
+
+    return step
 
 
 def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     """Evolve the grid density from s to T; see the module docstring.
 
-    Raises ``ConfigError`` when τ violates the stability bound (checked at
-    every coefficient refresh) and ``SolverFailureError`` when a step clips
-    more than ``max_clip_per_step`` of negative mass.
+    Raises ``ConfigError`` when τ violates the stability bound (checked by
+    ``stable_coefficients`` at every coefficient refresh) and
+    ``SolverFailureError`` when a step clips more than ``max_clip_per_step``
+    of negative mass.
     """
     n_steps = make_grid(s, T, tau) if T != s else 0
     grid = FPGrid(d=grid0.d, R=grid0.R, h=grid0.h, u=grid0.u.copy())
@@ -235,19 +290,16 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     pts = grid.points()
     time_dep = field.sigma_time_dependent or field.b_time_dependent
     shape = grid.u.shape
+    scratch = _scratch_2d(shape[0]) if grid.d == 2 else None
 
-    def coeffs(t):
-        """a and b on the grid at t, once τ is checked against the stability bound there."""
-        a = diffusion_matrix(field, t, pts)
-        b = np.asarray(field.b(t, pts), dtype=float)
-        bound = _stability_bound(a, b, grid.h)
-        if tau > bound * (1 + 1e-12):
-            raise ConfigError(f"tau={tau:g} violates the stability bound {bound:g} at t={t:g}")
+    def build_step(t):
+        """The step for the coefficients at t, once τ is checked against the stability bound there."""
+        a, b = stable_coefficients(field, t, pts, grid.h, tau)
         if grid.d == 1:
-            return a.reshape(-1), b.reshape(-1)
-        return a.reshape(shape + (2, 2)), b.reshape(shape + (2,))
+            return _build_step_1d(a.reshape(-1), b.reshape(-1), grid.h, tau)
+        return _build_step_2d(a.reshape(shape + (2, 2)), b.reshape(shape + (2,)), grid.h, tau, scratch)
 
-    a_cur, b_cur = coeffs(s)
+    step = build_step(s)
 
     vol = grid.h**grid.d
     mass_series = np.empty(n_steps)
@@ -257,16 +309,13 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     frame_every = max(1, n_steps // n_frames) if n_frames else 0
     frames = [(s, grid.u.copy())]
 
-    u = grid.u
+    u, u_new = grid.u, np.empty_like(grid.u)
+    mass_before = u.sum() * vol
     for k in range(n_steps):
         t = s + k * tau
         if time_dep and k > 0:
-            a_cur, b_cur = coeffs(t)
-        mass_before = u.sum() * vol
-        if grid.d == 1:
-            u_new, boundary = _step_1d(u, a_cur, b_cur, grid.h, tau)
-        else:
-            u_new, boundary = _step_2d(u, a_cur, b_cur, grid.h, tau)
+            step = build_step(t)
+        boundary = step(u, u_new)
         mass_after = u_new.sum() * vol
         audit = max(audit, abs((mass_after - mass_before) + boundary))
         clipped = -float(u_new[u_new < 0].sum()) * vol
@@ -275,8 +324,8 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
                 f"clipped negative mass {clipped:g} exceeds {max_clip_per_step:g} at step {k}"
             )
         np.maximum(u_new, 0.0, out=u_new)
-        u = u_new
-        mass_series[k] = u.sum() * vol
+        u, u_new = u_new, u
+        mass_before = mass_series[k] = u.sum() * vol
         leak_series[k] = boundary
         clip_series[k] = clipped
         if frame_every and ((k + 1) % frame_every == 0 or k == n_steps - 1):
@@ -293,20 +342,26 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
 
 
 def write_solution_csv(sol, path):
-    """Export saved frames as CSV rows (t, x coordinates, u)."""
-    ax = sol.grid.axis
+    """Export saved frames as CSV rows (t, x coordinates, u), every value in ``.17g``.
+
+    Axis coordinates and frame times are formatted once; u is formatted and
+    written one grid row at a time.
+    """
+    fmt = "{:.17g}".format
+    ax = [fmt(x) for x in sol.grid.axis.tolist()]
     with open(path, "w", newline="") as fh:
         if sol.grid.d == 1:
             fh.write("t,x,u\n")
             for t, u in sol.frames:
-                for x, v in zip(ax, u):
-                    fh.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+                ts = fmt(t)
+                fh.write("".join([f"{ts},{x},{fmt(v)}\n" for x, v in zip(ax, u.tolist())]))
         else:
             fh.write("t,x1,x2,u\n")
             for t, u in sol.frames:
-                for i, x1 in enumerate(ax):
-                    for j, x2 in enumerate(ax):
-                        fh.write(f"{t:.17g},{x1:.17g},{x2:.17g},{u[i, j]:.17g}\n")
+                ts = fmt(t)
+                for x1, row in zip(ax, u):
+                    head = f"{ts},{x1},"
+                    fh.write("".join([f"{head}{x2},{fmt(v)}\n" for x2, v in zip(ax, row.tolist())]))
 
 
 # ---------------------------------------------------------------------------

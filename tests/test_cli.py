@@ -1,17 +1,19 @@
 import csv
+import dataclasses
 import glob
 import hashlib
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlab.cli import main
 from flowlab.config import build_field, parse_config
-from flowlab import errors
+from flowlab import errors, experiments
 from flowlab.errors import ConfigError, FlowLabError
 
 GOOD_CONFIG = """
@@ -65,18 +67,31 @@ FLOWLAB_ERRORS = {
 
 @st.composite
 def _sections(draw):
-    """Body of a small validate, density_bound, krylov, coupling or entropy_budget section.
+    """Body of a small validate, density_bound, krylov, coupling, entropy_budget or fokker_planck section.
 
-    Sections are valid or not; the trajectory counts and horizons are kept small.
+    Sections are valid or not; the trajectory counts, horizons and grids are
+    kept small.  grid_tau falls on both sides of the Fokker-Planck stability
+    bound, which is h^2 / 2 d for translate at grid_h = h.
     """
-    kind = draw(st.sampled_from(["validate", "density_bound", "krylov", "coupling", "entropy_budget"]))
+    kind = draw(st.sampled_from(["validate", "density_bound", "krylov", "coupling", "entropy_budget",
+                                 "fokker_planck"]))
     keys = {
         "kind": kind,
         "field": draw(st.sampled_from(["translate", "ou_linear", "sign_drift"])),
-        "d": draw(st.sampled_from([1, 1, 2, 0])),
+        "d": draw(st.sampled_from([1, 2] if kind == "fokker_planck" else [1, 1, 2, 0])),
         "seed": draw(st.integers(0, 2**16)),
     }
-    if kind == "validate":
+    if kind == "fokker_planck":
+        keys["a"] = draw(st.sampled_from(["1.0", "10.0"]))
+        keys["t"] = draw(st.sampled_from(["0.02", "0.04"]))
+        keys["dt"] = draw(st.sampled_from(["0.005", "0.01"]))
+        keys["trajectories"] = draw(st.integers(1, 64))
+        keys["grid_R"] = draw(st.sampled_from(["2.0", "3.0"]))
+        keys["grid_h"] = draw(st.sampled_from(["0.1", "0.2"]))
+        keys["grid_tau"] = draw(st.sampled_from(["0.0005", "0.001", "0.0025", "0.005", "0.01"]))
+        if keys["d"] == 1:
+            keys["factorization_samples"] = draw(st.sampled_from(["0", "200"]))
+    elif kind == "validate":
         keys["horizon"] = draw(st.sampled_from(["0.05", "0.5", "1.0"]))
     elif kind == "entropy_budget":
         keys["horizon"] = draw(st.sampled_from(["0.02", "0.05"]))
@@ -202,6 +217,9 @@ class TestCli:
         _fault(DENSITY_BASE, "dt = 0.03", "dt"),
         _fault(FP_BASE, "grid_tau = 0.003", "grid_tau"),
         _fault(FP_BASE, "grid_tau = 0.01", "grid_tau"),  # the companion step 0.04 does not divide 0.1
+        _fault(FP_BASE, "grid_tau = 0.0025", "grid_tau"),  # above the bound h^2 / 2 = 0.00125
+        # within the bound on grid_h, but 4 grid_tau is above it on the coarse 2 grid_h
+        _fault(FP_BASE.replace("translate", "ou_linear"), "a = 10\ngrid_tau = 0.0003125", "grid_tau"),
         _fault(FP_BASE, "grid_tau = 0.005\nd = 3", "d"),
         _fault(FP_BASE, "grid_tau = 0.005\nd = 2\nfactorization_samples = 100", "factorization_samples"),
         _fault(COUPLING_BASE, "n_list = 0, 4\nn_ref = 8", "n_list"),
@@ -223,12 +241,33 @@ class TestCli:
         assert "key='threads'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_failed_section_recorded_and_rest_run(self, tmp_path, capsys):
-        # grid_tau divides the horizon but breaks the FP stability bound, a
-        # fault only the run can find
-        unstable = FP_SECTION.replace("grid_tau = 0.005", "grid_tau = 0.025")
+    def test_fp_stability_fault_names_key_and_solve(self, tmp_path, capsys):
+        # stable on grid_h; the coarse companion 4 grid_tau = 0.0016 on 2 grid_h
+        # is above its bound 0.001
         p = tmp_path / "cfg.ini"
-        p.write_text(unstable + "\n[hypotheses]\nkind = validate\nfield = ou_linear\nd = 1\n")
+        p.write_text("[x]\nkind = fokker_planck\nfield = ou_linear\na = 10\nd = 1\nt = 0.2\n"
+                     "dt = 0.001\ntrajectories = 8\ngrid_R = 8\ngrid_h = 0.05\ngrid_tau = 0.0004\n")
+        for command in ("validate", "run"):
+            argv = [command, str(p)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "[section='x' key='grid_tau']" in err
+            assert "coarse companion" in err and "stability bound 0.001 " in err
+
+    def test_failed_section_recorded_and_rest_run(self, tmp_path, capsys, monkeypatch):
+        # a drift that grows in time breaks the FP stability bound after the
+        # first step, a fault only the run can find: validate checks the
+        # coefficients at s, fp_solve at every refresh
+        def growing_drift(cfg):
+            field = build_field(cfg)
+            if cfg.kind != "fokker_planck":
+                return field
+            return dataclasses.replace(field, b=lambda t, X: 1e4 * t * np.ones(np.shape(X)),
+                                       b_time_dependent=True)
+
+        monkeypatch.setattr(experiments, "build_field", growing_drift)
+        p = tmp_path / "cfg.ini"
+        p.write_text(FP_SECTION + "\n[hypotheses]\nkind = validate\nfield = ou_linear\nd = 1\n")
         out = tmp_path / "out"
         assert main(["validate", str(p)]) == 0
         assert main(["run", str(p), "--out", str(out)]) == 2

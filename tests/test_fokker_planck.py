@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,126 @@ from flowlab.fokker_planck import (
     write_solution_csv,
 )
 from flowlab.oracles import heat_variance, ou_pushforward_variance
+
+
+# ---------------------------------------------------------------------------
+# reference: the step and the loop as first written, fresh arrays every step
+# ---------------------------------------------------------------------------
+
+def _reference_step_1d(u, a, b, h, tau):
+    G = a * u
+    Gpad = np.concatenate([[0.0], G, [0.0]])
+    upad = np.concatenate([[0.0], u, [0.0]])
+    bpad = np.concatenate([[b[0]], b, [b[-1]]])
+    bf = 0.5 * (bpad[:-1] + bpad[1:])
+    diff_flux = 0.5 * (Gpad[1:] - Gpad[:-1]) / h
+    adv_flux = np.maximum(bf, 0.0) * upad[:-1] + np.minimum(bf, 0.0) * upad[1:]
+    F = diff_flux - adv_flux
+    u_new = u + (tau / h) * (F[1:] - F[:-1])
+    boundary = -tau * (F[-1] - F[0])
+    return u_new, boundary
+
+
+def _reference_step_2d(u, a, b, h, tau):
+    a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    b1, b2 = b[..., 0], b[..., 1]
+    G11, G12, G22 = a11 * u, a12 * u, a22 * u
+
+    def pad(v, axis):
+        shape = list(v.shape)
+        shape[axis] = 1
+        z = np.zeros(shape)
+        return np.concatenate([z, v, z], axis=axis)
+
+    def centered(v, axis):
+        vp = pad(v, axis)
+        if axis == 0:
+            return (vp[2:, :] - vp[:-2, :]) / (2.0 * h)
+        return (vp[:, 2:] - vp[:, :-2]) / (2.0 * h)
+
+    def edge_extend(v, axis):
+        if axis == 0:
+            return np.concatenate([v[:1, :], v, v[-1:, :]], axis=0)
+        return np.concatenate([v[:, :1], v, v[:, -1:]], axis=1)
+
+    def face_flux(G_diag, cross_term, bvel, uv, axis):
+        Gp = pad(G_diag, axis)
+        up = pad(uv, axis)
+        cp = pad(cross_term, axis)
+        bp = edge_extend(bvel, axis)
+        if axis == 0:
+            diff = 0.5 * (Gp[1:, :] - Gp[:-1, :]) / h
+            cross = 0.5 * (cp[1:, :] + cp[:-1, :])
+            bf = 0.5 * (bp[1:, :] + bp[:-1, :])
+            adv = np.maximum(bf, 0.0) * up[:-1, :] + np.minimum(bf, 0.0) * up[1:, :]
+        else:
+            diff = 0.5 * (Gp[:, 1:] - Gp[:, :-1]) / h
+            cross = 0.5 * (cp[:, 1:] + cp[:, :-1])
+            bf = 0.5 * (bp[:, 1:] + bp[:, :-1])
+            adv = np.maximum(bf, 0.0) * up[:, :-1] + np.minimum(bf, 0.0) * up[:, 1:]
+        return diff + 0.5 * cross - adv
+
+    DyG12 = centered(G12, 1)
+    DxG12 = centered(G12, 0)
+    Fx = face_flux(G11, DyG12, b1, u, axis=0)
+    Fy = face_flux(G22, DxG12, b2, u, axis=1)
+    u_new = u + (tau / h) * ((Fx[1:, :] - Fx[:-1, :]) + (Fy[:, 1:] - Fy[:, :-1]))
+    boundary = -tau * h * (
+        (Fx[-1, :] - Fx[0, :]).sum() + (Fy[:, -1] - Fy[:, 0]).sum()
+    )
+    return u_new, boundary
+
+
+def _reference_solve(field, grid, s, T, tau):
+    """(u, mass_series, leak_series, clip_series, audit_residual) of the reference loop."""
+    pts = grid.points()
+    shape = grid.u.shape
+    time_dep = field.sigma_time_dependent or field.b_time_dependent
+
+    def coeffs(t):
+        a = diffusion_matrix(field, t, pts)
+        b = np.asarray(field.b(t, pts), dtype=float)
+        if grid.d == 1:
+            return a.reshape(-1), b.reshape(-1)
+        return a.reshape(shape + (2, 2)), b.reshape(shape + (2,))
+
+    step = _reference_step_1d if grid.d == 1 else _reference_step_2d
+    n_steps = int(round((T - s) / tau))
+    vol = grid.h**grid.d
+    a_cur, b_cur = coeffs(s)
+    u = grid.u.copy()
+    masses, leaks, clips = [], [], []
+    audit = 0.0
+    for k in range(n_steps):
+        if time_dep and k > 0:
+            a_cur, b_cur = coeffs(s + k * tau)
+        mass_before = u.sum() * vol
+        u_new, boundary = step(u, a_cur, b_cur, grid.h, tau)
+        mass_after = u_new.sum() * vol
+        audit = max(audit, abs((mass_after - mass_before) + boundary))
+        clips.append(-float(u_new[u_new < 0].sum()) * vol)
+        np.maximum(u_new, 0.0, out=u_new)
+        u = u_new
+        masses.append(u.sum() * vol)
+        leaks.append(boundary)
+    return u, np.array(masses), np.array(leaks), np.array(clips), audit
+
+
+def _reference_csv(sol):
+    """The solution CSV as written by one f-string per row."""
+    ax = sol.grid.axis
+    lines = ["t,x,u\n" if sol.grid.d == 1 else "t,x1,x2,u\n"]
+    for t, u in sol.frames:
+        if sol.grid.d == 1:
+            lines += [f"{t:.17g},{x:.17g},{v:.17g}\n" for x, v in zip(ax, u)]
+        else:
+            lines += [f"{t:.17g},{x1:.17g},{x2:.17g},{u[i, j]:.17g}\n"
+                      for i, x1 in enumerate(ax) for j, x2 in enumerate(ax)]
+    return "".join(lines).encode()
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64)
 
 
 class TestDiffusionMatrix:
@@ -124,8 +245,49 @@ class TestSolver:
         path = tmp_path / "sol.csv"
         write_solution_csv(sol, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,u"
-        assert len(lines) > 17
+        assert lines[0] == "t,x,u" and len(lines) == 1 + 4 * 17
+        assert path.read_bytes() == _reference_csv(sol)
+
+    def test_csv_export_2d(self, tmp_path):
+        field = builtin_coefficients("ou_linear", d=2, a=1.0)
+        sol = fp_solve(field, FPGrid.gaussian(2, 2.0, 0.25), 0.0, 0.05, 5e-3, n_frames=2)
+        path = tmp_path / "sol.csv"
+        write_solution_csv(sol, path)
+        assert len(sol.frames) == 3
+        assert path.read_bytes() == _reference_csv(sol)
+
+
+class TestStepBitwise:
+    """fp_solve's step computes the reference step's floats bit for bit, zero signs included."""
+
+    @pytest.mark.parametrize("case", ["ou_linear-2", "anisotropic-2", "anisotropic-ou-drift-2",
+                                      "ou_linear-2-time-dependent", "translate-1", "ou_linear-1"])
+    def test_matches_reference_loop(self, case):
+        ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
+        # a 2 x 3 matrix: a12 != 0, so the cross terms are non-zero
+        aniso = builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]])
+        field, grid, T, tau = {
+            "ou_linear-2": (ou2, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+            "anisotropic-2": (aniso, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+            # cross, diffusion and advection terms all non-zero: their order shows in the bits
+            "anisotropic-ou-drift-2": (dataclasses.replace(aniso, b=ou2.b),
+                                       FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+            # the step is rebuilt at every step
+            "ou_linear-2-time-dependent": (dataclasses.replace(ou2, b_time_dependent=True),
+                                           FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
+            "translate-1": (builtin_coefficients("translate", d=1), FPGrid.gaussian(1, 6.0, 0.05),
+                            0.1, 1e-3),
+            "ou_linear-1": (builtin_coefficients("ou_linear", d=1, a=2.0), FPGrid.gaussian(1, 6.0, 0.05),
+                            0.1, 5e-4),
+        }[case]
+        sol = fp_solve(field, grid, 0.0, T, tau)
+        u, masses, leaks, clips, audit = _reference_solve(field, grid, 0.0, T, tau)
+        assert len(masses) == round(T / tau)
+        np.testing.assert_array_equal(_bits(sol.grid.u), _bits(u))
+        np.testing.assert_array_equal(_bits(sol.mass_series), _bits(masses))
+        np.testing.assert_array_equal(_bits(sol.leak_series), _bits(leaks))
+        np.testing.assert_array_equal(_bits(sol.clip_series), _bits(clips))
+        np.testing.assert_array_equal(_bits(sol.audit_residual), _bits(audit))
 
 
 class TestMonteCarloSide:
