@@ -274,6 +274,9 @@ def _sigma_table(field, level):
     """Hermite table of φ_n · P_ε σ and its derivative, or None where none applies.
 
     Only a time-independent σ in d = 1 is tabulated (see ``ou_smooth_table``).
+    σ^n is exactly 0 where φ_n is, at |x| >= n + 2, so the table keeps the
+    cells that reach inside that radius plus one all-zero cell on each side:
+    every value and derivative equals the full table's (``HermiteTable.cut``).
     """
     if field.d != 1 or field.sigma_time_dependent:
         return None
@@ -283,7 +286,9 @@ def _sigma_table(field, level):
     pts = tab.x[:, None]
     ph = cutoff(level.n, pts)[:, None, None]
     gph = cutoff_grad(level.n, pts)[:, :, None]
-    return HermiteTable.fit(tab.x, ph * tab.values, gph * tab.values + ph * tab.grads)
+    table = HermiteTable.fit(tab.x, ph * tab.values, gph * tab.values + ph * tab.grads)
+    inside = np.flatnonzero(np.abs(tab.x) < level.n + 2.0)
+    return table.cut(inside[0] - 2, inside[-1] + 1)
 
 
 def regularize_sigma(field, level, quad):

@@ -67,10 +67,6 @@ class DensityRecordBatch:
     def log_ktilde(self):
         return -(self.S + self.D)
 
-    @property
-    def pushforward_log_k(self):
-        return self.S + self.D
-
 
 def pushforward_logK(record):
     """log K_{s,t} at the trajectory endpoints, i.e. -log K~ (no flow inversion)."""
@@ -204,7 +200,7 @@ def lp_norm_estimate(records, p):
 
 def entropy_estimate(records):
     """∫ E[K |log K|] dγ estimated as the mean of |log K| at push-forward points."""
-    vals = np.abs(records.pushforward_log_k)
+    vals = np.abs(pushforward_logK(records))
     return batch_statistic(vals, lambda v: float(np.mean(v)))
 
 

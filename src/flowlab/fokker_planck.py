@@ -272,6 +272,9 @@ def _build_step_2d(a, b, h, tau, scratch):
 def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     """Evolve the grid density from s to T; see the module docstring.
 
+    ``frames`` holds the start and, with ``n_frames`` > 0, frame i = 1 ..
+    ``n_frames`` after step round(i n_steps / n_frames), so exactly
+    ``n_frames`` frames whenever n_frames <= n_steps; with 0, only the end.
     Raises ``ConfigError`` when τ violates the stability bound (checked by
     ``stable_coefficients`` at every coefficient refresh) and
     ``SolverFailureError`` when a step clips more than ``max_clip_per_step``
@@ -306,7 +309,7 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     leak_series = np.empty(n_steps)
     clip_series = np.empty(n_steps)
     audit = 0.0
-    frame_every = max(1, n_steps // n_frames) if n_frames else 0
+    frame_steps = {round(i * n_steps / n_frames) for i in range(1, n_frames + 1)}
     frames = [(s, grid.u.copy())]
 
     u, u_new = grid.u, np.empty_like(grid.u)
@@ -328,9 +331,9 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
         mass_before = mass_series[k] = u.sum() * vol
         leak_series[k] = boundary
         clip_series[k] = clipped
-        if frame_every and ((k + 1) % frame_every == 0 or k == n_steps - 1):
+        if k + 1 in frame_steps:
             frames.append((t + tau, u.copy()))
-    if not frame_every:
+    if not n_frames:
         frames.append((T, u.copy()))
 
     grid.u = u

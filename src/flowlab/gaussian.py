@@ -352,13 +352,15 @@ class HermiteTable:
 
     ``derivative`` is the exact derivative of the interpolant, so a field read
     off the table and its Jacobian read off the same table agree to rounding.
-    Points beyond the grid use its end cubics.
+    Points beyond the grid use its end cubics.  ``coef`` may hold only the
+    cells ``first`` .. ``first`` + len(coef) - 1 of the grid (see ``cut``).
     """
 
     x0: float
     h: float
-    coef: np.ndarray   # (M - 1, 4, k): cubic in the local coordinate τ ∈ [0, 1) of each cell
+    coef: np.ndarray   # (cells, 4, k): cubic in the local coordinate τ ∈ [0, 1) of each cell
     shape: tuple       # value shape of one point
+    first: int = 0     # grid index of the cell in coef[0]
 
     @classmethod
     def fit(cls, x, values, slopes):
@@ -370,10 +372,25 @@ class HermiteTable:
         coef = np.stack([v[:-1], g[:-1], 3.0 * dv - 2.0 * g[:-1] - g[1:], g[:-1] + g[1:] - 2.0 * dv], axis=1)
         return cls(x0=float(x[0]), h=float(h), coef=coef, shape=np.shape(values)[1:])
 
+    def cut(self, lo, hi):
+        """The table on grid cells lo .. hi only (clipped to the grid).
+
+        Cell index and τ are still taken on the original grid origin, so
+        every point of a kept cell reads the same floats; points beyond the
+        kept cells use the end cubics, which give the same values when the
+        cut-off cells are, like the end cells, all zero.
+        """
+        lo = max(lo, self.first)
+        hi = min(hi, self.first + self.coef.shape[0] - 1)
+        coef = self.coef[lo - self.first:hi - self.first + 1].copy()
+        return HermiteTable(x0=self.x0, h=self.h, coef=coef, shape=self.shape, first=lo)
+
     def _cells(self, x):
         u = (np.asarray(x, dtype=float) - self.x0) / self.h
-        j = np.clip(np.floor(u).astype(np.intp), 0, self.coef.shape[0] - 1)
-        return np.take(self.coef, j, axis=0), (u - j)[:, None]
+        j = np.clip(np.floor(u).astype(np.intp), self.first, self.first + self.coef.shape[0] - 1)
+        tau = (u - j)[:, None]
+        j -= self.first
+        return np.take(self.coef, j, axis=0), tau
 
     def __call__(self, x):
         """Interpolated values at the points x (n,); shape (n,) + ``shape``."""

@@ -1,14 +1,16 @@
 """Closed-form reference values used by tests and the oracle gate.
 
 Everything here is independent of the simulation code paths it is used to
-check: plain Gaussian calculus, special functions, and 1d adaptive
-quadrature.  The translate field (σ = Id, b = 0) admits a fully explicit
-push-forward density, which drives most of the checks:
+check: plain Gaussian calculus, special functions, 1d adaptive quadrature,
+and direct Monte-Carlo over (x, Δw) streamed in fixed blocks.  The
+translate field (σ = Id, b = 0) admits a fully explicit push-forward
+density, which drives most of the checks:
 
     log K(X(x)) = <x, Δw> + |Δw|^2 / 2,      Δw = w_t - w_s,
 
 so that ||K||_{L^p(P x γ_1)} = (1 - p(p-1) τ)^{-1/(2p)} for τ = t - s with
-p(p-1) τ < 1.
+p(p-1) τ < 1.  Its Monte-Carlo summand K^{p-1} has finite variance only
+when 2(p-1)(2p-1) τ < 1, a stricter condition.
 """
 
 import math
@@ -109,24 +111,66 @@ def scipy_gaussian_integral(f, lo=-40.0, hi=40.0):
     return value
 
 
+# (x, Δw) pairs per block of the streamed Monte-Carlo: 1 MB of normals
+_MC_BLOCK = 1 << 16
+
+
+def _translate_mc(seed, stream, tau, n, summand):
+    """Mean and standard error of ``summand(log K)`` over n pairs x ~ γ_1, Δw ~ N(0, τ).
+
+    Normals 2i and 2i+1 of the Philox stream keyed [seed, stream] (numpy's
+    ziggurat ``standard_normal``) are x_i and Δw_i/√τ, so the samples do not
+    depend on the block size.  Each block of log K = x Δw + Δw^2/2 is mapped
+    in place by ``summand``, and its mean and centred sum of squares are
+    merged into running totals (Chan, Golub and LeVeque, Am. Stat. 37, 1983):
+    memory is O(block), and the result equals a one-shot mean and
+    ``std(ddof=1)`` of the same samples to rounding.
+    """
+    if n < 2:
+        raise ValueError("need at least two samples for a standard error")
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    pairs = np.empty((min(_MC_BLOCK, n), 2))
+    vals = np.empty(pairs.shape[0])
+    scale = math.sqrt(tau)
+    mean, m2 = 0.0, 0.0
+    for lo in range(0, n, _MC_BLOCK):
+        k = min(_MC_BLOCK, n - lo)
+        block, v = pairs[:k], vals[:k]
+        rng.standard_normal(out=block)
+        x, dw = block[:, 0], block[:, 1]
+        dw *= scale
+        np.multiply(x, dw, out=v)
+        dw *= dw
+        dw /= 2.0
+        v += dw
+        summand(v)
+        block_mean = v.mean()
+        v -= block_mean
+        total = lo + k
+        delta = block_mean - mean
+        mean += delta * k / total
+        m2 += np.dot(v, v) + delta * delta * lo * k / total
+    return mean, np.sqrt(m2 / (n - 1) / n)
+
+
 def translate_lp_mc(p, tau, n, seed=123):
     """Direct Monte-Carlo of the translate L^p norm (independent of the flow code).
 
-    Two n-arrays are live at once: log K and then K^{p-1} are formed in place.
+    The mean of K^{p-1} over n streamed pairs (see ``_translate_mc``), so the
+    extra memory is one block whatever n.  The summand K^{p-1} has a finite
+    variance only when 2(p-1)(2p-1)τ < 1; beyond that the standard error is
+    no error bar, and ``ValueError`` is raised.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    vals = rng.standard_normal(n)                  # x
-    dw = rng.standard_normal(n)
-    dw *= math.sqrt(tau)
-    vals *= dw
-    np.multiply(dw, dw, out=dw)
-    dw /= 2.0
-    vals += dw                                     # log K = x Δw + Δw^2/2 at push-forward points
-    del dw
-    vals *= p - 1.0
-    np.exp(vals, out=vals)
-    mean = vals.mean()
-    stderr = vals.std(ddof=1) / math.sqrt(n)
+    if 2.0 * (p - 1.0) * (2.0 * p - 1.0) * tau >= 1.0:
+        raise ValueError(
+            f"K^(p-1) has infinite variance at p={p:g}, tau={tau:g}: need 2(p-1)(2p-1)tau < 1"
+        )
+
+    def k_power(v):
+        v *= p - 1.0
+        np.exp(v, out=v)
+
+    mean, stderr = _translate_mc(seed, 0, tau, n, k_power)
     return mean ** (1.0 / p), stderr * (mean ** (1.0 / p - 1.0)) / p
 
 
@@ -164,9 +208,5 @@ def smoothed_sign_quad(beta, eps, x):
 
 
 def translate_entropy_mc(tau, n, seed=321):
-    """Direct Monte-Carlo of E|x Δw + Δw^2/2| under x ~ γ_1, Δw ~ N(0, τ)."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-    x = rng.standard_normal(n)
-    dw = rng.standard_normal(n) * math.sqrt(tau)
-    vals = np.abs(x * dw + dw * dw / 2.0)
-    return vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+    """Direct Monte-Carlo of E|x Δw + Δw^2/2| under x ~ γ_1, Δw ~ N(0, τ), streamed in blocks."""
+    return _translate_mc(seed, 1, tau, n, lambda v: np.abs(v, out=v))

@@ -284,6 +284,26 @@ class TestTablesMatchMovingNodes:
             np.testing.assert_allclose(table.b_jacobian(t, xs), ref.b_jacobian(t, xs), rtol=0, atol=1e-6)
 
 
+class TestSigmaTableCut:
+    """σ^n's table keeps |x| < n + 2 plus one zero cell a side, and reads the full table's floats."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_cut_equals_full_table(self, monkeypatch, n):
+        field, level = make_sine_field(), RegularizationLevel(n)
+        cut = coefficients._sigma_table(field, level)
+        with monkeypatch.context() as m:
+            m.setattr(coefficients.HermiteTable, "cut", lambda table, lo, hi: table)
+            full = coefficients._sigma_table(field, level)
+        # left edges of the kept cells: one all-zero cell beyond |x| = n + 2 on each side
+        edge = full.x0 + full.h * np.arange(cut.first, cut.first + cut.coef.shape[0])
+        assert edge[1] <= -(n + 2.0) < edge[2] and edge[-2] < n + 2.0 <= edge[-1]
+        assert not cut.coef[0].any() and not cut.coef[-1].any()
+        assert cut.coef.shape[0] < full.coef.shape[0]
+        xs = np.linspace(-16.0, 16.0, 64001)
+        assert np.array_equal(cut(xs), full(xs))
+        assert np.array_equal(cut.derivative(xs), full.derivative(xs))
+
+
 class TestTimeDependentRoutes:
     """The routes for time-dependent σ and b, which no config field reaches."""
 

@@ -245,8 +245,19 @@ class TestSolver:
         path = tmp_path / "sol.csv"
         write_solution_csv(sol, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,u" and len(lines) == 1 + 4 * 17
+        assert lines[0] == "t,x,u" and len(lines) == 1 + 3 * 17
         assert path.read_bytes() == _reference_csv(sol)
+
+    @pytest.mark.parametrize("T, n_frames, steps", [(0.07, 4, [2, 4, 5, 7]), (0.05, 2, [2, 5])])
+    def test_n_frames_saves_that_many(self, translate1, T, n_frames, steps):
+        # 7 steps into 4 frames and 5 into 2: round(i n_steps / n_frames), no step twice
+        tau = 0.01
+        sol = fp_solve(translate1, FPGrid.gaussian(1, 4.0, 0.5), 0.0, T, tau, n_frames=n_frames)
+        full = fp_solve(translate1, FPGrid.gaussian(1, 4.0, 0.5), 0.0, T, tau, n_frames=len(sol.mass_series))
+        assert len(sol.frames) == 1 + n_frames
+        by_step = dict(enumerate(full.frames))
+        for (t, u), k in zip(sol.frames[1:], steps):
+            assert t == by_step[k][0] and np.array_equal(u, by_step[k][1])
 
     def test_csv_export_2d(self, tmp_path):
         field = builtin_coefficients("ou_linear", d=2, a=1.0)
