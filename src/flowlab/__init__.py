@@ -23,10 +23,8 @@ from .density import (
     DensityRecordBatch,
     budget_constants,
     entropy_estimate,
-    log_density_along,
     lp_norm_estimate,
     mass_estimate,
-    phi_integrand,
     pushforward_logK,
     run_density_ensemble,
     theorem_bound_rhs,
@@ -45,14 +43,11 @@ from .errors import (
 from .fokker_planck import FPGrid, density_factorization, diffusion_matrix, fp_solve, mc_measure, weak_error
 from .gaussian import (
     GaussianQuadrature,
-    VectorFieldHandle,
     default_quadrature,
-    gauss_divergence,
     gauss_expectation,
-    matrix_divergence,
     ou_smooth,
 )
 from .oracle_gate import oracle_suite
-from .sde import BrownianPath, FlowEnsemble, sample_brownian, simulate, simulate_ensemble
+from .sde import FlowEnsemble, simulate_ensemble
 
 __version__ = "0.1.0"

@@ -173,42 +173,46 @@ class CoefficientField:
             )
         return fd_jacobian(lambda P: self.b(t, P), X)
 
-    def delta_sigma(self, t, X):
-        """δ(σ_t)(x) in R^m: component j is <σ^{.j}, x> - trace ∇σ^{.j}."""
-        X = np.asarray(X, dtype=float)
-        return _delta(np.asarray(self.sigma(t, X), dtype=float), X, self.sigma_jacobian(t, X))
-
-    def delta_b(self, t, X):
-        """δ(b_t)(x) = <b, x> - div b, with explicit override when supplied."""
-        X = np.asarray(X, dtype=float)
-        if self.delta_b_fn is not None:
-            return np.asarray(self.delta_b_fn(t, X), dtype=float)
-        return _delta(np.asarray(self.b(t, X), dtype=float), X, self.b_jacobian(t, X))
-
     def evaluate(self, t, X):
-        """σ, ∇σ, b, δ(σ_t) and δ(b_t) at (t, X), each coefficient map called once."""
+        """σ and b at (t, X), each map called once; see ``CoefficientValues``."""
         X = np.asarray(X, dtype=float)
-        sig = np.asarray(self.sigma(t, X), dtype=float)
-        jac = self.sigma_jacobian(t, X)
-        b = np.asarray(self.b(t, X), dtype=float)
-        db = self.delta_b(t, X) if self.delta_b_fn is not None else _delta(b, X, self.b_jacobian(t, X))
-        return CoefficientValues(sigma=sig, sigma_jac=jac, b=b, delta_sigma=_delta(sig, X, jac),
-                                 delta_b=db)
+        return CoefficientValues(self, t, X, np.asarray(self.sigma(t, X), dtype=float),
+                                 np.asarray(self.b(t, X), dtype=float))
 
 
 @dataclass(frozen=True)
 class CoefficientValues:
-    """One evaluation of a field at (t, X), and the scalars derived from it.
+    """One evaluation of a field at (t, X), and the terms derived from it.
 
-    The density weight, the L^p bound, the entropy budget and the hypothesis
-    integral all read these; each derived scalar is computed on first use.
+    σ and b are computed with the bundle; they are all the Euler step reads.
+    ∇σ, δ(σ_t), δ(b_t) (with ∇b, unless the field declares δ(b)) and the
+    derived scalars are computed on first read, for the density weight, the
+    L^p bound, the entropy budget and the hypothesis integral, so a plain
+    ensemble computes no derivative.
     """
 
+    field: CoefficientField
+    t: float
+    X: np.ndarray            # (..., d)
     sigma: np.ndarray        # (..., d, m)
-    sigma_jac: np.ndarray    # (..., m, d, d)
     b: np.ndarray            # (..., d)
-    delta_sigma: np.ndarray  # (..., m)
-    delta_b: np.ndarray      # (...)
+
+    @cached_property
+    def sigma_jac(self):
+        """∇σ, column Jacobians (..., m, d, d)."""
+        return self.field.sigma_jacobian(self.t, self.X)
+
+    @cached_property
+    def delta_sigma(self):
+        """δ(σ_t)(x) in R^m: component j is <σ^{.j}, x> - trace ∇σ^{.j}."""
+        return _delta(self.sigma, self.X, self.sigma_jac)
+
+    @cached_property
+    def delta_b(self):
+        """δ(b_t)(x) = <b, x> - div b, or the field's declared ``delta_b_fn``."""
+        if self.field.delta_b_fn is not None:
+            return np.asarray(self.field.delta_b_fn(self.t, self.X), dtype=float)
+        return _delta(self.b, self.X, self.field.b_jacobian(self.t, self.X))
 
     @cached_property
     def hs2(self):
@@ -399,7 +403,8 @@ def drift_divergence_identity(field, level, quad):
     therefore never uses it, it exists as a cross-check for smooth inputs.
     """
     eps = level.eps
-    db_conv = _time_convolved(field, level, field.delta_b, field.b_time_dependent)
+    db_conv = _time_convolved(field, level, lambda t, X: field.evaluate(t, X).delta_b,
+                              field.b_time_dependent)
 
     def delta_b(t, X):
         return math.exp(eps) * ou_smooth(lambda P: db_conv(t, P), eps, X, quad)

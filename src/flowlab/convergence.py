@@ -75,7 +75,7 @@ class KrylovAccumulator:
     def alloc(self, n_traj):
         self.values = np.zeros(n_traj)
 
-    def step(self, sl, k, t, X, dW):
+    def step(self, sl, k, t, X, dW, ev, X_next):
         self.values[sl] += math.exp(-self.lam * t) * np.asarray(self.f(t, X), dtype=float) * self.dt
 
 
@@ -163,7 +163,7 @@ class _IntegralAccumulator:
         self.moments = np.zeros((n_eta, n_traj))
         self.sq_int = np.zeros(n_traj)
 
-    def step(self, sl, k, t, W, dW):
+    def step(self, sl, k, t, W, dW, ev, W_next):
         I = self.I[:, sl]
         for e, eta in enumerate(self.etas):
             vals = np.asarray(eta(t, W), dtype=float)
@@ -260,7 +260,7 @@ def coupling_convergence(
     sup_dev = np.zeros((len(levels), n_traj))
 
     def body(lo, hi, inc):
-        def track(k, t, before, after):
+        def track(k, t, before, evs, after):
             for li in range(len(levels)):
                 dev = np.linalg.norm(after[li] - after[-1], axis=-1)
                 np.maximum(sup_dev[li, lo:hi], dev, out=sup_dev[li, lo:hi])

@@ -7,10 +7,14 @@ the inverse-flow push-forward:
     log K~_{s,t}(x) = - ∫_s^t <δ(σ_u)(X_u), dw_u> - ∫_s^t Φ_u(X_u) du,
     Φ_u = δ(b_u) + (1/2)||σ_u||^2 + (1/2) Σ_j <∇σ_u^{.j}, (∇σ_u^{.j})*>,
 
-accumulated here with left-endpoint (Ito) evaluation along Euler paths.  The
-forward density K is never computed by inverting the flow: the identity
-K(X_{s,t}(x)) = K~_{s,t}(x)^{-1} is read at the push-forward sample points,
-so every statistic below is an expectation over (x, ω) with x ~ γ_d.
+accumulated here with left-endpoint (Ito) evaluation along Euler paths by a
+``simulate_ensemble`` accumulator, which reads each step's coefficient
+bundle from the Euler step itself: σ and b are evaluated once per step.  A
+Stratonovich accumulator (midpoint integral, drift δ(b~)) is kept only as a
+cross-check.  The forward density K is never computed by inverting the flow:
+the identity K(X_{s,t}(x)) = K~_{s,t}(x)^{-1} is read at the push-forward
+sample points, so every statistic below is an expectation over (x, ω) with
+x ~ γ_d.
 
 All density statistics run in log space with max-shifted accumulation, and
 their error bars come from trajectory-level batching (√n batches).
@@ -33,24 +37,17 @@ __all__ = [
     "DensityAccumulator",
     "DensityRecordBatch",
     "Estimate",
+    "StratonovichAccumulator",
     "batch_statistic",
     "budget_constants",
     "entropy_estimate",
-    "log_density_along",
     "lp_norm_estimate",
     "mass_estimate",
-    "phi_integrand",
     "pushforward_logK",
     "run_density_ensemble",
-    "stratonovich_log_density",
     "theorem_bound_rhs",
     "time_threshold",
 ]
-
-
-def phi_integrand(field, t, X):
-    """Φ_t(x): drift term of -log K~ (Ito form)."""
-    return field.evaluate(t, X).phi
 
 
 @dataclass
@@ -74,10 +71,9 @@ def pushforward_logK(record):
 
 
 class DensityAccumulator:
-    """Streaming per-step accumulation of S and D for an ensemble run."""
+    """Streaming per-step accumulation of S and D from each step's coefficient bundle."""
 
-    def __init__(self, field, dt):
-        self.field = field
+    def __init__(self, dt):
         self.dt = dt
         self.S = None
         self.D = None
@@ -86,30 +82,19 @@ class DensityAccumulator:
         self.S = np.zeros(n_traj)
         self.D = np.zeros(n_traj)
 
-    def step(self, sl, k, t, X, dW):
-        ev = self.field.evaluate(t, X)
+    def step(self, sl, k, t, X, dW, ev, X_next):
         self.S[sl] += np.einsum("nm,nm->n", ev.delta_sigma, dW)
         self.D[sl] += ev.phi * self.dt
 
 
 def run_density_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1):
     """Simulate an ensemble and accumulate its density record alongside."""
-    acc = DensityAccumulator(field, dt)
+    acc = DensityAccumulator(dt)
     ens = simulate_ensemble(
         field, s, T, initials, dt, seed,
         replicas=replicas, threads=threads, accumulators=(acc,),
     )
     return ens, DensityRecordBatch(S=acc.S, D=acc.D)
-
-
-def log_density_along(field, trajectory, path):
-    """Single-trajectory density record from stored states (Ito accumulation)."""
-    X = np.asarray(trajectory, dtype=float)
-    acc = DensityAccumulator(field, path.dt)
-    acc.alloc(1)
-    for k in range(path.n_steps):
-        acc.step(slice(0, 1), k, path.s + k * path.dt, X[k][None, :], path.increments[k][None, :])
-    return DensityRecordBatch(S=acc.S, D=acc.D)
 
 
 def _strat_correction_divergence(field, t, X):
@@ -124,31 +109,30 @@ def _strat_correction_divergence(field, t, X):
     return _delta(correction(X), X, fd_jacobian(correction, X))
 
 
-def stratonovich_log_density(field, trajectory, path):
-    """Cross-check accumulator: midpoint stochastic integral, drift δ(b~).
+class StratonovichAccumulator:
+    """Cross-check accumulation of S and D: midpoint stochastic integral, drift δ(b~).
 
-    Agrees with the Ito accumulation to O(dt) for smooth fields; exists only
-    as a consistency check, the Ito form is the production path.
+    Agrees with the Ito accumulation to O(dt) for smooth fields.  A
+    consistency check only: each step evaluates the field again at the
+    stepped state and takes two finite-difference Jacobians; the Ito form
+    (``DensityAccumulator``) is the production path.
     """
-    X = np.asarray(trajectory, dtype=float)
-    n_steps = path.n_steps
-    S = 0.0
-    D = 0.0
-    for k in range(n_steps):
-        t0 = path.s + k * path.dt
-        t1 = t0 + path.dt
-        x0 = X[k][None, :]
-        x1 = X[k + 1][None, :]
-        ev0 = field.evaluate(t0, x0)
-        ev1 = field.evaluate(t1, x1)
-        ds_mid = 0.5 * (ev0.delta_sigma[0] + ev1.delta_sigma[0])
-        S += float(ds_mid @ path.increments[k])
-        db0 = float(ev0.delta_b[0])
-        db1 = float(ev1.delta_b[0])
-        corr0 = float(_strat_correction_divergence(field, t0, x0)[0])
-        corr1 = float(_strat_correction_divergence(field, t1, x1)[0])
-        D += 0.5 * ((db0 - 0.5 * corr0) + (db1 - 0.5 * corr1)) * path.dt
-    return DensityRecordBatch(S=np.array([S]), D=np.array([D]))
+
+    def __init__(self, field, dt):
+        self.field = field
+        self.dt = dt
+
+    def alloc(self, n_traj):
+        self.S = np.zeros(n_traj)
+        self.D = np.zeros(n_traj)
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        t1 = t + self.dt
+        ev1 = self.field.evaluate(t1, X_next)
+        self.S[sl] += np.einsum("nm,nm->n", 0.5 * (ev.delta_sigma + ev1.delta_sigma), dW)
+        drift0 = ev.delta_b - 0.5 * _strat_correction_divergence(self.field, t, X)
+        drift1 = ev1.delta_b - 0.5 * _strat_correction_divergence(self.field, t1, X_next)
+        self.D[sl] += 0.5 * (drift0 + drift1) * self.dt
 
 
 # ---------------------------------------------------------------------------

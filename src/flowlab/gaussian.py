@@ -11,23 +11,20 @@ particular δ of the constant field e_j is the coordinate x_j.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import CapabilityError, EvaluationError
+from .errors import EvaluationError
 from .rng import MC_QUAD_STREAM, standard_normals
 
 __all__ = [
     "GaussianQuadrature",
-    "VectorFieldHandle",
     "default_quadrature",
     "fd_jacobian",
-    "gauss_divergence",
     "gauss_expectation",
     "gauss_log_expectation",
-    "matrix_divergence",
     "ou_smooth",
 ]
 
@@ -140,24 +137,6 @@ def gauss_log_expectation(log_g, quad):
     return logsumexp(values + quad.log_weights)
 
 
-@dataclass(frozen=True)
-class VectorFieldHandle:
-    """A vector field x -> R^d with optional analytic Jacobian.
-
-    ``jac(x)[..., a, b]`` is ∂B^a/∂x_b.  ``differentiable=False`` marks fields
-    for which finite differencing is meaningless (e.g. jump functions); asking
-    for derivatives of such a field raises ``CapabilityError``.
-    """
-
-    fn: object
-    jac: object = None
-    differentiable: bool = True
-    name: str = field(default="field")
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
 def fd_jacobian(fn, x, step_scale=FD_STEP_SCALE):
     """Central-difference Jacobian with scale-aware step h = scale*(1+|x|)."""
     x = np.asarray(x, dtype=float)
@@ -191,38 +170,6 @@ def _delta(values, x, jac):
     """
     spec = "...am,...a->...m" if values.ndim > x.ndim else "...a,...a->..."
     return np.einsum(spec, values, x) - np.trace(jac, axis1=-2, axis2=-1)
-
-
-def gauss_divergence(B, x):
-    """δ(B)(x) = <B(x), x> - trace(∇B(x)) for a VectorFieldHandle B."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(B(x), dtype=float)
-    if B.jac is not None:
-        jac = np.asarray(B.jac(x), dtype=float)
-    elif B.differentiable:
-        jac = fd_jacobian(B.fn, x)
-    else:
-        raise CapabilityError(
-            f"field '{B.name}' has no Jacobian and finite differences are disabled"
-        )
-    return _delta(values, x, jac)
-
-
-def matrix_divergence(sigma_fn, x, column_jacs=None, differentiable=True):
-    """Componentwise Gaussian divergence of a matrix field.
-
-    ``sigma_fn`` maps (..., d) to (..., d, m); component j of the result is
-    δ of the j-th column.  ``column_jacs(x)[..., j, a, b]`` = ∂σ^{aj}/∂x_b.
-    """
-    x = np.asarray(x, dtype=float)
-    sig = np.asarray(sigma_fn(x), dtype=float)
-    if column_jacs is not None:
-        jac = np.asarray(column_jacs(x), dtype=float)
-    elif differentiable:
-        jac = _fd_column_jacobian(sigma_fn, x)
-    else:
-        raise CapabilityError("matrix field has no Jacobian access")
-    return _delta(sig, x, jac)
 
 
 def _moving_node_values(f, eps, x, quad):

@@ -11,11 +11,13 @@ increments in one block (bit for bit the per-trajectory substreams, see
 :mod:`flowlab.rng`) and runs the caller's body on it, serially or on a thread
 pool; bodies write into disjoint slices of preallocated arrays, and per-chunk
 results come back in chunk order for the caller to reduce.  ``_euler`` is the
-only Euler step: it advances one state per field under shared increments and
-guards every path against explosion.  ``simulate_ensemble`` and the
-regularization coupling are the two callers of ``_run_chunks``; ``simulate``
-runs ``_euler`` on a single path.  Every path functional (the density
-weight, the occupation functional, the stochastic integrals) is an
+only Euler step and the only place coefficients are evaluated along a path:
+one ``CoefficientField.evaluate`` per field per step, whose σ and b step the
+state and whose bundle the step's observer reads.  It advances one state per
+field under shared increments and guards every path against explosion.
+``simulate_ensemble`` and the regularization coupling are the two callers of
+``_run_chunks``.  Every path functional (the density weight, the occupation
+functional, the stochastic integrals, the modulus of continuity) is an
 accumulator streamed through ``simulate_ensemble``.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
@@ -33,12 +35,9 @@ from .errors import ConfigError, ExplosionError
 from .rng import brownian_increments, gaussian_points
 
 __all__ = [
-    "BrownianPath",
     "FlowEnsemble",
     "empirical_modulus",
     "make_grid",
-    "sample_brownian",
-    "simulate",
     "simulate_ensemble",
 ]
 
@@ -56,66 +55,6 @@ def make_grid(s, T, dt):
     return n_steps
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Discretized m-dimensional Brownian path on a uniform grid."""
-
-    s: float
-    dt: float
-    increments: np.ndarray  # (n_steps, m)
-    seed: int = 0
-    index: int = 0
-
-    @property
-    def n_steps(self):
-        return self.increments.shape[0]
-
-    @property
-    def m(self):
-        return self.increments.shape[1]
-
-    @property
-    def T(self):
-        return self.s + self.n_steps * self.dt
-
-    def times(self):
-        return self.s + self.dt * np.arange(self.n_steps + 1)
-
-    def values(self):
-        """Path values w_{t_k} (starting at zero)."""
-        out = np.zeros((self.n_steps + 1, self.m))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
-    @classmethod
-    def zeros(cls, s, T, dt, m):
-        return cls(s=s, dt=dt, increments=np.zeros((make_grid(s, T, dt), m)))
-
-
-def sample_brownian(s, T, dt, m, seed, index):
-    """The Brownian path of substream ``(seed, index)`` on the grid."""
-    inc = brownian_increments(seed, index, make_grid(s, T, dt), m, dt)
-    return BrownianPath(s=s, dt=dt, increments=inc, seed=seed, index=index)
-
-
-def simulate(field, s, T, x0, path):
-    """Single-trajectory Euler-Maruyama flow; returns states (n_steps+1, d)."""
-    if T == s:
-        return np.asarray(x0, dtype=float).reshape(1, -1)
-    if abs(path.s - s) > 1e-12 or path.T < T - 1e-12:
-        raise ConfigError("path grid does not span [s, T]")
-    n_steps = make_grid(s, T, dt=path.dt)
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    out = np.empty((n_steps + 1, x0.shape[1]))
-    out[0] = x0[0]
-
-    def store(k, t, before, after):
-        out[k + 1] = after[0][0]
-
-    _euler([field], x0, path.increments[None], s, path.dt, n_steps, store)
-    return out
-
-
 @dataclass
 class FlowEnsemble:
     """Trajectories of the flow from a set of starts under replicated noise."""
@@ -129,7 +68,6 @@ class FlowEnsemble:
     xT: np.ndarray            # (n_traj, d)
     n_initials: int
     replicas: int
-    paths: np.ndarray = None  # (n_traj, n_steps+1, d) when stored
 
     @property
     def n_traj(self):
@@ -184,22 +122,22 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
 def _euler(fields, X, inc, s, dt, n_steps, on_step=None):
     """Advance one state per field from X under the shared increments ``inc``.
 
-    Step k maps each state to X + σ(t_k, X) dW_k + b(t_k, X) dt with
-    t_k = s + k dt and dW_k = inc[:, k], for k in 0 .. n_steps-1.
-    ``on_step(k, t_k, before, after)`` then sees the left-point and stepped
-    states, one per field.  A non-finite state or one beyond
-    ``EXPLOSION_RADIUS`` raises ``ExplosionError`` with the step and the
-    exploded rows.  Returns the final states.
+    Step k evaluates each field once, ev = ``evaluate(t_k, X)``, and maps X to
+    X + ev.sigma dW_k + ev.b dt with t_k = s + k dt and dW_k = inc[:, k], for
+    k in 0 .. n_steps-1.  ``on_step(k, t_k, before, evs, after)`` then sees
+    the left-point states, their bundles and the stepped states, one per
+    field.  A non-finite state or one beyond ``EXPLOSION_RADIUS`` raises
+    ``ExplosionError`` with the step and the exploded rows.  Returns the final
+    states.
     """
     states = [X] * len(fields)
     for k in range(n_steps):
         t = s + k * dt
         dW = inc[:, k, :]
-        new = []
+        evs, new = [], []
         for fl, Y in zip(fields, states):
-            sig = np.asarray(fl.sigma(t, Y), dtype=float)
-            drift = np.asarray(fl.b(t, Y), dtype=float)
-            Y = Y + np.einsum("nam,nm->na", sig, dW) + drift * dt
+            ev = fl.evaluate(t, Y)
+            Y = Y + np.einsum("nam,nm->na", ev.sigma, dW) + ev.b * dt
             # one whole-array test per step; NaN fails the comparison too
             if not np.abs(Y).max() <= EXPLOSION_RADIUS:
                 bad = ~np.isfinite(Y).all(axis=1) | (np.abs(Y).max(axis=1) > EXPLOSION_RADIUS)
@@ -207,9 +145,10 @@ def _euler(fields, X, inc, s, dt, n_steps, on_step=None):
                 raise ExplosionError(
                     f"{len(rows)} trajectories exploded at step {k + 1}", step=k + 1, indices=rows
                 )
+            evs.append(ev)
             new.append(Y)
         if on_step is not None:
-            on_step(k, t, states, new)
+            on_step(k, t, states, evs, new)
         states = new
     return states
 
@@ -226,18 +165,7 @@ def _resolve_initials(initials, d, seed):
     return arr
 
 
-def simulate_ensemble(
-    field,
-    s,
-    T,
-    initials,
-    dt,
-    seed,
-    replicas=1,
-    threads=1,
-    accumulators=(),
-    store_paths=False,
-):
+def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, accumulators=()):
     """Run the flow for every (initial point, noise replica) pair.
 
     ``initials`` is an (n0, d) array or ``("gaussian", n0)`` for γ_d starts
@@ -245,13 +173,15 @@ def simulate_ensemble(
     ``j // replicas`` and Brownian substream index j.
 
     ``accumulators`` stream path functionals: each has ``alloc(n_traj)``,
-    called once before the run, and ``step(sl, k, t, X, dW)``, called at
-    every step k of every chunk with the chunk's trajectory slice ``sl``,
-    t = s + k dt, the left-point states X and the increments dW of that
-    step.  An accumulator keeps its per-trajectory results in arrays it
-    allocates and writes only the entries of the trajectories in ``sl``, so
-    chunks on different threads never touch the same entry; callers read
-    those arrays after the run.
+    called once before the run, and ``step(sl, k, t, X, dW, ev, X_next)``,
+    called at every step k of every chunk with the chunk's trajectory slice
+    ``sl``, t = s + k dt, the left-point states X, the increments dW of that
+    step, the step's coefficient bundle ``ev`` = ``field.evaluate(t, X)``
+    (see ``CoefficientValues``) and the stepped states X_next.  An
+    accumulator keeps its per-trajectory results in arrays it allocates and
+    writes only the entries of the trajectories in ``sl``, so chunks on
+    different threads never touch the same entry; callers read those arrays
+    after the run.
 
     ``T == s`` yields the degenerate ensemble (endpoints equal the starts,
     accumulators see no steps); otherwise dt must divide [s, T] (``make_grid``).
@@ -262,20 +192,15 @@ def simulate_ensemble(
     n_traj = n0 * replicas
     x0 = np.repeat(x_init, replicas, axis=0)
     xT = np.empty_like(x0)
-    paths = np.empty((n_traj, n_steps + 1, field.d)) if store_paths else None
     for acc in accumulators:
         acc.alloc(n_traj)
 
     def body(lo, hi, inc):
         sl = slice(lo, hi)
-        if store_paths:
-            paths[sl, 0] = x0[sl]
 
-        def record(k, t, before, after):
+        def record(k, t, before, evs, after):
             for acc in accumulators:
-                acc.step(sl, k, t, before[0], inc[:, k, :])
-            if store_paths:
-                paths[sl, k + 1] = after[0]
+                acc.step(sl, k, t, before[0], inc[:, k, :], evs[0], after[0])
 
         xT[sl] = _euler([field], x0[sl], inc, s, dt, n_steps, record)[0]
 
@@ -290,36 +215,58 @@ def simulate_ensemble(
         xT=xT,
         n_initials=n0,
         replicas=replicas,
-        paths=paths,
     )
 
 
-def empirical_modulus(ensemble, window_lengths):
+class _ModulusAccumulator:
+    """Running per-coordinate max and min of the states over windows anchored at s.
+
+    Window i holds the states X_0 .. X_{k_i} for ascending step counts k_i:
+    n_traj x windows x d x 2 floats, where the states themselves would take
+    n_traj x (n_steps + 1) x d.
+    """
+
+    def __init__(self, window_steps, d):
+        self.window_steps = window_steps
+        self.d = d
+
+    def alloc(self, n_traj):
+        self.hi = np.empty((n_traj, len(self.window_steps), self.d))
+        self.lo = np.empty_like(self.hi)
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        hi, lo = self.hi[sl], self.lo[sl]
+        if k == 0:
+            hi[:] = X[:, None, :]
+            lo[:] = X[:, None, :]
+        first = np.searchsorted(self.window_steps, k + 1)  # windows still open at X_{k+1}
+        np.maximum(hi[:, first:], X_next[:, None, :], out=hi[:, first:])
+        np.minimum(lo[:, first:], X_next[:, None, :], out=lo[:, first:])
+
+
+def empirical_modulus(field, s, window_lengths, initials, dt, seed, replicas=1, threads=1):
     """Fourth-moment modulus of continuity over windows anchored at s.
 
     For each window length l the statistic is E[sup_{u,v in [s, s+l]}
     |X_u - X_v|^4], with the sup realized through per-coordinate running
-    ranges (exact in d = 1).  Returns (lengths, moments, fitted exponent) of
-    the log-log regression of the moment against the window length.
+    ranges (exact in d = 1), accumulated along an ensemble on [s, s + max l]
+    (``simulate_ensemble`` with the other arguments).  Returns (lengths,
+    moments, fitted exponent) of the log-log regression of the moment
+    against the window length.
     """
-    if ensemble.paths is None:
-        raise ConfigError("empirical_modulus requires store_paths=True")
-    if ensemble.n_traj < 1000:
-        raise ConfigError("empirical_modulus needs at least 10^3 trajectories")
-    dt = ensemble.dt
-    paths = ensemble.paths
     lengths = np.asarray(sorted(window_lengths), dtype=float)
-    moments = np.empty(lengths.shape[0])
-    for i, ell in enumerate(lengths):
-        k = int(round(ell / dt))
-        if k < 1 or k > ensemble.n_steps:
-            raise ConfigError(f"window length {ell} outside the grid")
-        seg = paths[:, : k + 1, :]
-        ranges = seg.max(axis=1) - seg.min(axis=1)      # (n, d)
-        sup = np.linalg.norm(ranges, axis=-1)
-        moments[i] = np.mean(sup**4)
+    steps = [int(round(ell / dt)) for ell in lengths]
+    if steps[0] < 1:
+        raise ConfigError(f"window length {lengths[0]} is shorter than dt")
+    acc = _ModulusAccumulator(steps, field.d)
+    ens = simulate_ensemble(field, s, s + steps[-1] * dt, initials, dt, seed,
+                            replicas=replicas, threads=threads, accumulators=(acc,))
+    if ens.n_traj < 1000:
+        raise ConfigError("empirical_modulus needs at least 10^3 trajectories")
+    moments = np.array([
+        np.mean(np.linalg.norm(acc.hi[:, i] - acc.lo[:, i], axis=-1) ** 4) for i in range(len(steps))
+    ])
     if np.any(moments <= 0):
         return lengths, moments, 0.0
     exponent = float(np.polyfit(np.log(lengths), np.log(moments), 1)[0])
     return lengths, moments, exponent
-

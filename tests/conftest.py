@@ -86,3 +86,21 @@ def gauss_density(x):
     r2 = np.einsum("...a,...a->...", x, x)
     d = x.shape[-1]
     return np.exp(-r2 / 2.0) / (2.0 * math.pi) ** (d / 2.0)
+
+
+class StoredStates:
+    """Accumulator keeping every Euler state: ``paths`` is (n_traj, n_steps + 1, d).
+
+    A reference for the streaming accumulators, which keep far less.
+    """
+
+    def __init__(self, n_steps, d):
+        self.shape = (n_steps + 1, d)
+
+    def alloc(self, n_traj):
+        self.paths = np.empty((n_traj,) + self.shape)
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        if k == 0:
+            self.paths[sl, 0] = X
+        self.paths[sl, k + 1] = X_next

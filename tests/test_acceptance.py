@@ -39,13 +39,7 @@ from flowlab.fokker_planck import (
     smooth_bump,
     weak_error,
 )
-from flowlab.gaussian import (
-    GaussianQuadrature,
-    VectorFieldHandle,
-    gauss_divergence,
-    gauss_expectation,
-    ou_smooth,
-)
+from flowlab.gaussian import GaussianQuadrature, gauss_expectation, ou_smooth
 from flowlab import oracles
 
 SEED = 42
@@ -109,9 +103,14 @@ def test_criterion_1_gaussian_identities(quad):
     worst = 0.0
     for f, b in suite:
         df, db = f.deriv(), b.deriv()
-        B = VectorFieldHandle(fn=lambda x, b=b: b(x), jac=lambda x, db=db: db(x)[..., None])
+        field = builtin_coefficients(
+            "custom", d=1, m=1,
+            sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
+            b=lambda t, X, b=b: b(X),
+            b_jac=lambda t, X, db=db: db(X)[..., None],
+        )
         lhs = gauss_expectation(lambda x, b=b, df=df: b(x[:, 0]) * df(x[:, 0]), quad)
-        rhs = gauss_expectation(lambda x, f=f, B=B: f(x[:, 0]) * gauss_divergence(B, x), quad)
+        rhs = gauss_expectation(lambda x, f=f, field=field: f(x[:, 0]) * field.evaluate(0.0, x).delta_b, quad)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-6
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from flowlab.coefficients import (
     validate_hypotheses,
 )
 from flowlab.errors import CapabilityError
+from flowlab.gaussian import _delta
 from flowlab.oracles import gaussian_abs_moment
 
 from conftest import make_sine_field
@@ -170,7 +172,7 @@ class TestRegularizeDrift:
         reg = regularize_drift(ou1, level, quad1)
         identity = drift_divergence_identity(ou1, level, quad1)
         pts = np.array([[0.0], [0.4], [-1.3]])
-        np.testing.assert_allclose(identity(0.5, pts), reg.delta_b(0.5, pts), atol=1e-8)
+        np.testing.assert_allclose(identity(0.5, pts), reg.evaluate(0.5, pts).delta_b, atol=1e-8)
 
     def test_delta_b_sign_drift_singular_part(self, sign1, quad1):
         # for the sign drift, div b carries a point mass at the kink that the
@@ -181,7 +183,7 @@ class TestRegularizeDrift:
         reg = regularize_drift(sign1, level, quad1)
         identity = drift_divergence_identity(sign1, level, quad1)
         pts = np.array([[0.0], [0.4], [-1.3]])
-        gap = identity(0.5, pts) - reg.delta_b(0.5, pts)
+        gap = identity(0.5, pts) - reg.evaluate(0.5, pts).delta_b
         decay = math.exp(-eps)
         spread = math.sqrt(1.0 - decay**2)
         dirac_image = (
@@ -341,12 +343,23 @@ class TestTimeDependentRoutes:
             )
 
 
+def _separate_deltas(field, t, X):
+    """δ(σ_t) and δ(b_t) from separate calls of each coefficient map."""
+    sig = np.asarray(field.sigma(t, X), dtype=float)
+    delta_sigma = _delta(sig, X, field.sigma_jacobian(t, X))
+    if field.delta_b_fn is not None:
+        delta_b = np.asarray(field.delta_b_fn(t, X), dtype=float)
+    else:
+        delta_b = _delta(np.asarray(field.b(t, X), dtype=float), X, field.b_jacobian(t, X))
+    return delta_sigma, delta_b
+
+
 def _parent_phi(field, t, X):
     """Φ as the density module summed it before ``evaluate`` existed."""
     sig = np.asarray(field.sigma(t, X), dtype=float)
     jac = field.sigma_jacobian(t, X)
     return (
-        np.asarray(field.delta_b(t, X), dtype=float)
+        _separate_deltas(field, t, X)[1]
         + 0.5 * np.einsum("...am,...am->...", sig, sig)
         + 0.5 * np.einsum("...jab,...jba->...", jac, jac)
     )
@@ -366,9 +379,29 @@ class TestEvaluate:
         X = np.random.default_rng(5).normal(size=(33, field.d)) * 2.0
         t = 0.3
         ev = field.evaluate(t, X)
-        assert np.array_equal(ev.delta_sigma, field.delta_sigma(t, X))
-        assert np.array_equal(ev.delta_b, field.delta_b(t, X))
+        delta_sigma, delta_b = _separate_deltas(field, t, X)
+        assert np.array_equal(ev.delta_sigma, delta_sigma)
+        assert np.array_equal(ev.delta_b, delta_b)
         assert np.array_equal(ev.phi, _parent_phi(field, t, X))
+
+    def test_derivatives_computed_on_first_read(self, sine_field):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(t, X):
+                calls[name] += 1
+                return fn(t, X)
+            return wrapper
+
+        # δ(b) from the drift's Jacobian, not a declared δ(b)
+        field = replace(sine_field, delta_b_fn=None, **{
+            name: counted(name, getattr(sine_field, name)) for name in ("sigma", "b", "sigma_jac", "b_jac")
+        })
+        ev = field.evaluate(0.3, np.linspace(-2.0, 2.0, 9)[:, None])
+        assert calls == {"sigma": 1, "b": 1}
+        for _ in range(2):
+            ev.phi, ev.delta_sigma2, ev.grad_hs2, ev.delta_b, ev.delta_sigma
+        assert calls == {"sigma": 1, "b": 1, "sigma_jac": 1, "b_jac": 1}
 
 
 class TestValidateHypotheses:
@@ -406,18 +439,18 @@ class TestCatalog:
         assert translate1.c1 == 1.0
         assert translate1.growth_const == 1.0
         pts = np.array([[2.0]])
-        np.testing.assert_allclose(translate1.delta_sigma(0.0, pts), [[2.0]])
+        np.testing.assert_allclose(translate1.evaluate(0.0, pts).delta_sigma, [[2.0]])
 
     def test_ou_divergence(self, ou1):
         pts = np.array([[0.0], [1.0], [2.0]])
-        np.testing.assert_allclose(ou1.delta_b(0.0, pts), 1.0 - pts[:, 0] ** 2)
+        np.testing.assert_allclose(ou1.evaluate(0.0, pts).delta_b, 1.0 - pts[:, 0] ** 2)
 
     def test_sign_drift(self, sign1):
         pts = np.array([[0.5], [-3.0]])
         vals = sign1.b(0.0, pts)
         np.testing.assert_allclose(np.abs(vals[:, 0]), 1.0)
         assert sign1.b_measurable_only
-        np.testing.assert_allclose(sign1.delta_b(0.0, pts), np.abs(pts[:, 0]))
+        np.testing.assert_allclose(sign1.evaluate(0.0, pts).delta_b, np.abs(pts[:, 0]))
 
     def test_anisotropic(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -425,7 +458,7 @@ class TestCatalog:
         assert field.m == 2
         assert field.c1 == pytest.approx(np.linalg.eigvalsh(A @ A.T)[0])
         pts = np.array([[1.0, -1.0]])
-        np.testing.assert_allclose(field.delta_sigma(0.0, pts)[0], A.T @ pts[0])
+        np.testing.assert_allclose(field.evaluate(0.0, pts).delta_sigma[0], A.T @ pts[0])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -442,5 +475,5 @@ def test_full_pipeline_composition(sign1, quad1):
     reg = regularize(sign1, RegularizationLevel(8), quad1)
     pts = np.array([[0.3], [-0.9]])
     assert reg.sigma(0.0, pts).shape == (2, 1, 1)
-    assert np.isfinite(reg.delta_b(0.25, pts)).all()
+    assert np.isfinite(reg.evaluate(0.25, pts).delta_b).all()
     assert not reg.b_measurable_only

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowlab.sde
 from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize, validate_hypotheses
 from flowlab.density import (
     DensityAccumulator,
     DensityRecordBatch,
+    StratonovichAccumulator,
+    _strat_correction_divergence,
     batch_statistic,
     budget_constants,
     entropy_estimate,
-    log_density_along,
     lp_norm_estimate,
     mass_estimate,
-    phi_integrand,
     pushforward_logK,
     run_density_ensemble,
-    stratonovich_log_density,
     theorem_bound_rhs,
     time_threshold,
 )
@@ -30,34 +30,66 @@ from flowlab.oracles import (
     translate_entropy_mc,
     translate_lp_norm,
 )
-from flowlab.sde import sample_brownian, simulate, simulate_ensemble
+from flowlab.rng import brownian_increments
+from flowlab.sde import simulate_ensemble
 
-from conftest import make_sine_field
+from conftest import StoredStates, make_sine_field
+
+
+def _ito_along(field, traj, inc, s, dt):
+    """Ito S and D along one stored path, one ``evaluate`` per step."""
+    S = D = 0.0
+    for k in range(inc.shape[0]):
+        ev = field.evaluate(s + k * dt, traj[k][None, :])
+        S += float(ev.delta_sigma[0] @ inc[k])
+        D += float(ev.phi[0]) * dt
+    return S, D
+
+
+def _stratonovich_along(field, traj, inc, s, dt):
+    """Midpoint S and drift-δ(b~) D along one stored path, evaluating both ends of every step."""
+    S = D = 0.0
+    for k in range(inc.shape[0]):
+        t0 = s + k * dt
+        t1 = t0 + dt
+        x0 = traj[k][None, :]
+        x1 = traj[k + 1][None, :]
+        ev0 = field.evaluate(t0, x0)
+        ev1 = field.evaluate(t1, x1)
+        S += float(0.5 * (ev0.delta_sigma[0] + ev1.delta_sigma[0]) @ inc[k])
+        corr0 = float(_strat_correction_divergence(field, t0, x0)[0])
+        corr1 = float(_strat_correction_divergence(field, t1, x1)[0])
+        D += 0.5 * ((float(ev0.delta_b[0]) - 0.5 * corr0) + (float(ev1.delta_b[0]) - 0.5 * corr1)) * dt
+    return S, D
 
 
 class TestPhiIntegrand:
     def test_identity_diffusion(self):
         field = builtin_coefficients("translate", d=2)
-        val = phi_integrand(field, 0.0, np.zeros((1, 2)))
+        val = field.evaluate(0.0, np.zeros((1, 2))).phi
         assert val[0] == pytest.approx(1.0)
 
     def test_ou_linear(self, ou1):
         pts = np.array([[0.0], [1.0], [-2.0]])
         np.testing.assert_allclose(
-            phi_integrand(ou1, 0.0, pts), (1.0 - pts[:, 0] ** 2) + 0.5, rtol=1e-12
+            ou1.evaluate(0.0, pts).phi, (1.0 - pts[:, 0] ** 2) + 0.5, rtol=1e-12
         )
 
     def test_varying_sigma(self, sine_field):
         pts = np.array([[0.3], [1.9]])
         x = pts[:, 0]
         expected = 0.5 * (2.0 + np.sin(x)) ** 2 + 0.5 * np.cos(x) ** 2
-        np.testing.assert_allclose(phi_integrand(sine_field, 0.0, pts), expected, rtol=1e-10)
+        np.testing.assert_allclose(sine_field.evaluate(0.0, pts).phi, expected, rtol=1e-10)
 
 
 class TestAccumulatorStep:
     @staticmethod
-    def _smoothing_calls(field, monkeypatch):
-        """``ou_smooth``/``ou_smooth_grad`` calls made by one accumulator step on ``field``."""
+    def _smoothing_calls(field, monkeypatch, run=run_density_ensemble):
+        """``ou_smooth``/``ou_smooth_grad`` calls made by one Euler step of 16 paths on ``field``.
+
+        ``run`` is ``run_density_ensemble`` (the step feeds the density
+        accumulator) or ``simulate_ensemble`` (a plain step).
+        """
         from flowlab import coefficients
 
         calls = {"ou_smooth": 0, "ou_smooth_grad": 0}
@@ -72,17 +104,20 @@ class TestAccumulatorStep:
 
         for name in calls:
             monkeypatch.setattr(coefficients, name, counted(name))
-        acc = DensityAccumulator(field, 1e-3)
-        acc.alloc(16)
         X = np.stack([np.linspace(-2.0, 2.0, 16)] * field.d, axis=-1)
-        acc.step(slice(0, 16), 0, 0.1, X, np.full((16, field.m), 0.01))
+        run(field, 0.0, 1e-3, X, 1e-3, seed=0)
         return calls
 
     def test_regularized_step_smooths_each_coefficient_once(self, quad2, monkeypatch):
         # d = 2 smooths on moving nodes: σ^n once, ∇σ^n (P_ε σ and P_ε ∇σ stacked) once,
-        # b^n once, ∇b^n once
+        # b^n once, ∇b^n once; the Euler step and the density weight share σ^n and b^n
         reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
         assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 3, "ou_smooth_grad": 1}
+
+    def test_plain_step_smooths_no_derivative(self, quad2, monkeypatch):
+        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
+        calls = self._smoothing_calls(reg, monkeypatch, run=simulate_ensemble)
+        assert calls == {"ou_smooth": 2, "ou_smooth_grad": 0}
 
     def test_regularized_step_in_d1_reads_tables(self, sign1, quad1, monkeypatch):
         # d = 1 and time-independent: every coefficient is a lookup in the level's tables
@@ -118,12 +153,12 @@ class TestRecords:
         assert guarded.mean() <= 1e-2
 
     def test_accumulator_matches_single_trajectory(self, sine_field):
-        path = sample_brownian(0.0, 0.2, 1e-2, 1, seed=3, index=0)
-        traj = simulate(sine_field, 0.0, 0.2, np.array([0.4]), path)
-        rec_single = log_density_along(sine_field, traj, path)
+        store = StoredStates(20, 1)
+        simulate_ensemble(sine_field, 0.0, 0.2, np.array([[0.4]]), 1e-2, seed=3, accumulators=(store,))
+        S, D = _ito_along(sine_field, store.paths[0], brownian_increments(3, 0, 20, 1, 1e-2), 0.0, 1e-2)
         _, rec_ens = run_density_ensemble(sine_field, 0.0, 0.2, np.array([[0.4]]), 1e-2, seed=3)
-        assert rec_single.S[0] == pytest.approx(rec_ens.S[0], rel=1e-12)
-        assert rec_single.D[0] == pytest.approx(rec_ens.D[0], rel=1e-12)
+        assert S == pytest.approx(rec_ens.S[0], rel=1e-12)
+        assert D == pytest.approx(rec_ens.D[0], rel=1e-12)
 
     def test_ou_exact_density_ratio(self, ou1):
         tau = 0.25
@@ -138,13 +173,33 @@ class TestRecords:
     def test_stratonovich_matches_ito_to_first_order(self, sine_field):
         diffs = []
         for dt in (4e-3, 2e-3):
-            path = sample_brownian(0.0, 0.2, dt, 1, seed=11, index=0)
-            traj = simulate(sine_field, 0.0, 0.2, np.array([0.3]), path)
-            ito = log_density_along(sine_field, traj, path)
-            strat = stratonovich_log_density(sine_field, traj, path)
-            diffs.append(abs(ito.log_ktilde[0] - strat.log_ktilde[0]))
+            ito = DensityAccumulator(dt)
+            strat = StratonovichAccumulator(sine_field, dt)
+            simulate_ensemble(sine_field, 0.0, 0.2, np.array([[0.3]]), dt, seed=11,
+                              accumulators=(ito, strat))
+            diffs.append(abs((ito.S[0] + ito.D[0]) - (strat.S[0] + strat.D[0])))
         assert diffs[1] < diffs[0]
         assert diffs[1] < 0.05
+
+    def test_stratonovich_accumulator_matches_per_path_loop(self, sine_field, monkeypatch):
+        n_steps, dt, seed = 20, 1e-2, 5
+        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * n_steps)  # chunks of 64 paths
+        starts = np.linspace(-1.5, 1.5, 150)[:, None]
+        assert len(flowlab.sde._chunk_edges(150, n_steps, 1)) == 3
+        runs = []
+        for threads in (1, 2):
+            strat = StratonovichAccumulator(sine_field, dt)
+            store = StoredStates(n_steps, 1)
+            simulate_ensemble(sine_field, 0.0, 0.2, starts, dt, seed, threads=threads,
+                              accumulators=(strat, store))
+            runs.append(strat)
+        assert np.array_equal(runs[0].S, runs[1].S)
+        assert np.array_equal(runs[0].D, runs[1].D)
+        for j in range(0, 150, 7):
+            inc = brownian_increments(seed, j, n_steps, 1, dt)
+            S, D = _stratonovich_along(sine_field, store.paths[j], inc, 0.0, dt)
+            assert strat.S[j] == pytest.approx(S, rel=1e-12)
+            assert strat.D[j] == pytest.approx(D, rel=1e-12)
 
 
 class TestStatistics:

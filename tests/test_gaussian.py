@@ -5,23 +5,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlab.coefficients import builtin_coefficients
 from flowlab.errors import CapabilityError, EvaluationError
 from flowlab.gaussian import (
     TABLE_RADIUS,
     GaussianQuadrature,
     HermiteTable,
-    VectorFieldHandle,
     default_quadrature,
     fd_jacobian,
-    gauss_divergence,
     gauss_expectation,
     gauss_log_expectation,
-    matrix_divergence,
     ou_smooth,
     ou_smooth_grad,
     ou_smooth_table,
 )
 from flowlab.oracles import gaussian_abs_moment, gaussian_exp_quadratic
+
+
+def _drift_field(b, d, jac=None, measurable_only=False):
+    """``custom`` field with σ = Id and drift ``b(x)``; without ``jac``, ∇b is by central differences."""
+    return builtin_coefficients(
+        "custom", d=d, m=d,
+        sigma=lambda t, X: np.broadcast_to(np.eye(d), np.shape(X)[:-1] + (d, d)),
+        b=lambda t, X: b(X),
+        b_jac=None if jac is None else (lambda t, X: jac(X)),
+        b_measurable_only=measurable_only,
+    )
+
+
+def _delta_b(b, x, jac=None):
+    """δ(b)(x) read off ``evaluate`` of ``_drift_field(b)``."""
+    x = np.asarray(x, dtype=float)
+    return _drift_field(b, x.shape[-1], jac).evaluate(0.0, x).delta_b
+
+
+def _delta_sigma(sigma, x, m):
+    """δ of each column of σ(x), read off ``evaluate`` with central-difference ∇σ."""
+    x = np.asarray(x, dtype=float)
+    field = builtin_coefficients(
+        "custom", d=x.shape[-1], m=m, sigma=lambda t, X: sigma(X), b=lambda t, X: np.zeros(np.shape(X)),
+    )
+    return field.evaluate(0.0, x).delta_sigma
 
 
 class TestQuadrature:
@@ -77,24 +101,23 @@ class TestQuadrature:
 
 class TestDivergence:
     def test_linear_field_1d(self):
-        B = VectorFieldHandle(fn=lambda x: x)
         x = np.array([[0.5], [2.0], [-1.0]])
-        np.testing.assert_allclose(gauss_divergence(B, x), x[:, 0] ** 2 - 1.0, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(_delta_b(lambda x: x, x), x[:, 0] ** 2 - 1.0, rtol=1e-8, atol=1e-10)
 
     def test_rotation_field_2d(self):
-        B = VectorFieldHandle(fn=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1))
         pts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
-        np.testing.assert_allclose(gauss_divergence(B, pts), 0.0, atol=1e-7)
+        rotation = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)
+        np.testing.assert_allclose(_delta_b(rotation, pts), 0.0, atol=1e-7)
 
     def test_constant_field(self):
-        B = VectorFieldHandle(fn=lambda x: np.ones_like(x))
         x = np.array([[1.7]])
-        assert gauss_divergence(B, x)[0] == pytest.approx(1.7, abs=1e-9)
+        assert _delta_b(np.ones_like, x)[0] == pytest.approx(1.7, abs=1e-9)
 
     def test_capability_error(self):
-        B = VectorFieldHandle(fn=lambda x: np.sign(x), differentiable=False)
+        ev = _drift_field(np.sign, 1, measurable_only=True).evaluate(0.0, np.array([[1.0]]))
+        # σ and b evaluate; only reading δ(b) asks for the Jacobian a measurable drift lacks
         with pytest.raises(CapabilityError):
-            gauss_divergence(B, np.array([1.0]))
+            ev.delta_b
 
     def test_fd_matches_analytic(self):
         fn = lambda x: np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2], axis=-1)
@@ -110,13 +133,13 @@ class TestDivergence:
     def test_matrix_divergence_identity(self):
         sig = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
         pts = np.array([[0.7, -0.3]])
-        np.testing.assert_allclose(matrix_divergence(sig, pts)[0], pts[0], atol=1e-8)
+        np.testing.assert_allclose(_delta_sigma(sig, pts, 2)[0], pts[0], atol=1e-8)
 
     def test_matrix_divergence_single_column(self):
         # d=2, m=1 column (x2, -x1): divergence-free and orthogonal to x
         sig = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)[..., None]
         pts = np.array([[1.0, 2.0]])
-        np.testing.assert_allclose(matrix_divergence(sig, pts), 0.0, atol=1e-7)
+        np.testing.assert_allclose(_delta_sigma(sig, pts, 1), 0.0, atol=1e-7)
 
     def test_adjoint_identity_polynomials(self, quad1):
         # <B, grad f> and f delta(B) integrate identically for polynomial data
@@ -126,9 +149,11 @@ class TestDivergence:
             (lambda x: x, lambda x: np.ones_like(x), lambda x: x**3 - x, lambda x: 3 * x**2 - 1),
         ]
         for f, df, bf, dbf in cases:
-            B = VectorFieldHandle(fn=lambda x, bf=bf: bf(x), jac=lambda x, dbf=dbf: dbf(x)[..., None])
             lhs = gauss_expectation(lambda x, bf=bf, df=df: bf(x[:, 0]) * df(x[:, 0]), quad1)
-            rhs = gauss_expectation(lambda x, f=f, B=B: f(x[:, 0]) * gauss_divergence(B, x), quad1)
+            rhs = gauss_expectation(
+                lambda x, f=f, bf=bf, dbf=dbf: f(x[:, 0]) * _delta_b(bf, x, jac=lambda x: dbf(x)[..., None]),
+                quad1,
+            )
             assert abs(lhs - rhs) <= 1e-6
 
     @settings(max_examples=25, deadline=None)
@@ -142,9 +167,8 @@ class TestDivergence:
         df = f.deriv()
         b = np.polynomial.Polynomial(bc)
         db = b.deriv()
-        B = VectorFieldHandle(fn=lambda x: b(x), jac=lambda x: db(x)[..., None])
         lhs = gauss_expectation(lambda x: b(x[:, 0]) * df(x[:, 0]), quad)
-        rhs = gauss_expectation(lambda x: f(x[:, 0]) * gauss_divergence(B, x), quad)
+        rhs = gauss_expectation(lambda x: f(x[:, 0]) * _delta_b(b, x, jac=lambda x: db(x)[..., None]), quad)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs))
 
 

@@ -9,34 +9,40 @@ from flowlab.coefficients import builtin_coefficients
 from flowlab.convergence import coupling_convergence
 from flowlab.errors import ConfigError, ExplosionError
 from flowlab.rng import brownian_increments, standard_normals, substream
-from flowlab.sde import (
-    BrownianPath,
-    FlowEnsemble,
-    empirical_modulus,
-    make_grid,
-    sample_brownian,
-    simulate,
-    simulate_ensemble,
-)
+from flowlab.sde import empirical_modulus, make_grid, simulate_ensemble
+
+from conftest import StoredStates
+
+
+def _euler_states(field, x0, inc, s, dt):
+    """States (n_steps + 1, d) of one path stepped by ``_euler`` under ``inc`` (n_steps, m)."""
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    states = [x0[0]]
+
+    def store(k, t, before, evs, after):
+        states.append(after[0][0])
+
+    flowlab.sde._euler([field], x0, inc[None], s, dt, inc.shape[0], store)
+    return np.array(states)
 
 
 class TestBrownianPath:
     def test_reproducible(self):
-        a = sample_brownian(0.0, 1.0, 1e-2, 2, seed=9, index=5)
-        b = sample_brownian(0.0, 1.0, 1e-2, 2, seed=9, index=5)
-        assert np.array_equal(a.increments, b.increments)
+        a = brownian_increments(9, 5, 100, 2, 1e-2)
+        b = brownian_increments(9, 5, 100, 2, 1e-2)
+        assert np.array_equal(a, b)
 
     def test_stream_separation(self):
-        a = sample_brownian(0.0, 1.0, 1e-2, 1, seed=9, index=5)
-        b = sample_brownian(0.0, 1.0, 1e-2, 1, seed=9, index=6)
-        c = sample_brownian(0.0, 1.0, 1e-2, 1, seed=10, index=5)
-        assert not np.array_equal(a.increments, b.increments)
-        assert not np.array_equal(a.increments, c.increments)
+        a = brownian_increments(9, 5, 100, 1, 1e-2)
+        b = brownian_increments(9, 6, 100, 1, 1e-2)
+        c = brownian_increments(10, 5, 100, 1, 1e-2)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_increment_scaling(self):
         dt = 1e-3
-        path = sample_brownian(0.0, 100.0, dt, 1, seed=1, index=0)
-        scaled = path.increments[:, 0] / math.sqrt(dt)
+        inc = brownian_increments(1, 0, make_grid(0.0, 100.0, dt), 1, dt)
+        scaled = inc[:, 0] / math.sqrt(dt)
         n = scaled.shape[0]
         # sample variance of N(0,1) has std sqrt(2/n)
         assert abs(scaled.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
@@ -47,10 +53,14 @@ class TestBrownianPath:
         assert abs(inc.mean()) <= 5.0 / math.sqrt(1e6) * math.sqrt(dt)
 
     def test_values_cumulative(self):
-        path = sample_brownian(0.0, 0.1, 1e-2, 2, seed=0, index=0)
-        vals = path.values()
-        assert vals.shape == (11, 2)
-        np.testing.assert_allclose(vals[-1], path.increments.sum(axis=0))
+        # the Brownian path integral_convergence reads: the translate flow from 0 on substream j
+        store = StoredStates(10, 2)
+        translate2 = builtin_coefficients("translate", d=2)
+        simulate_ensemble(translate2, 0.0, 0.1, np.zeros((1, 2)), 1e-2, seed=0, accumulators=(store,))
+        inc = brownian_increments(0, 0, 10, 2, 1e-2)
+        assert store.paths.shape == (1, 11, 2)
+        np.testing.assert_array_equal(store.paths[0, 0], 0.0)
+        np.testing.assert_array_equal(store.paths[0, 1:], np.cumsum(inc, axis=0))
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
@@ -182,15 +192,14 @@ class TestNoiseSpan:
 
 class TestSimulate:
     def test_frozen_path_stays_put(self, translate1):
-        path = BrownianPath.zeros(0.0, 1.0, 1e-2, 1)
-        traj = simulate(translate1, 0.0, 1.0, np.array([1.7]), path)
+        traj = _euler_states(translate1, [1.7], np.zeros((100, 1)), 0.0, 1e-2)
         np.testing.assert_array_equal(traj, np.full((101, 1), 1.7))
 
     def test_translate_is_exact(self, translate1):
-        path = sample_brownian(0.0, 1.0, 1e-2, 1, seed=4, index=2)
-        traj = simulate(translate1, 0.0, 1.0, np.array([0.3]), path)
+        inc = brownian_increments(4, 2, 100, 1, 1e-2)
+        traj = _euler_states(translate1, [0.3], inc, 0.0, 1e-2)
         # sequential vs pairwise summation differ only at rounding level
-        np.testing.assert_allclose(traj[:, 0], 0.3 + path.values()[:, 0], rtol=0, atol=5e-15)
+        np.testing.assert_allclose(traj[1:, 0], 0.3 + np.cumsum(inc[:, 0]), rtol=0, atol=5e-15)
 
     def test_constant_coefficients_exact(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -202,36 +211,36 @@ class TestSimulate:
             b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (2, 2)),
             growth_const=3.0, exp_const=0.05, name="affine",
         )
-        path = sample_brownian(0.0, 0.5, 1e-2, 2, seed=8, index=0)
         x0 = np.array([1.0, -1.0])
-        traj = simulate(field, 0.0, 0.5, x0, path)
-        wT = path.values()[-1]
+        ens = simulate_ensemble(field, 0.0, 0.5, x0[None], 1e-2, seed=8)
+        wT = brownian_increments(8, 0, 50, 2, 1e-2).sum(axis=0)
         expected = x0 + A @ wT + np.array([0.3, -0.2]) * 0.5
-        np.testing.assert_allclose(traj[-1], expected, rtol=1e-12)
+        np.testing.assert_allclose(ens.xT[0], expected, rtol=1e-12)
 
     def test_ou_single_euler_step(self, ou1):
-        path = BrownianPath.zeros(0.0, 0.01, 0.01, 1)
-        traj = simulate(ou1, 0.0, 0.01, np.array([1.0]), path)
+        traj = _euler_states(ou1, [1.0], np.zeros((1, 1)), 0.0, 0.01)
         assert traj[-1, 0] == pytest.approx(0.99)
 
     def test_degenerate_horizon(self, translate1):
-        path = BrownianPath.zeros(0.0, 1.0, 1e-2, 1)
-        traj = simulate(translate1, 0.0, 0.0, np.array([2.0]), path)
-        np.testing.assert_array_equal(traj, [[2.0]])
+        store = StoredStates(0, 1)
+        ens = simulate_ensemble(translate1, 0.0, 0.0, np.array([[2.0]]), 1e-2, seed=0,
+                                accumulators=(store,))
+        assert ens.n_steps == 0
+        np.testing.assert_array_equal(ens.xT, [[2.0]])
 
     def test_explosion_guard(self, rocket1):
-        path = sample_brownian(0.0, 1.0, 0.1, 1, seed=0, index=0)
+        inc = brownian_increments(0, 0, 10, 1, 0.1)
         with pytest.raises(ExplosionError) as err:
-            simulate(rocket1, 0.0, 1.0, np.array([0.0]), path)
+            _euler_states(rocket1, [0.0], inc, 0.0, 0.1)
         assert err.value.step is not None
 
 
 class TestEnsemble:
     def test_single_matches_simulate(self, ou1):
-        path = sample_brownian(0.0, 0.5, 1e-2, 1, seed=21, index=0)
-        traj = simulate(ou1, 0.0, 0.5, np.array([0.7]), path)
-        ens = simulate_ensemble(ou1, 0.0, 0.5, np.array([[0.7]]), 1e-2, seed=21, store_paths=True)
-        np.testing.assert_array_equal(ens.paths[0], traj)
+        traj = _euler_states(ou1, [0.7], brownian_increments(21, 0, 50, 1, 1e-2), 0.0, 1e-2)
+        store = StoredStates(50, 1)
+        ens = simulate_ensemble(ou1, 0.0, 0.5, np.array([[0.7]]), 1e-2, seed=21, accumulators=(store,))
+        np.testing.assert_array_equal(store.paths[0], traj)
         np.testing.assert_array_equal(ens.xT[0], traj[-1])
 
     def test_worker_count_invariance(self, ou1):
@@ -288,28 +297,51 @@ class TestStrongOrder:
         assert errs[4] <= errs[1] / 2.0
 
     def test_modulus_translate(self, translate1):
-        ens = simulate_ensemble(
-            translate1, 0.0, 0.5, ("gaussian", 2000), 1e-3, seed=31, store_paths=True
+        windows = [0.05, 0.1, 0.2, 0.4]
+        lengths, moments, exponent = empirical_modulus(
+            translate1, 0.0, windows, ("gaussian", 2000), 1e-3, seed=31
         )
-        lengths, moments, exponent = empirical_modulus(ens, [0.05, 0.1, 0.2, 0.4])
         assert 1.8 <= exponent <= 2.2
+        # the streamed running ranges equal the ranges of the stored states bit for bit
+        store = StoredStates(400, 1)
+        simulate_ensemble(translate1, 0.0, 0.4, ("gaussian", 2000), 1e-3, seed=31, accumulators=(store,))
+        for ell, moment in zip(lengths, moments):
+            seg = store.paths[:, : int(round(ell / 1e-3)) + 1, :]
+            ranges = seg.max(axis=1) - seg.min(axis=1)
+            assert moment == np.mean(np.linalg.norm(ranges, axis=-1) ** 4)
         # increment fourth moment oracle: E|X_{t+l} - X_t|^4 = 3 l^2
-        k = int(0.2 / 1e-3)
-        inc = ens.paths[:, k, 0] - ens.paths[:, 0, 0]
+        inc = store.paths[:, 200, 0] - store.paths[:, 0, 0]
         m4 = np.mean(inc**4)
         assert m4 == pytest.approx(3 * 0.2**2, rel=0.2)
 
-    def test_modulus_frozen(self, translate1):
-        paths = np.full((1500, 11, 1), 0.3)
-        ens = FlowEnsemble(
-            field_name="frozen", s=0.0, T=0.1, dt=0.01, seed=0,
-            x0=paths[:, 0], xT=paths[:, -1], n_initials=1500, replicas=1, paths=paths,
+    def test_modulus_chunk_and_thread_invariant(self, monkeypatch):
+        translate2 = builtin_coefficients("translate", d=2)
+        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * 20 * 2)  # chunks of 64 paths
+        assert len(flowlab.sde._chunk_edges(1100, 20, 2)) == 18
+        kw = dict(initials=("gaussian", 1100), dt=1e-2, seed=3)
+        runs = [empirical_modulus(translate2, 0.0, [0.05, 0.1, 0.2], threads=t, **kw) for t in (1, 2)]
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert runs[0][2] == runs[1][2]
+        store = StoredStates(20, 2)
+        simulate_ensemble(translate2, 0.0, 0.2, threads=2, accumulators=(store,), **kw)
+        for k, moment in zip((5, 10, 20), runs[1][1]):
+            seg = store.paths[:, : k + 1, :]
+            ranges = seg.max(axis=1) - seg.min(axis=1)
+            assert moment == np.mean(np.linalg.norm(ranges, axis=-1) ** 4)
+
+    def test_modulus_frozen(self):
+        frozen = builtin_coefficients(
+            "custom", d=1, m=1,
+            sigma=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
+            b=lambda t, X: np.zeros(np.shape(X)),
+            growth_const=1.0, exp_const=0.1, name="frozen",
         )
-        _, moments, _ = empirical_modulus(ens, [0.02, 0.05])
+        _, moments, exponent = empirical_modulus(frozen, 0.0, [0.02, 0.05], np.full((1500, 1), 0.3), 0.01, seed=0)
         np.testing.assert_array_equal(moments, 0.0)
+        assert exponent == 0.0
 
     def test_modulus_needs_trajectories(self, translate1):
-        ens = simulate_ensemble(translate1, 0.0, 0.1, ("gaussian", 10), 1e-2, seed=0, store_paths=True)
         with pytest.raises(ConfigError):
-            empirical_modulus(ens, [0.05])
-
+            empirical_modulus(translate1, 0.0, [0.05], ("gaussian", 10), 1e-2, seed=0)
+        with pytest.raises(ConfigError):
+            empirical_modulus(translate1, 0.0, [0.004, 0.05], ("gaussian", 1000), 1e-2, seed=0)
