@@ -25,16 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ConfigError
 from .sde import make_grid
 
-EXPERIMENT_KINDS = (
-    "density_bound",
-    "entropy_budget",
-    "coupling",
-    "krylov",
-    "fokker_planck",
-    "validate",
-    "oracle_suite",
-)
-
 # fields ``build_field`` can construct from config keys alone; ``anisotropic``
 # needs a matrix, which no config key supplies
 FIELD_KEYS = ("translate", "ou_linear", "sign_drift")
@@ -122,6 +112,8 @@ _SCHEMAS = {
     },
     "oracle_suite": dict(_COMMON),
 }
+
+EXPERIMENT_KINDS = tuple(_SCHEMAS)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ space: the occupation-measure (Krylov-type) functional and its stability on
 thin space-time sets, convergence of stochastic integrals with varying
 integrands against a shared Brownian path, and the convergence of solutions
 under coefficient regularization, where every level n shares the trajectory's
-Brownian substream and is compared pathwise against the finest level.
+Brownian substream and is compared pathwise against the finest level.  Each
+study is an accumulator on one ``simulate_ensemble`` run; the coupling's run
+is the finest level's flow, beside which its accumulator steps the others.
 """
 
 import math
@@ -16,11 +18,10 @@ import numpy as np
 from .coefficients import RegularizationLevel, builtin_coefficients, regularize
 from .density import Estimate, batch_statistic
 from .errors import ConfigError
-from .sde import _euler, _resolve_initials, _run_chunks, make_grid, simulate_ensemble
+from .sde import _euler_step, make_grid, simulate_ensemble
 
 __all__ = [
     "CouplingReport",
-    "CouplingRun",
     "IntegralConvergenceReport",
     "KrylovAccumulator",
     "KrylovReport",
@@ -219,21 +220,43 @@ def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, thr
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CouplingRun:
+class CouplingReport:
     levels: tuple
     n_ref: int
     seed: int
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    run: CouplingRun
     deviations: tuple        # Estimate of E sup_t |X^n - X^{ref}| per level
     monotone_steps: int      # count of strict decreases between consecutive levels
     final_over_first: float
 
     def rows(self):
-        return list(zip(self.run.levels, self.deviations))
+        return list(zip(self.levels, self.deviations))
+
+
+class _CouplingAccumulator:
+    """Regularization levels stepped beside the reference flow under its increments.
+
+    Per trajectory it carries the level states across steps (levels x n_traj
+    x d, so each level's rows of a chunk are contiguous; started at the
+    reference's start) and keeps the running sup of |X^n - X^{ref}| per level.
+    """
+
+    def __init__(self, fields, d, dt):
+        self.fields = fields
+        self.d = d
+        self.dt = dt
+
+    def alloc(self, n_traj):
+        self.Y = np.empty((len(self.fields), n_traj, self.d))
+        self.sup_dev = np.zeros((len(self.fields), n_traj))
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        Y = self.Y[:, sl]
+        if k == 0:
+            Y[:] = X
+        for li, fl in enumerate(self.fields):
+            Y[li] = _euler_step(fl, k, t, Y[li], dW, self.dt)[1]
+        dev = self.sup_dev[:, sl]
+        np.maximum(dev, np.linalg.norm(Y - X_next, axis=-1), out=dev)
 
 
 def coupling_convergence(
@@ -245,38 +268,29 @@ def coupling_convergence(
     All levels of one trajectory share the same Brownian increments (one
     substream per trajectory index), realizing the limit statement on a
     single probability space; the finest level stands in for the true
-    solution.  Returns per-level E sup_{t<=T} |X^n_t - X^{ref}_t|.
+    solution.  The reference level is the flow ``simulate_ensemble`` runs
+    and the other levels are stepped beside it by an accumulator.  Returns
+    per-level E sup_{t<=T} |X^n_t - X^{ref}_t|.  The reference steps first:
+    when it and a level explode at the same step, the ``ExplosionError``
+    names the reference's rows.
     """
     levels = sorted(n_list)
     if levels and levels[-1] > n_ref:
         raise ConfigError("reference level must be the finest")
-    n_steps = make_grid(s, T, dt)
-    x_init = _resolve_initials(initials, field.d, seed)
-    x0 = np.repeat(x_init, replicas, axis=0)
-    n_traj = x0.shape[0]
+    make_grid(s, T, dt)  # a coupling needs at least one step
+    *fields, ref = [regularize(field, RegularizationLevel(n), quad) for n in levels + [n_ref]]
+    acc = _CouplingAccumulator(fields, field.d, dt)
+    simulate_ensemble(ref, s, T, initials, dt, seed, replicas=replicas, threads=threads,
+                      accumulators=(acc,))
 
-    fields = [regularize(field, RegularizationLevel(n), quad) for n in levels + [n_ref]]
-
-    sup_dev = np.zeros((len(levels), n_traj))
-
-    def body(lo, hi, inc):
-        def track(k, t, before, evs, after):
-            for li in range(len(levels)):
-                dev = np.linalg.norm(after[li] - after[-1], axis=-1)
-                np.maximum(sup_dev[li, lo:hi], dev, out=sup_dev[li, lo:hi])
-
-        _euler(fields, x0[lo:hi], inc, s, dt, n_steps, track)
-
-    _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
-
-    deviations = tuple(
-        batch_statistic(sup_dev[i], lambda v: float(np.mean(v))) for i in range(len(levels))
-    )
+    deviations = tuple(batch_statistic(dev, lambda v: float(np.mean(v))) for dev in acc.sup_dev)
     values = [e.value for e in deviations]
     monotone = sum(1 for a, b in zip(values[:-1], values[1:]) if b < a)
     ratio = values[-1] / values[0] if values and values[0] > 0 else 0.0
     return CouplingReport(
-        run=CouplingRun(levels=tuple(levels), n_ref=n_ref, seed=seed),
+        levels=tuple(levels),
+        n_ref=n_ref,
+        seed=seed,
         deviations=deviations,
         monotone_steps=monotone,
         final_over_first=ratio,

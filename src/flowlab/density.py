@@ -144,12 +144,6 @@ class Estimate:
     value: float
     stderr: float
 
-    def upper(self, slack=3.0):
-        return self.value + slack * self.stderr
-
-    def within(self, target, slack=3.0):
-        return abs(self.value - target) <= slack * self.stderr
-
 
 def batch_statistic(values, stat):
     """Estimate with a √n-batch standard error for a (nonlinear) statistic."""

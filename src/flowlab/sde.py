@@ -10,15 +10,15 @@ chunks whose boundaries depend only on the problem size, draws each chunk's
 increments in one block (bit for bit the per-trajectory substreams, see
 :mod:`flowlab.rng`) and runs the caller's body on it, serially or on a thread
 pool; bodies write into disjoint slices of preallocated arrays, and per-chunk
-results come back in chunk order for the caller to reduce.  ``_euler`` is the
-only Euler step and the only place coefficients are evaluated along a path:
-one ``CoefficientField.evaluate`` per field per step, whose σ and b step the
-state and whose bundle the step's observer reads.  It advances one state per
-field under shared increments and guards every path against explosion.
-``simulate_ensemble`` and the regularization coupling are the two callers of
-``_run_chunks``.  Every path functional (the density weight, the occupation
-functional, the stochastic integrals, the modulus of continuity) is an
-accumulator streamed through ``simulate_ensemble``.
+results come back in chunk order for the caller to reduce.  ``_euler_step``
+is the only Euler update and the only place coefficients are evaluated along
+a path: one ``CoefficientField.evaluate`` per step, whose σ and b step the
+state and whose bundle the accumulators read; it guards every path against
+explosion.  ``simulate_ensemble`` is the only caller of ``_run_chunks`` and
+its chunk body the only loop over steps.  Every path functional (the density
+weight, the occupation functional, the stochastic integrals, the modulus of
+continuity, the coupling of regularization levels) is an accumulator
+streamed through ``simulate_ensemble``.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density
@@ -119,38 +119,24 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     return results
 
 
-def _euler(fields, X, inc, s, dt, n_steps, on_step=None):
-    """Advance one state per field from X under the shared increments ``inc``.
+def _euler_step(field, k, t, X, dW, dt):
+    """Step k of the Euler scheme from the left-point states X at time t.
 
-    Step k evaluates each field once, ev = ``evaluate(t_k, X)``, and maps X to
-    X + ev.sigma dW_k + ev.b dt with t_k = s + k dt and dW_k = inc[:, k], for
-    k in 0 .. n_steps-1.  ``on_step(k, t_k, before, evs, after)`` then sees
-    the left-point states, their bundles and the stepped states, one per
-    field.  A non-finite state or one beyond ``EXPLOSION_RADIUS`` raises
-    ``ExplosionError`` with the step and the exploded rows.  Returns the final
-    states.
+    Returns (ev, X_next) with ev = ``field.evaluate(t, X)`` and X_next =
+    X + ev.sigma dW + ev.b dt.  A non-finite stepped state or one beyond
+    ``EXPLOSION_RADIUS`` raises ``ExplosionError`` with step k + 1 and the
+    exploded rows of X.
     """
-    states = [X] * len(fields)
-    for k in range(n_steps):
-        t = s + k * dt
-        dW = inc[:, k, :]
-        evs, new = [], []
-        for fl, Y in zip(fields, states):
-            ev = fl.evaluate(t, Y)
-            Y = Y + np.einsum("nam,nm->na", ev.sigma, dW) + ev.b * dt
-            # one whole-array test per step; NaN fails the comparison too
-            if not np.abs(Y).max() <= EXPLOSION_RADIUS:
-                bad = ~np.isfinite(Y).all(axis=1) | (np.abs(Y).max(axis=1) > EXPLOSION_RADIUS)
-                rows = np.where(bad)[0].tolist()
-                raise ExplosionError(
-                    f"{len(rows)} trajectories exploded at step {k + 1}", step=k + 1, indices=rows
-                )
-            evs.append(ev)
-            new.append(Y)
-        if on_step is not None:
-            on_step(k, t, states, evs, new)
-        states = new
-    return states
+    ev = field.evaluate(t, X)
+    X_next = X + np.einsum("nam,nm->na", ev.sigma, dW) + ev.b * dt
+    # one whole-array test per step; NaN fails the comparison too
+    if not np.abs(X_next).max() <= EXPLOSION_RADIUS:
+        bad = ~np.isfinite(X_next).all(axis=1) | (np.abs(X_next).max(axis=1) > EXPLOSION_RADIUS)
+        rows = np.where(bad)[0].tolist()
+        raise ExplosionError(
+            f"{len(rows)} trajectories exploded at step {k + 1}", step=k + 1, indices=rows
+        )
+    return ev, X_next
 
 
 def _resolve_initials(initials, d, seed):
@@ -172,16 +158,18 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     drawn from a reserved substream.  Trajectory j uses initial point
     ``j // replicas`` and Brownian substream index j.
 
-    ``accumulators`` stream path functionals: each has ``alloc(n_traj)``,
-    called once before the run, and ``step(sl, k, t, X, dW, ev, X_next)``,
-    called at every step k of every chunk with the chunk's trajectory slice
-    ``sl``, t = s + k dt, the left-point states X, the increments dW of that
-    step, the step's coefficient bundle ``ev`` = ``field.evaluate(t, X)``
-    (see ``CoefficientValues``) and the stepped states X_next.  An
-    accumulator keeps its per-trajectory results in arrays it allocates and
-    writes only the entries of the trajectories in ``sl``, so chunks on
-    different threads never touch the same entry; callers read those arrays
-    after the run.
+    Each chunk is one loop over the steps: step k makes one ``_euler_step``
+    and then calls every accumulator.  ``accumulators`` stream path
+    functionals: each has ``alloc(n_traj)``, called once before the run, and
+    ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of every
+    chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
+    left-point states X, the increments dW of that step, the step's
+    coefficient bundle ``ev`` = ``field.evaluate(t, X)`` (see
+    ``CoefficientValues``) and the stepped states X_next.  An accumulator
+    keeps its per-trajectory results (and any state it carries across steps)
+    in arrays it allocates and writes only the entries of the trajectories in
+    ``sl``, so chunks on different threads never touch the same entry;
+    callers read those arrays after the run.
 
     ``T == s`` yields the degenerate ensemble (endpoints equal the starts,
     accumulators see no steps); otherwise dt must divide [s, T] (``make_grid``).
@@ -197,12 +185,15 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
 
     def body(lo, hi, inc):
         sl = slice(lo, hi)
-
-        def record(k, t, before, evs, after):
+        X = x0[sl]
+        for k in range(n_steps):
+            t = s + k * dt
+            dW = inc[:, k, :]
+            ev, X_next = _euler_step(field, k, t, X, dW, dt)
             for acc in accumulators:
-                acc.step(sl, k, t, before[0], inc[:, k, :], evs[0], after[0])
-
-        xT[sl] = _euler([field], x0[sl], inc, s, dt, n_steps, record)[0]
+                acc.step(sl, k, t, X, dW, ev, X_next)
+            X = X_next
+        xT[sl] = X
 
     _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
     return FlowEnsemble(
@@ -258,11 +249,12 @@ def empirical_modulus(field, s, window_lengths, initials, dt, seed, replicas=1, 
     steps = [int(round(ell / dt)) for ell in lengths]
     if steps[0] < 1:
         raise ConfigError(f"window length {lengths[0]} is shorter than dt")
-    acc = _ModulusAccumulator(steps, field.d)
-    ens = simulate_ensemble(field, s, s + steps[-1] * dt, initials, dt, seed,
-                            replicas=replicas, threads=threads, accumulators=(acc,))
-    if ens.n_traj < 1000:
+    x_init = _resolve_initials(initials, field.d, seed)
+    if x_init.shape[0] * replicas < 1000:
         raise ConfigError("empirical_modulus needs at least 10^3 trajectories")
+    acc = _ModulusAccumulator(steps, field.d)
+    simulate_ensemble(field, s, s + steps[-1] * dt, x_init, dt, seed,
+                      replicas=replicas, threads=threads, accumulators=(acc,))
     moments = np.array([
         np.mean(np.linalg.norm(acc.hi[:, i] - acc.lo[:, i], axis=-1) ** 4) for i in range(len(steps))
     ])

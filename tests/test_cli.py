@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flowlab.cli import main
 from flowlab.config import build_field, parse_config
-from flowlab import errors, experiments
+from flowlab import config, errors, experiments
 from flowlab.errors import ConfigError, FlowLabError
 
 GOOD_CONFIG = """
@@ -357,6 +357,9 @@ class TestCli:
 
 
 class TestValidateMatchesRun:
+    def test_validate_and_run_know_the_same_kinds(self):
+        assert set(experiments.EXECUTORS) == set(config.EXPERIMENT_KINDS)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_sections(), min_size=1, max_size=2))
     def test_validated_config_runs(self, sections):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import flowlab.sde
 from flowlab import convergence
+from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize
 from flowlab.config import parse_config
 from flowlab.convergence import (
     SpaceTimeBox,
@@ -12,10 +14,13 @@ from flowlab.convergence import (
     krylov_ratio,
     krylov_ratios,
 )
+from flowlab.density import batch_statistic
 from flowlab.errors import ConfigError, ExplosionError
 from flowlab.experiments import run_krylov
 from flowlab.gaussian import GaussianQuadrature
 from flowlab.oracles import krylov_translate_functional
+from flowlab.rng import brownian_increments
+from flowlab.sde import _euler_step
 
 
 class TestKrylov:
@@ -141,7 +146,48 @@ class TestIntegralConvergence:
             integral_convergence(etas, limit, threads=3, **kw)
 
 
+def _coupling_reference(field, n_list, n_ref, T, x0, dt, seed, quad, n_traj):
+    """Per-level deviation estimates with every level and the reference stepped side by side."""
+    fields = [regularize(field, RegularizationLevel(n), quad) for n in list(n_list) + [n_ref]]
+    n_steps = int(round(T / dt))
+    inc = brownian_increments(seed, range(n_traj), n_steps, field.m, dt)
+    states = [np.repeat(x0, n_traj, axis=0)] * len(fields)
+    sup = np.zeros((len(n_list), n_traj))
+    for k in range(n_steps):
+        states = [_euler_step(fl, k, k * dt, Y, inc[:, k], dt)[1] for fl, Y in zip(fields, states)]
+        for i, Y in enumerate(states[:-1]):
+            sup[i] = np.maximum(sup[i], np.linalg.norm(Y - states[-1], axis=-1))
+    return tuple(batch_statistic(v, lambda a: float(np.mean(a))) for v in sup)
+
+
 class TestCoupling:
+    def test_matches_reference_in_two_dimensions(self, quad2):
+        ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
+        x0 = np.array([[0.5, -0.3]])
+        rep = coupling_convergence(ou2, [2], 4, 0.0, 0.05, x0, 1e-2, seed=2, quad=quad2,
+                                   replicas=100)
+        assert rep.deviations == _coupling_reference(ou2, [2], 4, 0.05, x0, 1e-2, 2, quad2, 100)
+
+    def test_matches_reference_at_any_thread_count(self, monkeypatch, sign1, quad1):
+        n_steps = 20
+        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * n_steps)  # chunks of 64 paths
+        assert len(flowlab.sde._chunk_edges(300, n_steps, 1)) == 5
+        kw = dict(initials=np.zeros((1, 1)), dt=1e-2, seed=9, quad=quad1, replicas=300)
+        reps = [coupling_convergence(sign1, [4, 8], 16, 0.0, 0.2, threads=t, **kw) for t in (1, 2)]
+        assert reps[0].deviations == reps[1].deviations
+        assert reps[0].deviations == _coupling_reference(sign1, [4, 8], 16, 0.2, np.zeros((1, 1)),
+                                                         1e-2, 9, quad1, 300)
+
+    def test_degenerate_horizon_refused(self, sign1, quad1):
+        with pytest.raises(ConfigError):
+            coupling_convergence(sign1, [4], 8, 0.5, 0.5, np.zeros((1, 1)), 1e-2, seed=1,
+                                 quad=quad1, replicas=10)
+
+    def test_empty_ladder(self, sign1, quad1):
+        rep = coupling_convergence(sign1, [], 8, 0.0, 0.1, np.zeros((1, 1)), 1e-2, seed=1,
+                                   quad=quad1, replicas=10)
+        assert rep.deviations == () and rep.final_over_first == 0.0
+
     def test_reference_against_itself(self, translate1, quad1):
         rep = coupling_convergence(translate1, [16], 16, 0.0, 0.25, np.zeros((1, 1)),
                                    1e-2, seed=1, quad=quad1, replicas=200)
@@ -168,7 +214,7 @@ class TestCoupling:
         rep = coupling_convergence(sign1, [8, 32], 64, 0.0, 0.25, np.zeros((1, 1)),
                                    2e-3, seed=11, quad=quad1, replicas=500)
         assert all(est.value >= 0 for est in rep.deviations)
-        assert rep.run.levels == (8, 32)
+        assert rep.levels == (8, 32)
 
     def test_explosion_guard(self, rocket1):
         with pytest.raises(ExplosionError) as err:

@@ -15,14 +15,12 @@ from conftest import StoredStates
 
 
 def _euler_states(field, x0, inc, s, dt):
-    """States (n_steps + 1, d) of one path stepped by ``_euler`` under ``inc`` (n_steps, m)."""
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    states = [x0[0]]
-
-    def store(k, t, before, evs, after):
-        states.append(after[0][0])
-
-    flowlab.sde._euler([field], x0, inc[None], s, dt, inc.shape[0], store)
+    """States (n_steps + 1, d) of one path stepped by ``_euler_step`` under ``inc`` (n_steps, m)."""
+    X = np.asarray(x0, dtype=float).reshape(1, -1)
+    states = [X[0]]
+    for k, dW in enumerate(inc):
+        X = flowlab.sde._euler_step(field, k, s + k * dt, X, dW[None], dt)[1]
+        states.append(X[0])
     return np.array(states)
 
 
@@ -188,6 +186,20 @@ class TestNoiseSpan:
         edges = flowlab.sde._chunk_edges(n_traj, n_steps, 1)
         assert len(edges) == 4
         assert sorted(drawn, key=lambda r: r.start) == [range(lo, hi) for lo, hi in edges]
+
+    @pytest.mark.parametrize("initials, replicas", [(("gaussian", 999), 1), (np.zeros((1, 1)), 999)])
+    def test_refused_modulus_draws_no_increments(self, monkeypatch, translate1, initials, replicas):
+        drawn = []
+        real = flowlab.sde.brownian_increments
+
+        def counted(seed, index, n_steps, m, dt):
+            drawn.append(index)
+            return real(seed, index, n_steps, m, dt)
+
+        monkeypatch.setattr(flowlab.sde, "brownian_increments", counted)
+        with pytest.raises(ConfigError):
+            empirical_modulus(translate1, 0.0, [0.05], initials, 1e-2, seed=0, replicas=replicas)
+        assert drawn == []
 
 
 class TestSimulate:
