@@ -20,7 +20,6 @@ from .coefficients import (
 from .convergence import SpaceTimeBox, coupling_convergence, integral_convergence, krylov_ratio, krylov_ratios
 from .density import (
     BoundBudget,
-    DensityRecordBatch,
     budget_constants,
     entropy_estimate,
     lp_norm_estimate,

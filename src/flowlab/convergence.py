@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import RegularizationLevel, builtin_coefficients, regularize
-from .density import Estimate, batch_statistic
+from .density import Estimate, mean_estimate
 from .errors import ConfigError
 from .sde import _euler_step, make_grid, simulate_ensemble
 
@@ -120,7 +120,7 @@ def krylov_ratios(field, fs, lam, s, T, x0, dt, seed, n_traj, threads=1, f_norms
     )
     reports = []
     for acc, norm in zip(accs, f_norms):
-        functional = batch_statistic(acc.values, lambda v: float(np.mean(v)))
+        functional = mean_estimate(acc.values)
         ratio = functional.value / norm if norm > 0 else 0.0
         reports.append(KrylovReport(functional=functional, norm=norm, ratio=ratio))
     return reports
@@ -197,7 +197,7 @@ def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, thr
     )
 
     labels = tuple(getattr(e, "__name__", f"eta_{i}") for i, e in enumerate(etas))
-    deviations = tuple(batch_statistic(dev, lambda v: float(np.mean(v))) for dev in acc.sup_dev)
+    deviations = tuple(mean_estimate(dev) for dev in acc.sup_dev)
     moment_means = tuple(float(mo.mean()) for mo in acc.moments)
     warnings = tuple(
         f"{lab}: 2+alpha moment not finite"
@@ -205,7 +205,7 @@ def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, thr
         if not math.isfinite(mo)
     )
     final_sq = np.einsum("na,na->n", acc.I[-1], acc.I[-1])
-    isometry = (batch_statistic(final_sq, lambda v: float(np.mean(v))), float(acc.sq_int.mean()))
+    isometry = (mean_estimate(final_sq), float(acc.sq_int.mean()))
     return IntegralConvergenceReport(
         labels=labels,
         deviations=deviations,
@@ -283,7 +283,7 @@ def coupling_convergence(
     simulate_ensemble(ref, s, T, initials, dt, seed, replicas=replicas, threads=threads,
                       accumulators=(acc,))
 
-    deviations = tuple(batch_statistic(dev, lambda v: float(np.mean(v))) for dev in acc.sup_dev)
+    deviations = tuple(mean_estimate(dev) for dev in acc.sup_dev)
     values = [e.value for e in deviations]
     monotone = sum(1 for a, b in zip(values[:-1], values[1:]) if b < a)
     ratio = values[-1] / values[0] if values and values[0] > 0 else 0.0

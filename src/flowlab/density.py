@@ -35,7 +35,6 @@ from .sde import simulate_ensemble
 __all__ = [
     "BoundBudget",
     "DensityAccumulator",
-    "DensityRecordBatch",
     "Estimate",
     "StratonovichAccumulator",
     "batch_statistic",
@@ -43,26 +42,12 @@ __all__ = [
     "entropy_estimate",
     "lp_norm_estimate",
     "mass_estimate",
+    "mean_estimate",
     "pushforward_logK",
     "run_density_ensemble",
     "theorem_bound_rhs",
     "time_threshold",
 ]
-
-
-@dataclass
-class DensityRecordBatch:
-    """Accumulated stochastic (S) and drift (D) terms per trajectory.
-
-    log K~ = -S - D;  log K at the push-forward point X_{s,t}(x) is S + D.
-    """
-
-    S: np.ndarray
-    D: np.ndarray
-
-    @property
-    def log_ktilde(self):
-        return -(self.S + self.D)
 
 
 def pushforward_logK(record):
@@ -71,7 +56,11 @@ def pushforward_logK(record):
 
 
 class DensityAccumulator:
-    """Streaming per-step accumulation of S and D from each step's coefficient bundle."""
+    """Streaming per-step accumulation of S and D from each step's coefficient bundle.
+
+    S and D are the stochastic and drift terms per trajectory: log K~ = -S - D,
+    and log K at the push-forward point X_{s,t}(x) is S + D.
+    """
 
     def __init__(self, dt):
         self.dt = dt
@@ -86,15 +75,19 @@ class DensityAccumulator:
         self.S[sl] += np.einsum("nm,nm->n", ev.delta_sigma, dW)
         self.D[sl] += ev.phi * self.dt
 
+    @property
+    def log_ktilde(self):
+        return -(self.S + self.D)
+
 
 def run_density_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1):
-    """Simulate an ensemble and accumulate its density record alongside."""
+    """Simulate an ensemble; returns it with its ``DensityAccumulator``, the density record."""
     acc = DensityAccumulator(dt)
     ens = simulate_ensemble(
         field, s, T, initials, dt, seed,
         replicas=replicas, threads=threads, accumulators=(acc,),
     )
-    return ens, DensityRecordBatch(S=acc.S, D=acc.D)
+    return ens, acc
 
 
 def _strat_correction_divergence(field, t, X):
@@ -157,6 +150,11 @@ def batch_statistic(values, stat):
     return Estimate(value=float(stat(values)), stderr=float(batch_vals.std(ddof=1) / math.sqrt(n_batches)))
 
 
+def mean_estimate(values):
+    """Batched-stderr estimate of the mean of ``values``."""
+    return batch_statistic(np.asarray(values, dtype=float), lambda v: float(np.mean(v)))
+
+
 def _log_mean_exp(a):
     return logsumexp(a) - math.log(len(a))
 
@@ -178,8 +176,7 @@ def lp_norm_estimate(records, p):
 
 def entropy_estimate(records):
     """∫ E[K |log K|] dγ estimated as the mean of |log K| at push-forward points."""
-    vals = np.abs(pushforward_logK(records))
-    return batch_statistic(vals, lambda v: float(np.mean(v)))
+    return mean_estimate(np.abs(pushforward_logK(records)))
 
 
 def mass_estimate(records):

@@ -9,24 +9,28 @@ interior update telescopes exactly and the per-step mass change equals the
 recorded boundary flux up to float roundoff; truncation losses are reported,
 never hidden.  Negative undershoots are clipped and accounted separately.
 
-The step is built once per coefficient refresh (once per solve unless σ or
-b depends on time): the upwind split of the face velocities and, in d = 2,
-contiguous copies of a11, a12 and a22.  In d = 2 the zero-bordered padded
-planes and face-flux buffers are allocated once per solve; every step fills
-their interiors in place, in the operation order of the flux formula, so
-each float equals that of the plain array expression.
+One step serves d = 1 and 2, one axis at a time; only the cross term of the
+fluxes, present in d = 2 alone, depends on d.  It is built once per
+coefficient refresh (once per solve unless σ or b depends on time): the
+upwind split of the face velocities and contiguous copies of the a^ii (and,
+in d = 2, of a12).  The zero-bordered padded planes and face-flux buffers
+are allocated once per solve; every step fills their interiors in place, in
+the operation order of the flux formula, so each float equals that of the
+plain array expression.  Grid points, initial densities and CSV frames
+likewise share one layout (last coordinate fastest) in either dimension.
 
 The PDE side is deliberately modest (d <= 2, explicit stepping with the
 stability bound τ <= h^2 / (2 d max||a|| + h max|b|)); it exists as an
 independent check of the flow ensembles, not as a production PDE code.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .density import Estimate, batch_statistic, run_density_ensemble
+from .density import mean_estimate, run_density_ensemble
 from .errors import ConfigError, SolverFailureError
 from .rng import GRID_SAMPLER_STREAM, substream, uniform_open
 from .sde import make_grid, simulate_ensemble
@@ -63,6 +67,11 @@ def suggest_radius(field, T, tail_mass=1e-8):
     return float(r_gauss + field.growth_const * T + math.sqrt(field.d))
 
 
+def _mesh(axis, d):
+    """The n^d tensor points of ``axis`` as rows of an (n^d, d) array, last coordinate fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=-1)
+
+
 @dataclass
 class FPGrid:
     """Uniform tensor grid on [-R, R]^d carrying nonnegative density values."""
@@ -80,14 +89,11 @@ class FPGrid:
 
     @classmethod
     def from_density(cls, d, R, h, density):
+        # np.arange(-R, R + h/2, h), not the ``axis`` property: the two differ in
+        # the last bits (318 of 321 points on R = 8, h = 0.05), and every solve
+        # starts from these values, so switching would change every FP output byte
         axis = np.arange(-R, R + h / 2, h)
-        if d == 1:
-            pts = axis[:, None]
-            u = np.asarray(density(pts), dtype=float)
-        else:
-            gx, gy = np.meshgrid(axis, axis, indexing="ij")
-            pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-            u = np.asarray(density(pts), dtype=float).reshape(gx.shape)
+        u = np.asarray(density(_mesh(axis, d)), dtype=float).reshape((axis.size,) * d)
         grid = cls(d=d, R=R, h=h, u=np.maximum(u, 0.0))
         grid.u /= grid.mass()
         return grid
@@ -106,11 +112,7 @@ class FPGrid:
         return -self.R + self.h * np.arange(n)
 
     def points(self):
-        ax = self.axis
-        if self.d == 1:
-            return ax[:, None]
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        return _mesh(self.axis, self.d)
 
     def mass(self):
         return float(self.u.sum() * self.h**self.d)
@@ -177,94 +179,96 @@ def _upwind_split(bf):
     return np.maximum(bf, 0.0), np.minimum(bf, 0.0)
 
 
-def _build_step_1d(a, b, h, tau):
-    """The d = 1 conservative step for a (N,) and b (N,) held fixed.
+def _along(p, axis, index, rest=slice(None)):
+    """View of ``p`` at ``index`` along ``axis`` and at ``rest`` along every other axis."""
+    idx = [rest] * p.ndim
+    idx[axis] = index
+    return p[(*idx, ...)]
 
-    ``step(u, out)`` writes the stepped density into ``out`` and returns the
-    mass that left the domain.
+
+def _scratch(d, n):
+    """Buffers of the step on an n^d grid, allocated once per solve.
+
+    Zero-bordered (n + 2)^d planes hold u, G (a12 u, then a^ii u) and, in
+    d = 2 only, the two cross derivatives; one face-flux array per axis and
+    two work arrays hold n^(d-1) (n + 1) values each.  Steps write only
+    interiors, so the borders stay the zero ghost cells.
     """
-    # faces 0..N: the velocity is edge-extended, ghost cells are zero
-    bpad = np.concatenate([[b[0]], b, [b[-1]]])
-    pos, neg = _upwind_split(0.5 * (bpad[:-1] + bpad[1:]))
-
-    def step(u, out):
-        Gpad = np.concatenate([[0.0], a * u, [0.0]])
-        upad = np.concatenate([[0.0], u, [0.0]])
-        diff_flux = 0.5 * (Gpad[1:] - Gpad[:-1]) / h
-        F = diff_flux - (pos * upad[:-1] + neg * upad[1:])
-        np.add(u, (tau / h) * (F[1:] - F[:-1]), out=out)
-        return -tau * (F[-1] - F[0])
-
-    return step
+    planes = [np.zeros((n + 2,) * d) for _ in range(2 + d * (d - 1))]
+    faces = [np.empty(tuple(n + (j == i) for j in range(d))) for i in range(d)]
+    work = [np.empty(n ** (d - 1) * (n + 1)) for _ in range(2)]
+    return planes, faces, work
 
 
-def _scratch_2d(n):
-    """Buffers of the d = 2 step on an n x n grid, allocated once per solve.
-
-    Four zero-bordered (n + 2)^2 planes hold u, G (a12 u, then a^ii u) and the
-    two cross derivatives; the face fluxes and two work arrays hold
-    n (n + 1) values.  Steps write only interiors, so the borders stay the
-    zero ghost cells.
-    """
-    padded = [np.zeros((n + 2, n + 2)) for _ in range(4)]
-    faces = [np.empty((n + 1, n)), np.empty((n, n + 1)), np.empty(n * (n + 1)), np.empty(n * (n + 1))]
-    return padded + faces
-
-
-def _build_step_2d(a, b, h, tau, scratch):
-    """The d = 2 conservative step for a (N, N, 2, 2) and b (N, N, 2) held fixed.
+def _build_step(a, b, h, tau, scratch):
+    """The conservative step for a (n^d, d, d) and b (n^d, d) held fixed, d = 1 or 2.
 
     ``step(u, out)`` writes the stepped density into ``out`` and returns the
     mass that left the domain.  The face flux along each axis is
-    (0.5 (G+ - G-)) / h + 0.5 (0.5 (c+ + c-)) - (pos u- + neg u+), G = a^ii u and
-    c the centered cross derivative of a12 u, evaluated in that order in the
-    buffers of ``scratch``.
+    (0.5 (G+ - G-)) / h + 0.5 (0.5 (c+ + c-)) - (pos u- + neg u+), G = a^ii u
+    and, in d = 2 only, c the centered derivative of a12 u along the other
+    axis, evaluated in that order in the buffers of ``scratch``.  The cell
+    update sums the axes' flux differences, then scales by τ / h and adds u.
     """
-    upad, gpad, cxpad, cypad, fx, fy, w1, w2 = scratch
-    n = a.shape[0]
-    a11, a12, a22 = (np.ascontiguousarray(a[..., i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
-    b1 = np.concatenate([b[:1, :, 0], b[..., 0], b[-1:, :, 0]], axis=0)
-    b2 = np.concatenate([b[:, :1, 1], b[..., 1], b[:, -1:, 1]], axis=1)
-    pos1, neg1 = _upwind_split(0.5 * (b1[1:, :] + b1[:-1, :]))
-    pos2, neg2 = _upwind_split(0.5 * (b2[:, 1:] + b2[:, :-1]))
-    u_in, g_in, cx_in, cy_in = (p[1:-1, 1:-1] for p in (upad, gpad, cxpad, cypad))
-    # per axis: flux, a^ii, G+, G-, c+, c-, pos, u-, neg, u+, work arrays
-    axes = (
-        (fx, a11, gpad[1:, 1:-1], gpad[:-1, 1:-1], cxpad[1:, 1:-1], cxpad[:-1, 1:-1],
-         pos1, upad[:-1, 1:-1], neg1, upad[1:, 1:-1], w1.reshape(n + 1, n), w2.reshape(n + 1, n)),
-        (fy, a22, gpad[1:-1, 1:], gpad[1:-1, :-1], cypad[1:-1, 1:], cypad[1:-1, :-1],
-         pos2, upad[1:-1, :-1], neg2, upad[1:-1, 1:], w1.reshape(n, n + 1), w2.reshape(n, n + 1)),
-    )
+    (upad, gpad, *cpads), faces, (w1, w2) = scratch
+    d, n = b.shape[-1], b.shape[0]
+    hi, lo, inner = slice(1, None), slice(None, -1), (slice(1, -1),) * d
+
+    def face(p, i, index):
+        """The padded plane p at ``index`` along axis i and at its interior along the others."""
+        return _along(p, i, index, slice(1, -1))
+
+    u_in, g_in = upad[inner], gpad[inner]
+    # plane i: the centered derivative of G12 = a12 u along the other axis, for axis i's flux
+    cross = [(c[inner], face(gpad, 1 - i, slice(2, None)), face(gpad, 1 - i, slice(None, -2)))
+             for i, c in enumerate(cpads)]
+    a12 = np.ascontiguousarray(a[..., 0, 1]) if cross else None
+    # per axis: flux, a^ii, G+, G-, c+, c- (None in d = 1), pos, u-, neg, u+, work arrays
+    axes = []
+    for i, F in enumerate(faces):
+        # face velocities: b^i edge-extended, averaged across each face and split upwind
+        bpad = np.pad(b[..., i], 1, mode="edge")
+        pos, neg = _upwind_split(0.5 * (face(bpad, i, hi) + face(bpad, i, lo)))
+        c_hi, c_lo = (face(cpads[i], i, hi), face(cpads[i], i, lo)) if cross else (None, None)
+        axes.append((F, np.ascontiguousarray(a[..., i, i]), face(gpad, i, hi), face(gpad, i, lo),
+                     c_hi, c_lo, pos, face(upad, i, lo), neg, face(upad, i, hi),
+                     w1.reshape(F.shape), w2.reshape(F.shape)))
+    (first_hi, first_lo), *other_cells = [(_along(F, i, hi), _along(F, i, lo)) for i, F in enumerate(faces)]
+    edges = [(_along(F, i, -1), _along(F, i, 0)) for i, F in enumerate(faces)]
+    w_cells = w1[: n**d].reshape(u_in.shape)
     two_h = 2.0 * h
-    w_cells = w1[: n * n].reshape(n, n)
+    lead = -tau * h ** (d - 1)
 
     def step(u, out):
         u_in[...] = u
-        # centered ∂_2 and ∂_1 of G12 = a12 u: the cross terms of the x and y fluxes
-        np.multiply(a12, u, out=g_in)
-        np.subtract(gpad[1:-1, 2:], gpad[1:-1, :-2], out=cx_in)
-        np.divide(cx_in, two_h, out=cx_in)
-        np.subtract(gpad[2:, 1:-1], gpad[:-2, 1:-1], out=cy_in)
-        np.divide(cy_in, two_h, out=cy_in)
+        if cross:
+            np.multiply(a12, u, out=g_in)
+            for c_in, g_hi, g_lo in cross:
+                np.subtract(g_hi, g_lo, out=c_in)
+                np.divide(c_in, two_h, out=c_in)
         for F, a_ii, g_hi, g_lo, c_hi, c_lo, pos, u_lo, neg, u_hi, wa, wb in axes:
             np.multiply(a_ii, u, out=g_in)
             np.subtract(g_hi, g_lo, out=F)
             F *= 0.5
             F /= h
-            np.add(c_hi, c_lo, out=wa)
-            wa *= 0.5
-            wa *= 0.5
-            F += wa
+            if c_hi is not None:
+                np.add(c_hi, c_lo, out=wa)
+                wa *= 0.5
+                wa *= 0.5
+                F += wa
             np.multiply(pos, u_lo, out=wa)
             np.multiply(neg, u_hi, out=wb)
             wa += wb
             F -= wa
-        np.subtract(fx[1:, :], fx[:-1, :], out=out)
-        np.subtract(fy[:, 1:], fy[:, :-1], out=w_cells)
-        out += w_cells
+        np.subtract(first_hi, first_lo, out=out)
+        for F_hi, F_lo in other_cells:
+            np.subtract(F_hi, F_lo, out=w_cells)
+            out += w_cells
         out *= tau / h
         out += u
-        return -tau * h * ((fx[-1, :] - fx[0, :]).sum() + (fy[:, -1] - fy[:, 0]).sum())
+        # summed from the first axis's term, not from 0, which would turn a -0.0 into +0.0
+        outflow = [(last - first).sum() for last, first in edges]
+        return lead * sum(outflow[1:], outflow[0])
 
     return step
 
@@ -293,18 +297,17 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     pts = grid.points()
     time_dep = field.sigma_time_dependent or field.b_time_dependent
     shape = grid.u.shape
-    scratch = _scratch_2d(shape[0]) if grid.d == 2 else None
+    d = grid.d
+    scratch = _scratch(d, shape[0])
 
     def build_step(t):
         """The step for the coefficients at t, once τ is checked against the stability bound there."""
         a, b = stable_coefficients(field, t, pts, grid.h, tau)
-        if grid.d == 1:
-            return _build_step_1d(a.reshape(-1), b.reshape(-1), grid.h, tau)
-        return _build_step_2d(a.reshape(shape + (2, 2)), b.reshape(shape + (2,)), grid.h, tau, scratch)
+        return _build_step(a.reshape(shape + (d, d)), b.reshape(shape + (d,)), grid.h, tau, scratch)
 
     step = build_step(s)
 
-    vol = grid.h**grid.d
+    vol = grid.h**d
     mass_series = np.empty(n_steps)
     leak_series = np.empty(n_steps)
     clip_series = np.empty(n_steps)
@@ -348,23 +351,20 @@ def write_solution_csv(sol, path):
     """Export saved frames as CSV rows (t, x coordinates, u), every value in ``.17g``.
 
     Axis coordinates and frame times are formatted once; u is formatted and
-    written one grid row at a time.
+    written one grid row (last coordinate varying) at a time.
     """
     fmt = "{:.17g}".format
+    d = sol.grid.d
     ax = [fmt(x) for x in sol.grid.axis.tolist()]
+    # the leading coordinates of each grid row, in row order: "" in d = 1
+    leads = ["".join(f"{x}," for x in xs) for xs in itertools.product(ax, repeat=d - 1)]
     with open(path, "w", newline="") as fh:
-        if sol.grid.d == 1:
-            fh.write("t,x,u\n")
-            for t, u in sol.frames:
-                ts = fmt(t)
-                fh.write("".join([f"{ts},{x},{fmt(v)}\n" for x, v in zip(ax, u.tolist())]))
-        else:
-            fh.write("t,x1,x2,u\n")
-            for t, u in sol.frames:
-                ts = fmt(t)
-                for x1, row in zip(ax, u):
-                    head = f"{ts},{x1},"
-                    fh.write("".join([f"{head}{x2},{fmt(v)}\n" for x2, v in zip(ax, row.tolist())]))
+        fh.write("t,x,u\n" if d == 1 else "t,x1,x2,u\n")
+        for t, u in sol.frames:
+            ts = fmt(t)
+            for lead, row in zip(leads, u.reshape(len(leads), -1)):
+                head = f"{ts},{lead}"
+                fh.write("".join([f"{head}{x},{fmt(v)}\n" for x, v in zip(ax, row.tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +396,10 @@ def smooth_bump(center, width):
     return phi
 
 
-def _pushforward_mean(phi, xT):
-    """Batched-stderr estimate of the mean of φ over the endpoints ``xT``."""
-    return batch_statistic(np.asarray(phi(xT), dtype=float), lambda v: float(np.mean(v)))
-
-
 def mc_measure(field, initials, phi, s, t, dt, seed, replicas=1, threads=1):
     """Monte-Carlo estimate of ∫ E[φ(X_{s,t}(x))] dμ_0(x) with batched stderr."""
     ens = simulate_ensemble(field, s, t, initials, dt, seed, replicas=replicas, threads=threads)
-    return _pushforward_mean(phi, ens.xT)
+    return mean_estimate(phi(ens.xT))
 
 
 @dataclass(frozen=True)
@@ -436,7 +431,7 @@ def weak_error(fp, field, initials, phis, s, t, dt, seed, replicas=1, threads=1,
         v = fp.grid.moment(phi)
         fp_vals.append(v)
         fp_errs.append(abs(v - fp_coarse.grid.moment(phi)) if fp_coarse is not None else 0.0)
-        mc_vals.append(_pushforward_mean(phi, ens.xT))
+        mc_vals.append(mean_estimate(phi(ens.xT)))
         labels.append(getattr(phi, "__name__", f"phi_{i}"))
     disc = max(abs(v - m.value) for v, m in zip(fp_vals, mc_vals))
     return WeakErrorReport(

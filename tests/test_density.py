@@ -9,7 +9,6 @@ import flowlab.sde
 from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize, validate_hypotheses
 from flowlab.density import (
     DensityAccumulator,
-    DensityRecordBatch,
     StratonovichAccumulator,
     _strat_correction_divergence,
     batch_statistic,
@@ -17,6 +16,7 @@ from flowlab.density import (
     entropy_estimate,
     lp_norm_estimate,
     mass_estimate,
+    mean_estimate,
     pushforward_logK,
     run_density_ensemble,
     theorem_bound_rhs,
@@ -234,11 +234,13 @@ class TestStatistics:
         est = batch_statistic(vals, lambda v: float(np.mean(v)))
         assert est.value == pytest.approx(49.5)
         assert est.stderr > 0
+        assert mean_estimate(vals) == est
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=4, max_size=60))
     def test_mass_estimate_equals_direct_mean(self, logs):
-        rec = DensityRecordBatch(S=-np.asarray(logs), D=np.zeros(len(logs)))
+        rec = DensityAccumulator(dt=1.0)
+        rec.S, rec.D = -np.asarray(logs), np.zeros(len(logs))
         est = mass_estimate(rec)
         assert est.value == pytest.approx(np.exp(logs).mean(), rel=1e-12)
 

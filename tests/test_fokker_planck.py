@@ -21,6 +21,8 @@ from flowlab.fokker_planck import (
 )
 from flowlab.oracles import heat_variance, ou_pushforward_variance
 
+from conftest import make_sine_field
+
 
 # ---------------------------------------------------------------------------
 # reference: the step and the loop as first written, fresh arrays every step
@@ -268,13 +270,45 @@ class TestSolver:
         assert path.read_bytes() == _reference_csv(sol)
 
 
+class TestGridLayout:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_are_the_ij_meshgrid(self, d):
+        grid = FPGrid.gaussian(d, 1.0, 0.25)
+        ax = -1.0 + 0.25 * np.arange(9)
+        coords = np.meshgrid(*[ax] * d, indexing="ij")
+        expected = np.stack([c.ravel() for c in coords], axis=-1)
+        assert grid.points().shape == (9**d, d)
+        np.testing.assert_array_equal(_bits(grid.points()), _bits(expected))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_from_density_samples_at_arange(self, d):
+        R, h = 8.0, 0.05
+        seen = []
+
+        def density(pts):
+            seen.append(pts.copy())
+            return np.ones(len(pts))
+
+        grid = FPGrid.from_density(d, R, h, density)
+        ax = np.arange(-R, R + h / 2, h)
+        coords = np.meshgrid(*[ax] * d, indexing="ij")
+        expected = np.stack([c.ravel() for c in coords], axis=-1)
+        assert len(seen) == 1 and grid.u.shape == (ax.size,) * d
+        np.testing.assert_array_equal(_bits(seen[0]), _bits(expected))
+        # the evaluation points are not the ``axis`` property's in the last bits
+        assert not np.array_equal(ax, grid.axis)
+
+
 class TestStepBitwise:
     """fp_solve's step computes the reference step's floats bit for bit, zero signs included."""
 
     @pytest.mark.parametrize("case", ["ou_linear-2", "anisotropic-2", "anisotropic-ou-drift-2",
-                                      "ou_linear-2-time-dependent", "translate-1", "ou_linear-1"])
+                                      "ou_linear-2-time-dependent", "translate-1", "ou_linear-1",
+                                      "sine-1", "sine-ou-drift-1", "ou_linear-1-time-dependent"])
     def test_matches_reference_loop(self, case):
         ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
+        ou1 = builtin_coefficients("ou_linear", d=1, a=2.0)
+        sine = make_sine_field()
         # a 2 x 3 matrix: a12 != 0, so the cross terms are non-zero
         aniso = builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]])
         field, grid, T, tau = {
@@ -288,8 +322,12 @@ class TestStepBitwise:
                                            FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
             "translate-1": (builtin_coefficients("translate", d=1), FPGrid.gaussian(1, 6.0, 0.05),
                             0.1, 1e-3),
-            "ou_linear-1": (builtin_coefficients("ou_linear", d=1, a=2.0), FPGrid.gaussian(1, 6.0, 0.05),
-                            0.1, 5e-4),
+            "ou_linear-1": (ou1, FPGrid.gaussian(1, 6.0, 0.05), 0.1, 5e-4),
+            # a varies in space: the diffusion flux differs from face to face
+            "sine-1": (sine, FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
+            "sine-ou-drift-1": (dataclasses.replace(sine, b=ou1.b), FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
+            "ou_linear-1-time-dependent": (dataclasses.replace(ou1, b_time_dependent=True),
+                                           FPGrid.gaussian(1, 4.0, 0.1), 0.02, 1e-3),
         }[case]
         sol = fp_solve(field, grid, 0.0, T, tau)
         u, masses, leaks, clips, audit = _reference_solve(field, grid, 0.0, T, tau)
