@@ -1,10 +1,12 @@
 """Dual-computation oracle gate.
 
 Every closed-form value the acceptance checks rely on is recomputed here by
-an independent route (adaptive quadrature, direct Monte-Carlo, or the PDE
-solver) and compared at a stated tolerance.  Any disagreement is a hard
-failure: it means an oracle itself is wrong, and no downstream test can be
-trusted until it is fixed.
+an independent route (the composite Gauss–Legendre rule of
+``oracles._legendre_integral``, direct Monte-Carlo, or the PDE solver) and
+compared at a stated tolerance.  Any disagreement is a hard failure: it
+means an oracle itself is wrong, and no downstream test can be trusted until
+it is fixed.  The Gauss–Legendre rule checks itself against twice its panels
+and raises ``OracleMismatchError`` when it cannot resolve an integrand.
 
 The one Monte-Carlo check, the translate L^2 norm, streams its 10^7 pairs
 (x, Δw) in fixed blocks (``oracles.translate_lp_mc``), so it needs about
@@ -51,11 +53,11 @@ def oracle_suite(mc_samples=10_000_000):
     checks = []
 
     m1 = oracles.gaussian_abs_moment(1)
-    m1_quad = oracles.scipy_gaussian_integral(abs)
+    m1_quad = oracles.gaussian_integral(np.abs)
     checks.append(OracleCheck("M1_abs_moment", m1, m1_quad, 1e-10))
 
     m2 = oracles.m2_exponential_moment(1)
-    m2_quad = oracles.scipy_gaussian_integral(lambda x: math.exp((1 + abs(x)) ** 2 / 4.0))
+    m2_quad = oracles.gaussian_integral(lambda x: np.exp((1 + np.abs(x)) ** 2 / 4.0))
     checks.append(OracleCheck("M2_exp_moment", m2, m2_quad, 1e-9))
 
     gq = GaussianQuadrature.gauss_hermite(1, 64)

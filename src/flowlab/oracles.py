@@ -1,8 +1,9 @@
 """Closed-form reference values used by tests and the oracle gate.
 
 Everything here is independent of the simulation code paths it is used to
-check: plain Gaussian calculus, special functions, 1d adaptive quadrature,
-and direct Monte-Carlo over (x, Δw) streamed in fixed blocks.  The
+check: plain Gaussian calculus, special functions, a composite Gauss–Legendre
+rule with an order-doubling check (``_legendre_integral``), and direct
+Monte-Carlo over (x, Δw) streamed in fixed blocks.  The
 translate field (σ = Id, b = 0) admits a fully explicit push-forward
 density, which drives most of the checks:
 
@@ -14,10 +15,53 @@ when 2(p-1)(2p-1) τ < 1, a stricter condition.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf, gammaln, ndtr
+
+from .errors import OracleMismatchError
+
+# nodes per panel and equal panels per segment of ``_legendre_integral``
+_GL_ORDER = 32
+_GL_PANELS = 64
+
+
+@lru_cache(maxsize=1)
+def _legendre_nodes():
+    """Gauss–Legendre nodes and weights of order ``_GL_ORDER`` on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
+def _panel_sum(f, breaks, panels):
+    """Composite Gauss–Legendre sum of f with ``panels`` equal panels per segment of ``breaks``."""
+    nodes, weights = _legendre_nodes()
+    breaks = np.asarray(breaks, dtype=float)
+    edges = np.linspace(breaks[:-1], breaks[1:], panels + 1, axis=-1)  # (segments, panels + 1)
+    mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
+    half = (edges[:, 1:] - edges[:, :-1]) / 2.0
+    values = f(mid[..., None] + half[..., None] * nodes)  # one call on every node
+    return float(np.sum(half[..., None] * weights * values))
+
+
+def _legendre_integral(f, breaks):
+    """∫ f over [breaks[0], breaks[-1]] by a composite Gauss–Legendre rule.
+
+    Each segment between consecutive breakpoints is cut into ``_GL_PANELS``
+    equal panels of ``_GL_ORDER`` nodes, so every kink or jump of f must be a
+    breakpoint.  f takes an array of points and is called once per rule.  The
+    sum is repeated with twice the panels, and ``OracleMismatchError`` is
+    raised when the two differ by more than 1e-13·max(1, |value|): f is not
+    resolved.  Returns the finer sum.
+    """
+    coarse = _panel_sum(f, breaks, _GL_PANELS)
+    fine = _panel_sum(f, breaks, 2 * _GL_PANELS)
+    if abs(fine - coarse) > 1e-13 * max(1.0, abs(fine)):
+        raise OracleMismatchError(
+            f"Gauss-Legendre rule unresolved on breakpoints {list(breaks)}: "
+            f"{_GL_PANELS} panels give {coarse!r}, {2 * _GL_PANELS} give {fine!r}"
+        )
+    return fine
 
 
 def gaussian_abs_moment(d):
@@ -33,18 +77,17 @@ def gaussian_exp_quadratic(a, d=1):
 
 
 def m2_exponential_moment(d=1):
-    """M_2 = ∫ exp((1+|x|)^2/4) dγ_d, closed form in d=1, radial quadrature else."""
+    """M_2 = ∫ exp((1+|x|)^2/4) dγ_d, closed form in d=1, radial Gauss–Legendre on [0, 60] else."""
     if d == 1:
         # 2 e^{1/2} / sqrt(2π) * ∫_0^∞ e^{-(x-1)^2/4} dx = e^{1/2} sqrt(2) (1+erf(1/2)) sqrt(π)/sqrt(2π)
         return math.exp(0.5) * math.sqrt(math.pi) * (1.0 + erf(0.5)) * 2.0 / math.sqrt(2.0 * math.pi)
 
     def radial(r):
         # chi_d density times the radial integrand, exponents combined first
-        log_dens = (d - 1) * math.log(r) - r * r / 2.0 - (d / 2.0 - 1) * math.log(2.0) - gammaln(d / 2.0)
-        return math.exp((1.0 + r) ** 2 / 4.0 + log_dens)
+        log_dens = (d - 1) * np.log(r) - r * r / 2.0 - (d / 2.0 - 1) * math.log(2.0) - gammaln(d / 2.0)
+        return np.exp((1.0 + r) ** 2 / 4.0 + log_dens)
 
-    value, _ = integrate.quad(radial, 0.0, 60.0, limit=200)
-    return value
+    return _legendre_integral(radial, (0.0, 60.0))
 
 
 def translate_lp_norm(p, tau):
@@ -91,24 +134,26 @@ def ou_exact_log_density(a, tau, x0, x_end):
 
 
 def krylov_translate_functional(x, lam, T, lo=0.0, hi=1.0, t1=1.0):
-    """E ∫_0^T e^{-λt} 1_{[0,t1]x[lo,hi]}(t, x + w_t) dt for the translate field."""
+    """E ∫_0^T e^{-λt} 1_{[0,t1]x[lo,hi]}(t, x + w_t) dt for the translate field, by Gauss–Legendre."""
     upper = min(T, t1)
 
     def integrand(t):
-        if t <= 0:
-            return 1.0 if lo <= x <= hi else 0.0
-        rt = math.sqrt(t)
-        return math.exp(-lam * t) * (ndtr((hi - x) / rt) - ndtr((lo - x) / rt))
+        rt = np.sqrt(t)
+        return np.exp(-lam * t) * (ndtr((hi - x) / rt) - ndtr((lo - x) / rt))
 
-    value, _ = integrate.quad(integrand, 0.0, upper, limit=200)
-    return value
+    # the integrand varies on the time scales 1/|λ|, (x - lo)^2 and (hi - x)^2:
+    # the breakpoints halve toward 0 until the first segment is within the smallest
+    scale = min([1.0 / abs(lam) if lam else math.inf] + [(e - x) ** 2 for e in (lo, hi) if e != x])
+    halvings = math.ceil(math.log2(upper / scale)) if upper > scale else 0
+    return _legendre_integral(integrand, [0.0] + [upper * 2.0**-k for k in range(halvings, -1, -1)])
 
 
-def scipy_gaussian_integral(f, lo=-40.0, hi=40.0):
-    """1d adaptive quadrature of f against γ_1 (independent of GH rules)."""
-    dens = lambda x: f(x) * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-    value, _ = integrate.quad(dens, lo, hi, limit=400)
-    return value
+def gaussian_integral(f):
+    """∫ f dγ_1 over [-40, 40] by the Gauss–Legendre rule split at 0 (independent of GH rules).
+
+    f takes an array of points; it may have a kink or jump at 0.
+    """
+    return _legendre_integral(lambda x: f(x) * np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi), (-40.0, 0.0, 40.0))
 
 
 # (x, Δw) pairs per block of the streamed Monte-Carlo: 1 MB of normals
@@ -190,19 +235,18 @@ def smoothed_sign_grad(beta, eps, x):
 
 
 def smoothed_sign_quad(beta, eps, x):
-    """P_ε[β sign](x) and its kernel gradient (ρ/s)∫ β sign(ρx + s y) y dγ(y) by adaptive quadrature.
+    """P_ε[β sign](x) and its kernel gradient (ρ/s)∫ β sign(ρx + s y) y dγ(y) by Gauss–Legendre.
 
-    Each integral is split at the jump y = -ρx/s (independent of the closed form).
+    Each integral over [-40, 40] is split at the jump y = -ρx/s (independent of
+    the closed form).
     """
     rho = math.exp(-eps)
     s = math.sqrt(1.0 - rho * rho)
     jump = -rho * x / s
-    dens = lambda y: math.exp(-y * y / 2.0) / math.sqrt(2.0 * math.pi)
+    dens = lambda y: np.exp(-y * y / 2.0) / math.sqrt(2.0 * math.pi)
 
     def signed(g):
-        below, _ = integrate.quad(g, -40.0, jump, limit=200, epsabs=1e-14)
-        above, _ = integrate.quad(g, jump, 40.0, limit=200, epsabs=1e-14)
-        return beta * (above - below)
+        return _legendre_integral(lambda y: np.where(y < jump, -beta, beta) * g(y), (-40.0, jump, 40.0))
 
     return signed(dens), (rho / s) * signed(lambda y: y * dens(y))
 

@@ -433,6 +433,18 @@ class TestValidateHypotheses:
         rep = validate_hypotheses(field, 1.0, quad1, tgrid=3, log_cap=0.1)
         assert rep.divergent and rep.sigma_T == math.inf
 
+    @pytest.mark.parametrize("tgrid", [17, (0.0, 0.1, 0.35, 0.5, 0.9, 1.0)])
+    def test_sigma_integral_is_scipy_trapezoid_bitwise(self, sine_field, ou1, quad1, tgrid):
+        times = np.linspace(0.0, 1.0, tgrid) if np.isscalar(tgrid) else np.asarray(tgrid)
+        for field in (sine_field, ou1):
+            values = (field.evaluate(t, quad1.nodes) for t in times)
+            log_inner = [
+                logsumexp(quad1.log_weights + field.exp_const * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
+                for ev in values
+            ]
+            expected = float(trapezoid(np.exp(log_inner), times))
+            assert validate_hypotheses(field, 1.0, quad1, tgrid=tgrid).sigma_T == expected
+
 
 class TestCatalog:
     def test_translate_metadata(self, translate1):
