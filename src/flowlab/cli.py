@@ -6,9 +6,10 @@ Usage::
     flowlab validate <config.ini>
     flowlab oracle-suite [--out DIR]
 
-Experiments run sequentially; within one experiment the module-level
-parallel contracts apply (``--threads`` only changes wall time, never a
-byte of output).  A section that raises is recorded in summary.json as
+Experiments run sequentially; within one experiment ``--threads N`` runs
+each ensemble's chunks on up to N worker processes (the run's own and
+forked children, see :mod:`flowlab.sde`), which changes wall time, never a
+byte of output.  A section that raises is recorded in summary.json as
 ``{"kind", "seed", "passed": false, "error": <message>}`` and the remaining
 sections still run; summary.json is always written.  Exit codes: 0 all
 checks passed, 1 experiment failure or bound violation beyond the

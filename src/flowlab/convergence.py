@@ -73,8 +73,8 @@ class KrylovAccumulator:
         self.dt = dt
         self.values = None
 
-    def alloc(self, n_traj):
-        self.values = np.zeros(n_traj)
+    def alloc(self, n_traj, zeros):
+        self.values = zeros(n_traj)
 
     def step(self, sl, k, t, X, dW, ev, X_next):
         self.values[sl] += math.exp(-self.lam * t) * np.asarray(self.f(t, X), dtype=float) * self.dt
@@ -157,12 +157,12 @@ class _IntegralAccumulator:
         self.power = (2.0 + alpha) / 2.0
         self.dt = dt
 
-    def alloc(self, n_traj):
+    def alloc(self, n_traj, zeros):
         n_eta = len(self.etas)
-        self.I = np.zeros((n_eta, n_traj, self.d))
-        self.sup_dev = np.zeros((n_eta - 1, n_traj))
-        self.moments = np.zeros((n_eta, n_traj))
-        self.sq_int = np.zeros(n_traj)
+        self.I = zeros((n_eta, n_traj, self.d))
+        self.sup_dev = zeros((n_eta - 1, n_traj))
+        self.moments = zeros((n_eta, n_traj))
+        self.sq_int = zeros(n_traj)
 
     def step(self, sl, k, t, W, dW, ev, W_next):
         I = self.I[:, sl]
@@ -245,9 +245,9 @@ class _CouplingAccumulator:
         self.d = d
         self.dt = dt
 
-    def alloc(self, n_traj):
-        self.Y = np.empty((len(self.fields), n_traj, self.d))
-        self.sup_dev = np.zeros((len(self.fields), n_traj))
+    def alloc(self, n_traj, zeros):
+        self.Y = zeros((len(self.fields), n_traj, self.d))
+        self.sup_dev = zeros((len(self.fields), n_traj))
 
     def step(self, sl, k, t, X, dW, ev, X_next):
         Y = self.Y[:, sl]

@@ -67,9 +67,9 @@ class DensityAccumulator:
         self.S = None
         self.D = None
 
-    def alloc(self, n_traj):
-        self.S = np.zeros(n_traj)
-        self.D = np.zeros(n_traj)
+    def alloc(self, n_traj, zeros):
+        self.S = zeros(n_traj)
+        self.D = zeros(n_traj)
 
     def step(self, sl, k, t, X, dW, ev, X_next):
         self.S[sl] += np.einsum("nm,nm->n", ev.delta_sigma, dW)
@@ -115,9 +115,9 @@ class StratonovichAccumulator:
         self.field = field
         self.dt = dt
 
-    def alloc(self, n_traj):
-        self.S = np.zeros(n_traj)
-        self.D = np.zeros(n_traj)
+    def alloc(self, n_traj, zeros):
+        self.S = zeros(n_traj)
+        self.D = zeros(n_traj)
 
     def step(self, sl, k, t, X, dW, ev, X_next):
         t1 = t + self.dt

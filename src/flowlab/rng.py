@@ -2,7 +2,7 @@
 
 Every random quantity in the package is drawn from a Philox (counter-based)
 bit generator keyed by ``(seed, stream index)``.  Streams are therefore
-independent of evaluation order and of the number of worker threads, and a
+independent of evaluation order and of the number of worker processes, and a
 fixed ``(seed, index, step)`` triple always yields the same variate on every
 platform.  Normal variates are produced by the inverse CDF applied to
 uniforms on the open unit interval, so they inherit the same guarantee.

@@ -4,17 +4,20 @@ Each trajectory owns a counter-based random substream keyed by
 ``(seed, trajectory index)``, so ensembles are bitwise reproducible for a
 fixed ``(seed, dt, grid)`` at any worker count.
 
-One package-private driver is the only place where chunks, threads and
+One package-private driver is the only place where chunks, workers and
 trajectory noise are handled: ``_run_chunks`` partitions trajectories into
 chunks whose boundaries depend only on the problem size, draws each chunk's
 increments in one block (bit for bit the per-trajectory substreams, see
-:mod:`flowlab.rng`) and runs the caller's body on it, serially or on a thread
-pool; bodies write into disjoint slices of preallocated arrays, and per-chunk
-results come back in chunk order for the caller to reduce.  ``_euler_step``
-is the only Euler update and the only place coefficients are evaluated along
-a path: one ``CoefficientField.evaluate`` per step, whose σ and b step the
-state and whose bundle the accumulators read; it guards every path against
-explosion.  ``simulate_ensemble`` is the only caller of ``_run_chunks`` and
+:mod:`flowlab.rng`) and runs the caller's body on it.  With more than one
+worker the chunks are dealt out in shares: this process runs the first and
+forked child processes run the others with the same body, writing into
+arrays on anonymous shared memory (``_shared_zeros``); with one worker, or
+without ``os.fork``, the same loop runs inline.  Bodies write into disjoint
+slices of those arrays, and per-chunk results come back in chunk order for
+the caller to reduce.  ``_euler_step`` is the only Euler update and the only
+place coefficients are evaluated along a path: one
+``CoefficientField.evaluate`` per step, whose σ and b step the state and
+whose bundle the accumulators read; it guards every path against explosion.  ``simulate_ensemble`` is the only caller of ``_run_chunks`` and
 its chunk body the only loop over steps.  Every path functional (the density
 weight, the occupation functional, the stochastic integrals, the modulus of
 continuity, the coupling of regularization levels) is an accumulator
@@ -26,7 +29,13 @@ accumulation in :mod:`flowlab.density`.  Higher-order schemes are deliberately
 not offered: the drift may be discontinuous.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
+import mmap
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,30 +93,159 @@ def _chunk_edges(n_traj, n_steps, m):
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
+def _shared_zeros(shape):
+    """Zero floats on anonymous shared memory: a forked worker's writes reach this process."""
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(8 * count, 1))  # mmap refuses length 0
+    return np.frombuffer(buf, count=count).reshape(shape)
+
+
+def _on_shared_memory(arr):
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(getattr(base, "obj", None), mmap.mmap)
+
+
+def _alloc(acc, n_traj):
+    """``acc.alloc(n_traj, _shared_zeros)``; every array it assigns must come from that allocator.
+
+    An array made elsewhere would stay private to the worker process that
+    writes it, and this process would read its zeros, so it raises here,
+    before any chunk runs and at any worker count.
+    """
+    before = dict(vars(acc))
+    acc.alloc(n_traj, _shared_zeros)
+    for name, value in vars(acc).items():
+        if isinstance(value, np.ndarray) and value is not before.get(name) \
+                and not _on_shared_memory(value):
+            raise TypeError(
+                f"{type(acc).__name__}.alloc made {name!r} outside the run's zeros allocator; "
+                "a forked worker's writes to it would be lost"
+            )
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process, chained as its cause."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+def _portable(exc):
+    """exc if it survives pickling, else a RuntimeError carrying its type name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _flush():
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):
+            stream.flush()
+
+
+def _run_shares(run, shares):
+    """``[run(share) for share in shares]``: the first share here, each other in a forked child.
+
+    ``run`` returns (results, failures, error) with error None or (chunk,
+    exception, "").  A child sends that triple through a pipe, pickled, with
+    an exception that unpickles and its formatted traceback in place of "",
+    then leaves with ``os._exit``.  A share whose fork fails runs here.
+    Every child is reaped before this returns or raises, and killed first if
+    it has not reported.
+    """
+    _flush()  # a child must not write out this process's buffered output again
+    children, local = {}, [shares[0]]  # children: pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                local.append(share)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    results, failures, error = run(share)
+                    if error is not None:
+                        i, exc, _ = error
+                        error = (i, _portable(exc), "".join(traceback.format_exception(exc)))
+                    payload = pickle.dumps((results, failures, error))
+                    with os.fdopen(w, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    _flush()
+                    os._exit(status)
+            os.close(w)
+            children[pid] = os.fdopen(r, "rb")
+        outcomes = [run(share) for share in local]
+        for pid in list(children):
+            data = children[pid].read()
+            os.waitpid(pid, 0)
+            children.pop(pid).close()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result")
+            outcomes.append(pickle.loads(data))
+        return outcomes
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
 
     ``inc`` holds the increments of substreams lo .. hi-1, drawn in one
-    ``brownian_increments`` call per chunk.  Chunks run on a pool of
-    ``threads`` workers when there is more than one chunk.  A chunk whose
-    body raises ``ExplosionError`` stops there while the others run to the
-    end; then one error names the earliest step and every exploded index.
+    ``brownian_increments`` call per chunk.  The chunks are dealt round-robin
+    into min(threads, chunks, usable CPUs) shares, run by ``_run_shares``, so a
+    body writes its output into arrays from ``_shared_zeros`` and returns
+    only small, picklable results.  A chunk whose body raises
+    ``ExplosionError`` stops there while the others run to the end; then one
+    error names the earliest step and every exploded index.  Any other
+    exception stops its share; the one of the lowest chunk is raised, which
+    is the one a serial run raises.
     """
-    failures = []
-
-    def run(edge):
-        lo, hi = edge
-        try:
-            return body(lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt))
-        except ExplosionError as exc:
-            failures.append((exc.step, [lo + i for i in exc.indices]))
-
     chunks = _chunk_edges(n_traj, n_steps, m)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
+    workers = max(1, min(threads, len(chunks), _usable_cpus())) if hasattr(os, "fork") else 1
+
+    def run(share):
+        results, failures = {}, []
+        for i in share:
+            lo, hi = chunks[i]
+            try:
+                results[i] = body(lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt))
+            except ExplosionError as exc:
+                failures.append((exc.step, [lo + j for j in exc.indices]))
+            except Exception as exc:
+                return results, failures, (i, exc, "")
+        return results, failures, None
+
+    outcomes = _run_shares(run, [range(w, len(chunks), workers) for w in range(workers)])
+    errors = [error for _, _, error in outcomes if error is not None]
+    if errors:
+        _, exc, worker_tb = min(errors, key=lambda e: e[0])
+        if worker_tb:
+            exc.__cause__ = _WorkerTraceback(worker_tb)
+        raise exc
+    failures = [f for _, fails, _ in outcomes for f in fails]
     if failures:
         step = min(f[0] for f in failures)
         indices = sorted(i for f in failures for i in f[1])
@@ -116,7 +254,8 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
             step=step,
             indices=indices,
         )
-    return results
+    results = {i: r for res, _, _ in outcomes for i, r in res.items()}
+    return [results[i] for i in range(len(chunks))]
 
 
 def _euler_step(field, k, t, X, dW, dt):
@@ -160,16 +299,18 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
 
     Each chunk is one loop over the steps: step k makes one ``_euler_step``
     and then calls every accumulator.  ``accumulators`` stream path
-    functionals: each has ``alloc(n_traj)``, called once before the run, and
-    ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of every
-    chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
+    functionals: each has ``alloc(n_traj, zeros)``, called once before the
+    run, and ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of
+    every chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
     left-point states X, the increments dW of that step, the step's
     coefficient bundle ``ev`` = ``field.evaluate(t, X)`` (see
     ``CoefficientValues``) and the stepped states X_next.  An accumulator
     keeps its per-trajectory results (and any state it carries across steps)
-    in arrays it allocates and writes only the entries of the trajectories in
-    ``sl``, so chunks on different threads never touch the same entry;
-    callers read those arrays after the run.
+    in arrays it allocates in ``alloc`` with ``zeros(shape)`` (the run's
+    shared-memory allocator; an array made otherwise raises ``TypeError``)
+    and writes only the entries of the trajectories in ``sl``, so chunks in
+    different worker processes never touch the same entry; callers read
+    those arrays after the run.
 
     ``T == s`` yields the degenerate ensemble (endpoints equal the starts,
     accumulators see no steps); otherwise dt must divide [s, T] (``make_grid``).
@@ -179,9 +320,9 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     n0 = x_init.shape[0]
     n_traj = n0 * replicas
     x0 = np.repeat(x_init, replicas, axis=0)
-    xT = np.empty_like(x0)
+    xT = _shared_zeros(x0.shape)
     for acc in accumulators:
-        acc.alloc(n_traj)
+        _alloc(acc, n_traj)
 
     def body(lo, hi, inc):
         sl = slice(lo, hi)
@@ -221,9 +362,9 @@ class _ModulusAccumulator:
         self.window_steps = window_steps
         self.d = d
 
-    def alloc(self, n_traj):
-        self.hi = np.empty((n_traj, len(self.window_steps), self.d))
-        self.lo = np.empty_like(self.hi)
+    def alloc(self, n_traj, zeros):
+        self.hi = zeros((n_traj, len(self.window_steps), self.d))
+        self.lo = zeros(self.hi.shape)
 
     def step(self, sl, k, t, X, dW, ev, X_next):
         hi, lo = self.hi[sl], self.lo[sl]

@@ -97,8 +97,8 @@ class StoredStates:
     def __init__(self, n_steps, d):
         self.shape = (n_steps + 1, d)
 
-    def alloc(self, n_traj):
-        self.paths = np.empty((n_traj,) + self.shape)
+    def alloc(self, n_traj, zeros):
+        self.paths = zeros((n_traj,) + self.shape)
 
     def step(self, sl, k, t, X, dW, ev, X_next):
         if k == 0:

@@ -388,7 +388,7 @@ class TestWeakError:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_mc_values_equal_mc_measure(self, translate1, threads):
-        # 10000 paths make two chunks, so threads=2 runs them on the pool
+        # 10000 paths make two chunks, so threads=2 runs one in a forked worker
         grid = FPGrid.gaussian(1, 8.0, 0.2)
         sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-2)
         phis = self._phis()

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import flowlab.sde
 from flowlab import rng
 from flowlab.coefficients import builtin_coefficients
 from flowlab.convergence import coupling_convergence
-from flowlab.errors import ConfigError, ExplosionError
+from flowlab.errors import CapabilityError, ConfigError, ExplosionError
 from flowlab.rng import brownian_increments, standard_normals, substream
 from flowlab.sde import empirical_modulus, make_grid, simulate_ensemble
 
@@ -166,14 +167,16 @@ class TestNoiseSpan:
     """perfbench times the noise layer by wrapping ``flowlab.sde.brownian_increments``."""
 
     @pytest.mark.parametrize("driver", ["simulate_ensemble", "coupling_convergence"])
-    def test_chunks_draw_through_the_module_name(self, monkeypatch, translate1, quad1, driver):
+    def test_chunks_draw_through_the_module_name(self, monkeypatch, tmp_path, translate1, quad1,
+                                                 driver):
         n_steps, n_traj = 10, 200
         monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * n_steps)
-        drawn = []
+        log = tmp_path / "draws"  # a file, so draws made in worker processes are seen too
         real = flowlab.sde.brownian_increments
 
         def counted(seed, index, n_steps, m, dt):
-            drawn.append(index)
+            with open(log, "a") as fh:
+                fh.write(f"{index.start} {index.stop}\n")
             return real(seed, index, n_steps, m, dt)
 
         monkeypatch.setattr(flowlab.sde, "brownian_increments", counted)
@@ -185,6 +188,7 @@ class TestNoiseSpan:
                                  replicas=n_traj, threads=2)
         edges = flowlab.sde._chunk_edges(n_traj, n_steps, 1)
         assert len(edges) == 4
+        drawn = [range(*map(int, line.split())) for line in log.read_text().splitlines()]
         assert sorted(drawn, key=lambda r: r.start) == [range(lo, hi) for lo, hi in edges]
 
     @pytest.mark.parametrize("initials, replicas", [(("gaussian", 999), 1), (np.zeros((1, 1)), 999)])
@@ -279,6 +283,123 @@ class TestEnsemble:
         # every reported index is a real trajectory and the first bad step is named
         assert err.value.indices and all(0 <= i < 16 for i in err.value.indices)
         assert err.value.step == 1
+
+
+def _custom1(sigma, b, name):
+    """A d = m = 1 custom field with the given σ and b (derivatives zero)."""
+    return builtin_coefficients(
+        "custom", d=1, m=1, sigma=sigma, b=b,
+        sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
+        b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
+        growth_const=1.0, exp_const=0.1, name=name,
+    )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Abort(BaseException):
+    """Raised by the run's own process only, past every ``except Exception``."""
+
+
+class TestWorkerProcesses:
+    """With two usable CPUs, threads=2 forks one worker for chunks 1 and 3 (64 paths each here)."""
+
+    STARTS = np.linspace(-2.0, 2.0, 256)[:, None]    # four chunks, one per unit interval
+
+    @pytest.fixture(autouse=True)
+    def _chunks_of_64(self, monkeypatch):
+        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * 20)
+        assert len(flowlab.sde._chunk_edges(256, 20, 1)) == 4
+
+    def _run(self, field, threads, accumulators=()):
+        return simulate_ensemble(field, 0.0, 0.2, self.STARTS, 1e-2, seed=3, threads=threads,
+                                 accumulators=accumulators)
+
+    def test_normal_return_leaves_no_child(self, sine_field):
+        assert np.array_equal(self._run(sine_field, 2).xT, self._run(sine_field, 1).xT)
+        _no_child_left()
+
+    def test_private_array_raises_before_any_chunk(self, translate1, monkeypatch):
+        class Private:
+            def alloc(self, n_traj, zeros):
+                self.values = np.zeros(n_traj)
+
+            def step(self, sl, k, t, X, dW, ev, X_next):
+                self.values[sl] += X[:, 0]
+
+        drawn = []
+        monkeypatch.setattr(flowlab.sde, "brownian_increments", lambda *a: drawn.append(a))
+        with pytest.raises(TypeError, match="Private.alloc made 'values'"):
+            self._run(translate1, 2, (Private(),))
+        assert drawn == []
+
+    def test_explosion_matches_one_worker(self):
+        # x' = 20 x|x| blows up first from the largest starts, in the last chunk (a worker's)
+        field = _custom1(lambda t, X: np.full(np.shape(X)[:-1] + (1, 1), 0.1),
+                         lambda t, X: 20.0 * X * np.abs(X), "quadratic")
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(ExplosionError) as err:
+                self._run(field, threads)
+            errors.append(err.value)
+            _no_child_left()
+        assert str(errors[1]) == str(errors[0])
+        assert errors[1].step == errors[0].step
+        assert errors[1].indices == errors[0].indices == sorted(errors[0].indices)
+        assert min(errors[0].indices) < 192 <= max(errors[0].indices)  # rows of several chunks
+
+    def test_worker_exception_matches_one_worker(self):
+        # chunks 1, 2 and 3 raise at t = 0.05; chunk 1 runs in the worker, chunk 2 here
+        def sigma(t, X):
+            if t >= 0.05 and X.max() > -0.5:
+                raise CapabilityError(f"no sigma from x = {X.min():.4f}")
+            return np.zeros(np.shape(X)[:-1] + (1, 1))
+
+        field = _custom1(sigma, lambda t, X: np.zeros(np.shape(X)), "gap")
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(CapabilityError) as err:
+                self._run(field, threads)
+            errors.append(err.value)
+            _no_child_left()
+        assert str(errors[0]) == str(errors[1]) == "no sigma from x = -0.9961"
+        assert "no sigma from x = -0.9961" in str(errors[1].__cause__)  # the worker's traceback
+
+    def test_children_are_killed_when_this_process_raises(self):
+        parent = os.getpid()
+
+        def sigma(t, X):
+            if os.getpid() == parent and t >= 0.05:
+                raise _Abort()
+            return np.ones(np.shape(X)[:-1] + (1, 1))
+
+        field = _custom1(sigma, lambda t, X: np.zeros(np.shape(X)), "abort")
+        with pytest.raises(_Abort):
+            self._run(field, 2)
+        _no_child_left()
+
+    def test_worker_cap_and_fork_failure(self, translate1, monkeypatch):
+        forks = []
+
+        def fork():  # counts and starts no process: each share then runs here
+            forks.append(1)
+            raise OSError("fork refused")
+
+        expected = self._run(translate1, 1).xT
+        monkeypatch.setattr(flowlab.sde.os, "fork", fork)
+        for cpus, n_forks in ((10**6, 3), (2, 1), (1, 0)):
+            monkeypatch.setattr(flowlab.sde, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            assert np.array_equal(self._run(translate1, 10**6).xT, expected)
+            assert len(forks) == n_forks
+
+    def test_without_fork_runs_inline(self, translate1, monkeypatch):
+        expected = self._run(translate1, 1).xT
+        monkeypatch.delattr(flowlab.sde.os, "fork")
+        assert np.array_equal(self._run(translate1, 2).xT, expected)
 
 
 class TestStrongOrder:

@@ -1,0 +1,150 @@
+"""Alternating before/after runs of perfbench, with child-process CPU and memory.
+
+Usage::
+
+    python3 tools/bench_pairs.py --before DIR --after DIR --workload NAME \
+        --pairs N --seed S [--seconds 16] --out FILE.json
+
+``DIR`` are two flowlab checkouts (for example ``git archive`` copies of a
+parent commit and of a change).  Each pair runs ``perfbench/run.py`` once in
+each checkout, the side that goes first alternating from pair to pair, and
+records its end-to-end metrics and ``correct``.  After each of those runs
+one more pass of ``perfbench/worker.py`` on the same workload config runs
+under a shim that reads ``getrusage`` for the worker itself and for its
+reaped children (the processes ``--threads`` forks), which perfbench's
+``cpu_s`` and ``peak_rss_mb`` do not see.
+
+The JSON written holds every sample, each side's median and quartiles
+(``statistics.quantiles``, inclusive method), the pairs the ``--after``
+side won (ties count for neither) and the environment line of the runs.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# runs perfbench/worker.py as __main__, then prints the rusage of itself and
+# of its reaped children as one JSON line
+SHIM = r"""
+import json, os, resource, runpy, sys
+path = sys.argv[1]
+sys.argv = sys.argv[1:]
+sys.path.insert(0, os.path.dirname(os.path.abspath(path)))
+try:
+    runpy.run_path(path, run_name="__main__")
+except SystemExit as exc:
+    if exc.code:
+        raise
+own, kids = (resource.getrusage(w) for w in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(json.dumps({"self_cpu_s": own.ru_utime + own.ru_stime,
+                  "children_cpu_s": kids.ru_utime + kids.ru_stime,
+                  "self_maxrss_mb": own.ru_maxrss / 1024.0,
+                  "children_maxrss_mb": kids.ru_maxrss / 1024.0}))
+"""
+METRICS = ("wall_s", "traj_steps_per_s", "cpu_s", "peak_rss_mb", "setup_s")
+LOWER_IS_BETTER = {"traj_steps_per_s": False}
+
+
+def _json_lines(text):
+    return [json.loads(line) for line in text.splitlines() if line.startswith("{")]
+
+
+def run_perfbench(checkout, workload, seed, seconds):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = _json_lines(proc.stdout)
+    result = lines[-1]
+    return {"correct": result["correct"],
+            **{name: result["metrics"][name]["value"] for name in METRICS},
+            "environment": lines[-2]["environment"]}
+
+
+def run_rusage_pass(checkout, workload, threads, pin_env):
+    workload_dir = Path(checkout) / ".perfbench" / workload  # left by the run_perfbench before
+    proc = subprocess.run(
+        [sys.executable, "-c", SHIM, "perfbench/worker.py", str(workload_dir / "workload.ini"),
+         str(workload_dir / "rusage-pass"), "--threads", str(threads)],
+        cwd=checkout, env={**os.environ, **pin_env}, capture_output=True, text=True, check=True)
+    record, usage = _json_lines(proc.stdout)[-2:]
+    return {"wall_s": record["wall_s"],
+            "cpu_s": record["cpu_s"],
+            # children run only inside the timed sections, so their CPU adds to cpu_s
+            "cpu_s_with_children": record["cpu_s"] + usage["children_cpu_s"],
+            "peak_rss_mb": record["peak_rss_mb"],
+            "children_peak_rss_mb": usage["children_maxrss_mb"],
+            **usage}
+
+
+def summary(before, after, lower_is_better=True):
+    def stats(xs):
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        return {"median": med, "q1": q1, "q3": q3, "samples": xs}
+
+    wins = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
+    ties = sum(a == b for b, a in zip(before, after))
+    base = statistics.median(before)  # 0 for children's memory when nothing forks
+    return {"before": stats(before), "after": stats(after),
+            "after_over_before_median": statistics.median(after) / base if base else None,
+            "after_wins": wins, "ties": ties, "pairs": len(before)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", required=True)
+    parser.add_argument("--after", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.after) / "perfbench"))
+    import run
+    import workloads
+
+    threads = workloads.WORKLOADS[args.workload].threads
+    sides = {"before": args.before, "after": args.after}
+    runs = {side: [] for side in sides}
+    usage = {side: [] for side in sides}
+    order = []
+    for i in range(args.pairs):
+        first = ("before", "after") if i % 2 == 0 else ("after", "before")
+        order.append(list(first))
+        for side in first:
+            runs[side].append(run_perfbench(sides[side], args.workload, args.seed, args.seconds))
+            usage[side].append(run_rusage_pass(sides[side], args.workload, threads, run.PIN_ENV))
+            print(f"pair {i} {side}: wall_s {runs[side][-1]['wall_s']:.3f}", file=sys.stderr)
+            # every sample so far, so that a failure later loses nothing
+            Path(args.out).write_text(json.dumps({"runs": runs, "usage": usage}) + "\n")
+
+    report = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "threads": threads,
+        "order": order,
+        "correct": {side: [r["correct"] for r in runs[side]] for side in sides},
+        "end_to_end": {
+            name: summary([r[name] for r in runs["before"]], [r[name] for r in runs["after"]],
+                          LOWER_IS_BETTER.get(name, True))
+            for name in METRICS
+        },
+        "with_children": {
+            name: summary([u[name] for u in usage["before"]], [u[name] for u in usage["after"]])
+            for name in ("cpu_s", "cpu_s_with_children", "peak_rss_mb", "children_peak_rss_mb")
+        },
+        "environment": {side: runs[side][0]["environment"] for side in sides},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
