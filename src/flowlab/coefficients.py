@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BoundUnavailableError, CapabilityError
-from .gaussian import (TABLE_RADIUS, HermiteTable, _delta, _fd_column_jacobian, fd_jacobian, ou_smooth,
-                       ou_smooth_grad, ou_smooth_table, refined_quadrature)
+from .gaussian import (TABLE_RADIUS, HermiteTable, _delta, _fd_column_jacobian, fd_jacobian, logsumexp,
+                       ou_smooth, ou_smooth_grad, ou_smooth_table, refined_quadrature)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -118,8 +117,15 @@ def time_mollifier(n, t):
 
 
 def mollifier_mass_below(n, t):
-    """∫_{-∞}^{t} χ_n: the ramp a constant-in-time drift picks up near t = 0."""
-    return _bump_cdf(np.asarray(t, dtype=float) * n)
+    """∫_{-∞}^{t} χ_n: the ramp a constant-in-time drift picks up near t = 0.
+
+    Exactly 1.0 for a scalar t with t n >= 1, the value the cumulative table
+    holds there, without reading it.
+    """
+    u = np.asarray(t, dtype=float) * n
+    if u.ndim == 0 and u >= 1.0:
+        return 1.0
+    return _bump_cdf(u)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +268,11 @@ def _on_table(X, on_table, off_table):
     """``on_table(x)`` at the points of X (..., 1) with |x| <= TABLE_RADIUS, ``off_table(P)`` elsewhere."""
     X = np.asarray(X, dtype=float)
     x = X.reshape(-1)
-    inside = np.abs(x) <= TABLE_RADIUS
-    if inside.all():
+    # NaN fails both comparisons, so a non-finite point always takes the masked route
+    if x.min(initial=0.0) >= -TABLE_RADIUS and x.max(initial=0.0) <= TABLE_RADIUS:
         out = on_table(x)
     else:
+        inside = np.abs(x) <= TABLE_RADIUS
         off = np.asarray(off_table(x[~inside, None]), dtype=float)
         out = np.empty((x.shape[0],) + off.shape[1:])
         out[~inside] = off
@@ -451,7 +458,9 @@ def regularize_drift(field, level, quad):
     else:
         def new_b(t, X):
             ramp = float(mollifier_mass_below(level.n, t))
-            return _on_table(X, lambda x: ramp * table(x), lambda P: moving_b(t, P))
+            # 1.0 * v is v bit for bit: past the ramp the table is read as it is
+            return _on_table(X, table if ramp == 1.0 else lambda x: ramp * table(x),
+                             lambda P: moving_b(t, P))
 
         def new_b_jac(t, X):
             ramp = float(mollifier_mass_below(level.n, t))

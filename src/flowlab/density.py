@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coefficients import _hypothesis_integral
 from .errors import BoundUnavailableError
-from .gaussian import _delta, fd_jacobian, refined_quadrature
+from .gaussian import _delta, fd_jacobian, logsumexp, refined_quadrature
 from .oracles import gaussian_abs_moment, m2_exponential_moment
 from .sde import simulate_ensemble
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EvaluationError
 from .rng import MC_QUAD_STREAM, standard_normals
@@ -124,6 +123,34 @@ def gauss_expectation(g, quad):
     values = np.asarray(g(quad.nodes), dtype=float)
     _check_finite(values, quad)
     return np.tensordot(quad.weights, values, axes=(0, 0))
+
+
+def logsumexp(a):
+    """log Σ e^a over every entry of the float array a, bit for bit ``scipy.special.logsumexp(a)``.
+
+    scipy's arithmetic for real input without weights, in its order: the
+    maximum entries are taken out of the sum and counted, the others are
+    shifted by the maximum, and log1p(sum / count) + log(count) + max is
+    returned.  Only where that is not finite (an infinite or NaN entry, or
+    every entry -inf) is log(sum(exp(a))) computed and returned instead.
+    An empty array gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return np.float64(-np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        shifted = a - a_max
+        shifted[top] = -np.inf
+        s = np.exp(shifted, out=shifted).sum()
+        count = np.float64(np.count_nonzero(top))
+        if s != 0:
+            s = s / count
+        out = np.log1p(s) + np.log(count) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
 
 
 def gauss_log_expectation(log_g, quad):
@@ -301,6 +328,12 @@ class HermiteTable:
     off the table and its Jacobian read off the same table agree to rounding.
     Points beyond the grid use its end cubics.  ``coef`` may hold only the
     cells ``first`` .. ``first`` + len(coef) - 1 of the grid (see ``cut``).
+
+    ``coef`` is cell-major, the layout the evaluation reads: one gather of
+    whole cells brings each point's four coefficients (one cache line for
+    k = 1) and the cubic is summed by Horner's rule in place, in the
+    operation order of c0 + τ(c1 + τ(c2 + τ c3)).  Cell indices are clipped
+    to the kept cells only when some point falls outside them.
     """
 
     x0: float
@@ -333,20 +366,36 @@ class HermiteTable:
         return HermiteTable(x0=self.x0, h=self.h, coef=coef, shape=self.shape, first=lo)
 
     def _cells(self, x):
-        u = (np.asarray(x, dtype=float) - self.x0) / self.h
-        j = np.clip(np.floor(u).astype(np.intp), self.first, self.first + self.coef.shape[0] - 1)
-        tau = (u - j)[:, None]
-        j -= self.first
-        return np.take(self.coef, j, axis=0), tau
+        """The coefficients (n, 4, k) of the cells of the points x (n,) and their τ (n, 1)."""
+        u = np.asarray(x, dtype=float) - self.x0
+        u /= self.h
+        cell = np.floor(u)
+        j = cell.astype(np.intp)
+        last = self.first + self.coef.shape[0] - 1
+        if j.min(initial=self.first) < self.first or j.max(initial=last) > last:
+            np.clip(j, self.first, last, out=j)
+            cell = j
+        u -= cell
+        if self.first:
+            j -= self.first
+        return self.coef.take(j, axis=0), u[:, None]
 
     def __call__(self, x):
         """Interpolated values at the points x (n,); shape (n,) + ``shape``."""
         c, tau = self._cells(x)
-        out = c[:, 0] + tau * (c[:, 1] + tau * (c[:, 2] + tau * c[:, 3]))
+        out = c[:, 3] * tau
+        for i in (2, 1):
+            out += c[:, i]
+            out *= tau
+        out += c[:, 0]
         return out.reshape((-1,) + self.shape)
 
     def derivative(self, x):
         """Exact derivative of the interpolant at the points x (n,)."""
         c, tau = self._cells(x)
-        out = (c[:, 1] + tau * (2.0 * c[:, 2] + 3.0 * tau * c[:, 3])) / self.h
+        out = c[:, 3] * (3.0 * tau)
+        out += 2.0 * c[:, 2]
+        out *= tau
+        out += c[:, 1]
+        out /= self.h
         return out.reshape((-1,) + self.shape)

@@ -5,23 +5,28 @@ Each trajectory owns a counter-based random substream keyed by
 fixed ``(seed, dt, grid)`` at any worker count.
 
 One package-private driver is the only place where chunks, workers and
-trajectory noise are handled: ``_run_chunks`` partitions trajectories into
-chunks whose boundaries depend only on the problem size, draws each chunk's
-increments in one block (bit for bit the per-trajectory substreams, see
-:mod:`flowlab.rng`) and runs the caller's body on it.  With more than one
-worker the chunks are dealt out in shares: this process runs the first and
-forked child processes run the others with the same body, writing into
-arrays on anonymous shared memory (``_shared_zeros``); with one worker, or
-without ``os.fork``, the same loop runs inline.  Bodies write into disjoint
-slices of those arrays, and per-chunk results come back in chunk order for
-the caller to reduce.  ``_euler_step`` is the only Euler update and the only
-place coefficients are evaluated along a path: one
-``CoefficientField.evaluate`` per step, whose σ and b step the state and
-whose bundle the accumulators read; it guards every path against explosion.  ``simulate_ensemble`` is the only caller of ``_run_chunks`` and
-its chunk body the only loop over steps.  Every path functional (the density
-weight, the occupation functional, the stochastic integrals, the modulus of
-continuity, the coupling of regularization levels) is an accumulator
-streamed through ``simulate_ensemble``.
+trajectory noise are handled: ``_run_chunks`` fixes the worker count,
+partitions trajectories into equal chunks (a multiple of the worker count,
+none past the increment budget), draws each chunk's increments in one block
+(bit for bit the per-trajectory substreams, see :mod:`flowlab.rng`) and runs
+the caller's body on it.  No output depends on the cut: every trajectory's
+arithmetic is its own.  With more than one worker the chunks are dealt out
+in shares: this process runs the first and forked child processes run the
+others with the same body, writing into arrays on anonymous shared memory
+(``_shared_zeros``); with one worker, or without ``os.fork``, the same loop
+runs inline.  Bodies write into disjoint slices of those arrays, and
+per-chunk results come back in chunk order for the caller to reduce.
+``_euler_step`` is the only Euler update and the only place coefficients
+are evaluated along a path: one ``CoefficientField.evaluate`` per step,
+whose σ and b step the state and whose bundle the accumulators read; it
+guards every path against explosion.  ``simulate_ensemble`` is the only
+caller of ``_run_chunks`` and its chunk body the only loop over steps.  At
+each step it copies that step's increments out of the chunk's block into
+one C-contiguous, read-only (rows, m) slab, which the Euler step and every
+accumulator read.  Every path functional (the density weight, the
+occupation functional, the stochastic integrals, the modulus of continuity,
+the coupling of regularization levels) is an accumulator streamed through
+``simulate_ensemble``.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density
@@ -52,6 +57,7 @@ __all__ = [
 
 EXPLOSION_RADIUS = 1e8
 _CHUNK_BUDGET = 1 << 22  # floats of increment storage per chunk
+_MIN_ROWS = 64           # fewest trajectories a budget chunk, or a worker's share, holds
 
 
 def make_grid(s, T, dt):
@@ -87,9 +93,17 @@ class FlowEnsemble:
         return int(round((self.T - self.s) / self.dt))
 
 
-def _chunk_edges(n_traj, n_steps, m):
-    size = max(64, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
-    edges = list(range(0, n_traj, size)) + [n_traj]
+def _chunk_edges(n_traj, n_steps, m, workers=1):
+    """Chunks of equal size (to one row), as many as a multiple of ``workers``.
+
+    No chunk holds more rows than the increment budget allows (at least 64,
+    at most 8192), so the chunks dealt round-robin give every worker the
+    same number of rows to within one per chunk.
+    """
+    cap = max(_MIN_ROWS, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
+    count = max(1, -(-n_traj // cap))           # chunks at the budget
+    count = -(-count // workers) * workers      # rounded up to a multiple of workers
+    edges = [i * n_traj // count for i in range(count + 1)]
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
@@ -130,6 +144,11 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _workers(threads, n_traj):
+    """Workers for an ensemble: at most threads, usable CPUs and n_traj // 64; 1 without ``os.fork``."""
+    return max(1, min(threads, _usable_cpus(), n_traj // _MIN_ROWS)) if hasattr(os, "fork") else 1
 
 
 class _WorkerTraceback(Exception):
@@ -214,8 +233,9 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
 
     ``inc`` holds the increments of substreams lo .. hi-1, drawn in one
-    ``brownian_increments`` call per chunk.  The chunks are dealt round-robin
-    into min(threads, chunks, usable CPUs) shares, run by ``_run_shares``, so a
+    ``brownian_increments`` call per chunk.  The worker count (``_workers``)
+    is fixed first and the chunks are cut for it (``_chunk_edges``), then
+    dealt round-robin into one share per worker, run by ``_run_shares``, so a
     body writes its output into arrays from ``_shared_zeros`` and returns
     only small, picklable results.  A chunk whose body raises
     ``ExplosionError`` stops there while the others run to the end; then one
@@ -223,8 +243,8 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     exception stops its share; the one of the lowest chunk is raised, which
     is the one a serial run raises.
     """
-    chunks = _chunk_edges(n_traj, n_steps, m)
-    workers = max(1, min(threads, len(chunks), _usable_cpus())) if hasattr(os, "fork") else 1
+    workers = _workers(threads, n_traj)
+    chunks = _chunk_edges(n_traj, n_steps, m, workers)
 
     def run(share):
         results, failures = {}, []
@@ -267,7 +287,14 @@ def _euler_step(field, k, t, X, dW, dt):
     exploded rows of X.
     """
     ev = field.evaluate(t, X)
-    X_next = X + np.einsum("nam,nm->na", ev.sigma, dW) + ev.b * dt
+    if dW.shape[-1] == 1:
+        # einsum sums its one product onto +0.0; adding 0.0 keeps that zero's sign
+        X_next = ev.sigma[..., 0] * dW
+        X_next += 0.0
+    else:
+        X_next = np.einsum("nam,nm->na", ev.sigma, dW)
+    X_next += X
+    X_next += ev.b * dt
     # one whole-array test per step; NaN fails the comparison too
     if not np.abs(X_next).max() <= EXPLOSION_RADIUS:
         bad = ~np.isfinite(X_next).all(axis=1) | (np.abs(X_next).max(axis=1) > EXPLOSION_RADIUS)
@@ -302,7 +329,8 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     functionals: each has ``alloc(n_traj, zeros)``, called once before the
     run, and ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of
     every chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
-    left-point states X, the increments dW of that step, the step's
+    left-point states X, the increments dW of that step (a C-contiguous,
+    read-only (rows, m) slab, the one the Euler step read), the step's
     coefficient bundle ``ev`` = ``field.evaluate(t, X)`` (see
     ``CoefficientValues``) and the stepped states X_next.  An accumulator
     keeps its per-trajectory results (and any state it carries across steps)
@@ -329,7 +357,8 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
         X = x0[sl]
         for k in range(n_steps):
             t = s + k * dt
-            dW = inc[:, k, :]
+            dW = inc[:, k, :].copy()  # one contiguous slab that every consumer reads
+            dW.flags.writeable = False
             ev, X_next = _euler_step(field, k, t, X, dW, dt)
             for acc in accumulators:
                 acc.step(sl, k, t, X, dW, ev, X_next)

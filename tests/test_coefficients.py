@@ -24,7 +24,7 @@ from flowlab.coefficients import (
     validate_hypotheses,
 )
 from flowlab.errors import CapabilityError
-from flowlab.gaussian import _delta
+from flowlab.gaussian import HermiteTable, _delta
 from flowlab.oracles import gaussian_abs_moment
 
 from conftest import make_sine_field
@@ -85,6 +85,18 @@ class TestTimeMollifier:
         assert mollifier_mass_below(4, -0.25) == pytest.approx(0.0, abs=1e-12)
         assert mollifier_mass_below(4, 0.25) == pytest.approx(1.0, abs=1e-12)
         assert mollifier_mass_below(4, 0.0) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 4, 128])
+    def test_ramp_is_exactly_one_past_the_support(self, n):
+        dt = 1e-3
+        for t in [k * dt for k in range(0, 1001, 7)] + [1.0 / n, 0.5 / n, 2.0]:
+            ramp = mollifier_mass_below(n, t)
+            if t * n >= 1.0:
+                assert ramp == 1.0 and ramp == coefficients._bump_cdf(t * n)
+            else:
+                assert ramp == coefficients._bump_cdf(np.asarray(t) * n)
+        ts = np.array([-0.5, 0.2, 0.7, 3.0]) / n
+        assert np.array_equal(mollifier_mass_below(n, ts), coefficients._bump_cdf(ts * n))
 
 
 class TestRegularizeSigma:
@@ -284,6 +296,45 @@ class TestTablesMatchMovingNodes:
         for t in (0.0, 0.5 / n, 0.6):
             np.testing.assert_allclose(table.b(t, xs), ref.b(t, xs), rtol=0, atol=1e-6)
             np.testing.assert_allclose(table.b_jacobian(t, xs), ref.b_jacobian(t, xs), rtol=0, atol=1e-6)
+
+
+class TestOffTableRoute:
+    """NaN, ±inf and |x| > TABLE_RADIUS reach the moving-node route, never a table index."""
+
+    def test_routes(self):
+        seen = {"on": [], "off": []}
+
+        def on(x):
+            seen["on"].append(x.copy())
+            return 2.0 * x
+
+        def off(P):
+            seen["off"].append(P[:, 0].copy())
+            return np.full(P.shape[0], -1.0)
+
+        X = np.array([0.5, np.nan, -16.0, np.inf, 16.0, -np.inf, 16.5, -17.0, 3.0])[:, None]
+        out = coefficients._on_table(X, on, off)
+        inside = np.array([0.5, -16.0, 16.0, 3.0])
+        assert np.array_equal(seen["on"][0], inside)
+        np.testing.assert_array_equal(seen["off"][0], [np.nan, np.inf, -np.inf, 16.5, -17.0])
+        assert np.array_equal(out[[0, 2, 4, 8]], 2.0 * inside) and (out[[1, 3, 5, 6, 7]] == -1.0).all()
+        seen["on"].clear()
+        coefficients._on_table(np.array([[-16.0], [16.0]]), on, off)
+        assert len(seen["on"]) == 1 and len(seen["off"]) == 1
+
+    def test_nonfinite_point_never_reaches_a_table(self, monkeypatch, sign1, quad1):
+        looked_up = []
+        real = HermiteTable._cells
+        monkeypatch.setattr(HermiteTable, "_cells",
+                            lambda table, x: looked_up.append(np.asarray(x).copy()) or real(table, x))
+        field = regularize_sigma(sign1, RegularizationLevel(4), quad1)  # σ = Id: finite off the table
+        X = np.array([0.3, np.nan, np.inf, -np.inf, 20.0, -1.0])[:, None]
+        with np.errstate(invalid="ignore"):
+            field.sigma(0.0, X)
+            field.sigma_jacobian(0.0, X)
+        assert len(looked_up) == 2
+        for x in looked_up:
+            assert np.array_equal(x, [0.3, -1.0])
 
 
 class TestSigmaTableCut:

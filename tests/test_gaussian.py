@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from flowlab.coefficients import builtin_coefficients
 from flowlab.errors import CapabilityError, EvaluationError
@@ -15,6 +16,7 @@ from flowlab.gaussian import (
     fd_jacobian,
     gauss_expectation,
     gauss_log_expectation,
+    logsumexp,
     ou_smooth,
     ou_smooth_grad,
     ou_smooth_table,
@@ -268,6 +270,97 @@ class TestSmoothingTable:
         pts = tab.x[pick, None]
         np.testing.assert_allclose(tab.values[pick], ou_smooth(f, 0.2, pts, quad1_fine), atol=1e-11)
         np.testing.assert_allclose(tab.grads[pick], ou_smooth_grad(f, 0.2, pts, quad1_fine)[:, 0], atol=1e-10)
+
+
+def _gather_formula(table, x):
+    """Value and derivative by one (cells, 4, k) gather, a clip of every index and out-of-place Horner."""
+    u = (np.asarray(x, dtype=float) - table.x0) / table.h
+    j = np.clip(np.floor(u).astype(np.intp), table.first, table.first + table.coef.shape[0] - 1)
+    tau = (u - j)[:, None]
+    c = np.take(table.coef, j - table.first, axis=0)
+    value = c[:, 0] + tau * (c[:, 1] + tau * (c[:, 2] + tau * c[:, 3]))
+    slope = (c[:, 1] + tau * (2.0 * c[:, 2] + 3.0 * tau * c[:, 3])) / table.h
+    return value.reshape((-1,) + table.shape), slope.reshape((-1,) + table.shape)
+
+
+class TestHermiteKernel:
+    """The in-place kernel gives the floats of the plain gather formula, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        rng = np.random.default_rng(17)
+        x = np.linspace(-4.0, 4.0, 257)
+        scalar = HermiteTable.fit(x, np.sin(3 * x), 3 * np.cos(3 * x))
+        vals = rng.standard_normal((257, 1, 3))
+        slopes = rng.standard_normal((257, 1, 3))
+        return {"k=1": scalar, "k=1 cut": scalar.cut(60, 190), "k=3": HermiteTable.fit(x, vals, slopes)}
+
+    @pytest.mark.parametrize("name", ["k=1", "k=1 cut", "k=3"])
+    def test_equals_the_gather_formula(self, tables, name):
+        table = tables[name]
+        rng = np.random.default_rng(5)
+        lo = table.x0 + table.first * table.h
+        hi = lo + table.coef.shape[0] * table.h
+        inside = rng.uniform(lo, hi, 2000)
+        edges = lo + table.h * np.arange(table.coef.shape[0] + 1)
+        beyond = np.concatenate([rng.uniform(lo - 3.0, lo, 50), rng.uniform(hi, hi + 3.0, 50)])
+        for pts in (inside, edges, np.concatenate([inside, beyond]), beyond):
+            value, slope = _gather_formula(table, pts)
+            assert np.array_equal(table(pts), value)
+            assert np.array_equal(table.derivative(pts), slope)
+
+    def test_clips_only_when_a_point_leaves_the_kept_cells(self, tables, monkeypatch):
+        clips = []
+        real = np.clip
+        monkeypatch.setattr(np, "clip", lambda *a, **k: clips.append(1) or real(*a, **k))
+        table = tables["k=1 cut"]
+        lo = table.x0 + table.first * table.h
+        table(lo + table.h * np.array([0.0, 0.5, 70.25]))
+        assert clips == []
+        table(np.array([lo - 0.01, lo + 1.0]))
+        assert clips == [1]
+
+    def test_empty_points(self, tables):
+        for table in tables.values():
+            assert table(np.empty(0)).shape == (0,) + table.shape
+            assert table.derivative(np.empty(0)).shape == (0,) + table.shape
+
+
+class TestLogSumExp:
+    """``logsumexp`` returns scipy's float bit for bit, edge cases included."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(29)
+        shapes = [(79,), (6250,), (33, 64), (64,), (3,)]
+        for i in range(600):
+            a = rng.standard_normal(shapes[i % 5]) * (1.0, 10.0, 300.0, 1000.0)[i % 4]
+            flat = a.reshape(-1)
+            kind = i % 10
+            if kind == 1:
+                flat[rng.integers(flat.size)] = np.inf
+            elif kind == 2:
+                flat[rng.integers(flat.size)] = -np.inf
+            elif kind == 3:
+                flat[rng.integers(flat.size)] = np.nan
+            elif kind == 4:
+                flat[:] = np.round(flat)                     # tied maxima
+            elif kind == 5:
+                flat[:] = -np.inf
+            elif kind == 6:
+                flat[: flat.size // 2] = flat.max()
+            elif kind == 7:
+                flat[:2] = np.inf, -np.inf
+            yield a, scipy_logsumexp(a)
+
+    def test_bitwise_scipy(self):
+        for a, expected in self._cases():
+            got = logsumexp(a)
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected, equal_nan=True) and np.signbit(got) == np.signbit(expected)
+
+    def test_empty(self):
+        assert logsumexp(np.array([])) == scipy_logsumexp(np.array([])) == -np.inf
 
 
 class TestHermiteTable:

@@ -152,14 +152,17 @@ class TestBlockDraw:
     def test_run_chunks_increments_are_chunk_invariant(self, monkeypatch, threads):
         n_traj, n_steps, m, dt, seed = 300, 50, 2, 0.01, 4
         whole = brownian_increments(seed, range(n_traj), n_steps, m, dt)
+        workers = flowlab.sde._workers(threads, n_traj)
         for budget in (flowlab.sde._CHUNK_BUDGET, 64 * n_steps * m):
             monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", budget)
             parts = flowlab.sde._run_chunks(
                 n_traj, n_steps, m, dt, seed, lambda lo, hi, inc: (lo, hi, inc), threads
             )
-            assert [(lo, hi) for lo, hi, _ in parts] == flowlab.sde._chunk_edges(n_traj, n_steps, m)
+            edges = flowlab.sde._chunk_edges(n_traj, n_steps, m, workers)
+            assert [(lo, hi) for lo, hi, _ in parts] == edges
             assert np.array_equal(np.concatenate([inc for _, _, inc in parts]), whole)
-        assert len(parts) == 5
+        # 300 rows at 64 a chunk: 5 chunks, rounded up to 6 for two workers
+        assert len(parts) == {1: 5, 2: 6}[workers]
         assert np.array_equal(whole[299], _generator_draw(seed, 299, n_steps, m, dt))
 
 
@@ -283,6 +286,92 @@ class TestEnsemble:
         # every reported index is a real trajectory and the first bad step is named
         assert err.value.indices and all(0 <= i < 16 for i in err.value.indices)
         assert err.value.step == 1
+
+
+class TestNoiseTerm:
+    """One noise column is a broadcast product; it steps to einsum's floats, zero signs included."""
+
+    def test_one_column_equals_einsum(self):
+        rng = np.random.default_rng(8)
+        n, d, dt = 400, 2, 1e-3
+        S = rng.standard_normal((n, d, 1))
+        dW = rng.standard_normal((n, 1))
+        X = rng.standard_normal((n, d))
+        B = rng.standard_normal((n, d))
+        zero = slice(0, 100)  # rows whose product, state and drift are all zeros of either sign
+        S[zero] = rng.choice([0.0, -0.0], (100, d, 1))
+        dW[zero] = rng.choice([0.0, -0.0, 1.0, -1.0], (100, 1))
+        X[zero] = rng.choice([0.0, -0.0], (100, d))
+        B[zero] = rng.choice([0.0, -0.0], (100, d))
+        field = builtin_coefficients("custom", d=d, m=1, sigma=lambda t, P: S, b=lambda t, P: B)
+        X_next = flowlab.sde._euler_step(field, 0, 0.0, X, dW, dt)[1]
+        expected = X + np.einsum("nam,nm->na", S, dW) + B * dt
+        assert np.array_equal(X_next, expected)
+        assert np.array_equal(np.signbit(X_next), np.signbit(expected))
+        # the bare product would have kept some -0.0 that einsum's sum turns into +0.0
+        assert not np.array_equal(np.signbit(X + S[..., 0] * dW + B * dt), np.signbit(expected))
+
+
+class _SlabContract:
+    """Asserts that every step's increments are one C-contiguous, read-only (rows, m) slab."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def alloc(self, n_traj, zeros):
+        self.steps = zeros(n_traj)
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        rows = sl.stop - sl.start
+        assert dW.flags.c_contiguous and not dW.flags.writeable
+        assert dW.shape == (rows, self.m) == (X.shape[0], self.m)
+        self.steps[sl] += 1
+
+
+class TestIncrementSlabs:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_every_consumer_reads_a_contiguous_slab(self, monkeypatch, threads, m):
+        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * 20 * m)  # chunks of 64 paths
+        field = builtin_coefficients("translate", d=m)
+        acc = _SlabContract(m)
+        ens = simulate_ensemble(field, 0.0, 0.2, ("gaussian", 300), 1e-2, seed=4, threads=threads,
+                                accumulators=(acc,))
+        assert len(flowlab.sde._chunk_edges(300, 20, m, flowlab.sde._workers(threads, 300))) >= 5
+        assert (acc.steps == 20).all()
+        X = ens.x0
+        for dW in np.moveaxis(brownian_increments(4, range(300), 20, m, 1e-2), 1, 0):
+            X = X + dW  # the translate step, X + Id dW + 0 dt
+        np.testing.assert_array_equal(ens.xT, X)
+
+
+class TestChunkEdges:
+    """Chunks are cut for the worker count: equal to one row, a multiple of it, none past the cap."""
+
+    @pytest.mark.parametrize("n_traj, n_steps, m", [(40000, 250, 1), (6250, 5000, 1), (6250, 100, 1),
+                                                    (300, 50, 2), (5000, 500, 1), (1, 10, 1)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equal_chunks(self, n_traj, n_steps, m, workers):
+        cap = max(64, min(8192, flowlab.sde._CHUNK_BUDGET // (n_steps * m)))
+        edges = flowlab.sde._chunk_edges(n_traj, n_steps, m, workers)
+        sizes = [hi - lo for lo, hi in edges]
+        assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]] and edges[-1][1] == n_traj
+        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+        at_budget = math.ceil(n_traj / cap)
+        assert len(edges) == min(n_traj, math.ceil(at_budget / workers) * workers)
+
+    def test_two_workers_get_equal_shares(self):
+        # 40,000 paths of 250 steps were 5 chunks (8192 rows) dealt 3/2; now 6 dealt 3/3
+        edges = flowlab.sde._chunk_edges(40000, 250, 1, 2)
+        shares = [sum(hi - lo for lo, hi in edges[w::2]) for w in range(2)]
+        assert len(edges) == 6 and shares == [20000, 20000]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(flowlab.sde, "_usable_cpus", lambda: 4)
+        assert [flowlab.sde._workers(8, n) for n in (0, 63, 64, 128, 255, 10**6)] == [1, 1, 1, 2, 3, 4]
+        assert flowlab.sde._workers(2, 10**6) == 2
+        monkeypatch.delattr(flowlab.sde.os, "fork")
+        assert flowlab.sde._workers(8, 10**6) == 1
 
 
 def _custom1(sigma, b, name):
