@@ -458,9 +458,7 @@ def regularize_drift(field, level, quad):
     else:
         def new_b(t, X):
             ramp = float(mollifier_mass_below(level.n, t))
-            # 1.0 * v is v bit for bit: past the ramp the table is read as it is
-            return _on_table(X, table if ramp == 1.0 else lambda x: ramp * table(x),
-                             lambda P: moving_b(t, P))
+            return _on_table(X, lambda x: ramp * table(x), lambda P: moving_b(t, P))
 
         def new_b_jac(t, X):
             ramp = float(mollifier_mass_below(level.n, t))

@@ -57,7 +57,6 @@ __all__ = [
 
 EXPLOSION_RADIUS = 1e8
 _CHUNK_BUDGET = 1 << 22  # floats of increment storage per chunk
-_MIN_ROWS = 64           # fewest trajectories a budget chunk, or a worker's share, holds
 
 
 def make_grid(s, T, dt):
@@ -100,7 +99,7 @@ def _chunk_edges(n_traj, n_steps, m, workers=1):
     at most 8192), so the chunks dealt round-robin give every worker the
     same number of rows to within one per chunk.
     """
-    cap = max(_MIN_ROWS, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
+    cap = max(64, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
     count = max(1, -(-n_traj // cap))           # chunks at the budget
     count = -(-count // workers) * workers      # rounded up to a multiple of workers
     edges = [i * n_traj // count for i in range(count + 1)]
@@ -144,11 +143,6 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _workers(threads, n_traj):
-    """Workers for an ensemble: at most threads, usable CPUs and n_traj // 64; 1 without ``os.fork``."""
-    return max(1, min(threads, _usable_cpus(), n_traj // _MIN_ROWS)) if hasattr(os, "fork") else 1
 
 
 class _WorkerTraceback(Exception):
@@ -233,8 +227,9 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
 
     ``inc`` holds the increments of substreams lo .. hi-1, drawn in one
-    ``brownian_increments`` call per chunk.  The worker count (``_workers``)
-    is fixed first and the chunks are cut for it (``_chunk_edges``), then
+    ``brownian_increments`` call per chunk.  The worker count, min(threads,
+    usable CPUs, chunks at the budget), is fixed first, so an ensemble of one
+    budget chunk runs inline; the chunks are cut for it (``_chunk_edges``) and
     dealt round-robin into one share per worker, run by ``_run_shares``, so a
     body writes its output into arrays from ``_shared_zeros`` and returns
     only small, picklable results.  A chunk whose body raises
@@ -243,7 +238,8 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     exception stops its share; the one of the lowest chunk is raised, which
     is the one a serial run raises.
     """
-    workers = _workers(threads, n_traj)
+    at_budget = len(_chunk_edges(n_traj, n_steps, m))
+    workers = max(1, min(threads, at_budget, _usable_cpus())) if hasattr(os, "fork") else 1
     chunks = _chunk_edges(n_traj, n_steps, m, workers)
 
     def run(share):
@@ -287,14 +283,7 @@ def _euler_step(field, k, t, X, dW, dt):
     exploded rows of X.
     """
     ev = field.evaluate(t, X)
-    if dW.shape[-1] == 1:
-        # einsum sums its one product onto +0.0; adding 0.0 keeps that zero's sign
-        X_next = ev.sigma[..., 0] * dW
-        X_next += 0.0
-    else:
-        X_next = np.einsum("nam,nm->na", ev.sigma, dW)
-    X_next += X
-    X_next += ev.b * dt
+    X_next = X + np.einsum("nam,nm->na", ev.sigma, dW) + ev.b * dt
     # one whole-array test per step; NaN fails the comparison too
     if not np.abs(X_next).max() <= EXPLOSION_RADIUS:
         bad = ~np.isfinite(X_next).all(axis=1) | (np.abs(X_next).max(axis=1) > EXPLOSION_RADIUS)

@@ -152,12 +152,12 @@ class TestBlockDraw:
     def test_run_chunks_increments_are_chunk_invariant(self, monkeypatch, threads):
         n_traj, n_steps, m, dt, seed = 300, 50, 2, 0.01, 4
         whole = brownian_increments(seed, range(n_traj), n_steps, m, dt)
-        workers = flowlab.sde._workers(threads, n_traj)
         for budget in (flowlab.sde._CHUNK_BUDGET, 64 * n_steps * m):
             monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", budget)
             parts = flowlab.sde._run_chunks(
                 n_traj, n_steps, m, dt, seed, lambda lo, hi, inc: (lo, hi, inc), threads
             )
+            workers = _workers(threads, n_traj, n_steps, m)
             edges = flowlab.sde._chunk_edges(n_traj, n_steps, m, workers)
             assert [(lo, hi) for lo, hi, _ in parts] == edges
             assert np.array_equal(np.concatenate([inc for _, _, inc in parts]), whole)
@@ -288,30 +288,6 @@ class TestEnsemble:
         assert err.value.step == 1
 
 
-class TestNoiseTerm:
-    """One noise column is a broadcast product; it steps to einsum's floats, zero signs included."""
-
-    def test_one_column_equals_einsum(self):
-        rng = np.random.default_rng(8)
-        n, d, dt = 400, 2, 1e-3
-        S = rng.standard_normal((n, d, 1))
-        dW = rng.standard_normal((n, 1))
-        X = rng.standard_normal((n, d))
-        B = rng.standard_normal((n, d))
-        zero = slice(0, 100)  # rows whose product, state and drift are all zeros of either sign
-        S[zero] = rng.choice([0.0, -0.0], (100, d, 1))
-        dW[zero] = rng.choice([0.0, -0.0, 1.0, -1.0], (100, 1))
-        X[zero] = rng.choice([0.0, -0.0], (100, d))
-        B[zero] = rng.choice([0.0, -0.0], (100, d))
-        field = builtin_coefficients("custom", d=d, m=1, sigma=lambda t, P: S, b=lambda t, P: B)
-        X_next = flowlab.sde._euler_step(field, 0, 0.0, X, dW, dt)[1]
-        expected = X + np.einsum("nam,nm->na", S, dW) + B * dt
-        assert np.array_equal(X_next, expected)
-        assert np.array_equal(np.signbit(X_next), np.signbit(expected))
-        # the bare product would have kept some -0.0 that einsum's sum turns into +0.0
-        assert not np.array_equal(np.signbit(X + S[..., 0] * dW + B * dt), np.signbit(expected))
-
-
 class _SlabContract:
     """Asserts that every step's increments are one C-contiguous, read-only (rows, m) slab."""
 
@@ -337,7 +313,7 @@ class TestIncrementSlabs:
         acc = _SlabContract(m)
         ens = simulate_ensemble(field, 0.0, 0.2, ("gaussian", 300), 1e-2, seed=4, threads=threads,
                                 accumulators=(acc,))
-        assert len(flowlab.sde._chunk_edges(300, 20, m, flowlab.sde._workers(threads, 300))) >= 5
+        assert len(flowlab.sde._chunk_edges(300, 20, m)) == 5
         assert (acc.steps == 20).all()
         X = ens.x0
         for dW in np.moveaxis(brownian_increments(4, range(300), 20, m, 1e-2), 1, 0):
@@ -366,12 +342,34 @@ class TestChunkEdges:
         shares = [sum(hi - lo for lo, hi in edges[w::2]) for w in range(2)]
         assert len(edges) == 6 and shares == [20000, 20000]
 
-    def test_worker_count(self, monkeypatch):
+    @pytest.mark.parametrize("threads, n_traj, workers, chunks", [
+        (8, 6250, 1, 1),       # one chunk at the budget (8192 rows) runs inline
+        (2, 8193, 2, 2),
+        (2, 40000, 2, 6),      # 5 at the budget, rounded up to a multiple of 2
+        (8, 3 * 8192, 3, 3),   # capped by the chunks at the budget
+        (8, 10**6, 4, 124),    # capped by the usable CPUs
+        (1, 10**6, 1, 123),
+    ])
+    def test_worker_count_comes_from_the_budget(self, monkeypatch, threads, n_traj, workers, chunks):
         monkeypatch.setattr(flowlab.sde, "_usable_cpus", lambda: 4)
-        assert [flowlab.sde._workers(8, n) for n in (0, 63, 64, 128, 255, 10**6)] == [1, 1, 1, 2, 3, 4]
-        assert flowlab.sde._workers(2, 10**6) == 2
+        dealt = []
+
+        def deal(run, shares):  # records the shares and runs no chunk
+            dealt.append(shares)
+            return [({i: None for i in share}, [], None) for share in shares]
+
+        monkeypatch.setattr(flowlab.sde, "_run_shares", deal)
+        assert len(flowlab.sde._run_chunks(n_traj, 250, 1, 1e-3, 0, None, threads)) == chunks
+        assert dealt[-1] == [range(w, chunks, workers) for w in range(workers)]
+        assert workers == _workers(threads, n_traj, 250, 1)
         monkeypatch.delattr(flowlab.sde.os, "fork")
-        assert flowlab.sde._workers(8, 10**6) == 1
+        flowlab.sde._run_chunks(n_traj, 250, 1, 1e-3, 0, None, threads)
+        assert len(dealt[-1]) == 1
+
+
+def _workers(threads, n_traj, n_steps, m):
+    """The worker count of ``_run_chunks``: min(threads, usable CPUs, chunks at the budget)."""
+    return max(1, min(threads, flowlab.sde._usable_cpus(), len(flowlab.sde._chunk_edges(n_traj, n_steps, m))))
 
 
 def _custom1(sigma, b, name):

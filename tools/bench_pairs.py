@@ -8,11 +8,11 @@ Usage::
 ``DIR`` are two flowlab checkouts (for example ``git archive`` copies of a
 parent commit and of a change).  Each pair runs ``perfbench/run.py`` once in
 each checkout, the side that goes first alternating from pair to pair, and
-records its end-to-end metrics and ``correct``.  After each of those runs
-one more pass of ``perfbench/worker.py`` on the same workload config runs
-under a shim that reads ``getrusage`` for the worker itself and for its
-reaped children (the processes ``--threads`` forks), which perfbench's
-``cpu_s`` and ``peak_rss_mb`` do not see.
+records its end-to-end metrics, ``correct`` and ``check_fail_frac``.  After
+each of those runs one more pass of ``perfbench/worker.py`` on the same
+workload config runs under a shim that reads ``getrusage`` for the worker
+itself and for its reaped children (the processes ``--threads`` forks),
+which perfbench's ``cpu_s`` and ``peak_rss_mb`` do not see.
 
 The JSON written holds every sample, each side's median and quartiles
 (``statistics.quantiles``, inclusive method), the pairs the ``--after``
@@ -61,6 +61,7 @@ def run_perfbench(checkout, workload, seed, seconds):
     lines = _json_lines(proc.stdout)
     result = lines[-1]
     return {"correct": result["correct"],
+            "check_fail_frac": result["failed"] / result["attempted"],
             **{name: result["metrics"][name]["value"] for name in METRICS},
             "environment": lines[-2]["environment"]}
 
@@ -131,6 +132,7 @@ def main(argv=None):
         "threads": threads,
         "order": order,
         "correct": {side: [r["correct"] for r in runs[side]] for side in sides},
+        "check_fail_frac": {side: [r["check_fail_frac"] for r in runs[side]] for side in sides},
         "end_to_end": {
             name: summary([r[name] for r in runs["before"]], [r[name] for r in runs["after"]],
                           LOWER_IS_BETTER.get(name, True))
