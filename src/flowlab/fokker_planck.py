@@ -10,14 +10,16 @@ recorded boundary flux up to float roundoff; truncation losses are reported,
 never hidden.  Negative undershoots are clipped and accounted separately.
 
 One step serves d = 1 and 2, one axis at a time; only the cross term of the
-fluxes, present in d = 2 alone, depends on d.  It is built once per
-coefficient refresh (once per solve unless σ or b depends on time): the
-upwind split of the face velocities and contiguous copies of the a^ii (and,
-in d = 2, of a12).  The zero-bordered padded planes and face-flux buffers
-are allocated once per solve; every step fills their interiors in place, in
-the operation order of the flux formula, so each float equals that of the
-plain array expression.  Grid points, initial densities and CSV frames
-likewise share one layout (last coordinate fastest) in either dimension.
+fluxes depends on d.  It is built once per coefficient refresh (once per
+solve unless σ or b depends on time): the upwind split of the face
+velocities, contiguous copies of the a^ii and, only in d = 2 when a12 has a
+nonzero entry at that refresh, the cross term.  The zero-bordered padded
+planes and face-flux buffers are allocated once per solve; every step fills
+their interiors in place, in the operation order of the flux formula, so
+each float equals that of the plain array expression (the step's
+docstring says why its folded scalings and the skipped zero cross term
+change no bit).  Grid points, initial densities and CSV frames likewise
+share one layout (last coordinate fastest) in either dimension.
 
 The PDE side is deliberately modest (d <= 2, explicit stepping with the
 stability bound τ <= h^2 / (2 d max||a|| + h max|b|)); it exists as an
@@ -47,7 +49,6 @@ __all__ = [
     "mc_measure",
     "smooth_bump",
     "stable_coefficients",
-    "suggest_radius",
     "weak_error",
     "write_solution_csv",
 ]
@@ -57,14 +58,6 @@ def diffusion_matrix(field, t, X):
     """a(t, x) = σ(t, x) σ(t, x)* in R^{d x d}."""
     sig = np.asarray(field.sigma(t, X), dtype=float)
     return np.einsum("...am,...bm->...ab", sig, sig)
-
-
-def suggest_radius(field, T, tail_mass=1e-8):
-    """Truncation radius: γ_d tail below ``tail_mass`` plus drift excursion."""
-    from scipy.special import ndtri
-
-    r_gauss = -ndtri(tail_mass / (2.0 * field.d))
-    return float(r_gauss + field.growth_const * T + math.sqrt(field.d))
 
 
 def _mesh(axis, d):
@@ -205,10 +198,19 @@ def _build_step(a, b, h, tau, scratch):
 
     ``step(u, out)`` writes the stepped density into ``out`` and returns the
     mass that left the domain.  The face flux along each axis is
-    (0.5 (G+ - G-)) / h + 0.5 (0.5 (c+ + c-)) - (pos u- + neg u+), G = a^ii u
-    and, in d = 2 only, c the centered derivative of a12 u along the other
-    axis, evaluated in that order in the buffers of ``scratch``.  The cell
-    update sums the axes' flux differences, then scales by τ / h and adds u.
+    (G+ - G-) / (2h) + 0.25 (c+ + c-) - (pos u- + neg u+), G = a^ii u and c
+    the centered derivative of a12 u along the other axis, evaluated in that
+    order in the buffers of ``scratch``.  The cell update sums the axes' flux
+    differences, then scales by τ / h and adds u.
+
+    These are the floats of (0.5 (G+ - G-)) / h + 0.5 (0.5 (c+ + c-)):
+    halving a float and doubling h are exact, so both forms round one and
+    the same real quotient, and 0.25 x is two exact halvings (while the
+    halved values stay above the subnormal range, 2^-1022).  The cross term
+    is built only in d = 2 and only when a12 has a nonzero entry at this
+    refresh.  Its zeros would change no bit: u >= +0 after every clip, so G
+    and each (G+ - G-) are +0 or nonzero, and adding ±0 leaves them as they
+    are.
     """
     (upad, gpad, *cpads), faces, (w1, w2) = scratch
     d, n = b.shape[-1], b.shape[0]
@@ -219,11 +221,11 @@ def _build_step(a, b, h, tau, scratch):
         return _along(p, i, index, slice(1, -1))
 
     u_in, g_in = upad[inner], gpad[inner]
+    a12 = np.ascontiguousarray(a[..., 0, 1]) if d == 2 and np.any(a[..., 0, 1]) else None
     # plane i: the centered derivative of G12 = a12 u along the other axis, for axis i's flux
     cross = [(c[inner], face(gpad, 1 - i, slice(2, None)), face(gpad, 1 - i, slice(None, -2)))
-             for i, c in enumerate(cpads)]
-    a12 = np.ascontiguousarray(a[..., 0, 1]) if cross else None
-    # per axis: flux, a^ii, G+, G-, c+, c- (None in d = 1), pos, u-, neg, u+, work arrays
+             for i, c in enumerate(cpads)] if a12 is not None else []
+    # per axis: flux, a^ii, G+, G-, c+, c- (None without the cross term), pos, u-, neg, u+, work arrays
     axes = []
     for i, F in enumerate(faces):
         # face velocities: b^i edge-extended, averaged across each face and split upwind
@@ -249,12 +251,10 @@ def _build_step(a, b, h, tau, scratch):
         for F, a_ii, g_hi, g_lo, c_hi, c_lo, pos, u_lo, neg, u_hi, wa, wb in axes:
             np.multiply(a_ii, u, out=g_in)
             np.subtract(g_hi, g_lo, out=F)
-            F *= 0.5
-            F /= h
+            F /= two_h
             if c_hi is not None:
                 np.add(c_hi, c_lo, out=wa)
-                wa *= 0.5
-                wa *= 0.5
+                wa *= 0.25
                 F += wa
             np.multiply(pos, u_lo, out=wa)
             np.multiply(neg, u_hi, out=wb)

@@ -88,6 +88,18 @@ def translate_quarter(translate):
     return ens, rec
 
 
+@pytest.fixture(scope="module")
+def translate_short(translate):
+    """10^5 gamma-start translate trajectories on [0, 0.04] at dt = 1e-3.
+
+    At p = 2, τ = 0.04 the summand K^{p-1} has finite variance
+    (2(p-1)(2p-1)τ = 0.24 < 1) and so does its sample variance
+    (4(p-1)(4p-3)τ = 0.8 < 1), so a 3-stderr margin is an error bar there;
+    at τ = 0.25 the first is 1.5 and the variance infinite.
+    """
+    return run_density_ensemble(translate, 0.0, 0.04, ("gaussian", 100_000), 1e-3, SEED, threads=THREADS)
+
+
 def test_criterion_1_gaussian_identities(quad):
     # adjoint identity on a polynomial suite
     suite = [
@@ -140,7 +152,7 @@ def test_criterion_1_gaussian_identities(quad):
           "growth bound never violated")
 
 
-def test_criterion_2_translate_oracle(translate_quarter):
+def test_criterion_2_translate_oracle(translate_quarter, translate_short):
     ens, rec = translate_quarter
     dw = ens.xT[:, 0] - ens.x0[:, 0]
     oracle = ens.x0[:, 0] * dw + dw**2 / 2.0
@@ -148,12 +160,13 @@ def test_criterion_2_translate_oracle(translate_quarter):
     rel = float((err / (1.0 + np.abs(oracle))).mean())
     assert rel <= 1e-2
 
+    _, rec = translate_short
     est = lp_norm_estimate(rec, 2.0)
-    target = oracles.translate_lp_norm(2.0, 0.25)
+    target = oracles.translate_lp_norm(2.0, 0.04)
     dev = abs(est.value - target)
     assert dev <= 3.0 * est.stderr
     print(f"PASS criterion-2: per-path log-density rel err {rel:.2%} <= 1%, "
-          f"L2 {est.value:.4f} vs {target:.4f} ({dev / est.stderr:.2f} sigma)")
+          f"L2 at tau=0.04 {est.value:.4f} vs {target:.4f} ({dev / est.stderr:.2f} sigma)")
 
 
 def test_criterion_3_bound_ordering(translate, ou, quad):

@@ -15,7 +15,6 @@ from flowlab.fokker_planck import (
     fp_solve,
     mc_measure,
     smooth_bump,
-    suggest_radius,
     weak_error,
     write_solution_csv,
 )
@@ -142,6 +141,27 @@ def _reference_csv(sol):
 
 def _bits(x):
     return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64)
+
+
+def suggest_radius(field, T, tail_mass=1e-8):
+    """Truncation radius: γ_d tail below ``tail_mass`` plus drift excursion."""
+    from scipy.special import ndtri
+
+    r_gauss = -ndtri(tail_mass / (2.0 * field.d))
+    return float(r_gauss + field.growth_const * T + math.sqrt(field.d))
+
+
+def _sigma_2d(sigma12):
+    """σ(t, x) = [[1, σ12(t, x1)], [0, 1]] on (..., 2) points, as a field's ``sigma``."""
+
+    def sigma(t, X):
+        X = np.asarray(X, dtype=float)
+        out = np.zeros(X.shape[:-1] + (2, 2))
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
+        out[..., 0, 1] = sigma12(t, X[..., 0])
+        return out
+
+    return sigma
 
 
 class TestDiffusionMatrix:
@@ -304,13 +324,20 @@ class TestStepBitwise:
 
     @pytest.mark.parametrize("case", ["ou_linear-2", "anisotropic-2", "anisotropic-ou-drift-2",
                                       "ou_linear-2-time-dependent", "translate-1", "ou_linear-1",
-                                      "sine-1", "sine-ou-drift-1", "ou_linear-1-time-dependent"])
+                                      "sine-1", "sine-ou-drift-1", "ou_linear-1-time-dependent",
+                                      "diagonal-ou-drift-2", "partial-cross-2",
+                                      "cross-from-t>s-2-time-dependent"])
     def test_matches_reference_loop(self, case):
         ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
         ou1 = builtin_coefficients("ou_linear", d=1, a=2.0)
         sine = make_sine_field()
         # a 2 x 3 matrix: a12 != 0, so the cross terms are non-zero
         aniso = builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]])
+        # a12 = 0.3 max(0, x1 - 1): zero on most of the grid, so the step must read every point
+        partial = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: 0.3 * np.maximum(0.0, x1 - 1.0)))
+        # a12 = 10 t: zero at t = s, so the step built at s has no cross term and the rebuilds do
+        late = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: np.full_like(x1, 10.0 * t)),
+                                   sigma_time_dependent=True)
         field, grid, T, tau = {
             "ou_linear-2": (ou2, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
             "anisotropic-2": (aniso, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
@@ -328,6 +355,12 @@ class TestStepBitwise:
             "sine-ou-drift-1": (dataclasses.replace(sine, b=ou1.b), FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
             "ou_linear-1-time-dependent": (dataclasses.replace(ou1, b_time_dependent=True),
                                            FPGrid.gaussian(1, 4.0, 0.1), 0.02, 1e-3),
+            # a12 = 0 and a11 != a22: no cross term, unequal diffusion fluxes
+            "diagonal-ou-drift-2": (dataclasses.replace(
+                builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.0], [0.0, 0.6]]), b=ou2.b),
+                FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+            "partial-cross-2": (partial, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+            "cross-from-t>s-2-time-dependent": (late, FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
         }[case]
         sol = fp_solve(field, grid, 0.0, T, tau)
         u, masses, leaks, clips, audit = _reference_solve(field, grid, 0.0, T, tau)

@@ -14,6 +14,11 @@ workload config runs under a shim that reads ``getrusage`` for the worker
 itself and for its reaped children (the processes ``--threads`` forks),
 which perfbench's ``cpu_s`` and ``peak_rss_mb`` do not see.
 
+Each run also records ``outputs_sha256``, the digest of its first timed
+pass's output directory (``.perfbench/<workload>/plain-0``, hashed by
+perfbench's own ``digest``), and each pair records whether the two sides
+wrote identical bytes (``outputs_identical``).
+
 The JSON written holds every sample, each side's median and quartiles
 (``statistics.quantiles``, inclusive method), the pairs the ``--after``
 side won (ties count for neither) and the environment line of the runs.
@@ -53,7 +58,7 @@ def _json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line.startswith("{")]
 
 
-def run_perfbench(checkout, workload, seed, seconds):
+def run_perfbench(checkout, workload, seed, seconds, digest):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -63,6 +68,7 @@ def run_perfbench(checkout, workload, seed, seconds):
     return {"correct": result["correct"],
             "check_fail_frac": result["failed"] / result["attempted"],
             **{name: result["metrics"][name]["value"] for name in METRICS},
+            "outputs_sha256": digest(Path(checkout) / ".perfbench" / workload / "plain-0"),
             "environment": lines[-2]["environment"]}
 
 
@@ -119,7 +125,8 @@ def main(argv=None):
         first = ("before", "after") if i % 2 == 0 else ("after", "before")
         order.append(list(first))
         for side in first:
-            runs[side].append(run_perfbench(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_perfbench(sides[side], args.workload, args.seed, args.seconds,
+                                            run.digest))
             usage[side].append(run_rusage_pass(sides[side], args.workload, threads, run.PIN_ENV))
             print(f"pair {i} {side}: wall_s {runs[side][-1]['wall_s']:.3f}", file=sys.stderr)
             # every sample so far, so that a failure later loses nothing
@@ -133,6 +140,9 @@ def main(argv=None):
         "order": order,
         "correct": {side: [r["correct"] for r in runs[side]] for side in sides},
         "check_fail_frac": {side: [r["check_fail_frac"] for r in runs[side]] for side in sides},
+        "outputs_sha256": {side: [r["outputs_sha256"] for r in runs[side]] for side in sides},
+        "outputs_identical": [b["outputs_sha256"] == a["outputs_sha256"]
+                              for b, a in zip(runs["before"], runs["after"])],
         "end_to_end": {
             name: summary([r[name] for r in runs["before"]], [r[name] for r in runs["after"]],
                           LOWER_IS_BETTER.get(name, True))
