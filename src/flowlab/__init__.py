@@ -17,7 +17,7 @@ from .coefficients import (
     time_mollifier,
     validate_hypotheses,
 )
-from .convergence import SpaceTimeBox, coupling_convergence, integral_convergence, krylov_ratio, krylov_ratios
+from .convergence import SpaceTimeBox, coupling_convergence, krylov_ratio, krylov_ratios
 from .density import (
     BoundBudget,
     budget_constants,

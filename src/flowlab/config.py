@@ -178,9 +178,13 @@ def _validate_numerics(cfg):
         return ConfigError(f"section [{cfg.name}]: {message}", section=cfg.name, key=key)
 
     for key in ("d", "dt", "t", "trajectories", "replicas", "horizon", "grid_R", "grid_h", "grid_tau",
-                "a", "beta"):
+                "a", "beta", "lam"):
         if key in opt and opt[key] is not None and opt[key] <= 0:
             raise fault(key, f"{key} must be positive")
+    if opt.get("quad_order", 0) < 0:
+        raise fault("quad_order", "quad_order must be >= 0 (0 picks the default rule)")
+    if any(w <= 0 for w in opt.get("slab_widths", ())):
+        raise fault("slab_widths", "slab widths must be positive")
     if opt.get("trajectories", 2) < 2:
         raise fault("trajectories", "trajectories must be at least 2 (error bars need two batches)")
     if any(p <= 1.0 for p in opt.get("p_list", ())):

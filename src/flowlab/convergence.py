@@ -1,13 +1,12 @@
 """Empirical limit-theorem studies.
 
-Three experiments, all driven by common-noise coupling on one probability
-space: the occupation-measure (Krylov-type) functional and its stability on
-thin space-time sets, convergence of stochastic integrals with varying
-integrands against a shared Brownian path, and the convergence of solutions
-under coefficient regularization, where every level n shares the trajectory's
-Brownian substream and is compared pathwise against the finest level.  Each
-study is an accumulator on one ``simulate_ensemble`` run; the coupling's run
-is the finest level's flow, beside which its accumulator steps the others.
+Two experiments: the occupation-measure (Krylov-type) functional and its
+stability on thin space-time sets, and the convergence of solutions under
+coefficient regularization, where every level n shares the trajectory's
+Brownian substream (common-noise coupling on one probability space) and is
+compared pathwise against the finest level.  Each study is an accumulator
+on one ``simulate_ensemble`` run; the coupling's run is the finest level's
+flow, beside which its accumulator steps the others.
 """
 
 import math
@@ -15,19 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import RegularizationLevel, builtin_coefficients, regularize
+from .coefficients import RegularizationLevel, regularize
 from .density import Estimate, mean_estimate
 from .errors import ConfigError
 from .sde import _euler_step, make_grid, simulate_ensemble
 
 __all__ = [
     "CouplingReport",
-    "IntegralConvergenceReport",
     "KrylovAccumulator",
     "KrylovReport",
     "SpaceTimeBox",
     "coupling_convergence",
-    "integral_convergence",
     "krylov_ratio",
     "krylov_ratios",
 ]
@@ -124,95 +121,6 @@ def krylov_ratios(field, fs, lam, s, T, x0, dt, seed, n_traj, threads=1, f_norms
         ratio = functional.value / norm if norm > 0 else 0.0
         reports.append(KrylovReport(functional=functional, norm=norm, ratio=ratio))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# stochastic-integral convergence
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntegralConvergenceReport:
-    labels: tuple
-    deviations: tuple        # Estimate of E sup_t |I^n_t - I_t|^2 per integrand
-    moments: tuple           # E ∫ ||η||^{2+α} dt per integrand (limit last)
-    isometry: tuple          # (E|I_T|^2 estimate, ∫||η||^2 dt) for the limit
-    warnings: tuple
-
-    def rows(self):
-        return list(zip(self.labels, self.deviations))
-
-
-class _IntegralAccumulator:
-    """Streaming Itô integrals I^e_t = ∫_0^t η_e(u, w_u) dw_u along each path.
-
-    The states it is stepped with are the Brownian values w_t.  The last
-    integrand is the limit: per trajectory the accumulator keeps the running
-    sup of |I^e - I^limit|^2 for the others, ∫ ||η_e||^{2+α} dt for all of
-    them and ∫ ||η_limit||^2 dt.
-    """
-
-    def __init__(self, etas, d, alpha, dt):
-        self.etas = etas
-        self.d = d
-        self.power = (2.0 + alpha) / 2.0
-        self.dt = dt
-
-    def alloc(self, n_traj, zeros):
-        n_eta = len(self.etas)
-        self.I = zeros((n_eta, n_traj, self.d))
-        self.sup_dev = zeros((n_eta - 1, n_traj))
-        self.moments = zeros((n_eta, n_traj))
-        self.sq_int = zeros(n_traj)
-
-    def step(self, sl, k, t, W, dW, ev, W_next):
-        I = self.I[:, sl]
-        for e, eta in enumerate(self.etas):
-            vals = np.asarray(eta(t, W), dtype=float)
-            if vals.ndim == 2:
-                vals = np.broadcast_to(vals, (W.shape[0],) + vals.shape)
-            I[e] += np.einsum("nam,nm->na", vals, dW)
-            hs = np.einsum("nam,nam->n", vals, vals)
-            self.moments[e, sl] += hs ** self.power * self.dt
-        self.sq_int[sl] += hs * self.dt  # hs of the last integrand, the limit
-        diff = I[:-1] - I[-1][None]
-        dev = self.sup_dev[:, sl]
-        np.maximum(dev, np.einsum("ena,ena->en", diff, diff), out=dev)
-
-
-def integral_convergence(etas, eta_limit, T, dt, m, seed, n_traj, alpha=1.0, threads=1):
-    """E sup_{t<=T} |I^n_t - I_t|^2 against a common Brownian path per trajectory.
-
-    Integrands are callables (t, w) -> (..., d, m) of time and the current
-    Brownian value.  The 2+α moment of each integrand is estimated and a
-    non-finite (or wildly large) value attaches a warning to the report.
-    The Brownian path of trajectory j is the translate flow from 0 on
-    substream j (its Euler step is w + dw exactly), and the integrals are an
-    accumulator on that ensemble.
-    """
-    probe = np.asarray(eta_limit(0.0, np.zeros((1, m))), dtype=float)
-    acc = _IntegralAccumulator(list(etas) + [eta_limit], probe.shape[-2], alpha, dt)
-    simulate_ensemble(
-        builtin_coefficients("translate", d=m), 0.0, T, np.zeros((1, m)), dt, seed,
-        replicas=n_traj, threads=threads, accumulators=(acc,),
-    )
-
-    labels = tuple(getattr(e, "__name__", f"eta_{i}") for i, e in enumerate(etas))
-    deviations = tuple(mean_estimate(dev) for dev in acc.sup_dev)
-    moment_means = tuple(float(mo.mean()) for mo in acc.moments)
-    warnings = tuple(
-        f"{lab}: 2+alpha moment not finite"
-        for lab, mo in zip(labels + ("limit",), moment_means)
-        if not math.isfinite(mo)
-    )
-    final_sq = np.einsum("na,na->n", acc.I[-1], acc.I[-1])
-    isometry = (mean_estimate(final_sq), float(acc.sq_int.mean()))
-    return IntegralConvergenceReport(
-        labels=labels,
-        deviations=deviations,
-        moments=moment_means,
-        isometry=isometry,
-        warnings=warnings,
-    )
 
 
 # ---------------------------------------------------------------------------

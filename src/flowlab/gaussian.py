@@ -23,7 +23,6 @@ __all__ = [
     "default_quadrature",
     "fd_jacobian",
     "gauss_expectation",
-    "gauss_log_expectation",
     "ou_smooth",
 ]
 
@@ -151,17 +150,6 @@ def logsumexp(a):
         if not np.isfinite(out):
             out = np.log(np.exp(a).sum())
     return out
-
-
-def gauss_log_expectation(log_g, quad):
-    """log ∫ e^{log_g} dγ_d, accumulated with a max-shift (never overflows)."""
-    values = np.asarray(log_g(quad.nodes), dtype=float)
-    if np.any(np.isnan(values)):
-        bad = int(np.where(np.isnan(values))[0][0])
-        raise EvaluationError(
-            f"NaN log-integrand at node {quad.nodes[bad]}", node=quad.nodes[bad]
-        )
-    return logsumexp(values + quad.log_weights)
 
 
 def fd_jacobian(fn, x, step_scale=FD_STEP_SCALE):

@@ -24,8 +24,8 @@ caller of ``_run_chunks`` and its chunk body the only loop over steps.  At
 each step it copies that step's increments out of the chunk's block into
 one C-contiguous, read-only (rows, m) slab, which the Euler step and every
 accumulator read.  Every path functional (the density weight, the
-occupation functional, the stochastic integrals, the modulus of continuity,
-the coupling of regularization levels) is an accumulator streamed through
+occupation functional, the Stratonovich cross-check, the coupling of
+regularization levels) is an accumulator streamed through
 ``simulate_ensemble``.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
@@ -50,7 +50,6 @@ from .rng import brownian_increments, gaussian_points
 
 __all__ = [
     "FlowEnsemble",
-    "empirical_modulus",
     "make_grid",
     "simulate_ensemble",
 ]
@@ -366,58 +365,3 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
         n_initials=n0,
         replicas=replicas,
     )
-
-
-class _ModulusAccumulator:
-    """Running per-coordinate max and min of the states over windows anchored at s.
-
-    Window i holds the states X_0 .. X_{k_i} for ascending step counts k_i:
-    n_traj x windows x d x 2 floats, where the states themselves would take
-    n_traj x (n_steps + 1) x d.
-    """
-
-    def __init__(self, window_steps, d):
-        self.window_steps = window_steps
-        self.d = d
-
-    def alloc(self, n_traj, zeros):
-        self.hi = zeros((n_traj, len(self.window_steps), self.d))
-        self.lo = zeros(self.hi.shape)
-
-    def step(self, sl, k, t, X, dW, ev, X_next):
-        hi, lo = self.hi[sl], self.lo[sl]
-        if k == 0:
-            hi[:] = X[:, None, :]
-            lo[:] = X[:, None, :]
-        first = np.searchsorted(self.window_steps, k + 1)  # windows still open at X_{k+1}
-        np.maximum(hi[:, first:], X_next[:, None, :], out=hi[:, first:])
-        np.minimum(lo[:, first:], X_next[:, None, :], out=lo[:, first:])
-
-
-def empirical_modulus(field, s, window_lengths, initials, dt, seed, replicas=1, threads=1):
-    """Fourth-moment modulus of continuity over windows anchored at s.
-
-    For each window length l the statistic is E[sup_{u,v in [s, s+l]}
-    |X_u - X_v|^4], with the sup realized through per-coordinate running
-    ranges (exact in d = 1), accumulated along an ensemble on [s, s + max l]
-    (``simulate_ensemble`` with the other arguments).  Returns (lengths,
-    moments, fitted exponent) of the log-log regression of the moment
-    against the window length.
-    """
-    lengths = np.asarray(sorted(window_lengths), dtype=float)
-    steps = [int(round(ell / dt)) for ell in lengths]
-    if steps[0] < 1:
-        raise ConfigError(f"window length {lengths[0]} is shorter than dt")
-    x_init = _resolve_initials(initials, field.d, seed)
-    if x_init.shape[0] * replicas < 1000:
-        raise ConfigError("empirical_modulus needs at least 10^3 trajectories")
-    acc = _ModulusAccumulator(steps, field.d)
-    simulate_ensemble(field, s, s + steps[-1] * dt, x_init, dt, seed,
-                      replicas=replicas, threads=threads, accumulators=(acc,))
-    moments = np.array([
-        np.mean(np.linalg.norm(acc.hi[:, i] - acc.lo[:, i], axis=-1) ** 4) for i in range(len(steps))
-    ])
-    if np.any(moments <= 0):
-        return lengths, moments, 0.0
-    exponent = float(np.polyfit(np.log(lengths), np.log(moments), 1)[0])
-    return lengths, moments, exponent

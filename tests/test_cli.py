@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ def _sections(draw):
 
     Sections are valid or not; the trajectory counts, horizons and grids are
     kept small.  grid_tau falls on both sides of the Fokker-Planck stability
-    bound, which is h^2 / 2 d for translate at grid_h = h.
+    bound, which is h^2 / 2 d for translate at grid_h = h; lam, quad_order
+    and the slab widths fall on both sides of their limits (> 0, >= 0, > 0).
     """
     kind = draw(st.sampled_from(["validate", "density_bound", "krylov", "coupling", "entropy_budget",
                                  "fokker_planck"]))
@@ -81,6 +83,11 @@ def _sections(draw):
         "d": draw(st.sampled_from([1, 2] if kind == "fokker_planck" else [1, 1, 2, 0])),
         "seed": draw(st.integers(0, 2**16)),
     }
+    lam = draw(st.sampled_from([None, None, "-0.5", "0", "0.1", "1.0"]))
+    if lam is not None:
+        keys["lam"] = lam
+    if kind in ("validate", "density_bound", "entropy_budget", "coupling"):
+        keys["quad_order"] = draw(st.sampled_from(["-1", "0", "0", "1", "8"]))
     if kind == "fokker_planck":
         keys["a"] = draw(st.sampled_from(["1.0", "10.0"]))
         keys["t"] = draw(st.sampled_from(["0.02", "0.04"]))
@@ -106,7 +113,7 @@ def _sections(draw):
         if kind == "density_bound":
             keys["p_list"] = draw(st.sampled_from(["1.5", "2, 3"]))
         elif kind == "krylov":
-            keys["slab_widths"] = draw(st.sampled_from(["0.1, 0.05", "0.5"]))
+            keys["slab_widths"] = draw(st.sampled_from(["0.1, 0.05", "0.5", "-0.1, 0.05", "0.05, 0"]))
         else:
             keys["n_list"] = draw(st.sampled_from(["2, 4", "4, 8", "8", "0, 4", ""]))
             keys["n_ref"] = draw(st.sampled_from(["4", "8", "16"]))
@@ -227,6 +234,9 @@ class TestCli:
         _fault(COUPLING_BASE, "n_list = 4, 16\nn_ref = 8", "n_ref"),  # the reference is the finest
         _fault(ENTROPY_BASE, "n_list = 0, 4", "n_list"),
         _fault(ENTROPY_BASE, "n_list =", "n_list"),  # a budget section that checks no level
+        _fault(ENTROPY_BASE, "lam = 0", "lam"),  # the budget's T0 <= λ / 8e^2 would be 0
+        _fault(VALIDATE_BASE, "field = translate\nquad_order = -1", "quad_order"),
+        _fault(KRYLOV_BASE, "trajectories = 8\nslab_widths = -0.1, 0.05", "slab_widths"),
     ])
     def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"
@@ -272,7 +282,7 @@ class TestCli:
         assert main(["validate", str(p)]) == 0
         assert main(["run", str(p), "--out", str(out)]) == 2
         assert "stability bound" in capsys.readouterr().err
-        summary = json.load(open(out / "summary.json"))
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is False
         failed = summary["experiments"]["fp-small"]
         assert failed["passed"] is False and failed["kind"] == "fokker_planck"
@@ -289,7 +299,7 @@ class TestCli:
     def test_summary_records_config_as_given(self, config_path, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "cfg.ini", "--out", "out"]) == 0
-        summary = json.load(open(os.path.join("out", "summary.json")))
+        summary = json.loads(Path("out", "summary.json").read_text())
         assert summary["config"] == "cfg.ini"
         assert summary["config_sha256"] == hashlib.sha256(GOOD_CONFIG.encode()).hexdigest()
 
@@ -308,7 +318,7 @@ class TestCli:
                 stderr = float(r["stderr"]) if r["stderr"] else 0.0
                 bound = float(r["bound"]) if r["bound"] else 0.0
                 assert (r["passed"] == "true") == (value <= bound + 3.0 * stderr)
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["passed"] is True
         verdicts = [r["passed"] for e in summary["experiments"].values() for r in e["rows"]]
         assert "fp-small" in summary["experiments"]
@@ -321,16 +331,16 @@ class TestCli:
         for name in sorted(os.listdir(out1)):
             if name.endswith(".json"):
                 continue
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, name
 
     def test_seed_override_changes_values(self, config_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["run", config_path, "--out", out1])
         main(["run", config_path, "--out", out2, "--seed", "99"])
-        a = open(os.path.join(out1, "lp-small.csv")).read()
-        b = open(os.path.join(out2, "lp-small.csv")).read()
+        a = Path(out1, "lp-small.csv").read_text()
+        b = Path(out2, "lp-small.csv").read_text()
         assert a != b
 
     def test_env_var_output_dir(self, config_path, tmp_path, monkeypatch):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from flowlab.config import parse_config
 from flowlab.convergence import (
     SpaceTimeBox,
     coupling_convergence,
-    integral_convergence,
     krylov_ratio,
     krylov_ratios,
 )
@@ -87,63 +84,6 @@ class TestKrylov:
         assert box.norm_d1(1) == pytest.approx(1.0)
         assert box(0.5, np.array([[0.2], [0.7]])).tolist() == [1.0, 0.0]
         assert box(3.0, np.array([[0.2]]))[0] == 0.0
-
-
-class TestIntegralConvergence:
-    def test_identical_integrand_zero(self):
-        eta = lambda t, w: np.ones(w.shape[:-1] + (1, 1))
-        rep = integral_convergence([eta], eta, T=0.5, dt=1e-2, m=1, seed=1, n_traj=500)
-        assert rep.deviations[0].value == 0.0
-
-    def test_scaled_integrand_rate(self):
-        etas = [
-            (lambda nn: (lambda t, w: (1.0 + 1.0 / nn) * np.ones(w.shape[:-1] + (1, 1))))(n)
-            for n in (2, 4, 8)
-        ]
-        limit = lambda t, w: np.ones(w.shape[:-1] + (1, 1))
-        rep = integral_convergence(etas, limit, T=1.0, dt=1e-2, m=1, seed=3, n_traj=4000)
-        vals = [d.value for d in rep.deviations]
-        # E sup |I^n - I|^2 = (1/n)^2 E sup |I|^2: consecutive ratio 4
-        assert vals[0] / vals[1] == pytest.approx(4.0, rel=1e-9)
-        assert vals[1] / vals[2] == pytest.approx(4.0, rel=1e-9)
-
-    def test_ito_isometry(self):
-        eta = lambda t, w: np.full(w.shape[:-1] + (1, 1), 1.3)
-        rep = integral_convergence([], eta, T=1.0, dt=1e-2, m=1, seed=5, n_traj=8000, alpha=1.0)
-        est, predicted = rep.isometry
-        assert predicted == pytest.approx(1.3**2, rel=1e-12)
-        assert abs(est.value - predicted) <= 3.0 * est.stderr
-
-    def test_state_dependent_integrand(self):
-        # eta = w_t: E|I_T|^2 = int_0^T t dt = T^2/2
-        eta = lambda t, w: w[..., None, :]
-        rep = integral_convergence([], eta, T=1.0, dt=2e-3, m=1, seed=7, n_traj=8000)
-        est, predicted = rep.isometry
-        assert predicted == pytest.approx(0.5, abs=2e-2)
-        assert abs(est.value - 0.5) <= 3.0 * est.stderr + 5e-3
-        # 2+alpha moment with alpha=1: E int |w_t|^3 dt = (2/5) E|Z|^3
-        target = 0.4 * 2.0 * math.sqrt(2.0 / math.pi)
-        assert rep.moments[-1] == pytest.approx(target, rel=0.1)
-
-    def test_moment_warning_attached(self):
-        eta = lambda t, w: np.full(w.shape[:-1] + (1, 1), np.inf)
-        rep = integral_convergence([eta], lambda t, w: np.ones(w.shape[:-1] + (1, 1)),
-                                   T=0.1, dt=1e-2, m=1, seed=9, n_traj=50)
-        assert rep.warnings
-
-    @pytest.mark.parametrize("T, dt", [(-0.5, 1e-2), (0.5, 0.3)])
-    def test_horizon_must_be_a_grid(self, T, dt):
-        eta = lambda t, w: np.ones(w.shape[:-1] + (1, 1))
-        with pytest.raises(ConfigError):
-            integral_convergence([eta], eta, T=T, dt=dt, m=1, seed=1, n_traj=10)
-
-    def test_thread_invariance(self):
-        # 20000 trajectories x 100 steps make three chunks
-        etas = [lambda t, w: (1.0 + np.sin(w))[..., None, :]]
-        limit = lambda t, w: np.ones(w.shape[:-1] + (1, 1))
-        kw = dict(T=1.0, dt=1e-2, m=1, seed=13, n_traj=20000)
-        assert integral_convergence(etas, limit, threads=1, **kw) == \
-            integral_convergence(etas, limit, threads=3, **kw)
 
 
 def _coupling_reference(field, n_list, n_ref, T, x0, dt, seed, quad, n_traj):

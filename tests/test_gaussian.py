@@ -15,13 +15,12 @@ from flowlab.gaussian import (
     default_quadrature,
     fd_jacobian,
     gauss_expectation,
-    gauss_log_expectation,
     logsumexp,
     ou_smooth,
     ou_smooth_grad,
     ou_smooth_table,
 )
-from flowlab.oracles import gaussian_abs_moment, gaussian_exp_quadratic
+from flowlab.oracles import gaussian_abs_moment
 
 
 def _drift_field(b, d, jac=None, measurable_only=False):
@@ -88,10 +87,6 @@ class TestQuadrature:
         with pytest.raises(EvaluationError) as err:
             gauss_expectation(bad, quad1)
         assert err.value.node is not None and err.value.node[0] > 2.0
-
-    def test_log_expectation(self, quad1_fine):
-        val = gauss_log_expectation(lambda x: 0.25 * x[:, 0] ** 2, quad1_fine)
-        assert math.exp(val) == pytest.approx(gaussian_exp_quadratic(0.25), rel=1e-8)
 
     def test_monte_carlo_fallback(self):
         q = default_quadrature(3)

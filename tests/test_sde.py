@@ -10,7 +10,7 @@ from flowlab.coefficients import builtin_coefficients
 from flowlab.convergence import coupling_convergence
 from flowlab.errors import CapabilityError, ConfigError, ExplosionError
 from flowlab.rng import brownian_increments, standard_normals, substream
-from flowlab.sde import empirical_modulus, make_grid, simulate_ensemble
+from flowlab.sde import make_grid, simulate_ensemble
 
 from conftest import StoredStates
 
@@ -52,7 +52,7 @@ class TestBrownianPath:
         assert abs(inc.mean()) <= 5.0 / math.sqrt(1e6) * math.sqrt(dt)
 
     def test_values_cumulative(self):
-        # the Brownian path integral_convergence reads: the translate flow from 0 on substream j
+        # the translate flow from 0 on substream j is the Brownian path: its states are the cumulative increments
         store = StoredStates(10, 2)
         translate2 = builtin_coefficients("translate", d=2)
         simulate_ensemble(translate2, 0.0, 0.1, np.zeros((1, 2)), 1e-2, seed=0, accumulators=(store,))
@@ -60,6 +60,14 @@ class TestBrownianPath:
         assert store.paths.shape == (1, 11, 2)
         np.testing.assert_array_equal(store.paths[0, 0], 0.0)
         np.testing.assert_array_equal(store.paths[0, 1:], np.cumsum(inc, axis=0))
+
+    def test_increment_fourth_moment(self, translate1):
+        # E|X_{t+l} - X_t|^4 = 3 l^2 for the translate flow, read off the stored states
+        store = StoredStates(400, 1)
+        simulate_ensemble(translate1, 0.0, 0.4, ("gaussian", 2000), 1e-3, seed=31, accumulators=(store,))
+        inc = store.paths[:, 200, 0] - store.paths[:, 0, 0]
+        m4 = np.mean(inc**4)
+        assert m4 == pytest.approx(3 * 0.2**2, rel=0.2)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
@@ -193,20 +201,6 @@ class TestNoiseSpan:
         assert len(edges) == 4
         drawn = [range(*map(int, line.split())) for line in log.read_text().splitlines()]
         assert sorted(drawn, key=lambda r: r.start) == [range(lo, hi) for lo, hi in edges]
-
-    @pytest.mark.parametrize("initials, replicas", [(("gaussian", 999), 1), (np.zeros((1, 1)), 999)])
-    def test_refused_modulus_draws_no_increments(self, monkeypatch, translate1, initials, replicas):
-        drawn = []
-        real = flowlab.sde.brownian_increments
-
-        def counted(seed, index, n_steps, m, dt):
-            drawn.append(index)
-            return real(seed, index, n_steps, m, dt)
-
-        monkeypatch.setattr(flowlab.sde, "brownian_increments", counted)
-        with pytest.raises(ConfigError):
-            empirical_modulus(translate1, 0.0, [0.05], initials, 1e-2, seed=0, replicas=replicas)
-        assert drawn == []
 
 
 class TestSimulate:
@@ -515,53 +509,3 @@ class TestStrongOrder:
                 err_abs[j] = abs(xe - xr)
             errs[factor] = err_abs.mean()
         assert errs[4] <= errs[1] / 2.0
-
-    def test_modulus_translate(self, translate1):
-        windows = [0.05, 0.1, 0.2, 0.4]
-        lengths, moments, exponent = empirical_modulus(
-            translate1, 0.0, windows, ("gaussian", 2000), 1e-3, seed=31
-        )
-        assert 1.8 <= exponent <= 2.2
-        # the streamed running ranges equal the ranges of the stored states bit for bit
-        store = StoredStates(400, 1)
-        simulate_ensemble(translate1, 0.0, 0.4, ("gaussian", 2000), 1e-3, seed=31, accumulators=(store,))
-        for ell, moment in zip(lengths, moments):
-            seg = store.paths[:, : int(round(ell / 1e-3)) + 1, :]
-            ranges = seg.max(axis=1) - seg.min(axis=1)
-            assert moment == np.mean(np.linalg.norm(ranges, axis=-1) ** 4)
-        # increment fourth moment oracle: E|X_{t+l} - X_t|^4 = 3 l^2
-        inc = store.paths[:, 200, 0] - store.paths[:, 0, 0]
-        m4 = np.mean(inc**4)
-        assert m4 == pytest.approx(3 * 0.2**2, rel=0.2)
-
-    def test_modulus_chunk_and_thread_invariant(self, monkeypatch):
-        translate2 = builtin_coefficients("translate", d=2)
-        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * 20 * 2)  # chunks of 64 paths
-        assert len(flowlab.sde._chunk_edges(1100, 20, 2)) == 18
-        kw = dict(initials=("gaussian", 1100), dt=1e-2, seed=3)
-        runs = [empirical_modulus(translate2, 0.0, [0.05, 0.1, 0.2], threads=t, **kw) for t in (1, 2)]
-        assert np.array_equal(runs[0][1], runs[1][1])
-        assert runs[0][2] == runs[1][2]
-        store = StoredStates(20, 2)
-        simulate_ensemble(translate2, 0.0, 0.2, threads=2, accumulators=(store,), **kw)
-        for k, moment in zip((5, 10, 20), runs[1][1]):
-            seg = store.paths[:, : k + 1, :]
-            ranges = seg.max(axis=1) - seg.min(axis=1)
-            assert moment == np.mean(np.linalg.norm(ranges, axis=-1) ** 4)
-
-    def test_modulus_frozen(self):
-        frozen = builtin_coefficients(
-            "custom", d=1, m=1,
-            sigma=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
-            b=lambda t, X: np.zeros(np.shape(X)),
-            growth_const=1.0, exp_const=0.1, name="frozen",
-        )
-        _, moments, exponent = empirical_modulus(frozen, 0.0, [0.02, 0.05], np.full((1500, 1), 0.3), 0.01, seed=0)
-        np.testing.assert_array_equal(moments, 0.0)
-        assert exponent == 0.0
-
-    def test_modulus_needs_trajectories(self, translate1):
-        with pytest.raises(ConfigError):
-            empirical_modulus(translate1, 0.0, [0.05], ("gaussian", 10), 1e-2, seed=0)
-        with pytest.raises(ConfigError):
-            empirical_modulus(translate1, 0.0, [0.004, 0.05], ("gaussian", 1000), 1e-2, seed=0)
