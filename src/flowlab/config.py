@@ -1,9 +1,12 @@
 """Experiment configuration: flat typed key-value sections, strictly checked.
 
 Config files are INI-style; each section is one experiment.  Every key is
-typed against the schema of the experiment kind, and unknown keys are
-rejected outright: a silently ignored misspelt constant would invalidate a
-bound test without anyone noticing.
+parsed against the schema of its experiment kind, whose parser also refuses
+a value outside the key's range (every float must be finite).  Unknown keys,
+and a field parameter on a field that does not take it, are rejected
+outright: a silently ignored misspelt constant would invalidate a bound test
+without anyone noticing.  Every refusal is a ``ConfigError`` naming its
+section and key.
 
 Example::
 
@@ -20,95 +23,108 @@ Example::
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
 from .sde import make_grid
 
-# fields ``build_field`` can construct from config keys alone; ``anisotropic``
-# needs a matrix, which no config key supplies
-FIELD_KEYS = ("translate", "ou_linear", "sign_drift")
+# fields ``build_field`` can construct from config keys alone, with the
+# parameters each takes besides ``lam``; ``anisotropic`` needs a matrix,
+# which no config key supplies
+FIELD_PARAMS = {"translate": (), "ou_linear": ("a",), "sign_drift": ("beta",)}
 
 SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
 
 
-def _float_list(raw):
-    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+def _limit(cast, lo, hi=math.inf, strict=False):
+    """Parser of ``cast(raw)`` in [lo, hi), or in (lo, hi) when ``strict``; NaN fails both."""
+    def parse(raw):
+        x = cast(raw)
+        if not ((lo < x) if strict else (lo <= x)) or not x < hi:
+            raise ValueError(f"outside {'(' if strict else '['}{lo}, {hi})")
+        return x
+    return parse
 
 
-def _int_list(raw):
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+def _list(item, min_items=0):
+    """Parser of a comma-separated list, each item through ``item``."""
+    def parse(raw):
+        items = tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+        if len(items) < min_items:
+            raise ValueError(f"needs at least {min_items} item")
+        return items
+    return parse
 
+
+def _field(raw):
+    if raw not in FIELD_PARAMS:
+        raise ValueError(f"unknown field (choose from {tuple(FIELD_PARAMS)})")
+    return raw
+
+
+_finite = _limit(float, -math.inf, strict=True)
+_positive = _limit(float, 0.0, strict=True)
 
 # key -> (parser, default); the REQUIRED sentinel marks keys with no default
 REQUIRED = object()
 
-_COMMON = {
-    "kind": (str, REQUIRED),
-    "seed": (int, 0),
+_COMMON = {"kind": (str, REQUIRED), "seed": (_limit(int, 0, SEED_LIMIT), 0)}
+
+# a field parameter absent from a section takes its default in
+# ``builtin_coefficients``; every one is a positive float
+_FIELD = {
+    "field": (_field, REQUIRED),
+    "d": (_limit(int, 1), 1),
+    "lam": (_positive, None),
+    **{key: (_positive, None) for params in FIELD_PARAMS.values() for key in params},
 }
 
-_FIELD = {
-    "field": (str, REQUIRED),
-    "d": (int, 1),
-    "a": (float, 1.0),
-    "beta": (float, 1.0),
-    "lam": (float, None),
+# the kinds that simulate paths on [s, t]
+_PATH = {
+    "s": (_finite, 0.0),
+    "t": (_positive, REQUIRED),
+    "dt": (_positive, REQUIRED),
+    "trajectories": (_limit(int, 2), REQUIRED),  # error bars need two batches
 }
 
 _SCHEMAS = {
     "density_bound": {
-        **_COMMON, **_FIELD,
-        "s": (float, 0.0),
-        "t": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "trajectories": (int, REQUIRED),
-        "replicas": (int, 1),
-        "p_list": (_float_list, (2.0,)),
-        "quad_order": (int, 0),
+        **_COMMON, **_FIELD, **_PATH,
+        "replicas": (_limit(int, 1), 1),
+        "p_list": (_list(_limit(float, 1.0, strict=True)), (2.0,)),
+        "quad_order": (_limit(int, 0), 0),  # 0 picks the default rule
     },
     "entropy_budget": {
         **_COMMON, **_FIELD,
-        "horizon": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "trajectories": (int, REQUIRED),
-        "n_list": (_int_list, (8, 32)),
-        "quad_order": (int, 0),
+        "horizon": (_positive, REQUIRED),
+        "dt": (_positive, REQUIRED),
+        "trajectories": (_limit(int, 2), REQUIRED),
+        "n_list": (_list(_limit(int, 1), min_items=1), (8, 32)),
+        "quad_order": (_limit(int, 0), 0),
     },
     "coupling": {
-        **_COMMON, **_FIELD,
-        "s": (float, 0.0),
-        "t": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "trajectories": (int, REQUIRED),
-        "n_list": (_int_list, (4, 8, 16, 32, 64)),
-        "n_ref": (int, 128),
-        "quad_order": (int, 0),
+        **_COMMON, **_FIELD, **_PATH,
+        "n_list": (_list(_limit(int, 1), min_items=1), (4, 8, 16, 32, 64)),
+        "n_ref": (_limit(int, 1), 128),
+        "quad_order": (_limit(int, 0), 0),
     },
     "krylov": {
-        **_COMMON, **_FIELD,
-        "s": (float, 0.0),
-        "t": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "trajectories": (int, REQUIRED),
-        "lambda_discount": (float, 1.0),
-        "slab_widths": (_float_list, (0.1, 0.05, 0.025)),
+        **_COMMON, **_FIELD, **_PATH,
+        "lambda_discount": (_finite, 1.0),
+        "slab_widths": (_list(_positive), (0.1, 0.05, 0.025)),
     },
     "fokker_planck": {
-        **_COMMON, **_FIELD,
-        "s": (float, 0.0),
-        "t": (float, REQUIRED),
-        "dt": (float, REQUIRED),
-        "trajectories": (int, REQUIRED),
-        "grid_R": (float, 8.0),
-        "grid_h": (float, 0.05),
-        "grid_tau": (float, REQUIRED),
-        "factorization_samples": (int, 0),
+        **_COMMON, **_FIELD, **_PATH,
+        "grid_R": (_positive, 8.0),
+        "grid_h": (_positive, 0.05),
+        "grid_tau": (_positive, REQUIRED),
+        "factorization_samples": (_limit(int, 0), 0),
     },
     "validate": {
         **_COMMON, **_FIELD,
-        "horizon": (float, 1.0),
-        "quad_order": (int, 0),
+        "horizon": (_positive, 1.0),
+        "quad_order": (_limit(int, 0), 0),
     },
     "oracle_suite": dict(_COMMON),
 }
@@ -129,7 +145,7 @@ class ExperimentConfig:
             raise AttributeError(key)
 
 
-def _parse_section(name, section, seed=None):
+def _parse_section(name, section):
     if "kind" not in section:
         raise ConfigError(f"section [{name}] is missing 'kind'", section=name, key="kind")
     kind = section["kind"].strip()
@@ -151,9 +167,9 @@ def _parse_section(name, section, seed=None):
         parser, _ = schema[key]
         try:
             options[key] = parser(raw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(
-                f"section [{name}]: cannot parse {key} = {raw!r} ({exc})",
+                f"section [{name}]: cannot accept {key} = {raw!r} ({exc})",
                 section=name, key=key,
             )
     for key, (parser, default) in schema.items():
@@ -164,31 +180,21 @@ def _parse_section(name, section, seed=None):
                 f"section [{name}]: required key {key!r} missing", section=name, key=key
             )
         options[key] = default
-    if seed is not None:
-        options["seed"] = seed
     cfg = ExperimentConfig(name=name, kind=kind, options=options)
     _validate_numerics(cfg)
     return cfg
 
 
 def _validate_numerics(cfg):
+    """The checks that read two keys or build something; each key's own range is its parser's."""
     opt = cfg.options
 
     def fault(key, message):
         return ConfigError(f"section [{cfg.name}]: {message}", section=cfg.name, key=key)
 
-    for key in ("d", "dt", "t", "trajectories", "replicas", "horizon", "grid_R", "grid_h", "grid_tau",
-                "a", "beta", "lam"):
-        if key in opt and opt[key] is not None and opt[key] <= 0:
-            raise fault(key, f"{key} must be positive")
-    if opt.get("quad_order", 0) < 0:
-        raise fault("quad_order", "quad_order must be >= 0 (0 picks the default rule)")
-    if any(w <= 0 for w in opt.get("slab_widths", ())):
-        raise fault("slab_widths", "slab widths must be positive")
-    if opt.get("trajectories", 2) < 2:
-        raise fault("trajectories", "trajectories must be at least 2 (error bars need two batches)")
-    if any(p <= 1.0 for p in opt.get("p_list", ())):
-        raise fault("p_list", "p values must exceed 1")
+    for key in (k for params in FIELD_PARAMS.values() for k in params):
+        if opt.get(key) is not None and key not in FIELD_PARAMS[opt["field"]]:
+            raise fault(key, f"field {opt['field']!r} takes no {key!r}")
     # every step ``run`` simulates with must divide the horizon [s, t]; the
     # Fokker-Planck check also solves a coarse companion grid with step 4 grid_tau
     steps = [("dt", opt["dt"])] if "t" in opt else []
@@ -199,22 +205,13 @@ def _validate_numerics(cfg):
             make_grid(opt["s"], opt["t"], step)
         except ConfigError as exc:
             raise fault(key, f"{key}: {exc}")
-    # regularization levels: each n >= 1, at least one, and a coupling's reference is the finest
-    levels = opt.get("n_list", ())
-    if any(n < 1 for n in levels) or ("n_list" in opt and not levels):
-        raise fault("n_list", "n_list needs at least one level, each n >= 1")
-    if "n_ref" in opt and levels and opt["n_ref"] < max(levels):
-        raise fault("n_ref", f"n_ref = {opt['n_ref']} is below the finest level {max(levels)}")
-    if cfg.kind == "fokker_planck" and opt["d"] not in (1, 2):
-        raise fault("d", "the Fokker-Planck grid needs d = 1 or 2")
-    samples = opt.get("factorization_samples", 0)
-    if samples < 0 or (samples and opt["d"] != 1):
-        raise fault("factorization_samples", "factorization_samples must be >= 0, and > 0 only for d = 1")
-    if not 0 <= opt["seed"] < SEED_LIMIT:
-        raise fault("seed", f"seed {opt['seed']} outside [0, 2^64)")
-    if "field" in opt and opt["field"] not in FIELD_KEYS:
-        raise fault("field", f"unknown field {opt['field']!r}")
+    if "n_ref" in opt and opt["n_ref"] < max(opt["n_list"]):
+        raise fault("n_ref", f"n_ref = {opt['n_ref']} is below the finest level {max(opt['n_list'])}")
     if cfg.kind == "fokker_planck":
+        if opt["d"] not in (1, 2):
+            raise fault("d", "the Fokker-Planck grid needs d = 1 or 2")
+        if opt["factorization_samples"] and opt["d"] != 1:
+            raise fault("factorization_samples", "factorization_samples must be 0 unless d = 1")
         _check_fp_stability(cfg, fault)
 
 
@@ -242,7 +239,8 @@ def _check_fp_stability(cfg, fault):
 def parse_config(path, seed=None):
     """Parse and validate a config file; returns a list of ExperimentConfig.
 
-    ``seed``, when given, replaces every section's seed and is checked as one.
+    ``seed``, when given, replaces every section's seed before parsing, so
+    the ``seed`` parser checks it as it checks a seed in the file.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive, matched exactly
@@ -253,22 +251,20 @@ def parse_config(path, seed=None):
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}")
-    configs = [_parse_section(name, parser[name], seed) for name in parser.sections()]
+    if seed is not None:
+        for name in parser.sections():
+            parser[name]["seed"] = str(seed)
+    configs = [_parse_section(name, parser[name]) for name in parser.sections()]
     if not configs:
         raise ConfigError(f"config {path!r} defines no experiments")
     return configs
 
 
 def build_field(cfg):
-    """Instantiate the catalog field named by a config."""
+    """Instantiate the catalog field named by a config; ``builtin_coefficients``
+    holds the default of every parameter the section leaves out."""
     from .coefficients import builtin_coefficients
 
-    name = cfg.field
-    kwargs = {}
-    if cfg.options.get("lam") is not None:
-        kwargs["lam"] = cfg.lam
-    if name == "ou_linear":
-        kwargs["a"] = cfg.a
-    elif name == "sign_drift":
-        kwargs["beta"] = cfg.beta
-    return builtin_coefficients(name, d=cfg.d, **kwargs)
+    params = {key: cfg.options[key] for key in ("lam",) + FIELD_PARAMS[cfg.field]
+              if cfg.options[key] is not None}
+    return builtin_coefficients(cfg.field, d=cfg.d, **params)

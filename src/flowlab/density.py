@@ -226,7 +226,7 @@ def _refined(quad):
     return None if fine is quad else fine
 
 
-def theorem_bound_rhs(field, s, t, p, quad, tgrid=33, log_cap=700.0, refine_tol=0.1):
+def theorem_bound_rhs(field, s, t, p, quad, tgrid=33, log_cap=700.0):
     """The L^p a-priori bound on ||K_{s,t}||, by log-space quadrature.
 
     [(1/(t-s)) ∫_s^t ∫ exp(p(t-s)[2|δ(b_u)| + ||σ_u||^2 + ||∇σ_u||^2
@@ -234,7 +234,7 @@ def theorem_bound_rhs(field, s, t, p, quad, tgrid=33, log_cap=700.0, refine_tol=
 
     Raises ``BoundUnavailableError`` when the integrability precondition at
     scale p(t-s) fails: either the log accumulation exceeds ``log_cap`` or
-    the integral moves by more than ``refine_tol`` in log value under
+    the integral moves by more than 0.1 in log value under
     order-doubling of the rule (a divergent Gaussian integral keeps growing
     with quadrature order instead of converging).
     """
@@ -250,7 +250,7 @@ def theorem_bound_rhs(field, s, t, p, quad, tgrid=33, log_cap=700.0, refine_tol=
     fine = _refined(quad)
     if fine is not None:
         log_avg_fine = _bound_log_average(field, s, t, p, fine, times, log_cap)
-        if abs(log_avg_fine - log_avg) > refine_tol:
+        if abs(log_avg_fine - log_avg) > 0.1:
             raise BoundUnavailableError(
                 f"integral not converged under order-doubling at scale p(t-s)={p * tau:g}"
             )

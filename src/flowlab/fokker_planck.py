@@ -396,9 +396,9 @@ def smooth_bump(center, width):
     return phi
 
 
-def mc_measure(field, initials, phi, s, t, dt, seed, replicas=1, threads=1):
+def mc_measure(field, initials, phi, s, t, dt, seed, threads=1):
     """Monte-Carlo estimate of ∫ E[φ(X_{s,t}(x))] dμ_0(x) with batched stderr."""
-    ens = simulate_ensemble(field, s, t, initials, dt, seed, replicas=replicas, threads=threads)
+    ens = simulate_ensemble(field, s, t, initials, dt, seed, threads=threads)
     return mean_estimate(phi(ens.xT))
 
 
@@ -417,7 +417,7 @@ class WeakErrorReport:
         return list(zip(self.labels, self.fp_values, self.fp_errors, self.mc_values))
 
 
-def weak_error(fp, field, initials, phis, s, t, dt, seed, replicas=1, threads=1, fp_coarse=None):
+def weak_error(fp, field, initials, phis, s, t, dt, seed, threads=1, fp_coarse=None):
     """Max |<φ, u_fp> - MC| over a smooth test set, with both error bars.
 
     The PDE-side error bar per test function is the grid-refinement spread
@@ -425,7 +425,7 @@ def weak_error(fp, field, initials, phis, s, t, dt, seed, replicas=1, threads=1,
     flow ensemble is simulated once and every φ is read off its endpoints,
     so each MC value equals ``mc_measure`` of that φ bit for bit.
     """
-    ens = simulate_ensemble(field, s, t, initials, dt, seed, replicas=replicas, threads=threads)
+    ens = simulate_ensemble(field, s, t, initials, dt, seed, threads=threads)
     fp_vals, fp_errs, mc_vals, labels = [], [], [], []
     for i, phi in enumerate(phis):
         v = fp.grid.moment(phi)

@@ -82,13 +82,13 @@ class GaussianQuadrature:
         return cls(d=d, nodes=nodes, weights=weights, exactness=0)
 
 
-def default_quadrature(d, order=None, mc_samples=4096, seed=0):
-    """Default rule: GH(32) in d=1, GH(16 per axis) in d=2, MC beyond."""
+def default_quadrature(d, order=None):
+    """Default rule: GH(32) in d=1, GH(16 per axis) in d=2, 4096 MC nodes (seed 0) beyond."""
     if d == 1:
         return GaussianQuadrature.gauss_hermite(1, order or 32)
     if d == 2:
         return GaussianQuadrature.gauss_hermite(2, order or 16)
-    return GaussianQuadrature.monte_carlo(d, mc_samples, seed)
+    return GaussianQuadrature.monte_carlo(d, 4096, 0)
 
 
 def refined_quadrature(quad, factor=2, max_order=None):
@@ -152,13 +152,13 @@ def logsumexp(a):
     return out
 
 
-def fd_jacobian(fn, x, step_scale=FD_STEP_SCALE):
-    """Central-difference Jacobian with scale-aware step h = scale*(1+|x|)."""
+def fd_jacobian(fn, x):
+    """Central-difference Jacobian with scale-aware step h = FD_STEP_SCALE*(1+|x|)."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     n, d = pts.shape
-    h = step_scale * (1.0 + np.linalg.norm(pts, axis=-1))  # (n,)
+    h = FD_STEP_SCALE * (1.0 + np.linalg.norm(pts, axis=-1))  # (n,)
     cols = []
     for b in range(d):
         shift = np.zeros_like(pts)

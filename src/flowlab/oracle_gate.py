@@ -44,7 +44,7 @@ class OracleCheck:
         return abs(self.value - self.recomputed) <= self.tol
 
 
-def oracle_suite(mc_samples=10_000_000):
+def oracle_suite():
     """Compute every oracle twice; raise OracleMismatchError on disagreement.
 
     Returns the list of checks (all passed) so callers can persist or render
@@ -79,7 +79,7 @@ def oracle_suite(mc_samples=10_000_000):
 
     # p = 2, τ = 0.04: 2(p-1)(2p-1)τ = 0.24 and 4(p-1)(4p-3)τ = 0.8, both below 1
     lp_formula = oracles.translate_lp_norm(2.0, 0.04)
-    lp_mc, lp_se = oracles.translate_lp_mc(2.0, 0.04, mc_samples)
+    lp_mc, lp_se = oracles.translate_lp_mc(2.0, 0.04, 10_000_000)
     checks.append(OracleCheck("translate_L2_norm", lp_formula, lp_mc, 4.0 * lp_se))
 
     grid = FPGrid.gaussian(1, 8.0, 0.05)

@@ -41,8 +41,8 @@ class ReportRow:
             object.__setattr__(self, "passed", bool(self.passed))
 
     @staticmethod
-    def checked(experiment, quantity, value, stderr, bound, slack=3.0):
-        ok = value <= bound + slack * (stderr or 0.0)
+    def checked(experiment, quantity, value, stderr, bound):
+        ok = value <= bound + 3.0 * (stderr or 0.0)
         return ReportRow(experiment, quantity, value, stderr, bound, ok)
 
 

@@ -35,6 +35,7 @@ not offered: the drift may be discontinuous.
 """
 
 import contextlib
+import math
 import mmap
 import os
 import pickle
@@ -60,8 +61,8 @@ _CHUNK_BUDGET = 1 << 22  # floats of increment storage per chunk
 
 def make_grid(s, T, dt):
     """Number of uniform steps covering [s, T]; dt must divide the horizon."""
-    if dt <= 0 or T <= s:
-        raise ConfigError("need dt > 0 and T > s")
+    if not (dt > 0 and T > s and math.isfinite((T - s) / dt)):
+        raise ConfigError("need dt > 0, T > s and a finite step count (T - s) / dt")
     n_steps = int(round((T - s) / dt))
     if n_steps < 1 or abs(s + n_steps * dt - T) > 1e-9 * max(1.0, T - s):
         raise ConfigError(f"dt={dt} does not divide the horizon [{s}, {T}]")

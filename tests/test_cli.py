@@ -61,6 +61,20 @@ FP_BASE = "kind = fokker_planck\nfield = translate\nt = 0.1\ndt = 0.01\ntrajecto
 KRYLOV_BASE = "kind = krylov\nfield = translate\nt = 0.1\ndt = 0.01"
 COUPLING_BASE = "kind = coupling\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
 ENTROPY_BASE = "kind = entropy_budget\nfield = translate\nhorizon = 0.1\ndt = 0.01\ntrajectories = 8"
+PATH_BASE = "kind = density_bound\nfield = translate\ndt = 0.01\ntrajectories = 8"
+# one valid section of each kind, small enough to validate in milliseconds
+MINIMAL_SECTIONS = {
+    "validate": {"kind": "validate", "field": "ou_linear"},
+    "density_bound": {"kind": "density_bound", "field": "translate", "t": "0.1", "dt": "0.01",
+                      "trajectories": "8"},
+    "entropy_budget": {"kind": "entropy_budget", "field": "sign_drift", "horizon": "0.1", "dt": "0.01",
+                       "trajectories": "8"},
+    "coupling": {"kind": "coupling", "field": "sign_drift", "t": "0.1", "dt": "0.01", "trajectories": "8"},
+    "krylov": {"kind": "krylov", "field": "translate", "t": "0.1", "dt": "0.01", "trajectories": "8"},
+    "fokker_planck": {"kind": "fokker_planck", "field": "translate", "t": "0.1", "dt": "0.01",
+                      "trajectories": "8", "grid_h": "0.2", "grid_tau": "0.005"},
+    "oracle_suite": {"kind": "oracle_suite"},
+}
 FLOWLAB_ERRORS = {
     c.__name__ for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FlowLabError)
 }
@@ -73,7 +87,9 @@ def _sections(draw):
     Sections are valid or not; the trajectory counts, horizons and grids are
     kept small.  grid_tau falls on both sides of the Fokker-Planck stability
     bound, which is h^2 / 2 d for translate at grid_h = h; lam, quad_order
-    and the slab widths fall on both sides of their limits (> 0, >= 0, > 0).
+    and the slab widths fall on both sides of their limits (> 0, >= 0, > 0);
+    t, horizon, grid_R and lam may be nan or inf, and a and beta appear on
+    every field, so also on the fields that do not take them.
     """
     kind = draw(st.sampled_from(["validate", "density_bound", "krylov", "coupling", "entropy_budget",
                                  "fokker_planck"]))
@@ -83,31 +99,33 @@ def _sections(draw):
         "d": draw(st.sampled_from([1, 2] if kind == "fokker_planck" else [1, 1, 2, 0])),
         "seed": draw(st.integers(0, 2**16)),
     }
-    lam = draw(st.sampled_from([None, None, "-0.5", "0", "0.1", "1.0"]))
-    if lam is not None:
-        keys["lam"] = lam
+    # None (the key left out) is weighted up so that valid sections stay common
+    for key, values in (("lam", [None] * 6 + ["-0.5", "0", "0.1", "1.0", "nan", "inf"]),
+                        ("a", [None] * 4 + ["1.0", "10.0"]), ("beta", [None] * 4 + ["1.0", "10.0"])):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            keys[key] = value
     if kind in ("validate", "density_bound", "entropy_budget", "coupling"):
         keys["quad_order"] = draw(st.sampled_from(["-1", "0", "0", "1", "8"]))
     if kind == "fokker_planck":
-        keys["a"] = draw(st.sampled_from(["1.0", "10.0"]))
-        keys["t"] = draw(st.sampled_from(["0.02", "0.04"]))
+        keys["t"] = draw(st.sampled_from(["0.02", "0.04"] * 3 + ["nan", "inf"]))
         keys["dt"] = draw(st.sampled_from(["0.005", "0.01"]))
         keys["trajectories"] = draw(st.integers(1, 64))
-        keys["grid_R"] = draw(st.sampled_from(["2.0", "3.0"]))
+        keys["grid_R"] = draw(st.sampled_from(["2.0", "3.0"] * 3 + ["nan", "inf"]))
         keys["grid_h"] = draw(st.sampled_from(["0.1", "0.2"]))
         keys["grid_tau"] = draw(st.sampled_from(["0.0005", "0.001", "0.0025", "0.005", "0.01"]))
         if keys["d"] == 1:
             keys["factorization_samples"] = draw(st.sampled_from(["0", "200"]))
     elif kind == "validate":
-        keys["horizon"] = draw(st.sampled_from(["0.05", "0.5", "1.0"]))
+        keys["horizon"] = draw(st.sampled_from(["0.05", "0.5", "1.0"] * 2 + ["nan", "inf"]))
     elif kind == "entropy_budget":
-        keys["horizon"] = draw(st.sampled_from(["0.02", "0.05"]))
+        keys["horizon"] = draw(st.sampled_from(["0.02", "0.05"] * 3 + ["nan", "inf"]))
         keys["dt"] = draw(st.sampled_from(["0.005", "0.01", "0.03"]))
         keys["trajectories"] = draw(st.integers(1, 64))
         keys["n_list"] = draw(st.sampled_from(["4", "2, 8", "0, 4", ""]))
     else:
         keys["s"] = draw(st.sampled_from(["0.0", "0.0", "0.05"]))
-        keys["t"] = draw(st.sampled_from(["0.02", "0.05", "0.1"]))
+        keys["t"] = draw(st.sampled_from(["0.02", "0.05", "0.1"] * 2 + ["nan", "inf"]))
         keys["dt"] = draw(st.sampled_from(["0.005", "0.01", "0.01", "0.03"]))
         keys["trajectories"] = draw(st.integers(1, 64))
         if kind == "density_bound":
@@ -237,13 +255,46 @@ class TestCli:
         _fault(ENTROPY_BASE, "lam = 0", "lam"),  # the budget's T0 <= λ / 8e^2 would be 0
         _fault(VALIDATE_BASE, "field = translate\nquad_order = -1", "quad_order"),
         _fault(KRYLOV_BASE, "trajectories = 8\nslab_widths = -0.1, 0.05", "slab_widths"),
+        # non-finite values, each refused by its key's parser
+        _fault(PATH_BASE, "t = nan", "t"),
+        _fault(PATH_BASE, "t = inf", "t"),
+        _fault(PATH_BASE, "t = 0.1\ns = nan", "s"),
+        _fault(FP_BASE, "grid_tau = 0.005\ngrid_R = nan", "grid_R"),
+        _fault(VALIDATE_BASE, "field = translate\nhorizon = nan", "horizon"),
+        _fault(KRYLOV_BASE, "trajectories = 8\nslab_widths = nan", "slab_widths"),
+        _fault(VALIDATE_BASE, "field = ou_linear\na = inf", "a"),
+        _fault(PATH_BASE, "t = 0.1\np_list = nan", "p_list"),
+        _fault(ENTROPY_BASE, "lam = nan", "lam"),
+        _fault(KRYLOV_BASE, "trajectories = 8\nlambda_discount = nan", "lambda_discount"),
+        # a parameter the field does not take, which run would otherwise ignore
+        _fault(VALIDATE_BASE, "field = translate\nbeta = 7", "beta"),
+        _fault(VALIDATE_BASE, "field = sign_drift\na = 2", "a"),
     ])
     def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"
         p.write_text(f"[x]\n{body}\n")
         argv = [command, str(p)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
         assert main(argv) == 2
-        assert f"[section='x' key='{key}']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"[section='x' key='{key}']" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_key_refuses_non_finite_values(self, tmp_path, capsys):
+        """Each schema key but kind and field, set to nan, inf or -inf in a valid section, exits 2 naming it."""
+        def validate(body):
+            p = tmp_path / "cfg.ini"
+            p.write_text("[x]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()))
+            return main(["validate", str(p)]), capsys.readouterr().err
+
+        missed = []
+        for kind, schema in config._SCHEMAS.items():
+            assert validate(MINIMAL_SECTIONS[kind])[0] == 0, kind
+            for key in sorted(schema.keys() - {"kind", "field"}):
+                for value in ("nan", "inf", "-inf"):
+                    code, err = validate({**MINIMAL_SECTIONS[kind], key: value})
+                    if code != 2 or f"[section='x' key='{key}']" not in err:
+                        missed.append(f"{kind}: {key} = {value}")
+        assert not missed
 
     def test_threads_below_one_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

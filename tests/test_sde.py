@@ -74,6 +74,10 @@ class TestBrownianPath:
             make_grid(0.0, 1.0, 0.3)
         with pytest.raises(ConfigError):
             make_grid(0.0, 1.0, -0.1)
+        # non-finite input is a ConfigError too, not a raw ValueError or OverflowError
+        for s, T, dt in ((0.0, np.nan, 0.01), (0.0, np.inf, 0.01), (0.0, 1.0, np.nan)):
+            with pytest.raises(ConfigError):
+                make_grid(s, T, dt)
 
 
 def _generator_draw(seed, index, n_steps, m, dt):
