@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
-from .sde import make_grid
+from .sde import MAX_STEPS, make_grid
 
 # fields ``build_field`` can construct from config keys alone, with the
 # parameters each takes besides ``lam``; ``anisotropic`` needs a matrix,
@@ -72,12 +72,15 @@ REQUIRED = object()
 _COMMON = {"kind": (str, REQUIRED), "seed": (_limit(int, 0, SEED_LIMIT), 0)}
 
 # a field parameter absent from a section takes its default in
-# ``builtin_coefficients``; every one is a positive float
+# ``builtin_coefficients``; every one is a positive float and the field's
+# growth constant L, held far below 1e153, where |b|^2 overflows and the
+# bounds' T0 = 1 / (112 L (1 + L)) underflows
 _FIELD = {
     "field": (_field, REQUIRED),
     "d": (_limit(int, 1), 1),
     "lam": (_positive, None),
-    **{key: (_positive, None) for params in FIELD_PARAMS.values() for key in params},
+    **{key: (_limit(float, 0.0, 1e100, strict=True), None)
+       for params in FIELD_PARAMS.values() for key in params},
 }
 
 # the kinds that simulate paths on [s, t]
@@ -205,6 +208,13 @@ def _validate_numerics(cfg):
             make_grid(opt["s"], opt["t"], step)
         except ConfigError as exc:
             raise fault(key, f"{key}: {exc}")
+    if cfg.kind == "entropy_budget":
+        from .density import time_threshold
+
+        # run steps [0, τ], τ = min(T0, horizon), at ⌈τ/dt⌉ steps and at twice as many
+        tau = min(time_threshold(build_field(cfg)), opt["horizon"])
+        if not 2 * tau / opt["dt"] <= MAX_STEPS:
+            raise fault("dt", f"dt: the entropy budget on [0, {tau:g}] needs more than {MAX_STEPS} steps")
     if "n_ref" in opt and opt["n_ref"] < max(opt["n_list"]):
         raise fault("n_ref", f"n_ref = {opt['n_ref']} is below the finest level {max(opt['n_list'])}")
     if cfg.kind == "fokker_planck":

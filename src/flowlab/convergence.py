@@ -3,7 +3,7 @@
 Two experiments: the occupation-measure (Krylov-type) functional and its
 stability on thin space-time sets, and the convergence of solutions under
 coefficient regularization, where every level n shares the trajectory's
-Brownian substream (common-noise coupling on one probability space) and is
+Brownian increments (common-noise coupling on one probability space) and is
 compared pathwise against the finest level.  Each study is an accumulator
 on one ``simulate_ensemble`` run; the coupling's run is the finest level's
 flow, beside which its accumulator steps the others.
@@ -174,7 +174,7 @@ def coupling_convergence(
     """Pathwise deviation of regularization levels from the finest level.
 
     All levels of one trajectory share the same Brownian increments (one
-    substream per trajectory index), realizing the limit statement on a
+    counter range per trajectory index), realizing the limit statement on a
     single probability space; the finest level stands in for the true
     solution.  The reference level is the flow ``simulate_ensemble`` runs
     and the other levels are stepped beside it by an accumulator.  Returns

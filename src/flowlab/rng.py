@@ -1,24 +1,29 @@
 """Deterministic counter-based random streams.
 
-Every random quantity in the package is drawn from a Philox (counter-based)
-bit generator keyed by ``(seed, stream index)``.  Streams are therefore
-independent of evaluation order and of the number of worker processes, and a
-fixed ``(seed, index, step)`` triple always yields the same variate on every
-platform.  Normal variates are produced by the inverse CDF applied to
-uniforms on the open unit interval, so they inherit the same guarantee.
+Every random quantity of the flow code is drawn from a Philox-4x64
+(counter-based) bit generator keyed by ``[seed, stream]``.  A Philox word
+depends only on its key and its 256-bit counter, so streams are independent
+of evaluation order and of the number of worker processes, and a fixed
+``(seed, stream, counter)`` always yields the same variate on every
+platform.  Normal variates are the inverse CDF of uniforms on the open unit
+interval, so they inherit the same guarantee.
 
-Trajectory noise is drawn a block of streams at a time:
-``brownian_increments`` over a ``range`` of indices resets one Philox to each
-key in turn, reads its raw words and replays numpy's bounded-integer draw on
-them in vectorized arithmetic, so every row is bit for bit the variates a
-``substream`` generator for that index would give.
+Key and counter layout:
 
-Stream index layout:
+* key ``[seed, 0]``: all trajectory noise.  Row j of an ensemble with n_steps
+  steps of m-dimensional noise reads the B = ⌈n_steps m / 4⌉ counter blocks
+  after counter j B (four words a block, the last block's spare words
+  unused), so a row drawn alone equals that row of any block of rows.
+  Ensembles at one seed with different n_steps m read overlapping counters:
+  row j of one may share words with a different row of the other.
+* key ``[seed, 2**62]``: initial points drawn from the standard Gaussian.
+* key ``[seed, 2**62 + 1]``: inverse-CDF sampling of grid densities.
+* key ``[seed, 2**62 + 2]``: Monte-Carlo quadrature fallback nodes.
 
-* ``0 .. 2**62 - 1``      trajectory substreams (one per trajectory)
-* ``2**62``               initial points drawn from the standard Gaussian
-* ``2**62 + 1``           inverse-CDF sampling of grid densities
-* ``2**62 + 2``           Monte-Carlo quadrature fallback nodes
+A word w becomes the uniform ((w >> 12) + 1/2) 2**-52, which lies in
+[2**-53, 1 - 2**-53].  Every such value is exact, so no word is rejected and
+``ndtri`` stays finite.  With 53 bits the top word would give
+(2**53 - 1/2) 2**-53, which rounds to exactly 1.0, and ``ndtri(1.0)`` is inf.
 """
 
 import numpy as np
@@ -28,11 +33,7 @@ INITIALS_STREAM = 1 << 62
 GRID_SAMPLER_STREAM = (1 << 62) + 1
 MC_QUAD_STREAM = (1 << 62) + 2
 
-_DENOM = float(1 << 53)
 _BLOCK_WORDS = 1 << 14  # raw words converted per pass; keeps scratch buffers small
-# numpy's integers(1, 2**53) draws from 2**53 - 1 values and rejects a word
-# whose low product half is below 2**64 mod (2**53 - 1) = 2**11
-_REJECT_BELOW = 1 << 11
 
 
 def substream(seed, index):
@@ -41,9 +42,18 @@ def substream(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _to_uniforms(words, out):
+    """``out`` = ((words >> 12) + 1/2) 2**-52; ``words`` is overwritten."""
+    np.right_shift(words, 12, out=words)
+    np.add(words, 0.5, out=out)
+    out *= 2.0**-52
+    return out
+
+
 def uniform_open(gen, size):
-    """Uniforms in the open interval (0, 1); safe as ndtri arguments."""
-    return gen.integers(1, 1 << 53, size=size).astype(np.float64) / _DENOM
+    """Uniforms in the open interval (0, 1) from ``gen``'s raw words; safe as ndtri arguments."""
+    words = gen.bit_generator.random_raw(size)
+    return _to_uniforms(words, np.empty(np.shape(words)))
 
 
 def standard_normals(seed, index, shape):
@@ -51,61 +61,32 @@ def standard_normals(seed, index, shape):
     return ndtri(uniform_open(substream(seed, index), shape))
 
 
-def _lemire_uniforms(words):
-    """``uniform_open`` replayed on raw Philox words: ``(uniforms, rejected)``.
-
-    numpy's ``integers(1, 2**53)`` maps a word x to 1 + high64(x (2**53 - 1))
-    (Lemire's bounded draw) unless low64(x (2**53 - 1)) < 2**11, when it
-    discards x and draws again.  ``rejected`` flags those words; every other
-    uniform equals the generator's bit for bit.
-    """
-    # x (2**53 - 1) = (x >> 11) 2**64 + ((x & 2047) << 53) - x
-    low = (words & 2047) << 53
-    borrow = low < words
-    low -= words
-    high = (words >> 11) - borrow
-    high += 1
-    return high.astype(np.float64) / _DENOM, low < _REJECT_BELOW
-
-
 def brownian_increments(seed, index, n_steps, m, dt):
     """Increments of m-dimensional Brownian paths on a uniform grid.
 
-    ``index`` is one stream index, giving an (n_steps, m) array, or a
-    ``range`` of them, giving (len(index), n_steps, m) whose row j is bitwise
-    the increments of stream ``index[j]`` drawn on its own.  The range form
-    uses one Philox for the whole call and converts its words in row blocks
-    of about ``_BLOCK_WORDS``; a row holding a word the bounded draw would
-    reject (chance about 1e-16 per word) is redrawn through the generator.
+    ``index`` is one trajectory index, giving an (n_steps, m) array, or a
+    ``range`` of consecutive ones, giving (len(index), n_steps, m) whose
+    row j is bitwise the increments of trajectory ``index[j]`` drawn on its
+    own.  One Philox keyed [seed, 0] is set to the first row's counter; its
+    words are read and converted in row blocks of about ``_BLOCK_WORDS``.
     """
     single = not isinstance(index, range)
-    streams = range(index, index + 1) if single else index
+    rows = range(index, index + 1) if single else index
+    if rows.step != 1:
+        raise ValueError("brownian_increments reads a range of consecutive trajectories")
     n_words = n_steps * m
-    out = np.empty((len(streams), n_steps, m))
+    out = np.empty((len(rows), n_steps, m))
     if out.size:
-        flat = out.reshape(len(streams), n_words)
+        flat = out.reshape(len(rows), n_words)
+        row_words = 4 * -(-n_words // 4)
+        bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64),
+                                  counter=rows[0] * (row_words // 4))
+        per_block = max(1, _BLOCK_WORDS // row_words)
         scale = np.sqrt(dt)
-        bitgen = np.random.Philox(key=np.array([seed, streams[0]], dtype=np.uint64))
-        # a fresh generator's state (counter 0, empty buffer) held as plain
-        # ints, which the state setter reads in under half the time of numpy arrays
-        state = bitgen.state
-        state["state"] = {name: words.tolist() for name, words in state["state"].items()}
-        state["buffer"] = state["buffer"].tolist()
-        key = state["state"]["key"]
-        per_block = max(1, _BLOCK_WORDS // n_words)
-        raw = np.empty((min(per_block, len(streams)), n_words), dtype=np.uint64)
-        for lo in range(0, len(streams), per_block):
-            block = streams[lo:lo + per_block]
-            words = raw[:len(block)]
-            for r, j in enumerate(block):
-                key[1] = j
-                bitgen.state = state
-                words[r] = bitgen.random_raw(n_words)
-            uniforms, rejected = _lemire_uniforms(words)
-            z = flat[lo:lo + len(block)]
-            ndtri(uniforms, out=z)
-            for r in np.flatnonzero(rejected.any(axis=1)):
-                z[r] = standard_normals(seed, block[r], n_words)
+        for lo in range(0, len(rows), per_block):
+            z = flat[lo:lo + per_block]
+            words = bitgen.random_raw(len(z) * row_words).reshape(len(z), row_words)
+            ndtri(_to_uniforms(words[:, :n_words], z), out=z)
             z *= scale
     return out[0] if single else out
 

@@ -1,14 +1,14 @@
-"""Euler-Maruyama flow simulation with deterministic substreams.
+"""Euler-Maruyama flow simulation with counter-addressed noise.
 
-Each trajectory owns a counter-based random substream keyed by
-``(seed, trajectory index)``, so ensembles are bitwise reproducible for a
-fixed ``(seed, dt, grid)`` at any worker count.
+Each trajectory owns a fixed range of Philox counters under the key
+``[seed, 0]``, set by its index (see :mod:`flowlab.rng`), so ensembles are
+bitwise reproducible for a fixed ``(seed, dt, grid)`` at any worker count.
 
 One package-private driver is the only place where chunks, workers and
 trajectory noise are handled: ``_run_chunks`` fixes the worker count,
 partitions trajectories into equal chunks (a multiple of the worker count,
 none past the increment budget), draws each chunk's increments in one block
-(bit for bit the per-trajectory substreams, see :mod:`flowlab.rng`) and runs
+(each row bit for bit that trajectory's increments drawn alone) and runs
 the caller's body on it.  No output depends on the cut: every trajectory's
 arithmetic is its own.  With more than one worker the chunks are dealt out
 in shares: this process runs the first and forked child processes run the
@@ -57,13 +57,18 @@ __all__ = [
 
 EXPLOSION_RADIUS = 1e8
 _CHUNK_BUDGET = 1 << 22  # floats of increment storage per chunk
+# a 64-row chunk of one-dimensional increments at this many steps holds 2 GiB
+MAX_STEPS = 1 << 22
 
 
 def make_grid(s, T, dt):
-    """Number of uniform steps covering [s, T]; dt must divide the horizon."""
+    """Number of uniform steps covering [s, T]; dt must divide the horizon
+    in at most ``MAX_STEPS`` steps."""
     if not (dt > 0 and T > s and math.isfinite((T - s) / dt)):
         raise ConfigError("need dt > 0, T > s and a finite step count (T - s) / dt")
     n_steps = int(round((T - s) / dt))
+    if n_steps > MAX_STEPS:
+        raise ConfigError(f"dt={dt} gives {(T - s) / dt:.6g} steps on [{s}, {T}], more than {MAX_STEPS}")
     if n_steps < 1 or abs(s + n_steps * dt - T) > 1e-9 * max(1.0, T - s):
         raise ConfigError(f"dt={dt} does not divide the horizon [{s}, {T}]")
     return n_steps
@@ -226,7 +231,7 @@ def _run_shares(run, shares):
 def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
 
-    ``inc`` holds the increments of substreams lo .. hi-1, drawn in one
+    ``inc`` holds the increments of trajectories lo .. hi-1, drawn in one
     ``brownian_increments`` call per chunk.  The worker count, min(threads,
     usable CPUs, chunks at the budget), is fixed first, so an ensemble of one
     budget chunk runs inline; the chunks are cut for it (``_chunk_edges``) and
@@ -310,8 +315,8 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     """Run the flow for every (initial point, noise replica) pair.
 
     ``initials`` is an (n0, d) array or ``("gaussian", n0)`` for γ_d starts
-    drawn from a reserved substream.  Trajectory j uses initial point
-    ``j // replicas`` and Brownian substream index j.
+    drawn from a reserved stream.  Trajectory j uses initial point
+    ``j // replicas`` and the Brownian increments of trajectory index j.
 
     Each chunk is one loop over the steps: step k makes one ``_euler_step``
     and then calls every accumulator.  ``accumulators`` stream path

@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowlab.cli import main
+from flowlab.coefficients import builtin_coefficients
 from flowlab.config import build_field, parse_config
 from flowlab import config, errors, experiments
+from flowlab.density import time_threshold
 from flowlab.errors import ConfigError, FlowLabError
+from flowlab.sde import MAX_STEPS
 
 GOOD_CONFIG = """
 [lp-small]
@@ -269,6 +272,14 @@ class TestCli:
         # a parameter the field does not take, which run would otherwise ignore
         _fault(VALIDATE_BASE, "field = translate\nbeta = 7", "beta"),
         _fault(VALIDATE_BASE, "field = sign_drift\na = 2", "a"),
+        # field parameters whose growth ratio or bound constants overflow
+        _fault(VALIDATE_BASE, "field = ou_linear\nd = 2\na = 1e160", "a"),
+        _fault(VALIDATE_BASE, "field = ou_linear\nd = 2\na = 1e300", "a"),
+        _fault(VALIDATE_BASE, "field = sign_drift\nd = 2\nbeta = 1e160", "beta"),
+        _fault(VALIDATE_BASE, "field = sign_drift\nd = 2\nbeta = 1e300", "beta"),
+        # more steps than a chunk of increments can hold
+        _fault(DENSITY_BASE, "dt = 1e-300", "dt"),
+        _fault(ENTROPY_BASE.replace("\ndt = 0.01", ""), "dt = 1e-300", "dt"),
     ])
     def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"
@@ -295,6 +306,38 @@ class TestCli:
                     if code != 2 or f"[section='x' key='{key}']" not in err:
                         missed.append(f"{kind}: {key} = {value}")
         assert not missed
+
+    @pytest.mark.parametrize("kind", ["validate", "entropy_budget"])
+    @pytest.mark.parametrize("field, key", [("ou_linear", "a"), ("sign_drift", "beta")])
+    def test_largest_field_parameter_runs_without_overflow(self, tmp_path, kind, field, key):
+        """Just below the limit both kinds run to a verdict or a flowlab error; the RuntimeWarning filter is on."""
+        p = tmp_path / "big.ini"
+        body = {**MINIMAL_SECTIONS[kind], "field": field, "d": "2", key: "9.99e99"}
+        p.write_text("[x]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()))
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) in (0, 1)
+        section = json.loads((tmp_path / "out" / "summary.json").read_text())["experiments"]["x"]
+        assert section.get("error", "FlowLabError:").split(":")[0] in FLOWLAB_ERRORS
+
+    def test_entropy_budget_bounds_the_steps_it_runs(self, tmp_path, capsys):
+        """The step cap reads [0, τ], τ = min(T0, horizon), which run simulates at dt and dt / 2."""
+        tau = time_threshold(builtin_coefficients("translate", d=1))
+        edge = 2 * tau / MAX_STEPS
+        p = tmp_path / "eb.ini"
+
+        def validate(dt):
+            p.write_text("[x]\nkind = entropy_budget\nfield = translate\nhorizon = 1000\n"
+                         f"trajectories = 8\nn_list = 1\ndt = {dt!r}\n")
+            return main(["validate", str(p)]), capsys.readouterr().err
+
+        code, err = validate(edge * 0.999)
+        assert code == 2 and "[section='x' key='dt']" in err
+        assert validate(edge * 1.001)[0] == 0
+        # horizon / dt = 1e7 steps is past the cap, but run steps [0, τ] only
+        assert 1000 / 1e-4 > MAX_STEPS
+        assert validate(1e-4)[0] == 0
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) in (0, 1)
+        assert "error" not in json.loads((tmp_path / "out" / "summary.json").read_text())["experiments"]["x"]
 
     def test_threads_below_one_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

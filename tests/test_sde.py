@@ -3,13 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import ndtri
 
 import flowlab.sde
 from flowlab import rng
 from flowlab.coefficients import builtin_coefficients
 from flowlab.convergence import coupling_convergence
 from flowlab.errors import CapabilityError, ConfigError, ExplosionError
-from flowlab.rng import brownian_increments, standard_normals, substream
+from flowlab.rng import brownian_increments, substream
 from flowlab.sde import make_grid, simulate_ensemble
 
 from conftest import StoredStates
@@ -80,11 +82,6 @@ class TestBrownianPath:
                 make_grid(s, T, dt)
 
 
-def _generator_draw(seed, index, n_steps, m, dt):
-    """Increments through a ``substream`` generator: the path the block draw replays."""
-    return standard_normals(seed, index, (n_steps, m)) * np.sqrt(dt)
-
-
 class TestBlockDraw:
     @pytest.mark.parametrize(
         "seed, lo, count, n_steps, m",
@@ -100,65 +97,82 @@ class TestBlockDraw:
         streams = range(lo, lo + count)
         block = brownian_increments(seed, streams, n_steps, m, dt)
         scalar = np.stack([brownian_increments(seed, j, n_steps, m, dt) for j in streams])
-        generator = np.stack([_generator_draw(seed, j, n_steps, m, dt) for j in streams])
         assert block.shape == (count, n_steps, m)
         assert np.array_equal(block, scalar)
-        assert np.array_equal(block, generator)
 
     def test_empty_range_and_degenerate_horizon(self):
         assert brownian_increments(1, range(4, 4), 10, 2, 0.1).shape == (0, 10, 2)
         assert brownian_increments(1, range(0, 3), 0, 2, 0.1).shape == (3, 0, 2)
 
-    def test_lemire_replay_matches_the_generator(self):
-        seed, size = 17, 8
-        words = np.stack([
-            np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(size)
-            for j in range(1000)
-        ])
-        uniforms, rejected = rng._lemire_uniforms(words)
-        expected = np.stack([
-            substream(seed, j).integers(1, 1 << 53, size) / 2.0**53 for j in range(1000)
-        ])
-        assert not rejected.any()
-        assert np.array_equal(uniforms, expected)
+    def test_row_alone_equals_row_of_block_across_counter_carry(self):
+        # 100 steps x 2 noise dimensions: B = 50 counter blocks a row, so
+        # rows 2**64 // 50 - 2 .. + 2 straddle a carry out of the counter's low word
+        seed, n_steps, m, dt = 9, 100, 2, 0.01
+        mid = (1 << 64) // 50
+        rows = range(mid - 2, mid + 3)
+        assert rows[0] * 50 < 1 << 64 <= rows[-1] * 50
+        block = brownian_increments(seed, rows, n_steps, m, dt)
+        alone = np.stack([brownian_increments(seed, j, n_steps, m, dt) for j in rows])
+        assert np.array_equal(block, alone)
+        assert np.isfinite(block).all()
+        # the rows are distinct draws, not one row repeated across the carry
+        assert len({row.tobytes() for row in block}) == len(rows)
 
-    def test_lemire_replay_against_exact_products(self):
-        span = (1 << 53) - 1
-        inverse = pow(span, -1, 1 << 64)
-        # words whose low product half is 0, 2047 (rejected) and 2048 (kept)
-        crafted = [0, 2047 * inverse % (1 << 64), 2048 * inverse % (1 << 64)]
-        edges = [1, (1 << 11) - 1, 1 << 11, (1 << 64) - 1, (1 << 63) + 12345]
-        words = np.array(crafted + edges, dtype=np.uint64)
-        uniforms, rejected = rng._lemire_uniforms(words)
-        products = [int(w) * span for w in words]
-        assert rejected.tolist() == [p % (1 << 64) < 2048 for p in products]
-        assert rejected[:3].tolist() == [True, True, False]
-        assert uniforms.tolist() == [((p >> 64) + 1) / 2.0**53 for p in products]
+    def test_row_reads_its_own_counter_blocks(self):
+        # row j of n_steps x m = 10 words reads counter blocks 3j + 1 .. 3j + 3
+        # of key [seed, 0]; the last block's two spare words go unused
+        seed, n_steps, m, dt = 6, 5, 2, 0.25
+        words = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(48)
+        expected = ndtri(((words >> np.uint64(12)) + 0.5) * 2.0**-52) * 0.5
+        block = brownian_increments(seed, range(4), n_steps, m, dt)
+        assert np.array_equal(block.reshape(4, 10), expected.reshape(4, 12)[:, :10])
 
-    def test_rejected_row_is_redrawn_through_the_generator(self, monkeypatch):
-        seed, n_steps, dt = 23, 500, 0.01
-        expected = np.stack([_generator_draw(seed, j, n_steps, 1, dt) for j in range(70)])
-        real_lemire, real_normals = rng._lemire_uniforms, rng.standard_normals
-        blocks, redrawn = [], []
+    def test_extreme_words_give_finite_normals(self):
+        words = np.array([0, 1 << 12, (1 << 64) - 1], dtype=np.uint64)
+        u = rng._to_uniforms(words.copy(), np.empty(3))
+        assert u.tolist() == [2.0**-53, 1.5 * 2.0**-52, 1.0 - 2.0**-53]
+        assert ((0.0 < u) & (u < 1.0)).all()
+        z = ndtri(u)
+        assert np.isfinite(z).all()
+        assert z[0] == -z[2]
 
-        def reject_one(words):
-            uniforms, rejected = real_lemire(words)
-            blocks.append(len(words))
-            if len(blocks) == 2:           # second block: rows 32 .. 63
-                rejected[1, 3] = True
-                uniforms[1] = 0.5          # what a row left unredrawn would read
-            return uniforms, rejected
+    def test_uniform_open_reads_the_generator_words(self):
+        gen = substream(3, rng.GRID_SAMPLER_STREAM)
+        words = np.random.Philox(key=np.array([3, rng.GRID_SAMPLER_STREAM], dtype=np.uint64)).random_raw(7)
+        u = rng.uniform_open(gen, 7)
+        assert np.array_equal(u, ((words >> np.uint64(12)) + 0.5) * 2.0**-52)
+        # a second call continues the stream
+        assert not np.array_equal(rng.uniform_open(gen, 7), u)
 
-        def counted(seed, index, shape):
-            redrawn.append(index)
-            return real_normals(seed, index, shape)
+    def test_block_is_standard_normal_and_uncorrelated(self):
+        # sizes and thresholds fixed before the first run: 2**20 variates,
+        # every moment within 5 standard errors of N(0, 1), the KS statistic
+        # below its 0.1% critical value 1.949 / sqrt(n), and the correlation
+        # of neighbours along a row, across a row boundary and between the
+        # noise dimensions of one step each within 5 / sqrt(pairs)
+        n_rows, n_steps, m = 2048, 128, 4
+        z = brownian_increments(2026, range(n_rows), n_steps, m, 1.0)
+        x = z.ravel()
+        n = x.size
+        assert n == 1 << 20
+        assert abs(x.mean()) <= 5.0 / math.sqrt(n)
+        assert abs(x.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+        assert abs(np.mean(x**4) - 3.0) <= 5.0 * math.sqrt(96.0 / n)
+        assert stats.kstest(x, "norm").statistic <= 1.949 / math.sqrt(n)
+        flat = z.reshape(n_rows, n_steps * m)
+        pairs = [
+            (flat[:, :-1], flat[:, 1:]),                 # neighbours along a row
+            (flat[:-1, -1], flat[1:, 0]),                # last word of row j, first of row j + 1
+            (flat[:-1], flat[1:]),                       # same position in rows j and j + 1
+            (z[..., 0], z[..., 1]),                      # two noise dimensions of one step
+        ]
+        for a, b in pairs:
+            r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(r) <= 5.0 / math.sqrt(a.size)
 
-        monkeypatch.setattr(rng, "_lemire_uniforms", reject_one)
-        monkeypatch.setattr(rng, "standard_normals", counted)
-        block = brownian_increments(seed, range(70), n_steps, 1, dt)
-        assert blocks == [32, 32, 6]
-        assert redrawn == [33]
-        assert np.array_equal(block, expected)
+    def test_rejects_a_strided_range(self):
+        with pytest.raises(ValueError):
+            brownian_increments(1, range(0, 10, 2), 10, 1, 0.1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_run_chunks_increments_are_chunk_invariant(self, monkeypatch, threads):
@@ -175,7 +189,7 @@ class TestBlockDraw:
             assert np.array_equal(np.concatenate([inc for _, _, inc in parts]), whole)
         # 300 rows at 64 a chunk: 5 chunks, rounded up to 6 for two workers
         assert len(parts) == {1: 5, 2: 6}[workers]
-        assert np.array_equal(whole[299], _generator_draw(seed, 299, n_steps, m, dt))
+        assert np.array_equal(whole[299], brownian_increments(seed, 299, n_steps, m, dt))
 
 
 class TestNoiseSpan:
