@@ -6,7 +6,9 @@ depends only on its key and its 256-bit counter, so streams are independent
 of evaluation order and of the number of worker processes, and a fixed
 ``(seed, stream, counter)`` always yields the same variate on every
 platform.  Normal variates are the inverse CDF of uniforms on the open unit
-interval, so they inherit the same guarantee.
+interval, so they inherit the same guarantee.  The oracle Monte-Carlo in
+:mod:`flowlab.oracles` does not draw through this module: it takes numpy's
+ziggurat normals from a Philox of its own, at seeds of its own.
 
 Key and counter layout:
 
