@@ -6,6 +6,12 @@ ellipticity / exponential-integrability metadata the bound machinery needs.
 All evaluation maps are vectorized over points: ``sigma(t, X)`` takes
 X of shape (..., d) and returns (..., d, m).
 
+The built-in fields form ``CATALOG``: one function per field, whose
+signature holds its parameters and their defaults (``builtin_coefficients``
+checks a call against it, and ``config`` reads the config keys off it).
+Every one has a constant σ and is built on ``_constant_noise``, which
+derives ∇σ = 0, c1, the growth constant and a zero drift from σ.
+
 The regularization pipeline produces smooth approximations:
 
 * ``regularize_sigma``: x-cutoff times OU smoothing,  σ^n = φ_n · P_{1/n} σ_t;
@@ -20,6 +26,7 @@ Hermite interpolant and its exact derivative.  For smooth b,
 δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)] (``drift_divergence_identity``).
 """
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -32,6 +39,7 @@ from .gaussian import (TABLE_RADIUS, HermiteTable, _delta, _fd_column_jacobian, 
 from .oracles import gaussian_abs_moment
 
 __all__ = [
+    "CATALOG",
     "CoefficientField",
     "CoefficientValues",
     "HypothesisReport",
@@ -570,145 +578,108 @@ def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _const_matrix(A):
+def _constant_noise(A, lam, name, b=None, **drift):
+    """The field with constant σ = A (d x m) and drift ``b``, λ = ``lam``.
+
+    ∇σ = 0; c1 is the least eigenvalue of AAᵀ, or None when that is not
+    positive; the growth constant is ‖A‖_F unless ``drift`` declares a larger
+    ``growth_const``.  With no ``b`` the drift, ∇b and δ(b) are all zero;
+    ``drift`` holds the drift's other ``CoefficientField`` entries.
+    """
     A = np.asarray(A, dtype=float)
+    d, m = A.shape
 
     def sigma(t, X):
+        return np.broadcast_to(A, np.shape(X)[:-1] + A.shape)
+
+    if b is None:
+        def b(t, X):
+            return np.zeros(np.shape(X)[:-1] + (d,))
+
+        drift.update(b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (d, d)),
+                     delta_b_fn=lambda t, X: np.zeros(np.shape(X)[:-1]))
+    c1 = float(np.linalg.eigvalsh(A @ A.T)[0])
+    return CoefficientField(
+        d=d, m=m, sigma=sigma, b=b,
+        sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (m, d, d)),
+        c1=c1 if c1 > 0 else None,
+        growth_const=max(float(np.linalg.norm(A)), drift.pop("growth_const", 0.0)),
+        exp_const=lam,
+        name=name,
+        **drift,
+    )
+
+
+def translate(d, lam=0.25):
+    """σ = Id, b = 0: the flow translates γ_d by a Brownian motion."""
+    return _constant_noise(np.eye(d), lam, "translate")
+
+
+def ou_linear(d, a=1.0, lam=None):
+    """σ = Id, b = -a x, with δ(b) = a (d - |x|^2); λ defaults to 1 / (4 (1 + a))."""
+    a = float(a)
+    eye = np.eye(d)
+
+    def drift(t, X):
+        return -a * np.asarray(X, dtype=float)
+
+    def drift_jac(t, X):
+        return np.broadcast_to(-a * eye, np.shape(X)[:-1] + (d, d))
+
+    def delta_b(t, X):
         X = np.asarray(X, dtype=float)
-        return np.broadcast_to(A, X.shape[:-1] + A.shape)
+        return a * (d - np.einsum("...a,...a->...", X, X))
 
-    return sigma
+    return _constant_noise(eye, 1.0 / (4.0 * (1.0 + a)) if lam is None else lam, f"ou_linear(a={a:g})",
+                           drift, b_jac=drift_jac, delta_b_fn=delta_b, growth_const=a)
 
 
-def _zero_jac(m, d):
-    def jac(t, X):
+def sign_drift(d, beta=1.0, lam=0.25):
+    """σ = Id, b = β sign(x_1) e_1: a measurable-only drift, δ(b) = β |x_1| a.e."""
+    beta = float(beta)
+
+    def drift(t, X):
         X = np.asarray(X, dtype=float)
-        return np.zeros(X.shape[:-1] + (m, d, d))
+        out = np.zeros_like(X)
+        out[..., 0] = beta * np.sign(X[..., 0])
+        return out
 
-    return jac
+    def delta_b(t, X):
+        # <b, x> - div b with div b = 0 a.e.; the kink at x_1 = 0 is null
+        return beta * np.abs(np.asarray(X, dtype=float)[..., 0])
+
+    return _constant_noise(np.eye(d), lam, f"sign_drift(beta={beta:g})", drift,
+                           delta_b_fn=delta_b, growth_const=beta, b_measurable_only=True)
 
 
-def _zero_drift(d):
-    def b(t, X):
-        X = np.asarray(X, dtype=float)
-        return np.zeros(X.shape[:-1] + (d,))
+def anisotropic(d, matrix, lam=None):
+    """Constant σ = ``matrix`` of shape (d, m), b = 0; λ defaults to 1 / (4 s^2), s its top singular value."""
+    A = np.asarray(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != d:
+        raise ValueError("anisotropic matrix must have shape (d, m)")
+    if lam is None:
+        smax = float(np.linalg.svd(A, compute_uv=False)[0])
+        lam = 0.25 / max(smax**2, 1e-12)
+    return _constant_noise(A, lam, "anisotropic")
 
-    return b
+
+# name -> field function; its parameters besides ``d``, with their defaults, are the signature's
+CATALOG = {build.__name__: build for build in (translate, ou_linear, sign_drift, anisotropic)}
 
 
 def builtin_coefficients(key, d=1, **params):
-    """Catalog of test coefficient pairs with analytic derivatives.
+    """The ``CATALOG`` field ``key`` in dimension d, with analytic derivatives.
 
-    Keys: ``translate`` (σ = Id, b = 0), ``ou_linear`` (σ = Id, b = -a x),
-    ``sign_drift`` (σ = Id, b = β sign(x_1) e_1, measurable-only),
-    ``anisotropic`` (constant matrix σ, b = 0), ``custom`` (params forwarded
-    to ``CoefficientField``).
+    ``params`` are the field function's own keyword parameters; an unknown
+    key or parameter raises ``ValueError``.  ``custom`` forwards ``params``
+    to ``CoefficientField`` instead.
     """
     if key == "custom":
         params.setdefault("d", d)
         return CoefficientField(**params)
-
-    if key == "translate":
-        lam = params.pop("lam", 0.25)
-        if params:
-            raise ValueError(f"unknown translate parameters: {sorted(params)}")
-        eye = np.eye(d)
-        return CoefficientField(
-            d=d, m=d,
-            sigma=_const_matrix(eye),
-            b=_zero_drift(d),
-            sigma_jac=_zero_jac(d, d),
-            b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (d, d)),
-            delta_b_fn=lambda t, X: np.zeros(np.shape(X)[:-1]),
-            c1=1.0,
-            growth_const=math.sqrt(d),
-            exp_const=lam,
-            name="translate",
-        )
-
-    if key == "ou_linear":
-        a = float(params.pop("a", 1.0))
-        lam = params.pop("lam", 1.0 / (4.0 * (1.0 + a)))
-        if params:
-            raise ValueError(f"unknown ou_linear parameters: {sorted(params)}")
-        eye = np.eye(d)
-
-        def drift(t, X):
-            return -a * np.asarray(X, dtype=float)
-
-        def drift_jac(t, X):
-            X = np.asarray(X, dtype=float)
-            return np.broadcast_to(-a * eye, X.shape[:-1] + (d, d))
-
-        def delta_b(t, X):
-            X = np.asarray(X, dtype=float)
-            return a * (d - np.einsum("...a,...a->...", X, X))
-
-        return CoefficientField(
-            d=d, m=d,
-            sigma=_const_matrix(eye),
-            b=drift,
-            sigma_jac=_zero_jac(d, d),
-            b_jac=drift_jac,
-            delta_b_fn=delta_b,
-            c1=1.0,
-            growth_const=max(math.sqrt(d), a),
-            exp_const=lam,
-            name=f"ou_linear(a={a:g})",
-        )
-
-    if key == "sign_drift":
-        beta = float(params.pop("beta", 1.0))
-        lam = params.pop("lam", 0.25)
-        if params:
-            raise ValueError(f"unknown sign_drift parameters: {sorted(params)}")
-        eye = np.eye(d)
-
-        def drift(t, X):
-            X = np.asarray(X, dtype=float)
-            out = np.zeros_like(X)
-            out[..., 0] = beta * np.sign(X[..., 0])
-            return out
-
-        def delta_b(t, X):
-            # <b, x> - div b with div b = 0 a.e.; the kink at x_1 = 0 is null
-            X = np.asarray(X, dtype=float)
-            return beta * np.abs(X[..., 0])
-
-        return CoefficientField(
-            d=d, m=d,
-            sigma=_const_matrix(eye),
-            b=drift,
-            sigma_jac=_zero_jac(d, d),
-            delta_b_fn=delta_b,
-            c1=1.0,
-            growth_const=max(math.sqrt(d), beta),
-            exp_const=lam,
-            b_measurable_only=True,
-            name=f"sign_drift(beta={beta:g})",
-        )
-
-    if key == "anisotropic":
-        A = np.asarray(params.pop("matrix"), dtype=float)
-        if A.ndim != 2 or A.shape[0] != d:
-            raise ValueError("anisotropic matrix must have shape (d, m)")
-        m = A.shape[1]
-        smax = float(np.linalg.svd(A, compute_uv=False)[0])
-        lam = params.pop("lam", 0.25 / max(smax**2, 1e-12))
-        if params:
-            raise ValueError(f"unknown anisotropic parameters: {sorted(params)}")
-        c1 = float(np.linalg.eigvalsh(A @ A.T)[0])
-        return CoefficientField(
-            d=d, m=m,
-            sigma=_const_matrix(A),
-            b=_zero_drift(d),
-            sigma_jac=_zero_jac(m, d),
-            b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (d, d)),
-            delta_b_fn=lambda t, X: np.zeros(np.shape(X)[:-1]),
-            c1=c1 if c1 > 0 else None,
-            growth_const=float(np.linalg.norm(A)),
-            exp_const=lam,
-            name="anisotropic",
-        )
-
-    raise ValueError(f"unknown catalog key: {key!r}")
+    if key not in CATALOG:
+        raise ValueError(f"unknown catalog key: {key!r}")
+    unknown = sorted(params.keys() - inspect.signature(CATALOG[key]).parameters.keys())
+    if unknown:
+        raise ValueError(f"unknown {key} parameters: {unknown}")
+    return CATALOG[key](d, **params)

@@ -5,8 +5,9 @@ parsed against the schema of its experiment kind, whose parser also refuses
 a value outside the key's range (every float must be finite).  Unknown keys,
 and a field parameter on a field that does not take it, are rejected
 outright: a silently ignored misspelt constant would invalidate a bound test
-without anyone noticing.  Every refusal is a ``ConfigError`` naming its
-section and key.
+without anyone noticing.  Size limits refuse a section whose largest array
+in ``run`` would pass ``MAX_FLOATS``.  Every refusal is a ``ConfigError``
+naming its section and key.
 
 Example::
 
@@ -23,18 +24,60 @@ Example::
 """
 
 import configparser
+import inspect
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
+from .coefficients import CATALOG, builtin_coefficients
+from .density import entropy_steps
 from .errors import ConfigError
-from .sde import MAX_STEPS, make_grid
+from .gaussian import default_quadrature
+from .sde import _chunk_cap, make_grid
 
-# fields ``build_field`` can construct from config keys alone, with the
-# parameters each takes besides ``lam``; ``anisotropic`` needs a matrix,
-# which no config key supplies
-FIELD_PARAMS = {"translate": (), "ou_linear": ("a",), "sign_drift": ("beta",)}
+
+def _config_fields():
+    """Catalog field -> its config keys, for the fields that config keys alone can build.
+
+    Those are the fields whose every parameter besides ``d`` has a default
+    (``anisotropic`` needs a matrix, which no key supplies); their keys are
+    the parameters besides ``d`` and ``lam``.
+    """
+    fields = {}
+    for key, build in CATALOG.items():
+        params = list(inspect.signature(build).parameters.values())[1:]
+        if all(p.default is not p.empty for p in params):
+            fields[key] = tuple(p.name for p in params if p.name != "lam")
+    return fields
+
+
+FIELD_PARAMS = _config_fields()
 
 SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
+
+# Size limits keep the largest array ``run`` allocates for a key within
+# 2^27 floats (1 GiB):
+# - d <= 12: for d >= 3 the rule is 4096 Monte-Carlo nodes, and
+#   ``validate_hypotheses`` keeps 17 bundles, each holding ∇σ as d^3 floats
+#   per node: 17 * 4096 * 12^3 = 1.20e8 floats;
+# - trajectories * replicas * d <= 2^27: the start and end points of the
+#   ensemble are (trajectories * replicas, d) arrays, and so are the
+#   Gaussian starts drawn for them; factorization_samples <= 2^27 likewise
+#   (it needs d = 1);
+# - (2 grid_R / grid_h + 1)^d * d^2 <= 2^27: the Fokker-Planck grid holds
+#   the diffusion matrix, d^2 floats per cell;
+# - in d >= 2, points * nodes * (d m + m d^2) <= 2^27 for the entropy budget,
+#   and points * nodes * d m for a coupling: a regularized level smooths σ
+#   (and for the density weight ∇σ) on the rule's nodes moved to each point
+#   (``_check_smoothing_size``; every config field has m = d).
+MAX_FLOATS = 1 << 27
+MAX_D = 12
+# numpy's hermgauss gives zero or NaN weights from order 371 on, so no rule
+# ``run`` builds may pass 370; ``theorem_bound_rhs`` re-runs the L^p bound at
+# twice the order, so density_bound takes half.  (The d = 2 rule's 17
+# bundles then hold 17 * 8 * 370^2 = 1.9e7 floats of ∇σ.)
+MAX_QUAD_ORDER = 370
+LOG_MAX = math.log(sys.float_info.max)
 
 
 def _limit(cast, lo, hi=math.inf, strict=False):
@@ -71,13 +114,13 @@ REQUIRED = object()
 
 _COMMON = {"kind": (str, REQUIRED), "seed": (_limit(int, 0, SEED_LIMIT), 0)}
 
-# a field parameter absent from a section takes its default in
-# ``builtin_coefficients``; every one is a positive float and the field's
+# a field parameter absent from a section takes its default from its
+# ``CATALOG`` function; every one is a positive float and the field's
 # growth constant L, held far below 1e153, where |b|^2 overflows and the
 # bounds' T0 = 1 / (112 L (1 + L)) underflows
 _FIELD = {
     "field": (_field, REQUIRED),
-    "d": (_limit(int, 1), 1),
+    "d": (_limit(int, 1, MAX_D + 1), 1),
     "lam": (_positive, None),
     **{key: (_limit(float, 0.0, 1e100, strict=True), None)
        for params in FIELD_PARAMS.values() for key in params},
@@ -90,27 +133,28 @@ _PATH = {
     "dt": (_positive, REQUIRED),
     "trajectories": (_limit(int, 2), REQUIRED),  # error bars need two batches
 }
+_QUAD_ORDER = (_limit(int, 0, MAX_QUAD_ORDER + 1), 0)  # 0 picks the default rule
 
 _SCHEMAS = {
     "density_bound": {
         **_COMMON, **_FIELD, **_PATH,
         "replicas": (_limit(int, 1), 1),
         "p_list": (_list(_limit(float, 1.0, strict=True)), (2.0,)),
-        "quad_order": (_limit(int, 0), 0),  # 0 picks the default rule
+        "quad_order": (_limit(int, 0, MAX_QUAD_ORDER // 2 + 1), 0),
     },
     "entropy_budget": {
         **_COMMON, **_FIELD,
         "horizon": (_positive, REQUIRED),
         "dt": (_positive, REQUIRED),
-        "trajectories": (_limit(int, 2), REQUIRED),
+        "trajectories": _PATH["trajectories"],
         "n_list": (_list(_limit(int, 1), min_items=1), (8, 32)),
-        "quad_order": (_limit(int, 0), 0),
+        "quad_order": _QUAD_ORDER,
     },
     "coupling": {
         **_COMMON, **_FIELD, **_PATH,
         "n_list": (_list(_limit(int, 1), min_items=1), (4, 8, 16, 32, 64)),
         "n_ref": (_limit(int, 1), 128),
-        "quad_order": (_limit(int, 0), 0),
+        "quad_order": _QUAD_ORDER,
     },
     "krylov": {
         **_COMMON, **_FIELD, **_PATH,
@@ -122,12 +166,12 @@ _SCHEMAS = {
         "grid_R": (_positive, 8.0),
         "grid_h": (_positive, 0.05),
         "grid_tau": (_positive, REQUIRED),
-        "factorization_samples": (_limit(int, 0), 0),
+        "factorization_samples": (_limit(int, 0, MAX_FLOATS + 1), 0),
     },
     "validate": {
         **_COMMON, **_FIELD,
         "horizon": (_positive, 1.0),
-        "quad_order": (_limit(int, 0), 0),
+        "quad_order": _QUAD_ORDER,
     },
     "oracle_suite": dict(_COMMON),
 }
@@ -209,20 +253,58 @@ def _validate_numerics(cfg):
         except ConfigError as exc:
             raise fault(key, f"{key}: {exc}")
     if cfg.kind == "entropy_budget":
-        from .density import time_threshold
-
-        # run steps [0, τ], τ = min(T0, horizon), at ⌈τ/dt⌉ steps and at twice as many
-        tau = min(time_threshold(build_field(cfg)), opt["horizon"])
-        if not 2 * tau / opt["dt"] <= MAX_STEPS:
-            raise fault("dt", f"dt: the entropy budget on [0, {tau:g}] needs more than {MAX_STEPS} steps")
+        try:
+            entropy_steps(build_field(cfg), opt["horizon"], opt["dt"])
+        except ConfigError as exc:
+            raise fault("dt", f"dt: {exc}")
+    if "trajectories" in opt:
+        floats = opt["trajectories"] * opt.get("replicas", 1) * opt["d"]
+        if floats > MAX_FLOATS:
+            raise fault("trajectories", f"trajectories * replicas * d = {floats} is above {MAX_FLOATS}")
+    if cfg.kind == "krylov":
+        # a path's occupation functional is at most exp(-lambda_discount u) (t - s),
+        # u in [s, t], and its error bar sums up to one square per trajectory
+        lam, room = opt["lambda_discount"], (LOG_MAX - math.log(opt["trajectories"])) / 2
+        for u in (opt["s"], opt["t"]):
+            if not -lam * u + math.log(opt["t"] - opt["s"]) <= room:
+                raise fault("lambda_discount", f"lambda_discount: trajectories * (exp(-lambda_discount u) "
+                            f"(t - s))^2 overflows at u = {u:g}")
     if "n_ref" in opt and opt["n_ref"] < max(opt["n_list"]):
         raise fault("n_ref", f"n_ref = {opt['n_ref']} is below the finest level {max(opt['n_list'])}")
+    if cfg.kind in ("coupling", "entropy_budget") and opt["d"] >= 2:
+        _check_smoothing_size(cfg, fault)
     if cfg.kind == "fokker_planck":
         if opt["d"] not in (1, 2):
             raise fault("d", "the Fokker-Planck grid needs d = 1 or 2")
         if opt["factorization_samples"] and opt["d"] != 1:
             raise fault("factorization_samples", "factorization_samples must be 0 unless d = 1")
+        d, axis = opt["d"], 2 * opt["grid_R"] / opt["grid_h"] + 1
+        if not (axis <= MAX_FLOATS and axis**d * d * d <= MAX_FLOATS):
+            raise fault("grid_h", f"grid_h: {axis:.6g}^{d} grid cells on [-grid_R, grid_R]^{d} hold more "
+                        f"than {MAX_FLOATS} floats")
         _check_fp_stability(cfg, fault)
+
+
+def _check_smoothing_size(cfg, fault):
+    """The moving-node smoothing of regularized levels within ``MAX_FLOATS``.
+
+    In d >= 2 a level evaluates σ (d m floats) at every node of the rule
+    moved to every point, in one array; the entropy budget's density weight
+    also reads ∇σ, m d^2 more.  The points are a chunk of paths (at least 4
+    steps each for the entropy budget's levels) and, for the entropy budget,
+    also the rule's nodes, where ``budget_constants`` evaluates each level.
+    """
+    opt = cfg.options
+    d, m = opt["d"], build_field(cfg).m
+    nodes = default_quadrature(d, order=opt["quad_order"] or None).nodes.shape[0]
+    if cfg.kind == "coupling":
+        per_node, points = d * m, min(opt["trajectories"], _chunk_cap(make_grid(opt["s"], opt["t"], opt["dt"]), m))
+    else:
+        per_node, points = d * m + m * d * d, max(nodes, min(opt["trajectories"], _chunk_cap(4, m)))
+    if not points * nodes * per_node <= MAX_FLOATS:
+        key = "quad_order" if d == 2 else "d"
+        raise fault(key, f"{key}: smoothing a level at {points} points on {nodes} nodes in d = {d} "
+                    f"needs {points * nodes * per_node} floats, more than {MAX_FLOATS}")
 
 
 def _check_fp_stability(cfg, fault):
@@ -271,10 +353,8 @@ def parse_config(path, seed=None):
 
 
 def build_field(cfg):
-    """Instantiate the catalog field named by a config; ``builtin_coefficients``
+    """Instantiate the catalog field named by a config; its ``CATALOG`` function
     holds the default of every parameter the section leaves out."""
-    from .coefficients import builtin_coefficients
-
     params = {key: cfg.options[key] for key in ("lam",) + FIELD_PARAMS[cfg.field]
               if cfg.options[key] is not None}
     return builtin_coefficients(cfg.field, d=cfg.d, **params)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import _hypothesis_integral
-from .errors import BoundUnavailableError
+from .errors import BoundUnavailableError, ConfigError
 from .gaussian import _delta, fd_jacobian, logsumexp, refined_quadrature
 from .oracles import gaussian_abs_moment, m2_exponential_moment
-from .sde import simulate_ensemble
+from .sde import MAX_STEPS, simulate_ensemble
 
 __all__ = [
     "BoundBudget",
@@ -39,6 +39,7 @@ __all__ = [
     "batch_statistic",
     "budget_constants",
     "entropy_estimate",
+    "entropy_steps",
     "lp_norm_estimate",
     "mass_estimate",
     "mean_estimate",
@@ -313,6 +314,19 @@ def time_threshold(field):
     """The short-horizon scale T0 = 1/(112 L (1+L)) ∧ λ/(8 e^2) of the bounds."""
     L = field.growth_const
     return min(1.0 / (112.0 * L * (1.0 + L)), field.exp_const / (8.0 * math.e**2))
+
+
+def entropy_steps(field, horizon, dt):
+    """τ = min(T0, horizon) and the max(4, ⌈τ/dt⌉) steps the entropy budget runs on [0, τ].
+
+    Its dt-stability check runs twice as many, so a count past MAX_STEPS / 2
+    raises ``ConfigError`` (compared before rounding, so an overflowing τ/dt
+    is refused too).
+    """
+    tau = min(time_threshold(field), horizon)
+    if not 2 * tau / dt <= MAX_STEPS:
+        raise ConfigError(f"the entropy budget on [0, {tau:g}] needs more than {MAX_STEPS} steps")
+    return tau, max(4, math.ceil(tau / dt))
 
 
 def budget_constants(field, T, quad, tgrid=17, log_cap=700.0):

@@ -5,8 +5,6 @@ detail tables.  Pass/fail on every checked row follows one documented rule:
 value <= bound + 3 * stderr.
 """
 
-import math
-
 import numpy as np
 
 from . import oracles
@@ -16,11 +14,11 @@ from .coefficients import RegularizationLevel, regularize, validate_hypotheses
 from .density import (
     budget_constants,
     entropy_estimate,
+    entropy_steps,
     lp_norm_estimate,
     mass_estimate,
     run_density_ensemble,
     theorem_bound_rhs,
-    time_threshold,
 )
 from .errors import BoundUnavailableError
 from .fokker_planck import (
@@ -84,8 +82,7 @@ def run_entropy_budget(cfg, seed, threads, out_dir=None):
     detail = []
     for n in cfg.n_list:
         reg = regularize(field, RegularizationLevel(n), quad)
-        tau = min(time_threshold(reg), cfg.horizon)
-        steps = max(4, int(math.ceil(tau / cfg.dt)))
+        tau, steps = entropy_steps(reg, cfg.horizon, cfg.dt)
         dt = tau / steps
         budget = budget_constants(reg, tau, quad)
         _, rec = run_density_ensemble(
@@ -103,8 +100,7 @@ def run_entropy_budget(cfg, seed, threads, out_dir=None):
         ("n", "tau", "entropy", "stderr", "bound", "T0", "Lambda_T0", "C1", "C2"), detail)}
 
     # dt-stability of the entropy for the raw (unregularized) field
-    tau = min(time_threshold(field), cfg.horizon)
-    steps = max(4, int(math.ceil(tau / cfg.dt)))
+    tau, steps = entropy_steps(field, cfg.horizon, cfg.dt)
     vals = []
     for refine in (1, 2):
         dt = tau / (steps * refine)

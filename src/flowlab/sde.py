@@ -97,14 +97,19 @@ class FlowEnsemble:
         return int(round((self.T - self.s) / self.dt))
 
 
+def _chunk_cap(n_steps, m):
+    """Most rows a chunk holds: the increment budget's share, at least 64, at most 8192."""
+    return max(64, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
+
+
 def _chunk_edges(n_traj, n_steps, m, workers=1):
     """Chunks of equal size (to one row), as many as a multiple of ``workers``.
 
-    No chunk holds more rows than the increment budget allows (at least 64,
-    at most 8192), so the chunks dealt round-robin give every worker the
-    same number of rows to within one per chunk.
+    No chunk holds more rows than ``_chunk_cap``, so the chunks dealt
+    round-robin give every worker the same number of rows to within one per
+    chunk.
     """
-    cap = max(64, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
+    cap = _chunk_cap(n_steps, m)
     count = max(1, -(-n_traj // cap))           # chunks at the budget
     count = -(-count // workers) * workers      # rounded up to a multiple of workers
     edges = [i * n_traj // count for i in range(count + 1)]

@@ -18,6 +18,7 @@ from flowlab.config import build_field, parse_config
 from flowlab import config, errors, experiments
 from flowlab.density import time_threshold
 from flowlab.errors import ConfigError, FlowLabError
+from flowlab.gaussian import GaussianQuadrature
 from flowlab.sde import MAX_STEPS
 
 GOOD_CONFIG = """
@@ -139,6 +140,14 @@ def _sections(draw):
             keys["n_list"] = draw(st.sampled_from(["2, 4", "4, 8", "8", "0, 4", ""]))
             keys["n_ref"] = draw(st.sampled_from(["4", "8", "16"]))
     return "\n".join(f"{k} = {v}" for k, v in keys.items())
+
+
+def _benchmark_workloads():
+    # executed from its source, so nothing is imported or cached under perfbench/
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    namespace = {"__name__": "perfbench_workloads", "__file__": str(path)}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
 
 
 def _fault(base, lines, key):
@@ -280,6 +289,24 @@ class TestCli:
         # more steps than a chunk of increments can hold
         _fault(DENSITY_BASE, "dt = 1e-300", "dt"),
         _fault(ENTROPY_BASE.replace("\ndt = 0.01", ""), "dt = 1e-300", "dt"),
+        # arrays far past the size limits (at least 2^40 bytes each, so that
+        # without the limits run fails at once instead of filling memory)
+        _fault(DENSITY_BASE, "dt = 0.01\nd = 1000000", "d"),
+        _fault(VALIDATE_BASE, "field = translate\nquad_order = 1000000", "quad_order"),
+        # past the largest Gauss-Hermite order whose weights are computable, 370,
+        # directly or through the L^p bound's order doubling
+        _fault(VALIDATE_BASE, "field = translate\nquad_order = 371", "quad_order"),
+        _fault(DENSITY_BASE, "dt = 0.01\nquad_order = 186", "quad_order"),
+        _fault(KRYLOV_BASE.replace("krylov", "density_bound"), "trajectories = 1000000000000", "trajectories"),
+        _fault(KRYLOV_BASE.replace("krylov", "density_bound"), "trajectories = 1000000\nreplicas = 1000000",
+               "trajectories"),
+        _fault(FP_BASE, "grid_tau = 0.005\ngrid_R = 1e12\ngrid_h = 0.001", "grid_h"),
+        _fault(FP_BASE, "grid_tau = 0.005\nd = 2\ngrid_R = 1e6\ngrid_h = 0.001", "grid_h"),
+        # the occupation functional, squared once per trajectory, overflows
+        _fault(KRYLOV_BASE.replace("t = 0.1", "t = 1"), "trajectories = 8\nlambda_discount = -1000",
+               "lambda_discount"),
+        _fault(KRYLOV_BASE.replace("t = 0.1", "t = 1"), "trajectories = 8\ns = -1000\nlambda_discount = 1",
+               "lambda_discount"),
     ])
     def test_config_fault_exits_2(self, tmp_path, capsys, command, body, key):
         p = tmp_path / "bad.ini"
@@ -289,6 +316,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"[section='x' key='{key}']" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_shipped_and_benchmark_configs_validate(self, tmp_path):
+        """The two shipped configs and every benchmark workload config pass validate, so no size limit refuses them."""
+        workloads = _benchmark_workloads()
+        paths = [os.path.join(CONFIG_DIR, name) for name in ("desk_suite.ini", "studies.ini")]
+        for name, workload in workloads["WORKLOADS"].items():
+            paths.append(tmp_path / f"{name}.ini")
+            paths[-1].write_text(workloads["config_text"](workload, seed=0))
+        assert len(paths) == 6
+        for path in paths:
+            assert main(["validate", str(path)]) == 0, path
+
+    @pytest.mark.parametrize("body", [
+        "kind = validate\nfield = translate\nd = 12",
+        "kind = validate\nfield = translate\nd = 2\nquad_order = 370",
+        f"{DENSITY_BASE}\ndt = 0.01\nquad_order = 185",
+        f"{KRYLOV_BASE}\nd = 2\ntrajectories = {2**26}",
+        f"{KRYLOV_BASE.replace('krylov', 'density_bound')}\ntrajectories = {2**20}\nreplicas = {2**7}",
+        f"{FP_BASE}\ngrid_h = 0.2\ngrid_tau = 0.005\nfactorization_samples = {2**27}",
+        # 8192 paths (a full chunk) and 64^2 nodes, 4 floats of σ each, make 2^27
+        f"{COUPLING_BASE.replace('trajectories = 8', 'trajectories = 100000')}\nd = 2\nquad_order = 64",
+        f"{ENTROPY_BASE}\nd = 2\nquad_order = 57",  # (57^2)^2 node pairs, 12 floats each
+    ])
+    def test_size_limits_accept_their_edge(self, tmp_path, body):
+        """Each size limit accepts its largest value; validate only, nothing of that size is run."""
+        p = tmp_path / "edge.ini"
+        p.write_text(f"[x]\n{body}\n")
+        assert main(["validate", str(p)]) == 0
+
+    @pytest.mark.parametrize("body, key", [
+        _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 100000\nd = 2\nquad_order = 65",
+               "quad_order"),
+        _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 5000\nd = 3", "d"),
+        _fault(ENTROPY_BASE, "d = 2\nquad_order = 58", "quad_order"),
+        _fault(ENTROPY_BASE, "d = 3", "d"),
+    ])
+    def test_smoothing_size_fault_exits_2(self, tmp_path, capsys, body, key):
+        """A regularized level in d >= 2 whose moving-node smoothing passes 2^27 floats is refused.
+
+        Validate only: ``run`` parses the same way, but without this check it
+        would allocate 1-5 GB, far below the 2^40 bytes at which allocation
+        fails at once.
+        """
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[x]\n{body}\n")
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"[section='x' key='{key}']" in err and "Traceback" not in err
+
+    def test_largest_quad_order_is_a_rule(self):
+        """The largest order a config can ask for gives positive weights of unit mass, without a warning."""
+        quad = GaussianQuadrature.gauss_hermite(1, config.MAX_QUAD_ORDER)
+        assert (quad.weights > 0).all() and quad.weights.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_every_key_refuses_non_finite_values(self, tmp_path, capsys):
         """Each schema key but kind and field, set to nan, inf or -inf in a valid section, exits 2 naming it."""

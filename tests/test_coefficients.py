@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
-from flowlab import coefficients, oracles
+from flowlab import coefficients, config, oracles
 from flowlab.coefficients import (
+    CATALOG,
     drift_divergence_identity,
     RegularizationLevel,
     builtin_coefficients,
@@ -24,7 +25,7 @@ from flowlab.coefficients import (
     validate_hypotheses,
 )
 from flowlab.errors import CapabilityError
-from flowlab.gaussian import HermiteTable, _delta
+from flowlab.gaussian import HermiteTable, _delta, default_quadrature
 from flowlab.oracles import gaussian_abs_moment
 
 from conftest import make_sine_field
@@ -532,6 +533,35 @@ class TestCatalog:
     def test_measurable_drift_jacobian_refused(self, sign1):
         with pytest.raises(CapabilityError):
             sign1.b_jacobian(0.0, np.array([[1.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("key", sorted(config.FIELD_PARAMS))
+    def test_config_fields_meet_their_hypotheses(self, key, d):
+        """Every field a config can build, at its defaults, passes its own declared metadata."""
+        field = builtin_coefficients(key, d=d)
+        rep = validate_hypotheses(field, 1.0, default_quadrature(d))
+        assert rep.ellipticity_ok and rep.min_eigenvalue == field.c1
+        assert rep.growth_ok
+        assert math.isfinite(rep.sigma_T)
+
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_unknown_parameter_rejected(self, key):
+        with pytest.raises(ValueError, match="bogus"):
+            builtin_coefficients(key, d=2, bogus=1.0)
+
+    def test_config_params_read_off_the_catalog(self):
+        # anisotropic's matrix has no default, so no config can build it
+        assert config.FIELD_PARAMS == {"translate": (), "ou_linear": ("a",), "sign_drift": ("beta",)}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("key, a", [("translate", 0.0), ("ou_linear", 1.0), ("ou_linear", 2.5)])
+    def test_closed_forms(self, key, a, d):
+        """δ(b) = a (d - |x|^2) (a = 0 for translate) and δ(σ) = x, exactly."""
+        field = builtin_coefficients(key, d=d, **({"a": a} if key == "ou_linear" else {}))
+        X = np.random.default_rng(d).standard_normal((50, d))
+        ev = field.evaluate(0.3, X)
+        assert np.array_equal(ev.delta_b, a * (d - np.einsum("ka,ka->k", X, X)))
+        assert np.array_equal(ev.delta_sigma, X)
 
 
 def test_full_pipeline_composition(sign1, quad1):
