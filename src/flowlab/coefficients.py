@@ -18,12 +18,12 @@ The regularization pipeline produces smooth approximations:
 * ``regularize_drift``: time mollification then OU smoothing,
   b^n_t = P_{1/n}[(b_.(x) * χ_n)(t)], with b extended by zero to t < 0.
 
-Both come with derivative access: ∇b^n is the kernel gradient of P_ε, so the
-drift needs no derivative, and ∇σ^n differentiates the cutoff and the
-smoothing.  In d = 1, for coefficients that do not depend on time, each level
-is tabulated once on fixed Mehler nodes, and σ^n, ∇σ^n, b^n and ∇b^n are a
-Hermite interpolant and its exact derivative.  For smooth b,
-δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)] (``drift_divergence_identity``).
+Both come with derivative access by one rule: ∇P_ε f is the kernel gradient
+of P_ε, so ∇b^n = ∇P_ε[(b_. * χ_n)(t)] and ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ,
+and neither b nor σ is differentiated.  In d = 1, for coefficients that do
+not depend on time, each level is tabulated once on fixed Mehler nodes, and
+σ^n, ∇σ^n, b^n and ∇b^n are a Hermite interpolant and its exact derivative.
+For smooth b, δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)] (``drift_divergence_identity``).
 """
 
 import inspect
@@ -42,6 +42,7 @@ __all__ = [
     "CATALOG",
     "CoefficientField",
     "CoefficientValues",
+    "HYPOTHESIS_TOL",
     "HypothesisReport",
     "RegularizationLevel",
     "builtin_coefficients",
@@ -95,8 +96,9 @@ def _bump_cdf(u):
 
 
 # largest table step for σ^n = φ_n · P_ε σ: the bump edge of φ_n, not the
-# kernel width, sets the resolution there (∇σ^n within 1e-7 of the moving-node
-# rule on the sine field at n = 4)
+# kernel width, sets the resolution there (on σ = 2 + sin x at n = 4, ∇σ^n is
+# within 1.41e-7 of the GH-32 moving-node rule at 2001 points over |x| <= 7,
+# t = 0.2)
 CUTOFF_TABLE_STEP = 1.0 / 512
 
 
@@ -312,52 +314,40 @@ def _sigma_table(field, level):
 def regularize_sigma(field, level, quad):
     """Smooth compactly-supported diffusion:  σ^n_t = φ_n · P_{1/n} σ_t.
 
-    In d = 1 with a time-independent σ, σ^n and ∇σ^n are read off one Hermite
-    table built here (fixed Mehler nodes, kernel gradient; ``quad`` is not
-    used), so ∇σ^n is the exact derivative of the σ^n computed and σ needs no
-    derivative.  Elsewhere, and at |x| > TABLE_RADIUS = 16, P_ε
-    moves the ``quad`` nodes with the point, and ∇σ^n = ∇φ_n P_ε σ +
-    φ_n e^{-ε} P_ε ∇σ needs the analytic ∇σ (else central differences).
+    ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ, with ∇P_ε σ the kernel gradient of P_ε,
+    the rule ``regularize_drift`` follows: σ needs no derivative, and
+    ``field.sigma_jac`` is never read.  In d = 1 with a time-independent σ,
+    σ^n and ∇σ^n are read off one Hermite table built here (fixed Mehler
+    nodes; ``quad`` is not used), so ∇σ^n is the exact derivative of the σ^n
+    computed.  Elsewhere, and at |x| > TABLE_RADIUS = 16, P_ε moves the
+    ``quad`` nodes with the point.
     """
     n, eps = level.n, level.eps
-    decay = math.exp(-eps)
-    d, m = field.d, field.m
 
     def moving_sigma(t, X):
         ph = cutoff(n, X)
         sm = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
         return np.asarray(ph)[..., None, None] * sm
 
-    moving_jac = None
-    if field.sigma_jac is not None:
-        def moving_jac(t, X):
-            # P_ε σ and P_ε ∇σ from one smoothing pass over the stacked values
-            def stacked(P):
-                sig = np.asarray(field.sigma(t, P), dtype=float).reshape(P.shape[0], d * m)
-                jac = np.asarray(field.sigma_jac(t, P), dtype=float).reshape(P.shape[0], m * d * d)
-                return np.concatenate([sig, jac], axis=-1)
-
-            X = np.asarray(X, dtype=float)
-            both = ou_smooth(stacked, eps, X, quad)
-            psig = both[..., :d * m].reshape(X.shape[:-1] + (d, m))
-            pjac = both[..., d * m:].reshape(X.shape[:-1] + (m, d, d))
-            ph = np.asarray(cutoff(n, X))
-            term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, X), psig)
-            return term1 + ph[..., None, None, None] * (decay * pjac)
+    def moving_jac(t, X):
+        X = np.asarray(X, dtype=float)
+        psig = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
+        # kernel gradient (..., a, j, b) into the column layout (..., j, a, b)
+        pjac = np.moveaxis(ou_smooth_grad(lambda P: field.sigma(t, P), eps, X, quad), -2, -3)
+        term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, X), psig)
+        return term1 + np.asarray(cutoff(n, X))[..., None, None, None] * pjac
 
     table = _sigma_table(field, level)
     if table is None:
         new_sigma, new_jac = moving_sigma, moving_jac
     else:
-        off_jac = moving_jac or (lambda t, P: _fd_column_jacobian(lambda Q: moving_sigma(t, Q), P))
-
         def new_sigma(t, X):
             return _on_table(X, table, lambda P: moving_sigma(t, P))
 
         def new_jac(t, X):
             # d/dx σ^{1j} is component j of column j's Jacobian (..., m, 1, 1)
             return _on_table(X, lambda x: np.swapaxes(table.derivative(x), -1, -2)[..., None],
-                             lambda P: off_jac(t, P))
+                             lambda P: moving_jac(t, P))
 
     return replace(
         field,
@@ -495,6 +485,10 @@ def regularize(field, level, quad):
 # hypothesis validation
 # ---------------------------------------------------------------------------
 
+# rounding allowance of the ellipticity and growth checks
+HYPOTHESIS_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     """Measured hypothesis diagnostics over a (t, x) sample set."""
@@ -561,8 +555,8 @@ def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
     except BoundUnavailableError:
         sigma_T, divergent = math.inf, True
 
-    ellipticity_ok = True if field.c1 is None else min_eig >= field.c1 - 1e-9
-    growth_ok = growth_ratio <= field.growth_const + 1e-9
+    ellipticity_ok = True if field.c1 is None else min_eig >= field.c1 - HYPOTHESIS_TOL
+    growth_ok = growth_ratio <= field.growth_const + HYPOTHESIS_TOL
     return HypothesisReport(
         min_eigenvalue=min_eig,
         growth_ratio=growth_ratio,

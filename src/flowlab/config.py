@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .coefficients import CATALOG, builtin_coefficients
 from .density import entropy_steps
 from .errors import ConfigError
-from .gaussian import default_quadrature
+from .gaussian import MAX_GH_ORDER, default_quadrature
 from .sde import _chunk_cap, make_grid
 
 
@@ -68,15 +68,17 @@ SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
 #   the diffusion matrix, d^2 floats per cell;
 # - in d >= 2, points * nodes * (d m + m d^2) <= 2^27 for the entropy budget,
 #   and points * nodes * d m for a coupling: a regularized level smooths σ
-#   (and for the density weight ∇σ) on the rule's nodes moved to each point
-#   (``_check_smoothing_size``; every config field has m = d).
+#   on the rule's nodes moved to each point (``_check_smoothing_size``; every
+#   config field has m = d).  The budget's m d^2 would be a smoothed ∇σ; the
+#   density weight takes ∇σ^n as the kernel gradient of P_ε σ, which reads
+#   only σ's d m floats per node, so the budget's count is an upper bound.
 MAX_FLOATS = 1 << 27
 MAX_D = 12
-# numpy's hermgauss gives zero or NaN weights from order 371 on, so no rule
-# ``run`` builds may pass 370; ``theorem_bound_rhs`` re-runs the L^p bound at
-# twice the order, so density_bound takes half.  (The d = 2 rule's 17
+# no Gauss-Hermite rule passes MAX_GH_ORDER = 370 (numpy's hermgauss gives
+# zero weights from order 371 on); ``theorem_bound_rhs`` re-runs the L^p bound
+# at twice the order, so density_bound takes half.  (The d = 2 rule's 17
 # bundles then hold 17 * 8 * 370^2 = 1.9e7 floats of ∇σ.)
-MAX_QUAD_ORDER = 370
+MAX_QUAD_ORDER = MAX_GH_ORDER
 LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -289,10 +291,11 @@ def _check_smoothing_size(cfg, fault):
     """The moving-node smoothing of regularized levels within ``MAX_FLOATS``.
 
     In d >= 2 a level evaluates σ (d m floats) at every node of the rule
-    moved to every point, in one array; the entropy budget's density weight
-    also reads ∇σ, m d^2 more.  The points are a chunk of paths (at least 4
-    steps each for the entropy budget's levels) and, for the entropy budget,
-    also the rule's nodes, where ``budget_constants`` evaluates each level.
+    moved to every point, in one array; the entropy budget also counts
+    m d^2 floats of a smoothed ∇σ, an upper bound, since ∇σ^n reads σ only.
+    The points are a chunk of paths (at least 4 steps each for the entropy
+    budget's levels) and, for the entropy budget, also the rule's nodes,
+    where ``budget_constants`` evaluates each level.
     """
     opt = cfg.options
     d, m = opt["d"], build_field(cfg).m

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import _hypothesis_integral
 from .errors import BoundUnavailableError, ConfigError
-from .gaussian import _delta, fd_jacobian, logsumexp, refined_quadrature
+from .gaussian import MAX_GH_ORDER, _delta, fd_jacobian, logsumexp, refined_quadrature
 from .oracles import gaussian_abs_moment, m2_exponential_moment
 from .sde import MAX_STEPS, simulate_ensemble
 
@@ -223,7 +223,7 @@ def _refined(quad):
     """Order-doubled companion rule (None when not a tensor rule)."""
     if quad.exactness < 1:
         return None
-    fine = refined_quadrature(quad, factor=2, max_order=1024)
+    fine = refined_quadrature(quad, factor=2, max_order=MAX_GH_ORDER)
     return None if fine is quad else fine
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import oracles
 from .config import build_field
 from .convergence import SpaceTimeBox, coupling_convergence, krylov_ratios
-from .coefficients import RegularizationLevel, regularize, validate_hypotheses
+from .coefficients import HYPOTHESIS_TOL, RegularizationLevel, regularize, validate_hypotheses
 from .density import (
     budget_constants,
     entropy_estimate,
@@ -42,11 +42,13 @@ def _quad_for(cfg):
 def run_validate(cfg, seed, threads, out_dir=None):
     field = build_field(cfg)
     rep = validate_hypotheses(field, cfg.horizon, _quad_for(cfg))
-    rows = [
-        ReportRow(cfg.name, "min_eigenvalue", rep.min_eigenvalue, None,
-                  field.c1, rep.ellipticity_ok),
-        ReportRow(cfg.name, "growth_ratio", rep.growth_ratio, None,
-                  field.growth_const, rep.growth_ok),
+    rows = [ReportRow(cfg.name, "min_eigenvalue", rep.min_eigenvalue, None, None, None)]
+    if field.c1 is not None:
+        # λ_min >= c1 as a row of the one pass rule: c1 - λ_min <= the tolerance
+        rows.append(ReportRow.checked(cfg.name, "ellipticity_gap", field.c1 - rep.min_eigenvalue, None,
+                                      HYPOTHESIS_TOL))
+    rows += [
+        ReportRow.checked(cfg.name, "growth_ratio", rep.growth_ratio, None, field.growth_const),
         ReportRow(cfg.name, "sigma_T", rep.sigma_T, None, None,
                   not rep.divergent),
         ReportRow(cfg.name, "grad_norm_sup", rep.grad_norm_sup, None, None, None),
@@ -109,7 +111,7 @@ def run_entropy_budget(cfg, seed, threads, out_dir=None):
         vals.append(entropy_estimate(rec))
     drift = abs(vals[1].value - vals[0].value)
     tol = 0.1 * max(vals[0].value, 1e-12) + 3.0 * (vals[0].stderr + vals[1].stderr)
-    rows.append(ReportRow(cfg.name, "entropy_dt_stability", drift, None, tol, drift <= tol))
+    rows.append(ReportRow.checked(cfg.name, "entropy_dt_stability", drift, None, tol))
     return rows, details
 
 
@@ -152,8 +154,7 @@ def run_krylov(cfg, seed, threads, out_dir=None):
         if baseline is None:
             baseline = rep.ratio
         table.append((width, rep.functional.value, rep.functional.stderr, rep.norm, rep.ratio))
-        rows.append(ReportRow(cfg.name, f"slab_ratio(w={width:g})", rep.ratio, None,
-                              10.0 * baseline, rep.ratio <= 10.0 * baseline))
+        rows.append(ReportRow.checked(cfg.name, f"slab_ratio(w={width:g})", rep.ratio, None, 10.0 * baseline))
     if cfg.field == "translate":
         rep = reps[-1]
         oracle = oracles.krylov_translate_functional(0.0, lam, cfg.t - cfg.s)
@@ -171,15 +172,13 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
     sol = fp_solve(field, grid0, cfg.s, cfg.t, tau, n_frames=4)
     rows = []
     ledger = abs((grid0.mass() - sol.total_leakage + sol.total_clipped) - sol.grid.mass())
-    rows.append(ReportRow(cfg.name, "mass_audit_residual", sol.audit_residual, None,
-                          1e-10, sol.audit_residual <= 1e-10))
-    rows.append(ReportRow(cfg.name, "mass_ledger_residual", ledger, None, 1e-9, ledger <= 1e-9))
+    rows.append(ReportRow.checked(cfg.name, "mass_audit_residual", sol.audit_residual, None, 1e-10))
+    rows.append(ReportRow.checked(cfg.name, "mass_ledger_residual", ledger, None, 1e-9))
 
     if cfg.field == "translate":
         target = oracles.heat_variance(cfg.t - cfg.s)
         err = abs(sol.grid.variance() - target)
-        rows.append(ReportRow(cfg.name, "heat_variance_abs_error", err, None,
-                              0.01 * target, err <= 0.01 * target))
+        rows.append(ReportRow.checked(cfg.name, "heat_variance_abs_error", err, None, 0.01 * target))
 
     coarse_grid = FPGrid.gaussian(field.d, cfg.grid_R, 2 * cfg.grid_h)
     sol_coarse = fp_solve(field, coarse_grid, cfg.s, cfg.t, 4 * tau)
@@ -188,8 +187,7 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
     wrep = weak_error(sol, field, ("gaussian", cfg.trajectories), phis, cfg.s, cfg.t,
                       cfg.dt, seed, threads=threads, fp_coarse=sol_coarse)
     bar = wrep.max_combined_bar()
-    rows.append(ReportRow(cfg.name, "weak_error_max", wrep.max_discrepancy, None,
-                          3.0 * bar, wrep.max_discrepancy <= 3.0 * bar))
+    rows.append(ReportRow.checked(cfg.name, "weak_error_max", wrep.max_discrepancy, None, 3.0 * bar))
     details = {
         "grid": (("mass", "leakage", "variance"),
                  [(sol.grid.mass(), sol.total_leakage, sol.grid.variance())]),
@@ -201,8 +199,7 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
     if cfg.factorization_samples:
         frep = density_factorization(field, grid0, sol, cfg.s, cfg.t,
                                      cfg.factorization_samples, cfg.dt, seed, threads=threads)
-        rows.append(ReportRow(cfg.name, "factorization_l1", frep.l1_discrepancy, None,
-                              5e-2, frep.l1_discrepancy <= 5e-2))
+        rows.append(ReportRow.checked(cfg.name, "factorization_l1", frep.l1_discrepancy, None, 5e-2))
         rows.append(ReportRow(cfg.name, "factorization_flagged_mass", frep.flagged_mass,
                               None, None, None))
         details["factorization"] = (("valid_cells", "flagged_cells"),

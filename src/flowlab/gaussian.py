@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 FD_STEP_SCALE = 1e-5
+# numpy's hermgauss gives zero weights from order 371 on (normalized, 0/0 = NaN),
+# so 370 is the largest Gauss-Hermite order a rule is built with
+MAX_GH_ORDER = 370
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class GaussianQuadrature:
             raise ValueError("dimension must be positive")
         if self.nodes.shape != (self.weights.shape[0], self.d):
             raise ValueError("nodes/weights shape mismatch")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:  # NaN fails it too
             raise ValueError("quadrature weights must sum to 1 within 1e-12")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
@@ -59,7 +62,9 @@ class GaussianQuadrature:
 
     @classmethod
     def gauss_hermite(cls, d, order):
-        """Tensorized Gauss-Hermite rule for γ_d, ``order`` nodes per axis."""
+        """Tensorized Gauss-Hermite rule for γ_d, ``order`` nodes per axis, 1 <= order <= MAX_GH_ORDER."""
+        if not 1 <= order <= MAX_GH_ORDER:
+            raise ValueError(f"Gauss-Hermite order must lie in [1, {MAX_GH_ORDER}], got {order}")
         x, w = np.polynomial.hermite.hermgauss(order)
         x = x * math.sqrt(2.0)
         w = w / math.sqrt(math.pi)

@@ -1,0 +1,64 @@
+"""The verdict arithmetic of ``tools/bench_pairs.py`` on synthetic samples."""
+
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    # executed from its source, as test_exports reads perfbench/spans.py
+    namespace = {"__name__": "bench_pairs", "__file__": str(BENCH_PAIRS)}
+    exec(compile(BENCH_PAIRS.read_text(), str(BENCH_PAIRS), "exec"), namespace)
+    return namespace
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # median 1.045, IQR 0.045
+
+
+def _verdict(bench_pairs, after, before=PARENT, bound=0.25, lower=True):
+    summ = bench_pairs["summary"](before, after, lower)
+    return bench_pairs["verdict"](summ, bound, lower)
+
+
+def test_gain_resolved_needs_nine_tenths_of_the_pairs(bench_pairs):
+    assert _verdict(bench_pairs, [x - 0.1 for x in PARENT])["gain_resolved"]
+    # one tie and nine wins is enough, two ties are not: ties count for neither side
+    one_tie = [PARENT[0]] + [x - 0.1 for x in PARENT[1:]]
+    assert _verdict(bench_pairs, one_tie)["gain_resolved"]
+    two_ties = PARENT[:2] + [x - 0.1 for x in PARENT[2:]]
+    assert not _verdict(bench_pairs, two_ties)["gain_resolved"]
+
+
+def test_gain_resolved_needs_the_medians_beyond_the_parent_spread(bench_pairs):
+    # ten wins by 0.04 each: the medians differ by 0.04, inside the parent's IQR of 0.045
+    v = _verdict(bench_pairs, [x - 0.04 for x in PARENT])
+    assert not v["gain_resolved"] and not v["worse_beyond_bound"]
+    assert _verdict(bench_pairs, [x - 0.05 for x in PARENT])["gain_resolved"]
+
+
+def test_worse_beyond_bound_in_either_direction(bench_pairs):
+    # lower is better: 30 % slower is beyond a 25 % bound, 20 % is not
+    assert _verdict(bench_pairs, [1.3 * x for x in PARENT])["worse_beyond_bound"]
+    assert not _verdict(bench_pairs, [1.2 * x for x in PARENT])["worse_beyond_bound"]
+    # higher is better: a 30 % lower rate is worse, a 30 % higher one a resolved gain
+    assert _verdict(bench_pairs, [0.7 * x for x in PARENT], lower=False)["worse_beyond_bound"]
+    faster = _verdict(bench_pairs, [1.3 * x for x in PARENT], lower=False)
+    assert faster["gain_resolved"] and not faster["worse_beyond_bound"]
+
+
+def test_spread_wider_than_bound(bench_pairs):
+    # the parent's IQR 0.045 against its median 1.045: wider than a 4 % bound, not than 5 %
+    assert _verdict(bench_pairs, PARENT, bound=0.04)["spread_wider_than_bound"]
+    v = _verdict(bench_pairs, PARENT, bound=0.05)
+    assert v == {"bound": 0.05, "gain_resolved": False, "worse_beyond_bound": False,
+                 "spread_wider_than_bound": False}
+
+
+def test_bounds_read_from_the_benchmark_declaration(bench_pairs):
+    bounds = bench_pairs["end_to_end_bounds"](ROOT)
+    assert set(bounds) == set(bench_pairs["METRICS"])
+    assert bounds["wall_s"] == 0.25 and bounds["peak_rss_mb"] == 0.05

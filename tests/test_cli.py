@@ -21,6 +21,8 @@ from flowlab.errors import ConfigError, FlowLabError
 from flowlab.gaussian import GaussianQuadrature
 from flowlab.sde import MAX_STEPS
 
+from conftest import make_sine_field
+
 GOOD_CONFIG = """
 [lp-small]
 kind = density_bound
@@ -538,6 +540,50 @@ class TestCli:
             assert float(r["value"]) == abs(float(c["value"]) - float(c["recomputed"]))
             assert r["bound"] == c["tol"]
             assert r["passed"] == "true" and float(r["value"]) <= float(r["bound"])
+
+
+# one small section of each kind, with a bounded row of every kind the executor writes
+PASS_RULE_SECTIONS = {
+    "validate": f"{VALIDATE_BASE}\nfield = translate",
+    "density_bound": f"{DENSITY_BASE}\ndt = 0.01\np_list = 1.5, 3",
+    "entropy_budget": f"{ENTROPY_BASE}\nn_list = 8",
+    "coupling": f"{COUPLING_BASE}\nn_list = 2, 32\nn_ref = 64",
+    "krylov": f"{KRYLOV_BASE}\ntrajectories = 8",
+    "fokker_planck": f"{FP_BASE}\ngrid_R = 4.0\ngrid_h = 0.2\ngrid_tau = 0.005\nfactorization_samples = 64",
+    "oracle_suite": "kind = oracle_suite",
+}
+
+
+class TestPassRule:
+    """Every row with a bound carries the verdict value <= bound + 3 * stderr, recomputable from the row."""
+
+    @staticmethod
+    def _rows(tmp_path, kind):
+        p = tmp_path / "cfg.ini"
+        p.write_text(f"[x]\n{PASS_RULE_SECTIONS[kind]}\n")
+        (cfg,) = parse_config(str(p))
+        rows, _ = experiments.EXECUTORS[kind](cfg, cfg.seed, 1)
+        return rows
+
+    @staticmethod
+    def _assert_rule(rows):
+        bounded = [r for r in rows if r.bound is not None]
+        assert bounded
+        for r in bounded:
+            assert r.passed == (r.value <= r.bound + 3.0 * (r.stderr or 0.0)), r
+
+    @pytest.mark.parametrize("kind", sorted(PASS_RULE_SECTIONS))
+    def test_every_executor(self, tmp_path, kind):
+        assert set(PASS_RULE_SECTIONS) == set(experiments.EXECUTORS)
+        self._assert_rule(self._rows(tmp_path, kind))
+
+    def test_validate_on_a_varying_sigma(self, tmp_path, monkeypatch):
+        # σ = 2 + sin x: λ_min = 1.0145 > c1 = 1 must pass, and its row must say so by the rule
+        monkeypatch.setattr(experiments, "build_field", lambda cfg: make_sine_field())
+        rows = self._rows(tmp_path, "validate")
+        self._assert_rule(rows)
+        gap = {r.quantity: r for r in rows}["ellipticity_gap"]
+        assert gap.value < 0 and gap.passed
 
 
 class TestValidateMatchesRun:

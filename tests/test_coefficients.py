@@ -154,6 +154,80 @@ class TestRegularizeSigma:
         assert sups[-1] < 0.1
 
 
+def _mixed_sigma_field(with_jac=True):
+    """d = 2, m = 3: σ = [[2 + sin x_2, 0, cos(x_1)/2], [0.3 sin x_1, 2, 0]], b = 0."""
+    def sigma(t, X):
+        x1, x2 = X[..., 0], X[..., 1]
+        out = np.zeros(X.shape[:-1] + (2, 3))
+        out[..., 0, 0] = 2.0 + np.sin(x2)
+        out[..., 0, 2] = 0.5 * np.cos(x1)
+        out[..., 1, 0] = 0.3 * np.sin(x1)
+        out[..., 1, 1] = 2.0
+        return out
+
+    def sigma_jac(t, X):
+        x1, x2 = X[..., 0], X[..., 1]
+        out = np.zeros(X.shape[:-1] + (3, 2, 2))
+        out[..., 0, 0, 1] = np.cos(x2)
+        out[..., 0, 1, 0] = 0.3 * np.cos(x1)
+        out[..., 2, 0, 0] = -0.5 * np.sin(x1)
+        return out
+
+    return builtin_coefficients(
+        "custom", d=2, m=3, sigma=sigma, b=lambda t, X: np.zeros(np.shape(X)),
+        sigma_jac=sigma_jac if with_jac else None,
+        b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (2, 2)),
+        growth_const=3.0, exp_const=0.04, name="mixed_sigma",
+    )
+
+
+def _raising_jac(t, X):
+    raise AssertionError("sigma_jac read")
+
+
+def _parent_sigma_jacobian(field, level, quad, t, X):
+    """∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n e^{-ε} P_ε ∇σ, from the analytic ∇σ."""
+    eps = level.eps
+    psig = coefficients.ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
+    pjac = coefficients.ou_smooth(lambda P: field.sigma_jac(t, P), eps, X, quad)
+    term1 = np.einsum("...b,...aj->...jab", cutoff_grad(level.n, X), psig)
+    return term1 + cutoff(level.n, X)[..., None, None, None] * (math.exp(-eps) * pjac)
+
+
+class TestSigmaJacobianRule:
+    """∇σ^n is the kernel gradient of P_ε on every route: no ∇σ, no finite differences."""
+
+    @staticmethod
+    def _grid(n):
+        axis = np.linspace(-(n + 3.0), n + 3.0, 21)
+        return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    def test_sigma_jac_never_read_on_moving_nodes(self, quad2):
+        field = replace(_mixed_sigma_field(), sigma_jac=_raising_jac)
+        reg = regularize_sigma(field, RegularizationLevel(8), quad2)
+        assert reg.sigma_jacobian(0.3, self._grid(8)).shape == (441, 3, 2, 2)
+
+    def test_sigma_jac_never_read_off_the_table(self, quad1):
+        field = replace(make_sine_field(), sigma_jac=_raising_jac)
+        reg = regularize_sigma(field, RegularizationLevel(8), quad1)
+        X = np.array([-30.0, -16.5, -9.0, 0.0, 9.5, 16.0, 17.0, 40.0])[:, None]
+        assert reg.sigma_jacobian(0.0, X).shape == (8, 1, 1, 1)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_matches_smoothed_analytic_jacobian(self, quad2, n):
+        field, level = _mixed_sigma_field(), RegularizationLevel(n)
+        X = self._grid(n)
+        ref = _parent_sigma_jacobian(field, level, quad2, 0.3, X)
+        jac = regularize_sigma(field, level, quad2).sigma_jacobian(0.3, X)
+        np.testing.assert_allclose(jac, ref, rtol=0, atol=1e-12)
+
+    def test_analytic_jacobian_not_needed(self, quad2):
+        level, X = RegularizationLevel(8), self._grid(8)
+        with_jac = regularize_sigma(_mixed_sigma_field(), level, quad2)
+        without = regularize_sigma(_mixed_sigma_field(with_jac=False), level, quad2)
+        assert np.array_equal(without.sigma_jacobian(0.3, X), with_jac.sigma_jacobian(0.3, X))
+
+
 class TestRegularizeDrift:
     def test_constant_after_ramp(self, quad1):
         field = builtin_coefficients(

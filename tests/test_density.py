@@ -109,10 +109,10 @@ class TestAccumulatorStep:
         return calls
 
     def test_regularized_step_smooths_each_coefficient_once(self, quad2, monkeypatch):
-        # d = 2 smooths on moving nodes: σ^n once, ∇σ^n (P_ε σ and P_ε ∇σ stacked) once,
+        # d = 2 smooths on moving nodes: σ^n once, ∇σ^n (P_ε σ and its kernel gradient) once,
         # b^n once, ∇b^n once; the Euler step and the density weight share σ^n and b^n
         reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
-        assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 3, "ou_smooth_grad": 1}
+        assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 3, "ou_smooth_grad": 2}
 
     def test_plain_step_smooths_no_derivative(self, quad2, monkeypatch):
         reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
@@ -250,6 +250,12 @@ class TestBounds:
         rhs = theorem_bound_rhs(translate1, 0.0, 0.1, 2.0, quad1_fine)
         assert rhs == pytest.approx(translate_bound_rhs(2.0, 0.1), rel=1e-8)
         assert rhs == pytest.approx(1.1823, abs=1e-4)
+
+    @pytest.mark.parametrize("order", [185, 186])
+    def test_order_doubling_stays_within_the_largest_rule(self, translate1, order):
+        # at order 186 the doubled rule is capped at MAX_GH_ORDER = 370 instead of reading NaN weights
+        quad = GaussianQuadrature.gauss_hermite(1, order)
+        assert theorem_bound_rhs(translate1, 0.0, 0.1, 2.0, quad) == 1.1822899096831099
 
     def test_exponent_collapse(self, translate1, quad1_fine):
         rhs = theorem_bound_rhs(translate1, 0.0, 0.1, 1.0 + 1e-9, quad1_fine)

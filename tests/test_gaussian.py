@@ -9,6 +9,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from flowlab.coefficients import builtin_coefficients
 from flowlab.errors import CapabilityError, EvaluationError
 from flowlab.gaussian import (
+    MAX_GH_ORDER,
     TABLE_RADIUS,
     GaussianQuadrature,
     HermiteTable,
@@ -66,6 +67,18 @@ class TestQuadrature:
         val = gauss_expectation(lambda x: x[:, 0] ** 2 * x[:, 1] ** 4, quad2)
         assert val == pytest.approx(3.0, rel=1e-10)
         assert gauss_expectation(lambda x: x[:, 0] * x[:, 1], quad2) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("order", [0, MAX_GH_ORDER + 1, 1024])
+    def test_order_outside_the_usable_range_refused(self, order):
+        # refused before hermgauss runs, which at 371 and above would warn and give NaN weights
+        with pytest.raises(ValueError, match="Gauss-Hermite order"):
+            GaussianQuadrature.gauss_hermite(1, order)
+
+    def test_nan_weight_refused(self):
+        weights = np.full(4, 0.25)
+        weights[2] = np.nan
+        with pytest.raises(ValueError, match="sum to 1"):
+            GaussianQuadrature(d=1, nodes=np.zeros((4, 1)), weights=weights, exactness=0)
 
     def test_normalization(self, quad1):
         assert gauss_expectation(lambda x: np.ones(x.shape[0]), quad1) == pytest.approx(1.0)

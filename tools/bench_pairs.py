@@ -22,6 +22,8 @@ wrote identical bytes (``outputs_identical``).
 The JSON written holds every sample, each side's median and quartiles
 (``statistics.quantiles``, inclusive method), the pairs the ``--after``
 side won (ties count for neither) and the environment line of the runs.
+Each end-to-end metric also carries its verdict against its ``bound`` in
+the ``--after`` checkout's ``BENCHMARK.json`` (see ``verdict``).
 """
 
 import argparse
@@ -101,6 +103,33 @@ def summary(before, after, lower_is_better=True):
             "after_wins": wins, "ties": ties, "pairs": len(before)}
 
 
+def verdict(summ, bound, lower_is_better=True):
+    """The claim and no-regression reading of one metric's ``summary``.
+
+    ``gain_resolved``: the change won at least nine tenths of the pairs and
+    its median beats the parent's by more than the parent's interquartile
+    range.  ``worse_beyond_bound``: the change's median is worse than the
+    parent's by more than ``bound`` times the parent's median.
+    ``spread_wider_than_bound``: the parent's interquartile range is wider
+    than ``bound`` times its median, so the metric cannot be told apart.
+    """
+    before, after = summ["before"], summ["after"]
+    gain = before["median"] - after["median"]
+    if not lower_is_better:
+        gain = -gain
+    spread = before["q3"] - before["q1"]
+    return {"bound": bound,
+            "gain_resolved": 10 * summ["after_wins"] >= 9 * summ["pairs"] and gain > spread,
+            "worse_beyond_bound": -gain > bound * before["median"],
+            "spread_wider_than_bound": spread > bound * before["median"]}
+
+
+def end_to_end_bounds(checkout):
+    """Metric name -> ``bound`` of each end-to-end metric in the checkout's ``BENCHMARK.json``."""
+    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", required=True)
@@ -117,6 +146,7 @@ def main(argv=None):
     import workloads
 
     threads = workloads.WORKLOADS[args.workload].threads
+    bounds = end_to_end_bounds(args.after)
     sides = {"before": args.before, "after": args.after}
     runs = {side: [] for side in sides}
     usage = {side: [] for side in sides}
@@ -132,6 +162,11 @@ def main(argv=None):
             # every sample so far, so that a failure later loses nothing
             Path(args.out).write_text(json.dumps({"runs": runs, "usage": usage}) + "\n")
 
+    def judged(name):
+        lower = LOWER_IS_BETTER.get(name, True)
+        summ = summary([r[name] for r in runs["before"]], [r[name] for r in runs["after"]], lower)
+        return {**summ, **verdict(summ, bounds[name], lower)}
+
     report = {
         "workload": args.workload,
         "seed": args.seed,
@@ -143,11 +178,7 @@ def main(argv=None):
         "outputs_sha256": {side: [r["outputs_sha256"] for r in runs[side]] for side in sides},
         "outputs_identical": [b["outputs_sha256"] == a["outputs_sha256"]
                               for b, a in zip(runs["before"], runs["after"])],
-        "end_to_end": {
-            name: summary([r[name] for r in runs["before"]], [r[name] for r in runs["after"]],
-                          LOWER_IS_BETTER.get(name, True))
-            for name in METRICS
-        },
+        "end_to_end": {name: judged(name) for name in METRICS},
         "with_children": {
             name: summary([u[name] for u in usage["before"]], [u[name] for u in usage["after"]])
             for name in ("cpu_s", "cpu_s_with_children", "peak_rss_mb", "children_peak_rss_mb")
