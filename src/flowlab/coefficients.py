@@ -330,7 +330,6 @@ def regularize_sigma(field, level, quad):
         return np.asarray(ph)[..., None, None] * sm
 
     def moving_jac(t, X):
-        X = np.asarray(X, dtype=float)
         psig = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
         # kernel gradient (..., a, j, b) into the column layout (..., j, a, b)
         pjac = np.moveaxis(ou_smooth_grad(lambda P: field.sigma(t, P), eps, X, quad), -2, -3)
