@@ -21,8 +21,10 @@ The regularization pipeline produces smooth approximations:
 Both come with derivative access by one rule: ∇P_ε f is the kernel gradient
 of P_ε, so ∇b^n = ∇P_ε[(b_. * χ_n)(t)] and ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ,
 and neither b nor σ is differentiated.  In d = 1, for coefficients that do
-not depend on time, each level is tabulated once on fixed Mehler nodes, and
-σ^n, ∇σ^n, b^n and ∇b^n are a Hermite interpolant and its exact derivative.
+not depend on time, P_ε σ and P_ε b are tabulated once per level on fixed
+Mehler nodes, each a Hermite interpolant whose exact derivative is the
+kernel gradient; φ_n multiplies P_ε σ by the product rule above on every
+route, and is skipped in a call whose points all lie on its plateau.
 For smooth b, δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)] (``drift_divergence_identity``).
 """
 
@@ -34,8 +36,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BoundUnavailableError, CapabilityError
-from .gaussian import (TABLE_RADIUS, HermiteTable, _delta, _fd_column_jacobian, fd_jacobian, logsumexp,
-                       ou_smooth, ou_smooth_grad, ou_smooth_table, refined_quadrature)
+from .gaussian import (TABLE_RADIUS, _delta, _fd_column_jacobian, fd_jacobian, logsumexp, ou_smooth,
+                       ou_smooth_grad, ou_smooth_table, refined_quadrature)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -93,13 +95,6 @@ def _bump_cdf(u):
     """∫_{-1}^{u} of the normalized bump (0 below -1, 1 above 1)."""
     _, grid, cdf = _bump_tables()
     return np.interp(np.asarray(u, dtype=float), grid, cdf)
-
-
-# largest table step for σ^n = φ_n · P_ε σ: the bump edge of φ_n, not the
-# kernel width, sets the resolution there (on σ = 2 + sin x at n = 4, ∇σ^n is
-# within 1.41e-7 of the GH-32 moving-node rule at 2001 points over |x| <= 7,
-# t = 0.2)
-CUTOFF_TABLE_STEP = 1.0 / 512
 
 
 def cutoff(n, x):
@@ -290,63 +285,58 @@ def _on_table(X, on_table, off_table):
     return out.reshape(X.shape[:-1] + out.shape[1:])
 
 
-def _sigma_table(field, level):
-    """Hermite table of φ_n · P_ε σ and its derivative, or None where none applies.
-
-    Only a time-independent σ in d = 1 is tabulated (see ``ou_smooth_table``).
-    σ^n is exactly 0 where φ_n is, at |x| >= n + 2, so the table keeps the
-    cells that reach inside that radius plus one all-zero cell on each side:
-    every value and derivative equals the full table's (``HermiteTable.cut``).
-    """
-    if field.d != 1 or field.sigma_time_dependent:
-        return None
-    tab = ou_smooth_table(lambda P: field.sigma(0.0, P), level.eps, max_step=CUTOFF_TABLE_STEP)
-    if tab is None:
-        return None
-    pts = tab.x[:, None]
-    ph = cutoff(level.n, pts)[:, None, None]
-    gph = cutoff_grad(level.n, pts)[:, :, None]
-    table = HermiteTable.fit(tab.x, ph * tab.values, gph * tab.values + ph * tab.grads)
-    inside = np.flatnonzero(np.abs(tab.x) < level.n + 2.0)
-    return table.cut(inside[0] - 2, inside[-1] + 1)
-
-
 def regularize_sigma(field, level, quad):
     """Smooth compactly-supported diffusion:  σ^n_t = φ_n · P_{1/n} σ_t.
 
     ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ, with ∇P_ε σ the kernel gradient of P_ε,
     the rule ``regularize_drift`` follows: σ needs no derivative, and
     ``field.sigma_jac`` is never read.  In d = 1 with a time-independent σ,
-    σ^n and ∇σ^n are read off one Hermite table built here (fixed Mehler
-    nodes; ``quad`` is not used), so ∇σ^n is the exact derivative of the σ^n
-    computed.  Elsewhere, and at |x| > TABLE_RADIUS = 16, P_ε moves the
-    ``quad`` nodes with the point.
+    P_ε σ and ∇P_ε σ are read off one Hermite table built here, as P_ε b is
+    (``ou_smooth_table``; ``quad`` is not used).  Elsewhere, and at
+    |x| > TABLE_RADIUS = 16, P_ε moves the ``quad`` nodes with the point.
+    When every point of a call has |x|_∞ <= n / sqrt(d), inside the plateau
+    |x| <= n of φ_n, P_ε σ and ∇P_ε σ are σ^n and ∇σ^n as they are.
     """
     n, eps = level.n, level.eps
+    plateau = n / math.sqrt(field.d)
 
     def moving_sigma(t, X):
-        ph = cutoff(n, X)
-        sm = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
-        return np.asarray(ph)[..., None, None] * sm
+        return ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
 
     def moving_jac(t, X):
-        psig = ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
         # kernel gradient (..., a, j, b) into the column layout (..., j, a, b)
-        pjac = np.moveaxis(ou_smooth_grad(lambda P: field.sigma(t, P), eps, X, quad), -2, -3)
-        term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, X), psig)
-        return term1 + np.asarray(cutoff(n, X))[..., None, None, None] * pjac
+        return np.moveaxis(ou_smooth_grad(lambda P: field.sigma(t, P), eps, X, quad), -2, -3)
 
-    table = _sigma_table(field, level)
+    table = None
+    if field.d == 1 and not field.sigma_time_dependent:
+        table = ou_smooth_table(lambda P: field.sigma(0.0, P), eps)
     if table is None:
-        new_sigma, new_jac = moving_sigma, moving_jac
+        smoothed, smoothed_jac = moving_sigma, moving_jac
     else:
-        def new_sigma(t, X):
+        def smoothed(t, X):
             return _on_table(X, table, lambda P: moving_sigma(t, P))
 
-        def new_jac(t, X):
+        def smoothed_jac(t, X):
             # d/dx σ^{1j} is component j of column j's Jacobian (..., m, 1, 1)
             return _on_table(X, lambda x: np.swapaxes(table.derivative(x), -1, -2)[..., None],
                              lambda P: moving_jac(t, P))
+
+    def on_plateau(X):
+        # |x|_∞ <= n / sqrt(d) puts x inside |x| <= n, where φ_n is exactly 1 and ∇φ_n exactly 0
+        return np.abs(X).max(initial=0.0) <= plateau
+
+    def new_sigma(t, X):
+        psig = smoothed(t, X)
+        if on_plateau(X):
+            return psig
+        return np.asarray(cutoff(n, X))[..., None, None] * psig
+
+    def new_jac(t, X):
+        pjac = smoothed_jac(t, X)
+        if on_plateau(X):
+            return pjac
+        term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, X), smoothed(t, X))
+        return term1 + np.asarray(cutoff(n, X))[..., None, None, None] * pjac
 
     return replace(
         field,
@@ -447,9 +437,7 @@ def regularize_drift(field, level, quad):
 
     table = None
     if field.d == 1 and not field.b_time_dependent:
-        tab = ou_smooth_table(lambda P: field.b(0.0, P), eps)
-        if tab is not None:
-            table = HermiteTable.fit(tab.x, tab.values, tab.grads)
+        table = ou_smooth_table(lambda P: field.b(0.0, P), eps)
     if table is None:
         new_b, new_b_jac = moving_b, moving_b_jac
     else:
@@ -484,7 +472,7 @@ def regularize(field, level, quad):
 # hypothesis validation
 # ---------------------------------------------------------------------------
 
-# rounding allowance of the ellipticity and growth checks
+# rounding allowance of the ellipticity check (``ellipticity_gap`` in ``validate``)
 HYPOTHESIS_TOL = 1e-9
 
 
@@ -497,8 +485,6 @@ class HypothesisReport:
     sigma_T: float
     divergent: bool
     grad_norm_sup: float
-    ellipticity_ok: bool
-    growth_ok: bool
 
 
 def _hypothesis_integral(values, times, lam, logw, log_cap):
@@ -554,16 +540,12 @@ def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
     except BoundUnavailableError:
         sigma_T, divergent = math.inf, True
 
-    ellipticity_ok = True if field.c1 is None else min_eig >= field.c1 - HYPOTHESIS_TOL
-    growth_ok = growth_ratio <= field.growth_const + HYPOTHESIS_TOL
     return HypothesisReport(
         min_eigenvalue=min_eig,
         growth_ratio=growth_ratio,
         sigma_T=sigma_T,
         divergent=divergent,
         grad_norm_sup=grad_norm_sup,
-        ellipticity_ok=ellipticity_ok,
-        growth_ok=growth_ok,
     )
 
 
@@ -664,12 +646,8 @@ def builtin_coefficients(key, d=1, **params):
     """The ``CATALOG`` field ``key`` in dimension d, with analytic derivatives.
 
     ``params`` are the field function's own keyword parameters; an unknown
-    key or parameter raises ``ValueError``.  ``custom`` forwards ``params``
-    to ``CoefficientField`` instead.
+    key or parameter raises ``ValueError``.
     """
-    if key == "custom":
-        params.setdefault("d", d)
-        return CoefficientField(**params)
     if key not in CATALOG:
         raise ValueError(f"unknown catalog key: {key!r}")
     unknown = sorted(params.keys() - inspect.signature(CATALOG[key]).parameters.keys())

@@ -3,7 +3,9 @@
 The standard Gaussian measure γ_d is the reference measure throughout the
 package.  This module provides quadrature against γ_d, the Gaussian
 divergence operator δ (the adjoint of the gradient under γ_d) and the
-Ornstein-Uhlenbeck smoothing semigroup P_ε.
+Ornstein-Uhlenbeck smoothing semigroup P_ε: on moving quadrature nodes in any
+d (``ou_smooth``, ``ou_smooth_grad``), and in d = 1 as one fixed-node table of
+P_ε f and its kernel gradient (``ou_smooth_table``, a ``HermiteTable``).
 
 Sign convention: δ(B)(x) = <B(x), x> - div B(x), which is the unique choice
 satisfying the adjoint identity ∫ <B, ∇f> dγ_d = ∫ f δ(B) dγ_d.  In
@@ -247,17 +249,8 @@ TABLE_MAX_NODES = 1 << 22    # beyond this (ε below about 1e-7) no table is bui
 TABLE_MAX_GROWTH = 1e6       # FFT round-off is ~1e-16 of the largest sample: refuse faster growth
 
 
-@dataclass(frozen=True)
-class OUTable:
-    """P_ε f and ∇P_ε f at the points ``x`` (ascending, uniform, covering |x| <= TABLE_RADIUS)."""
-
-    x: np.ndarray       # (M,)
-    values: np.ndarray  # (M, ...) like f's values
-    grads: np.ndarray   # (M, ...)
-
-
-def ou_smooth_table(f, eps, max_step=None):
-    """P_ε f and its gradient on a uniform grid over [-TABLE_RADIUS, TABLE_RADIUS], d = 1.
+def ou_smooth_table(f, eps):
+    """P_ε f on |x| <= TABLE_RADIUS, d = 1, as a ``HermiteTable`` of it and its kernel gradient.
 
     Mehler form: P_ε f(x) = ∫ f(z) M_ε(x, z) dγ(z) = ∫ f(z) g_s(z - ρx) dz with
     ρ = e^{-ε}, s = sqrt(1 - ρ^2) and g_s the N(0, s^2) density, so f is read
@@ -271,20 +264,17 @@ def ou_smooth_table(f, eps, max_step=None):
 
     the value and x-derivative of one Riemann sum, so the gradient is the
     kernel gradient and needs no derivative of f.  ``f`` maps (K, 1) points
-    to (K, ...) values; ``max_step`` caps the table step where f itself needs a
-    finer grid than the kernel.  Returns an ``OUTable``, or None when the grid
-    would exceed ``TABLE_MAX_NODES``, or f is not finite at some node or grows
-    beyond ``TABLE_MAX_GROWTH`` times its size on |z| <= 1 (e^{|z|} does).
+    to (K, ...) values.  Returns the interpolant through both at the x_j,
+    whose ``derivative`` is ∇P_ε f, or None when the grid would exceed
+    ``TABLE_MAX_NODES``, or f is not finite at some node or grows beyond
+    ``TABLE_MAX_GROWTH`` times its size on |z| <= 1 (e^{|z|} does).
     """
     if eps <= 0:
         raise ValueError("smoothing parameter must be positive")
     decay = math.exp(-eps)
     spread = math.sqrt(1.0 - decay * decay)
-    per_width = TABLE_NODES_PER_WIDTH
-    if max_step is not None:
-        per_width = max(per_width, math.ceil(spread / (decay * max_step)))
-    h = spread / per_width
-    taps = TABLE_KERNEL_WIDTHS * per_width
+    h = spread / TABLE_NODES_PER_WIDTH
+    taps = TABLE_KERNEL_WIDTHS * TABLE_NODES_PER_WIDTH
     half = int(math.ceil(decay * TABLE_RADIUS / h)) + 2   # table points z_j / ρ, j = -half .. half-1
     n_z = 2 * (half + taps)
     if n_z > TABLE_MAX_NODES:
@@ -306,11 +296,7 @@ def ou_smooth_table(f, eps, max_step=None):
         out = np.fft.irfft(spec * np.fft.rfft(kernel, n_fft)[:, None], n_fft, axis=0)[valid]
         return out.reshape((n_z - 2 * taps,) + values.shape[1:])
 
-    return OUTable(
-        x=z[taps:n_z - taps] / decay,
-        values=correlate(kern),
-        grads=correlate(-u * kern) * (decay / spread),
-    )
+    return HermiteTable.fit(z[taps:n_z - taps] / decay, correlate(kern), correlate(-u * kern) * (decay / spread))
 
 
 @dataclass(frozen=True)
@@ -319,21 +305,19 @@ class HermiteTable:
 
     ``derivative`` is the exact derivative of the interpolant, so a field read
     off the table and its Jacobian read off the same table agree to rounding.
-    Points beyond the grid use its end cubics.  ``coef`` may hold only the
-    cells ``first`` .. ``first`` + len(coef) - 1 of the grid (see ``cut``).
+    Points beyond the grid use its end cubics.
 
     ``coef`` is cell-major, the layout the evaluation reads: one gather of
     whole cells brings each point's four coefficients (one cache line for
     k = 1) and the cubic is summed by Horner's rule in place, in the
     operation order of c0 + τ(c1 + τ(c2 + τ c3)).  Cell indices are clipped
-    to the kept cells only when some point falls outside them.
+    to the grid only when some point falls outside it.
     """
 
     x0: float
     h: float
     coef: np.ndarray   # (cells, 4, k): cubic in the local coordinate τ ∈ [0, 1) of each cell
     shape: tuple       # value shape of one point
-    first: int = 0     # grid index of the cell in coef[0]
 
     @classmethod
     def fit(cls, x, values, slopes):
@@ -345,32 +329,17 @@ class HermiteTable:
         coef = np.stack([v[:-1], g[:-1], 3.0 * dv - 2.0 * g[:-1] - g[1:], g[:-1] + g[1:] - 2.0 * dv], axis=1)
         return cls(x0=float(x[0]), h=float(h), coef=coef, shape=np.shape(values)[1:])
 
-    def cut(self, lo, hi):
-        """The table on grid cells lo .. hi only (clipped to the grid).
-
-        Cell index and τ are still taken on the original grid origin, so
-        every point of a kept cell reads the same floats; points beyond the
-        kept cells use the end cubics, which give the same values when the
-        cut-off cells are, like the end cells, all zero.
-        """
-        lo = max(lo, self.first)
-        hi = min(hi, self.first + self.coef.shape[0] - 1)
-        coef = self.coef[lo - self.first:hi - self.first + 1].copy()
-        return HermiteTable(x0=self.x0, h=self.h, coef=coef, shape=self.shape, first=lo)
-
     def _cells(self, x):
         """The coefficients (n, 4, k) of the cells of the points x (n,) and their τ (n, 1)."""
         u = np.asarray(x, dtype=float) - self.x0
         u /= self.h
         cell = np.floor(u)
         j = cell.astype(np.intp)
-        last = self.first + self.coef.shape[0] - 1
-        if j.min(initial=self.first) < self.first or j.max(initial=last) > last:
-            np.clip(j, self.first, last, out=j)
+        last = self.coef.shape[0] - 1
+        if j.min(initial=0) < 0 or j.max(initial=last) > last:
+            np.clip(j, 0, last, out=j)
             cell = j
         u -= cell
-        if self.first:
-            j -= self.first
         return self.coef.take(j, axis=0), u[:, None]
 
     def __call__(self, x):

@@ -93,6 +93,6 @@ def brownian_increments(seed, index, n_steps, m, dt):
     return out[0] if single else out
 
 
-def gaussian_points(seed, n, d, stream=INITIALS_STREAM):
-    """n γ_d-distributed points from a dedicated stream."""
-    return standard_normals(seed, stream, (n, d))
+def gaussian_points(seed, n, d):
+    """n γ_d-distributed points from the dedicated ``INITIALS_STREAM``."""
+    return standard_normals(seed, INITIALS_STREAM, (n, d))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowlab.coefficients import builtin_coefficients
+from flowlab.coefficients import CoefficientField, builtin_coefficients
 from flowlab.gaussian import GaussianQuadrature
 
 
@@ -40,8 +40,8 @@ def sign1():
 @pytest.fixture(scope="session")
 def rocket1():
     """Unit noise under a drift of 1e9: every path leaves the explosion radius."""
-    return builtin_coefficients(
-        "custom", d=1, m=1,
+    return CoefficientField(
+        d=1, m=1,
         sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
         b=lambda t, X: 1e9 * np.ones(np.shape(X)),
         sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
@@ -62,8 +62,7 @@ def make_sine_field():
     def b(t, X):
         return np.zeros_like(np.asarray(X, dtype=float))
 
-    return builtin_coefficients(
-        "custom",
+    return CoefficientField(
         d=1, m=1,
         sigma=sigma, b=b,
         sigma_jac=sigma_jac,

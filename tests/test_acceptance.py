@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from flowlab.coefficients import (
+    CoefficientField,
     RegularizationLevel,
     builtin_coefficients,
     regularize,
@@ -115,8 +116,8 @@ def test_criterion_1_gaussian_identities(quad):
     worst = 0.0
     for f, b in suite:
         df, db = f.deriv(), b.deriv()
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
+        field = CoefficientField(
+            d=1, m=1,
             sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
             b=lambda t, X, b=b: b(X),
             b_jac=lambda t, X, db=db: db(X)[..., None],

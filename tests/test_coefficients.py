@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 from flowlab import coefficients, config, oracles
 from flowlab.coefficients import (
     CATALOG,
+    CoefficientField,
     drift_divergence_identity,
     RegularizationLevel,
     builtin_coefficients,
@@ -111,8 +112,8 @@ class TestRegularizeSigma:
         np.testing.assert_allclose(reg.sigma(0.0, np.array([[6.0]])), 0.0, atol=1e-13)
 
     def test_linear_sigma_contraction(self, quad1):
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
+        field = CoefficientField(
+            d=1, m=1,
             sigma=lambda t, X: np.asarray(X, dtype=float)[..., None],
             b=lambda t, X: np.zeros_like(np.asarray(X, dtype=float)),
             sigma_jac=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1, 1)),
@@ -140,7 +141,7 @@ class TestRegularizeSigma:
                 field.growth_const * (1.0 + gaussian_abs_moment(1))
             )
             rep = validate_hypotheses(reg, 0.5, quad1, tgrid=3)
-            assert rep.growth_ok
+            assert rep.growth_ratio <= reg.growth_const
 
     def test_uniform_convergence_smooth_field(self, quad1):
         field = make_sine_field()
@@ -173,8 +174,8 @@ def _mixed_sigma_field(with_jac=True):
         out[..., 2, 0, 0] = -0.5 * np.sin(x1)
         return out
 
-    return builtin_coefficients(
-        "custom", d=2, m=3, sigma=sigma, b=lambda t, X: np.zeros(np.shape(X)),
+    return CoefficientField(
+        d=2, m=3, sigma=sigma, b=lambda t, X: np.zeros(np.shape(X)),
         sigma_jac=sigma_jac if with_jac else None,
         b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (2, 2)),
         growth_const=3.0, exp_const=0.04, name="mixed_sigma",
@@ -230,8 +231,8 @@ class TestSigmaJacobianRule:
 
 class TestRegularizeDrift:
     def test_constant_after_ramp(self, quad1):
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
+        field = CoefficientField(
+            d=1, m=1,
             sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
             b=lambda t, X: np.full(np.shape(X)[:-1] + (1,), 0.7),
             sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
@@ -407,29 +408,49 @@ class TestOffTableRoute:
         with np.errstate(invalid="ignore"):
             field.sigma(0.0, X)
             field.sigma_jacobian(0.0, X)
-        assert len(looked_up) == 2
+        # σ^n reads P_ε σ; off the plateau ∇σ^n reads ∇P_ε σ and P_ε σ
+        assert len(looked_up) == 3
         for x in looked_up:
             assert np.array_equal(x, [0.3, -1.0])
 
 
-class TestSigmaTableCut:
-    """σ^n's table keeps |x| < n + 2 plus one zero cell a side, and reads the full table's floats."""
+class TestCutoffProductRule:
+    """σ^n = φ_n · P_ε σ and ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ on every route, P_ε σ alone on the plateau."""
 
-    @pytest.mark.parametrize("n", [4, 8])
-    def test_cut_equals_full_table(self, monkeypatch, n):
-        field, level = make_sine_field(), RegularizationLevel(n)
-        cut = coefficients._sigma_table(field, level)
-        with monkeypatch.context() as m:
-            m.setattr(coefficients.HermiteTable, "cut", lambda table, lo, hi: table)
-            full = coefficients._sigma_table(field, level)
-        # left edges of the kept cells: one all-zero cell beyond |x| = n + 2 on each side
-        edge = full.x0 + full.h * np.arange(cut.first, cut.first + cut.coef.shape[0])
-        assert edge[1] <= -(n + 2.0) < edge[2] and edge[-2] < n + 2.0 <= edge[-1]
-        assert not cut.coef[0].any() and not cut.coef[-1].any()
-        assert cut.coef.shape[0] < full.coef.shape[0]
-        xs = np.linspace(-16.0, 16.0, 64001)
-        assert np.array_equal(cut(xs), full(xs))
-        assert np.array_equal(cut.derivative(xs), full.derivative(xs))
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("key", ["translate", "sign_drift"])
+    def test_unit_sigma_gives_the_cutoff(self, quad1, key, n):
+        # σ = 1, so P_ε σ = 1 and ∇P_ε σ = 0 up to rounding: σ^n is φ_n and ∂σ^n is φ_n'
+        reg = regularize_sigma(builtin_coefficients(key, d=1), RegularizationLevel(n), quad1)
+        xs = np.linspace(-(n + 3.0), n + 3.0, 20001)[:, None]
+        assert np.abs(reg.sigma(0.4, xs)[:, 0, 0] - cutoff(n, xs)).max() <= 1e-12
+        assert np.abs(reg.sigma_jacobian(0.4, xs)[:, 0, 0, 0] - cutoff_grad(n, xs)[:, 0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["d=1 table", "d=2 moving nodes"])
+    def test_plateau_reads_the_smoothed_values_as_they_are(self, quad1, quad2, monkeypatch, case):
+        n = 8
+        if case == "d=1 table":
+            field, quad, t = make_sine_field(), quad1, 0.0
+            chunk = np.linspace(-n, n, 161)[:, None]
+            far = np.array([[n + 1.0]])
+        else:
+            field, quad, t = _mixed_sigma_field(), quad2, 0.3
+            # an even number of points: BLAS sums the last two of the 6k columns of an odd
+            # count k in its remainder kernel, so they would differ in the last bit from a
+            # call on k + 1 points whatever route φ_n takes
+            axis = np.linspace(-n / math.sqrt(2.0), n / math.sqrt(2.0), 12)
+            chunk = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            far = np.array([[n + 1.0, 0.0]])
+        reg = regularize_sigma(field, RegularizationLevel(n), quad)
+        calls = []
+        real = coefficients.cutoff
+        monkeypatch.setattr(coefficients, "cutoff", lambda *a: calls.append(1) or real(*a))
+        plateau = reg.sigma(t, chunk), reg.sigma_jacobian(t, chunk)
+        assert calls == []
+        extended = np.concatenate([chunk, far])
+        product = reg.sigma(t, extended)[:-1], reg.sigma_jacobian(t, extended)[:-1]
+        assert calls == [1, 1]
+        assert np.array_equal(plateau[0], product[0]) and np.array_equal(plateau[1], product[1])
 
 
 class TestTimeDependentRoutes:
@@ -452,8 +473,8 @@ class TestTimeDependentRoutes:
     @pytest.mark.parametrize("n", [2, 8])
     def test_time_dependent_sigma(self, quad1, n):
         # σ_t = (1 + t) I is constant in x, so σ^n_t = φ_n (1 + t) I
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
+        field = CoefficientField(
+            d=1, m=1,
             sigma=lambda t, X: np.full(np.shape(X)[:-1] + (1, 1), 1.0 + t),
             b=lambda t, X: np.zeros(np.shape(X)),
             sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
@@ -540,11 +561,11 @@ class TestValidateHypotheses:
     def test_min_eigenvalue_identity(self, translate1, quad1):
         rep = validate_hypotheses(translate1, 1.0, quad1, tgrid=3)
         assert rep.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
-        assert rep.ellipticity_ok
+        assert translate1.c1 - rep.min_eigenvalue <= coefficients.HYPOTHESIS_TOL
 
     def test_growth_ratio_by_construction(self, quad1):
-        field = builtin_coefficients(
-            "custom", d=1, m=1,
+        field = CoefficientField(
+            d=1, m=1,
             sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
             b=lambda t, X: (2.0 * (1.0 + np.abs(X))),
             sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
@@ -614,8 +635,8 @@ class TestCatalog:
         """Every field a config can build, at its defaults, passes its own declared metadata."""
         field = builtin_coefficients(key, d=d)
         rep = validate_hypotheses(field, 1.0, default_quadrature(d))
-        assert rep.ellipticity_ok and rep.min_eigenvalue == field.c1
-        assert rep.growth_ok
+        assert rep.min_eigenvalue == field.c1
+        assert rep.growth_ratio <= field.growth_const
         assert math.isfinite(rep.sigma_T)
 
     @pytest.mark.parametrize("key", sorted(CATALOG))

@@ -109,10 +109,11 @@ class TestAccumulatorStep:
         return calls
 
     def test_regularized_step_smooths_each_coefficient_once(self, quad2, monkeypatch):
-        # d = 2 smooths on moving nodes: σ^n once, ∇σ^n (P_ε σ and its kernel gradient) once,
-        # b^n once, ∇b^n once; the Euler step and the density weight share σ^n and b^n
+        # d = 2 smooths on moving nodes: σ^n once, ∇σ^n once (on the plateau of φ_n it is the
+        # kernel gradient alone), b^n once, ∇b^n once; the Euler step and the density weight
+        # share σ^n and b^n
         reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
-        assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 3, "ou_smooth_grad": 2}
+        assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 2, "ou_smooth_grad": 2}
 
     def test_plain_step_smooths_no_derivative(self, quad2, monkeypatch):
         reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)

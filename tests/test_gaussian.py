@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
-from flowlab.coefficients import builtin_coefficients
+from flowlab.coefficients import CoefficientField
 from flowlab.errors import CapabilityError, EvaluationError
 from flowlab.gaussian import (
     MAX_GH_ORDER,
@@ -25,9 +25,9 @@ from flowlab.oracles import gaussian_abs_moment
 
 
 def _drift_field(b, d, jac=None, measurable_only=False):
-    """``custom`` field with σ = Id and drift ``b(x)``; without ``jac``, ∇b is by central differences."""
-    return builtin_coefficients(
-        "custom", d=d, m=d,
+    """``CoefficientField`` with σ = Id and drift ``b(x)``; without ``jac``, ∇b is by central differences."""
+    return CoefficientField(
+        d=d, m=d,
         sigma=lambda t, X: np.broadcast_to(np.eye(d), np.shape(X)[:-1] + (d, d)),
         b=lambda t, X: b(X),
         b_jac=None if jac is None else (lambda t, X: jac(X)),
@@ -44,8 +44,8 @@ def _delta_b(b, x, jac=None):
 def _delta_sigma(sigma, x, m):
     """δ of each column of σ(x), read off ``evaluate`` with central-difference ∇σ."""
     x = np.asarray(x, dtype=float)
-    field = builtin_coefficients(
-        "custom", d=x.shape[-1], m=m, sigma=lambda t, X: sigma(X), b=lambda t, X: np.zeros(np.shape(X)),
+    field = CoefficientField(
+        d=x.shape[-1], m=m, sigma=lambda t, X: sigma(X), b=lambda t, X: np.zeros(np.shape(X)),
     )
     return field.evaluate(0.0, x).delta_sigma
 
@@ -249,21 +249,28 @@ class TestSmoothing:
             ou_smooth(lambda p: p[:, 0], 0.0, np.array([1.0]), quad1)
 
 
+def _table_nodes(table):
+    """The grid points of a ``HermiteTable`` up to its last cell's left edge."""
+    return table.x0 + table.h * np.arange(table.coef.shape[0])
+
+
 class TestSmoothingTable:
     def test_quadratic_closed_form(self):
         # P_ε x^2 = ρ^2 x^2 + s^2 and its gradient 2 ρ^2 x, at every table point
         for eps in (1.0 / 4, 1.0 / 64):
             rho = math.exp(-eps)
             tab = ou_smooth_table(lambda p: p[:, 0] ** 2, eps)
-            assert tab.x[0] < -TABLE_RADIUS and tab.x[-1] > TABLE_RADIUS
-            np.testing.assert_allclose(tab.values, rho**2 * tab.x**2 + 1.0 - rho**2, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(tab.grads, 2.0 * rho**2 * tab.x, rtol=1e-12, atol=1e-11)
+            assert tab.x0 < -TABLE_RADIUS and tab.x0 + tab.h * tab.coef.shape[0] > TABLE_RADIUS
+            xs = _table_nodes(tab)
+            np.testing.assert_allclose(tab(xs), rho**2 * xs**2 + 1.0 - rho**2, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(tab.derivative(xs), 2.0 * rho**2 * xs, rtol=1e-12, atol=1e-11)
 
     def test_constant_and_tensor_values(self):
         tab = ou_smooth_table(lambda p: np.broadcast_to([[4.2, -1.0]], (p.shape[0], 1, 2)), 0.3)
-        assert tab.values.shape == (tab.x.shape[0], 1, 2)
-        np.testing.assert_allclose(tab.values, np.broadcast_to([[4.2, -1.0]], tab.values.shape), rtol=1e-14)
-        assert np.abs(tab.grads).max() <= 1e-12
+        xs = np.linspace(-TABLE_RADIUS, TABLE_RADIUS, 1001)
+        assert tab.shape == (1, 2) and tab(xs).shape == (1001, 1, 2)
+        np.testing.assert_allclose(tab(xs), np.broadcast_to([[4.2, -1.0]], (1001, 1, 2)), rtol=1e-14)
+        assert np.abs(tab.derivative(xs)).max() <= 1e-12
 
     def test_no_table_where_round_off_would_show(self):
         # samples reach about ±(TABLE_RADIUS + 10 s); e^{z^2} overflows there, e^z is 1e7 against e
@@ -274,18 +281,19 @@ class TestSmoothingTable:
     def test_matches_quadrature_on_smooth_integrand(self, quad1_fine):
         f = lambda p: np.sin(p[:, 0]) + 0.1 * p[:, 0] ** 3
         tab = ou_smooth_table(f, 0.2)
-        pick = np.flatnonzero(np.abs(tab.x) <= 6.0)[::97]
-        pts = tab.x[pick, None]
-        np.testing.assert_allclose(tab.values[pick], ou_smooth(f, 0.2, pts, quad1_fine), atol=1e-11)
-        np.testing.assert_allclose(tab.grads[pick], ou_smooth_grad(f, 0.2, pts, quad1_fine)[:, 0], atol=1e-10)
+        nodes = _table_nodes(tab)
+        pts = nodes[np.abs(nodes) <= 6.0][::97, None]
+        np.testing.assert_allclose(tab(pts[:, 0]), ou_smooth(f, 0.2, pts, quad1_fine), atol=1e-11)
+        np.testing.assert_allclose(tab.derivative(pts[:, 0]), ou_smooth_grad(f, 0.2, pts, quad1_fine)[:, 0],
+                                   atol=1e-10)
 
 
 def _gather_formula(table, x):
     """Value and derivative by one (cells, 4, k) gather, a clip of every index and out-of-place Horner."""
     u = (np.asarray(x, dtype=float) - table.x0) / table.h
-    j = np.clip(np.floor(u).astype(np.intp), table.first, table.first + table.coef.shape[0] - 1)
+    j = np.clip(np.floor(u).astype(np.intp), 0, table.coef.shape[0] - 1)
     tau = (u - j)[:, None]
-    c = np.take(table.coef, j - table.first, axis=0)
+    c = np.take(table.coef, j, axis=0)
     value = c[:, 0] + tau * (c[:, 1] + tau * (c[:, 2] + tau * c[:, 3]))
     slope = (c[:, 1] + tau * (2.0 * c[:, 2] + 3.0 * tau * c[:, 3])) / table.h
     return value.reshape((-1,) + table.shape), slope.reshape((-1,) + table.shape)
@@ -301,13 +309,13 @@ class TestHermiteKernel:
         scalar = HermiteTable.fit(x, np.sin(3 * x), 3 * np.cos(3 * x))
         vals = rng.standard_normal((257, 1, 3))
         slopes = rng.standard_normal((257, 1, 3))
-        return {"k=1": scalar, "k=1 cut": scalar.cut(60, 190), "k=3": HermiteTable.fit(x, vals, slopes)}
+        return {"k=1": scalar, "k=3": HermiteTable.fit(x, vals, slopes)}
 
-    @pytest.mark.parametrize("name", ["k=1", "k=1 cut", "k=3"])
+    @pytest.mark.parametrize("name", ["k=1", "k=3"])
     def test_equals_the_gather_formula(self, tables, name):
         table = tables[name]
         rng = np.random.default_rng(5)
-        lo = table.x0 + table.first * table.h
+        lo = table.x0
         hi = lo + table.coef.shape[0] * table.h
         inside = rng.uniform(lo, hi, 2000)
         edges = lo + table.h * np.arange(table.coef.shape[0] + 1)
@@ -321,8 +329,8 @@ class TestHermiteKernel:
         clips = []
         real = np.clip
         monkeypatch.setattr(np, "clip", lambda *a, **k: clips.append(1) or real(*a, **k))
-        table = tables["k=1 cut"]
-        lo = table.x0 + table.first * table.h
+        table = tables["k=1"]
+        lo = table.x0
         table(lo + table.h * np.array([0.0, 0.5, 70.25]))
         assert clips == []
         table(np.array([lo - 0.01, lo + 1.0]))

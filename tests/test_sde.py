@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 import flowlab.sde
 from flowlab import rng
-from flowlab.coefficients import builtin_coefficients
+from flowlab.coefficients import CoefficientField, builtin_coefficients
 from flowlab.convergence import coupling_convergence
 from flowlab.errors import CapabilityError, ConfigError, ExplosionError
 from flowlab.rng import brownian_increments, substream
@@ -234,8 +234,8 @@ class TestSimulate:
 
     def test_constant_coefficients_exact(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        field = builtin_coefficients(
-            "custom", d=2, m=2,
+        field = CoefficientField(
+            d=2, m=2,
             sigma=lambda t, X: np.broadcast_to(A, np.shape(X)[:-1] + (2, 2)),
             b=lambda t, X: np.broadcast_to(np.array([0.3, -0.2]), np.shape(X)),
             sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (2, 2, 2)),
@@ -386,8 +386,8 @@ def _workers(threads, n_traj, n_steps, m):
 
 def _custom1(sigma, b, name):
     """A d = m = 1 custom field with the given σ and b (derivatives zero)."""
-    return builtin_coefficients(
-        "custom", d=1, m=1, sigma=sigma, b=b,
+    return CoefficientField(
+        d=1, m=1, sigma=sigma, b=b,
         sigma_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1, 1)),
         b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (1, 1)),
         growth_const=1.0, exp_const=0.1, name=name,
