@@ -20,12 +20,15 @@ The regularization pipeline produces smooth approximations:
 
 Both come with derivative access by one rule: ∇P_ε f is the kernel gradient
 of P_ε, so ∇b^n = ∇P_ε[(b_. * χ_n)(t)] and ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ,
-and neither b nor σ is differentiated.  In d = 1, for coefficients that do
-not depend on time, P_ε σ and P_ε b are tabulated once per level on fixed
-Mehler nodes, each a Hermite interpolant whose exact derivative is the
-kernel gradient; φ_n multiplies P_ε σ by the product rule above on every
-route, and is skipped in a call whose points all lie on its plateau.
-For smooth b, δ(b^n_t) = e^{ε} P_ε[(δ(b_.) * χ_n)(t)] (``drift_divergence_identity``).
+and neither b nor σ is differentiated.  P_ε and its kernel gradient come
+from one route, ``_smoothed``: in d = 1, for a coefficient that does not
+depend on time, one table per level on fixed Mehler nodes, a Hermite
+interpolant whose exact derivative is the kernel gradient; elsewhere moving
+quadrature nodes.  On top of it σ^n applies φ_n by the product rule at the
+points off its plateau, and b^n the ramp ∫_{-∞}^t χ_n of a time-independent
+drift.  Derivatives come from the field or from the kernel only: a field
+that declares no ∇σ or ∇b raises ``CapabilityError`` where one is read,
+and nothing takes central differences.
 """
 
 import inspect
@@ -36,8 +39,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BoundUnavailableError, CapabilityError
-from .gaussian import (TABLE_RADIUS, _delta, _fd_column_jacobian, fd_jacobian, logsumexp, ou_smooth,
-                       ou_smooth_grad, ou_smooth_table, refined_quadrature)
+from .gaussian import (TABLE_RADIUS, _delta, logsumexp, ou_smooth, ou_smooth_grad, ou_smooth_table,
+                       refined_quadrature)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "builtin_coefficients",
     "cutoff",
     "cutoff_grad",
-    "drift_divergence_identity",
     "mollifier_mass_below",
     "regularize",
     "regularize_drift",
@@ -142,9 +144,12 @@ class CoefficientField:
     """Immutable coefficient pair with derivative access and metadata.
 
     ``sigma_jac(t, X)[..., j, a, b]`` is ∂σ^{aj}/∂x_b (Jacobian of column j);
-    ``b_jac(t, X)[..., a, b]`` is ∂b^a/∂x_b.  ``delta_b_fn`` overrides the
-    Gaussian divergence of the drift (needed for merely measurable drifts,
-    where the a.e. pointwise representative is supplied explicitly).
+    ``b_jac(t, X)[..., a, b]`` is ∂b^a/∂x_b.  Either may be None: the field
+    then has no such derivative (``sigma_jacobian`` / ``b_jacobian`` raise
+    ``CapabilityError``), and a drift without ``b_jac`` is treated as merely
+    measurable when regularized.  ``delta_b_fn`` overrides the Gaussian
+    divergence of the drift (needed for merely measurable drifts, where the
+    a.e. pointwise representative is supplied explicitly).
 
     ``growth_const`` is the linear-growth constant L_T on the intended
     horizon; ``exp_const`` the declared exponential-integrability constant
@@ -161,7 +166,6 @@ class CoefficientField:
     c1: float = None
     growth_const: float = 1.0
     exp_const: float = 0.25
-    b_measurable_only: bool = False
     sigma_time_dependent: bool = False
     b_time_dependent: bool = False
     name: str = "custom"
@@ -169,19 +173,16 @@ class CoefficientField:
     # -- derivative access ---------------------------------------------------
 
     def sigma_jacobian(self, t, X):
-        """Column Jacobians (..., m, d, d), analytic or central differences."""
-        if self.sigma_jac is not None:
-            return np.asarray(self.sigma_jac(t, X), dtype=float)
-        return _fd_column_jacobian(lambda P: self.sigma(t, P), X)
+        """Column Jacobians (..., m, d, d) from ``sigma_jac``; ``CapabilityError`` without one."""
+        if self.sigma_jac is None:
+            raise CapabilityError(f"diffusion of '{self.name}' declares no Jacobian")
+        return np.asarray(self.sigma_jac(t, X), dtype=float)
 
     def b_jacobian(self, t, X):
-        if self.b_jac is not None:
-            return np.asarray(self.b_jac(t, X), dtype=float)
-        if self.b_measurable_only:
-            raise CapabilityError(
-                f"drift of '{self.name}' is measurable-only and has no Jacobian"
-            )
-        return fd_jacobian(lambda P: self.b(t, P), X)
+        """Drift Jacobian (..., d, d) from ``b_jac``; ``CapabilityError`` without one."""
+        if self.b_jac is None:
+            raise CapabilityError(f"drift of '{self.name}' declares no Jacobian")
+        return np.asarray(self.b_jac(t, X), dtype=float)
 
     def evaluate(self, t, X):
         """σ and b at (t, X), each map called once; see ``CoefficientValues``."""
@@ -285,58 +286,78 @@ def _on_table(X, on_table, off_table):
     return out.reshape(X.shape[:-1] + out.shape[1:])
 
 
+def _smoothed(g, eps, quad, grad_quad, tabulate):
+    """P_ε g and its kernel gradient ∇P_ε g, as maps of (t, X).
+
+    The gradient has g's value shape with a trailing d axis, and no
+    derivative of g is taken.  With ``tabulate`` (d = 1, g independent of t)
+    both are read off one ``ou_smooth_table`` of g at |x| <= TABLE_RADIUS;
+    elsewhere, and always without it, P_ε moves the ``quad`` nodes with the
+    point, and the kernel gradient the nodes of ``grad_quad()``, a rule built
+    on the first such read.
+    """
+    def moving(t, X):
+        return ou_smooth(lambda P: g(t, P), eps, X, quad)
+
+    def moving_grad(t, X):
+        return ou_smooth_grad(lambda P: g(t, P), eps, X, grad_quad())
+
+    table = ou_smooth_table(lambda P: g(0.0, P), eps) if tabulate else None
+    if table is None:
+        return moving, moving_grad
+
+    def value(t, X):
+        return _on_table(X, table, lambda P: moving(t, P))
+
+    def grad(t, X):
+        return _on_table(X, lambda x: table.derivative(x)[..., None], lambda P: moving_grad(t, P))
+
+    return value, grad
+
+
 def regularize_sigma(field, level, quad):
     """Smooth compactly-supported diffusion:  σ^n_t = φ_n · P_{1/n} σ_t.
 
-    ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ, with ∇P_ε σ the kernel gradient of P_ε,
-    the rule ``regularize_drift`` follows: σ needs no derivative, and
-    ``field.sigma_jac`` is never read.  In d = 1 with a time-independent σ,
-    P_ε σ and ∇P_ε σ are read off one Hermite table built here, as P_ε b is
-    (``ou_smooth_table``; ``quad`` is not used).  Elsewhere, and at
-    |x| > TABLE_RADIUS = 16, P_ε moves the ``quad`` nodes with the point.
-    When every point of a call has |x|_∞ <= n / sqrt(d), inside the plateau
-    |x| <= n of φ_n, P_ε σ and ∇P_ε σ are σ^n and ∇σ^n as they are.
+    ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ, with P_ε σ and its kernel gradient
+    from ``_smoothed`` (a d = 1 table for a time-independent σ, moving
+    ``quad`` nodes otherwise): σ needs no derivative, and
+    ``field.sigma_jac`` is never read.  When every point of a call has
+    |x|_∞ <= n / sqrt(d), inside the plateau |x| <= n of φ_n, P_ε σ and
+    ∇P_ε σ are σ^n and ∇σ^n as they are; otherwise φ_n and ∇φ_n are
+    applied at the points off that cube only (a non-finite point among
+    them), since φ_n is exactly 1 at the others.
     """
-    n, eps = level.n, level.eps
+    n = level.n
     plateau = n / math.sqrt(field.d)
+    smoothed, smoothed_grad = _smoothed(field.sigma, level.eps, quad, lambda: quad,
+                                        field.d == 1 and not field.sigma_time_dependent)
 
-    def moving_sigma(t, X):
-        return ou_smooth(lambda P: field.sigma(t, P), eps, X, quad)
-
-    def moving_jac(t, X):
-        # kernel gradient (..., a, j, b) into the column layout (..., j, a, b)
-        return np.moveaxis(ou_smooth_grad(lambda P: field.sigma(t, P), eps, X, quad), -2, -3)
-
-    table = None
-    if field.d == 1 and not field.sigma_time_dependent:
-        table = ou_smooth_table(lambda P: field.sigma(0.0, P), eps)
-    if table is None:
-        smoothed, smoothed_jac = moving_sigma, moving_jac
-    else:
-        def smoothed(t, X):
-            return _on_table(X, table, lambda P: moving_sigma(t, P))
-
-        def smoothed_jac(t, X):
-            # d/dx σ^{1j} is component j of column j's Jacobian (..., m, 1, 1)
-            return _on_table(X, lambda x: np.swapaxes(table.derivative(x), -1, -2)[..., None],
-                             lambda P: moving_jac(t, P))
-
-    def on_plateau(X):
-        # |x|_∞ <= n / sqrt(d) puts x inside |x| <= n, where φ_n is exactly 1 and ∇φ_n exactly 0
-        return np.abs(X).max(initial=0.0) <= plateau
+    def off_plateau(X):
+        # the points off |x|_∞ <= n / sqrt(d), a cube inside |x| <= n (NaN among them), or
+        # None when there are none; as index arrays, which numpy gathers and scatters far
+        # faster than a boolean mask (a single point (d,) keeps its 0-d mask)
+        a = np.abs(X)
+        if a.max(initial=0.0) <= plateau:
+            return None
+        off = ~(a <= plateau).all(axis=-1)
+        return np.nonzero(off) if off.ndim else off
 
     def new_sigma(t, X):
         psig = smoothed(t, X)
-        if on_plateau(X):
-            return psig
-        return np.asarray(cutoff(n, X))[..., None, None] * psig
+        off = off_plateau(X)
+        if off is not None:
+            psig[off] *= cutoff(n, np.asarray(X)[off])[..., None, None]
+        return psig
 
     def new_jac(t, X):
-        pjac = smoothed_jac(t, X)
-        if on_plateau(X):
-            return pjac
-        term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, X), smoothed(t, X))
-        return term1 + np.asarray(cutoff(n, X))[..., None, None, None] * pjac
+        # kernel gradient (..., a, j, b) into the column layout (..., j, a, b)
+        pjac = np.moveaxis(smoothed_grad(t, X), -2, -3)
+        off = off_plateau(X)
+        if off is not None:
+            Xo = np.asarray(X)[off]
+            term1 = np.einsum("...b,...aj->...jab", cutoff_grad(n, Xo), smoothed(t, Xo))
+            pjac[off] = term1 + cutoff(n, Xo)[..., None, None, None] * pjac[off]
+        return pjac
 
     return replace(
         field,
@@ -348,16 +369,8 @@ def regularize_sigma(field, level, quad):
     )
 
 
-def _time_convolved(field, level, values_fn, time_dependent):
+def _time_convolved(g, n):
     """(g_.(x) * χ_n)(t) with g extended by zero to negative times."""
-    n = level.n
-
-    if not time_dependent:
-        def conv(t, X):
-            ramp = float(mollifier_mass_below(n, t))
-            return ramp * np.asarray(values_fn(max(t, 0.0), X), dtype=float)
-        return conv
-
     # composite Simpson with 65 nodes on the mollifier support, its weights
     # normalized so the discrete χ_n has unit mass (the raw rule sums to
     # 1 - 1.2e-6) and t >= 1/n agrees with the time-independent route
@@ -375,34 +388,14 @@ def _time_convolved(field, level, values_fn, time_dependent):
             s = t - off
             if s < 0:
                 continue
-            term = w * np.asarray(values_fn(s, X), dtype=float)
+            term = w * np.asarray(g(s, X), dtype=float)
             total = term if total is None else total + term
         if total is None:
-            probe = np.asarray(values_fn(0.0, X), dtype=float)
+            probe = np.asarray(g(0.0, X), dtype=float)
             total = np.zeros_like(probe)
         return total
 
     return conv
-
-
-def drift_divergence_identity(field, level, quad):
-    """δ(b^n_t) through the commutation identity e^{1/n} P_{1/n}[(δ(b) * χ_n)(t)].
-
-    Valid only when the input field's δ(b) is the full adjoint-sense
-    divergence.  For drifts whose pointwise representative drops a singular
-    part (the sign drift: div(sign) carries a Dirac mass the a.e.
-    representative |x| cannot see) this route and the true divergence of the
-    smoothed field differ by the smoothed singular part; the pipeline
-    therefore never uses it, it exists as a cross-check for smooth inputs.
-    """
-    eps = level.eps
-    db_conv = _time_convolved(field, level, lambda t, X: field.evaluate(t, X).delta_b,
-                              field.b_time_dependent)
-
-    def delta_b(t, X):
-        return math.exp(eps) * ou_smooth(lambda P: db_conv(t, P), eps, X, quad)
-
-    return delta_b
 
 
 def regularize_drift(field, level, quad):
@@ -413,42 +406,30 @@ def regularize_drift(field, level, quad):
     merely measurable drifts are handled: δ(b^n) is the divergence of the
     smooth field, singular parts of div b included.
 
-    In d = 1 with a time-independent b, b^n_t = (∫_{-∞}^t χ_n) · P_{1/n} b and
-    P_{1/n} b with its kernel gradient are tabulated once here on fixed
-    Mehler nodes (``ou_smooth_table``; ``quad`` is not used): b^n is smooth in
-    fact, and ∇b^n is the exact derivative of the b^n computed.  Elsewhere,
-    and at |x| > TABLE_RADIUS = 16, P_ε moves the ``quad`` nodes
-    with the point, and the kernel gradient of a measurable-only drift uses
-    a 4x refined rule.
+    For a time-independent b, (b_. * χ_n)(t) = (∫_{-∞}^t χ_n) b, and b^n and
+    ∇b^n are that ramp times P_ε b and its kernel gradient from
+    ``_smoothed`` (a d = 1 table, moving ``quad`` nodes otherwise); a
+    time-dependent b is convolved in time first, on moving nodes.  A drift
+    that declares no ∇b (``b_jac`` None) gets its kernel gradient on a 4x
+    refined rule: that integrand is one derivative rougher than b itself
+    (for a jump drift it is a step function).
     """
-    eps = level.eps
-    b_conv = _time_convolved(field, level, field.b, field.b_time_dependent)
+    n, timed = level.n, field.b_time_dependent
+
     @lru_cache(maxsize=1)
     def grad_quad():
-        # the kernel-gradient integrand is one derivative rougher than b itself
-        # (for a jump drift it is a step function), so it gets a finer rule
-        return refined_quadrature(quad, factor=4) if field.b_measurable_only else quad
+        return quad if field.b_jac is not None else refined_quadrature(quad, factor=4)
 
-    def moving_b(t, X):
-        return ou_smooth(lambda P: b_conv(t, P), eps, X, quad)
-
-    def moving_b_jac(t, X):
-        return ou_smooth_grad(lambda P: b_conv(t, P), eps, X, grad_quad())  # (..., a, b)
-
-    table = None
-    if field.d == 1 and not field.b_time_dependent:
-        table = ou_smooth_table(lambda P: field.b(0.0, P), eps)
-    if table is None:
-        new_b, new_b_jac = moving_b, moving_b_jac
+    smoothed, smoothed_grad = _smoothed(_time_convolved(field.b, n) if timed else field.b, level.eps, quad,
+                                        grad_quad, field.d == 1 and not timed)
+    if timed:
+        new_b, new_b_jac = smoothed, smoothed_grad
     else:
         def new_b(t, X):
-            ramp = float(mollifier_mass_below(level.n, t))
-            return _on_table(X, lambda x: ramp * table(x), lambda P: moving_b(t, P))
+            return float(mollifier_mass_below(n, t)) * smoothed(t, X)
 
         def new_b_jac(t, X):
-            ramp = float(mollifier_mass_below(level.n, t))
-            return _on_table(X, lambda x: ramp * table.derivative(x)[..., None],
-                             lambda P: moving_b_jac(t, P))
+            return float(mollifier_mass_below(n, t)) * smoothed_grad(t, X)
 
     return replace(
         field,
@@ -457,9 +438,8 @@ def regularize_drift(field, level, quad):
         delta_b_fn=None,  # an inherited a.e. representative of δ(b) is wrong for b^n
         growth_const=field.growth_const * (1.0 + gaussian_abs_moment(field.d)),
         exp_const=field.exp_const / (2.0 * math.e),
-        b_measurable_only=False,
         b_time_dependent=True,
-        name=f"{field.name}|drift_n{level.n}",
+        name=f"{field.name}|drift_n{n}",
     )
 
 
@@ -624,7 +604,7 @@ def sign_drift(d, beta=1.0, lam=0.25):
         return beta * np.abs(np.asarray(X, dtype=float)[..., 0])
 
     return _constant_noise(np.eye(d), lam, f"sign_drift(beta={beta:g})", drift,
-                           delta_b_fn=delta_b, growth_const=beta, b_measurable_only=True)
+                           delta_b_fn=delta_b, growth_const=beta)
 
 
 def anisotropic(d, matrix, lam=None):

@@ -178,11 +178,6 @@ def fd_jacobian(fn, x):
     return jac[0] if single else jac
 
 
-def _fd_column_jacobian(sigma_fn, x):
-    """Central-difference column Jacobians (..., m, d, b) of a matrix field."""
-    return np.moveaxis(fd_jacobian(sigma_fn, x), -2, -3)
-
-
 def _delta(values, x, jac):
     """δ = <values, x> - trace(jac), the one implementation of δ in the package.
 
@@ -221,9 +216,11 @@ def ou_smooth(f, eps, x, quad):
     P_ε f(x) = ∫ f(e^{-ε} x + sqrt(1-e^{-2ε}) y) dγ_d(y).  ``f`` must accept
     stacked points of shape (..., d); scalar- or tensor-valued outputs are
     both supported.  ``x`` may be a single point (d,) or a batch (n, d).
+    Each point's value is summed over the nodes in one fixed order, so it
+    does not depend on the other points of the call.
     """
     values, _, _, single = _moving_node_values(f, eps, x, quad)
-    out = np.tensordot(quad.weights, values, axes=(0, 0))
+    out = np.einsum("k,k...->...", quad.weights, values)
     return out[0] if single else out
 
 
@@ -232,11 +229,12 @@ def ou_smooth_grad(f, eps, x, quad):
 
     Uses the Gaussian integration-by-parts kernel:
     ∇P_ε f(x) = e^{-ε}/sqrt(1-e^{-2ε}) ∫ f(e^{-ε}x + r y) y dγ_d(y).
-    Output shape is f-output shape with a trailing d axis.
+    Output shape is f-output shape with a trailing d axis; as in
+    ``ou_smooth``, each point's value does not depend on the other points.
     """
     values, decay, spread, single = _moving_node_values(f, eps, x, quad)
     weighted = quad.weights[:, None] * quad.nodes  # (K, d)
-    out = np.tensordot(weighted, values, axes=(0, 0))  # (d, n, ...)
+    out = np.einsum("kd,k...->d...", weighted, values)  # (d, n, ...)
     out = np.moveaxis(out, 0, -1) * (decay / spread)   # (n, ..., d)
     return out[0] if single else out
 

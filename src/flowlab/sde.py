@@ -10,7 +10,10 @@ partitions trajectories into equal chunks (a multiple of the worker count,
 none past the increment budget), draws each chunk's increments in one block
 (each row bit for bit that trajectory's increments drawn alone) and runs
 the caller's body on it.  No output depends on the cut: every trajectory's
-arithmetic is its own.  With more than one worker the chunks are dealt out
+arithmetic is its own, the coefficient maps included (``ou_smooth`` and
+``ou_smooth_grad`` sum each point's quadrature nodes in one order, whatever
+points share the call), so each path's endpoint and density weight are the
+same bits at any chunk size and ``--threads``.  With more than one worker the chunks are dealt out
 in shares: this process runs the first and forked child processes run the
 others with the same body, writing into arrays on anonymous shared memory
 (``_shared_zeros``); with one worker, or without ``os.fork``, the same loop

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
-from flowlab import coefficients, config, oracles
+from flowlab import coefficients, config, oracles, sde
 from flowlab.coefficients import (
     CATALOG,
     CoefficientField,
-    drift_divergence_identity,
     RegularizationLevel,
     builtin_coefficients,
     cutoff,
@@ -25,6 +24,7 @@ from flowlab.coefficients import (
     time_mollifier,
     validate_hypotheses,
 )
+from flowlab.density import run_density_ensemble
 from flowlab.errors import CapabilityError
 from flowlab.gaussian import HermiteTable, _delta, default_quadrature
 from flowlab.oracles import gaussian_abs_moment
@@ -229,6 +229,26 @@ class TestSigmaJacobianRule:
         assert np.array_equal(without.sigma_jacobian(0.3, X), with_jac.sigma_jacobian(0.3, X))
 
 
+def drift_divergence_identity(field, level, quad):
+    """δ(b^n_t) of a time-independent drift through the identity e^{1/n} P_{1/n}[(δ(b) * χ_n)(t)].
+
+    Valid only when the input field's δ(b) is the full adjoint-sense
+    divergence.  For drifts whose pointwise representative drops a singular
+    part (the sign drift: div(sign) carries a Dirac mass the a.e.
+    representative |x| cannot see) this route and the true divergence of the
+    smoothed field differ by the smoothed singular part; it is a cross-check
+    for smooth inputs, not a route of the pipeline.
+    """
+    eps = level.eps
+
+    def delta_b(t, X):
+        ramp = float(mollifier_mass_below(level.n, t))
+        smoothed = coefficients.ou_smooth(lambda P: field.evaluate(max(t, 0.0), P).delta_b, eps, X, quad)
+        return math.exp(eps) * ramp * smoothed
+
+    return delta_b
+
+
 class TestRegularizeDrift:
     def test_constant_after_ramp(self, quad1):
         field = CoefficientField(
@@ -334,8 +354,8 @@ class TestRegularizeDrift:
 
     def test_measurable_only_flag_cleared(self, sign1, quad1):
         reg = regularize_drift(sign1, RegularizationLevel(4), quad1)
-        assert not reg.b_measurable_only
-        assert sign1.b_measurable_only
+        assert reg.b_jac is not None
+        assert sign1.b_jac is None
 
 
 @pytest.fixture
@@ -408,10 +428,11 @@ class TestOffTableRoute:
         with np.errstate(invalid="ignore"):
             field.sigma(0.0, X)
             field.sigma_jacobian(0.0, X)
-        # σ^n reads P_ε σ; off the plateau ∇σ^n reads ∇P_ε σ and P_ε σ
-        assert len(looked_up) == 3
-        for x in looked_up:
-            assert np.array_equal(x, [0.3, -1.0])
+        # σ^n reads P_ε σ and ∇σ^n reads ∇P_ε σ at the points on the table; the
+        # P_ε σ that ∇σ^n reads at the points off the plateau holds none of them
+        assert all(np.isfinite(x).all() and (np.abs(x) <= 16.0).all() for x in looked_up)
+        assert np.array_equal(looked_up[0], [0.3, -1.0]) and np.array_equal(looked_up[1], [0.3, -1.0])
+        assert all(x.size == 0 for x in looked_up[2:])
 
 
 class TestCutoffProductRule:
@@ -435,9 +456,6 @@ class TestCutoffProductRule:
             far = np.array([[n + 1.0]])
         else:
             field, quad, t = _mixed_sigma_field(), quad2, 0.3
-            # an even number of points: BLAS sums the last two of the 6k columns of an odd
-            # count k in its remainder kernel, so they would differ in the last bit from a
-            # call on k + 1 points whatever route φ_n takes
             axis = np.linspace(-n / math.sqrt(2.0), n / math.sqrt(2.0), 12)
             chunk = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
             far = np.array([[n + 1.0, 0.0]])
@@ -451,6 +469,63 @@ class TestCutoffProductRule:
         product = reg.sigma(t, extended)[:-1], reg.sigma_jacobian(t, extended)[:-1]
         assert calls == [1, 1]
         assert np.array_equal(plateau[0], product[0]) and np.array_equal(plateau[1], product[1])
+
+
+class TestChunkIndependence:
+    """A path's arithmetic is its own: the chunk it runs in does not change its bits."""
+
+    def test_regularized_mixed_sigma_ensemble(self, quad2, monkeypatch):
+        reg = regularize(_mixed_sigma_field(), RegularizationLevel(8), quad2)  # d = 2, m = 3
+        runs = []
+        for cap in (None, 64, 97):
+            if cap is not None:
+                monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m, cap=cap: cap)
+            ens, acc = run_density_ensemble(reg, 0.0, 2e-3, ("gaussian", 301), 1e-3, seed=3)
+            runs.append((ens.xT, acc.log_ktilde))
+        for xT, log_k in runs[1:]:
+            assert np.array_equal(xT, runs[0][0])
+            assert np.array_equal(log_k, runs[0][1])
+
+
+class TestDerivativesFromFieldOrKernel:
+    """∇σ and ∇b come from the field or from the kernel of P_ε, never from differences."""
+
+    def test_undeclared_jacobians_refused_and_regularized(self, sine_field, ou1, quad1):
+        no_sigma_jac = replace(sine_field, sigma_jac=None)
+        no_b_jac = replace(ou1, b_jac=None)
+        X = np.array([[0.3], [-1.2]])
+        with pytest.raises(CapabilityError):
+            no_sigma_jac.sigma_jacobian(0.3, X)
+        with pytest.raises(CapabilityError):
+            no_b_jac.b_jacobian(0.3, X)
+        for field in (no_sigma_jac, no_b_jac):
+            reg = regularize(field, RegularizationLevel(8), quad1)
+            assert reg.sigma_jacobian(0.3, X).shape == (2, 1, 1, 1)
+            assert reg.b_jacobian(0.3, X).shape == (2, 1, 1)
+            assert np.isfinite(reg.evaluate(0.3, X).phi).all()
+
+    @pytest.mark.parametrize("d, route", [(1, "table"), (1, "moving nodes"), (2, "moving nodes")])
+    @pytest.mark.parametrize("key", ["ou_linear", "sign_drift"])
+    def test_ramp_follows_the_smoothing(self, moving, key, d, route):
+        field, level, quad = builtin_coefficients(key, d=d), RegularizationLevel(8), default_quadrature(d)
+        reg = regularize_drift(field, level, quad) if route == "table" else moving(regularize_drift, field, level, quad)
+        X = np.random.default_rng(d).normal(size=(9, d)) * 2.0
+        X[-1, 0] = 20.0  # off the d = 1 table
+        b1, jac1 = reg.b(1.0, X), reg.b_jacobian(1.0, X)
+        for t in (0.0, 0.03, 0.06):
+            ramp = mollifier_mass_below(8, t)
+            assert np.array_equal(reg.b(t, X), ramp * b1)
+            assert np.array_equal(reg.b_jacobian(t, X), ramp * jac1)
+
+    @pytest.mark.parametrize("key, refined", [("sign_drift", True), ("ou_linear", False)])
+    def test_drift_without_jacobian_gets_the_refined_gradient_rule(self, quad2, monkeypatch, key, refined):
+        calls = []
+        real = coefficients.refined_quadrature
+        monkeypatch.setattr(coefficients, "refined_quadrature",
+                            lambda quad, factor: calls.append(factor) or real(quad, factor=factor))
+        reg = regularize_drift(builtin_coefficients(key, d=2), RegularizationLevel(8), quad2)
+        reg.b_jacobian(0.5, np.array([[0.3, -0.4], [1.0, 2.0]]))
+        assert calls == ([4] if refined else [])
 
 
 class TestTimeDependentRoutes:
@@ -608,7 +683,7 @@ class TestCatalog:
         pts = np.array([[0.5], [-3.0]])
         vals = sign1.b(0.0, pts)
         np.testing.assert_allclose(np.abs(vals[:, 0]), 1.0)
-        assert sign1.b_measurable_only
+        assert sign1.b_jac is None
         np.testing.assert_allclose(sign1.evaluate(0.0, pts).delta_b, np.abs(pts[:, 0]))
 
     def test_anisotropic(self):
@@ -664,4 +739,4 @@ def test_full_pipeline_composition(sign1, quad1):
     pts = np.array([[0.3], [-0.9]])
     assert reg.sigma(0.0, pts).shape == (2, 1, 1)
     assert np.isfinite(reg.evaluate(0.25, pts).delta_b).all()
-    assert not reg.b_measurable_only
+    assert sign1.b_jac is None and reg.b_jac is not None

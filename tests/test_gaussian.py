@@ -24,30 +24,34 @@ from flowlab.gaussian import (
 from flowlab.oracles import gaussian_abs_moment
 
 
-def _drift_field(b, d, jac=None, measurable_only=False):
-    """``CoefficientField`` with σ = Id and drift ``b(x)``; without ``jac``, ∇b is by central differences."""
+def _drift_field(b, d, jac=None):
+    """``CoefficientField`` with σ = Id, drift ``b(x)`` and ∇b ``jac(x)``; without ``jac`` it has no ∇b."""
     return CoefficientField(
         d=d, m=d,
         sigma=lambda t, X: np.broadcast_to(np.eye(d), np.shape(X)[:-1] + (d, d)),
         b=lambda t, X: b(X),
         b_jac=None if jac is None else (lambda t, X: jac(X)),
-        b_measurable_only=measurable_only,
     )
 
 
-def _delta_b(b, x, jac=None):
-    """δ(b)(x) read off ``evaluate`` of ``_drift_field(b)``."""
+def _delta_b(b, x, jac):
+    """δ(b)(x) read off ``evaluate`` of ``_drift_field(b, jac=jac)``."""
     x = np.asarray(x, dtype=float)
     return _drift_field(b, x.shape[-1], jac).evaluate(0.0, x).delta_b
 
 
-def _delta_sigma(sigma, x, m):
-    """δ of each column of σ(x), read off ``evaluate`` with central-difference ∇σ."""
+def _delta_sigma(sigma, x, m, jac):
+    """δ of each column of σ(x), read off ``evaluate`` with the column Jacobians ``jac(x)``."""
     x = np.asarray(x, dtype=float)
     field = CoefficientField(
         d=x.shape[-1], m=m, sigma=lambda t, X: sigma(X), b=lambda t, X: np.zeros(np.shape(X)),
+        sigma_jac=lambda t, X: jac(X),
     )
     return field.evaluate(0.0, x).delta_sigma
+
+
+# ∂/∂x of the rotation (x_2, -x_1), at every point of x (..., 2)
+_ROTATION_JAC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestQuadrature:
@@ -112,19 +116,21 @@ class TestQuadrature:
 class TestDivergence:
     def test_linear_field_1d(self):
         x = np.array([[0.5], [2.0], [-1.0]])
-        np.testing.assert_allclose(_delta_b(lambda x: x, x), x[:, 0] ** 2 - 1.0, rtol=1e-8, atol=1e-10)
+        jac = lambda x: np.ones(x.shape + (1,))
+        np.testing.assert_allclose(_delta_b(lambda x: x, x, jac), x[:, 0] ** 2 - 1.0, rtol=1e-8, atol=1e-10)
 
     def test_rotation_field_2d(self):
         pts = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
         rotation = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)
-        np.testing.assert_allclose(_delta_b(rotation, pts), 0.0, atol=1e-7)
+        jac = lambda x: np.broadcast_to(_ROTATION_JAC, x.shape[:-1] + (2, 2))
+        np.testing.assert_allclose(_delta_b(rotation, pts, jac), 0.0, atol=1e-7)
 
     def test_constant_field(self):
         x = np.array([[1.7]])
-        assert _delta_b(np.ones_like, x)[0] == pytest.approx(1.7, abs=1e-9)
+        assert _delta_b(np.ones_like, x, lambda x: np.zeros(x.shape + (1,)))[0] == pytest.approx(1.7, abs=1e-9)
 
     def test_capability_error(self):
-        ev = _drift_field(np.sign, 1, measurable_only=True).evaluate(0.0, np.array([[1.0]]))
+        ev = _drift_field(np.sign, 1).evaluate(0.0, np.array([[1.0]]))
         # σ and b evaluate; only reading δ(b) asks for the Jacobian a measurable drift lacks
         with pytest.raises(CapabilityError):
             ev.delta_b
@@ -143,13 +149,15 @@ class TestDivergence:
     def test_matrix_divergence_identity(self):
         sig = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
         pts = np.array([[0.7, -0.3]])
-        np.testing.assert_allclose(_delta_sigma(sig, pts, 2)[0], pts[0], atol=1e-8)
+        jac = lambda x: np.zeros(x.shape[:-1] + (2, 2, 2))
+        np.testing.assert_allclose(_delta_sigma(sig, pts, 2, jac)[0], pts[0], atol=1e-8)
 
     def test_matrix_divergence_single_column(self):
         # d=2, m=1 column (x2, -x1): divergence-free and orthogonal to x
         sig = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)[..., None]
         pts = np.array([[1.0, 2.0]])
-        np.testing.assert_allclose(_delta_sigma(sig, pts, 1), 0.0, atol=1e-7)
+        jac = lambda x: np.broadcast_to(_ROTATION_JAC, x.shape[:-1] + (1, 2, 2))
+        np.testing.assert_allclose(_delta_sigma(sig, pts, 1, jac), 0.0, atol=1e-7)
 
     def test_adjoint_identity_polynomials(self, quad1):
         # <B, grad f> and f delta(B) integrate identically for polynomial data
