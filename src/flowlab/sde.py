@@ -13,11 +13,11 @@ the caller's body on it.  No output depends on the cut: every trajectory's
 arithmetic is its own, the coefficient maps included (``ou_smooth`` and
 ``ou_smooth_grad`` sum each point's quadrature nodes in one order, whatever
 points share the call), so each path's endpoint and density weight are the
-same bits at any chunk size and ``--threads``.  With more than one worker the chunks are dealt out
-in shares: this process runs the first and forked child processes run the
-others with the same body, writing into arrays on anonymous shared memory
-(``_shared_zeros``); with one worker, or without ``os.fork``, the same loop
-runs inline.  Bodies write into disjoint slices of those arrays, and
+same bits at any chunk size and ``--threads``.  With more than one worker
+the chunks are dealt out in shares: this process runs the first and forked
+child processes run the others with the same body, writing into arrays on
+anonymous shared memory (``_shared_zeros``); with one worker, or without
+``os.fork``, the same loop runs inline.  Bodies write into disjoint slices of those arrays, and
 per-chunk results come back in chunk order for the caller to reduce.
 ``_euler_step`` is the only Euler update and the only place coefficients
 are evaluated along a path: one ``CoefficientField.evaluate`` per step,
