@@ -10,7 +10,8 @@ The built-in fields form ``CATALOG``: one function per field, whose
 signature holds its parameters and their defaults (``builtin_coefficients``
 checks a call against it, and ``config`` reads the config keys off it).
 Every one has a constant σ and is built on ``_constant_noise``, which
-derives ∇σ = 0, c1, the growth constant and a zero drift from σ.
+derives ∇σ = 0, c1, the growth constant and a zero drift from σ, and
+declares σ constant (``CoefficientField.sigma_const``).
 
 The regularization pipeline produces smooth approximations:
 
@@ -20,15 +21,18 @@ The regularization pipeline produces smooth approximations:
 
 Both come with derivative access by one rule: ∇P_ε f is the kernel gradient
 of P_ε, so ∇b^n = ∇P_ε[(b_. * χ_n)(t)] and ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ,
-and neither b nor σ is differentiated.  P_ε and its kernel gradient come
-from one route, ``_smoothed``: in d = 1, for a coefficient that does not
-depend on time, one table per level on fixed Mehler nodes, a Hermite
-interpolant whose exact derivative is the kernel gradient; elsewhere moving
-quadrature nodes.  On top of it σ^n applies φ_n by the product rule at the
-points off its plateau, and b^n the ramp ∫_{-∞}^t χ_n of a time-independent
-drift.  Derivatives come from the field or from the kernel only: a field
-that declares no ∇σ or ∇b raises ``CapabilityError`` where one is read,
-and nothing takes central differences.
+and neither b nor σ is differentiated.  A declared constant σ = A is its
+own smoothing: the Ornstein–Uhlenbeck semigroup keeps constants fixed, so
+P_ε A = A and ∇P_ε A = 0 exactly, and no table or node is read for it.
+Every other P_ε and its kernel gradient come from one route, ``_smoothed``:
+in d = 1, for a coefficient that does not depend on time, one table per
+level on fixed Mehler nodes, a Hermite interpolant whose exact derivative is
+the kernel gradient; elsewhere moving quadrature nodes.  On top of it σ^n
+applies φ_n by the product rule at the points off its plateau, and b^n the
+ramp ∫_{-∞}^t χ_n of a time-independent drift.  Derivatives come from the
+field or from the kernel only: a field that declares no ∇σ or ∇b raises
+``CapabilityError`` where one is read, and nothing takes central
+differences.
 """
 
 import inspect
@@ -154,6 +158,12 @@ class CoefficientField:
     ``growth_const`` is the linear-growth constant L_T on the intended
     horizon; ``exp_const`` the declared exponential-integrability constant
     λ_T; ``c1`` the uniform ellipticity constant of σσ* when one is claimed.
+
+    ``sigma_const`` is the d x m array A when σ(t, x) = A everywhere, else
+    None.  It is a property of the field, declared by ``_constant_noise``:
+    ``regularize_sigma`` then takes P_ε σ = A and ∇P_ε σ = 0 exactly, since
+    the Ornstein–Uhlenbeck semigroup keeps constants fixed, and smooths
+    nothing.
     """
 
     d: int
@@ -166,6 +176,7 @@ class CoefficientField:
     c1: float = None
     growth_const: float = 1.0
     exp_const: float = 0.25
+    sigma_const: object = None
     sigma_time_dependent: bool = False
     b_time_dependent: bool = False
     name: str = "custom"
@@ -318,19 +329,29 @@ def _smoothed(g, eps, quad, grad_quad, tabulate):
 def regularize_sigma(field, level, quad):
     """Smooth compactly-supported diffusion:  σ^n_t = φ_n · P_{1/n} σ_t.
 
-    ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ, with P_ε σ and its kernel gradient
-    from ``_smoothed`` (a d = 1 table for a time-independent σ, moving
-    ``quad`` nodes otherwise): σ needs no derivative, and
+    ∇σ^n = ∇φ_n ⊗ P_ε σ + φ_n ∇P_ε σ.  A field that declares a constant
+    σ = A (``sigma_const``) has P_ε σ = A, a read-only broadcast, and
+    ∇P_ε σ = 0, both exact and with nothing smoothed; otherwise both come from
+    ``_smoothed`` (a d = 1 table for a time-independent σ, moving ``quad``
+    nodes otherwise).  Either way σ needs no derivative, and
     ``field.sigma_jac`` is never read.  When every point of a call has
     |x|_∞ <= n / sqrt(d), inside the plateau |x| <= n of φ_n, P_ε σ and
     ∇P_ε σ are σ^n and ∇σ^n as they are; otherwise φ_n and ∇φ_n are
     applied at the points off that cube only (a non-finite point among
-    them), since φ_n is exactly 1 at the others.
+    them), since φ_n is exactly 1 at the others.  σ^n is not constant, so
+    the regularized field declares no ``sigma_const``.
     """
-    n = level.n
-    plateau = n / math.sqrt(field.d)
-    smoothed, smoothed_grad = _smoothed(field.sigma, level.eps, quad, lambda: quad,
-                                        field.d == 1 and not field.sigma_time_dependent)
+    n, d, A = level.n, field.d, field.sigma_const
+    plateau = n / math.sqrt(d)
+    if A is None:
+        smoothed, smoothed_grad = _smoothed(field.sigma, level.eps, quad, lambda: quad,
+                                            d == 1 and not field.sigma_time_dependent)
+    else:
+        def smoothed(t, X):
+            return np.broadcast_to(A, np.shape(X)[:-1] + A.shape)
+
+        def smoothed_grad(t, X):
+            return np.zeros(np.shape(X)[:-1] + A.shape + (d,))
 
     def off_plateau(X):
         # the points off |x|_∞ <= n / sqrt(d), a cube inside |x| <= n (NaN among them), or
@@ -346,6 +367,7 @@ def regularize_sigma(field, level, quad):
         psig = smoothed(t, X)
         off = off_plateau(X)
         if off is not None:
+            psig = np.require(psig, requirements="W")  # a constant σ's broadcast is copied first
             psig[off] *= cutoff(n, np.asarray(X)[off])[..., None, None]
         return psig
 
@@ -364,7 +386,8 @@ def regularize_sigma(field, level, quad):
         sigma=new_sigma,
         sigma_jac=new_jac,
         c1=None,
-        growth_const=field.growth_const * (1.0 + gaussian_abs_moment(field.d)),
+        growth_const=field.growth_const * (1.0 + gaussian_abs_moment(d)),
+        sigma_const=None,
         name=f"{field.name}|sigma_n{n}",
     )
 
@@ -399,7 +422,7 @@ def _time_convolved(g, n):
 
 
 def regularize_drift(field, level, quad):
-    """Smooth drift  b^n_t = P_{1/n}[(b_.(x) * χ_n)(t)]  (σ left untouched).
+    """Smooth drift  b^n_t = P_{1/n}[(b_.(x) * χ_n)(t)]  (σ and ``sigma_const`` left untouched).
 
     Derivative access comes from the smoothing kernel itself (Gaussian
     integration by parts), so no derivative of the input drift is needed and
@@ -536,10 +559,12 @@ def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
 def _constant_noise(A, lam, name, b=None, **drift):
     """The field with constant σ = A (d x m) and drift ``b``, λ = ``lam``.
 
-    ∇σ = 0; c1 is the least eigenvalue of AAᵀ, or None when that is not
-    positive; the growth constant is ‖A‖_F unless ``drift`` declares a larger
-    ``growth_const``.  With no ``b`` the drift, ∇b and δ(b) are all zero;
-    ``drift`` holds the drift's other ``CoefficientField`` entries.
+    The field declares ``sigma_const`` = A, so its regularized levels take
+    P_ε σ = A without smoothing.  ∇σ = 0; c1 is the least eigenvalue of
+    AAᵀ, or None when that is not positive; the growth constant is ‖A‖_F
+    unless ``drift`` declares a larger ``growth_const``.  With no ``b`` the
+    drift, ∇b and δ(b) are all zero; ``drift`` holds the drift's other
+    ``CoefficientField`` entries.
     """
     A = np.asarray(A, dtype=float)
     d, m = A.shape
@@ -560,6 +585,7 @@ def _constant_noise(A, lam, name, b=None, **drift):
         c1=c1 if c1 > 0 else None,
         growth_const=max(float(np.linalg.norm(A)), drift.pop("growth_const", 0.0)),
         exp_const=lam,
+        sigma_const=A,
         name=name,
         **drift,
     )

@@ -75,6 +75,33 @@ def make_sine_field():
     )
 
 
+def make_mixed_sigma_field(with_jac=True):
+    """d = 2, m = 3: σ = [[2 + sin x_2, 0, cos(x_1)/2], [0.3 sin x_1, 2, 0]], b = 0."""
+    def sigma(t, X):
+        x1, x2 = X[..., 0], X[..., 1]
+        out = np.zeros(X.shape[:-1] + (2, 3))
+        out[..., 0, 0] = 2.0 + np.sin(x2)
+        out[..., 0, 2] = 0.5 * np.cos(x1)
+        out[..., 1, 0] = 0.3 * np.sin(x1)
+        out[..., 1, 1] = 2.0
+        return out
+
+    def sigma_jac(t, X):
+        x1, x2 = X[..., 0], X[..., 1]
+        out = np.zeros(X.shape[:-1] + (3, 2, 2))
+        out[..., 0, 0, 1] = np.cos(x2)
+        out[..., 0, 1, 0] = 0.3 * np.cos(x1)
+        out[..., 2, 0, 0] = -0.5 * np.sin(x1)
+        return out
+
+    return CoefficientField(
+        d=2, m=3, sigma=sigma, b=lambda t, X: np.zeros(np.shape(X)),
+        sigma_jac=sigma_jac if with_jac else None,
+        b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (2, 2)),
+        growth_const=3.0, exp_const=0.04, name="mixed_sigma",
+    )
+
+
 @pytest.fixture(scope="session")
 def sine_field():
     return make_sine_field()

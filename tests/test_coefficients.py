@@ -24,12 +24,13 @@ from flowlab.coefficients import (
     time_mollifier,
     validate_hypotheses,
 )
-from flowlab.density import run_density_ensemble
+from flowlab.convergence import KrylovAccumulator, _CouplingAccumulator
+from flowlab.density import DensityAccumulator, StratonovichAccumulator, run_density_ensemble
 from flowlab.errors import CapabilityError
 from flowlab.gaussian import HermiteTable, _delta, default_quadrature
 from flowlab.oracles import gaussian_abs_moment
 
-from conftest import make_sine_field
+from conftest import make_mixed_sigma_field, make_sine_field
 
 
 class TestCutoff:
@@ -155,33 +156,6 @@ class TestRegularizeSigma:
         assert sups[-1] < 0.1
 
 
-def _mixed_sigma_field(with_jac=True):
-    """d = 2, m = 3: σ = [[2 + sin x_2, 0, cos(x_1)/2], [0.3 sin x_1, 2, 0]], b = 0."""
-    def sigma(t, X):
-        x1, x2 = X[..., 0], X[..., 1]
-        out = np.zeros(X.shape[:-1] + (2, 3))
-        out[..., 0, 0] = 2.0 + np.sin(x2)
-        out[..., 0, 2] = 0.5 * np.cos(x1)
-        out[..., 1, 0] = 0.3 * np.sin(x1)
-        out[..., 1, 1] = 2.0
-        return out
-
-    def sigma_jac(t, X):
-        x1, x2 = X[..., 0], X[..., 1]
-        out = np.zeros(X.shape[:-1] + (3, 2, 2))
-        out[..., 0, 0, 1] = np.cos(x2)
-        out[..., 0, 1, 0] = 0.3 * np.cos(x1)
-        out[..., 2, 0, 0] = -0.5 * np.sin(x1)
-        return out
-
-    return CoefficientField(
-        d=2, m=3, sigma=sigma, b=lambda t, X: np.zeros(np.shape(X)),
-        sigma_jac=sigma_jac if with_jac else None,
-        b_jac=lambda t, X: np.zeros(np.shape(X)[:-1] + (2, 2)),
-        growth_const=3.0, exp_const=0.04, name="mixed_sigma",
-    )
-
-
 def _raising_jac(t, X):
     raise AssertionError("sigma_jac read")
 
@@ -204,7 +178,7 @@ class TestSigmaJacobianRule:
         return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
     def test_sigma_jac_never_read_on_moving_nodes(self, quad2):
-        field = replace(_mixed_sigma_field(), sigma_jac=_raising_jac)
+        field = replace(make_mixed_sigma_field(), sigma_jac=_raising_jac)
         reg = regularize_sigma(field, RegularizationLevel(8), quad2)
         assert reg.sigma_jacobian(0.3, self._grid(8)).shape == (441, 3, 2, 2)
 
@@ -216,7 +190,7 @@ class TestSigmaJacobianRule:
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_matches_smoothed_analytic_jacobian(self, quad2, n):
-        field, level = _mixed_sigma_field(), RegularizationLevel(n)
+        field, level = make_mixed_sigma_field(), RegularizationLevel(n)
         X = self._grid(n)
         ref = _parent_sigma_jacobian(field, level, quad2, 0.3, X)
         jac = regularize_sigma(field, level, quad2).sigma_jacobian(0.3, X)
@@ -224,8 +198,8 @@ class TestSigmaJacobianRule:
 
     def test_analytic_jacobian_not_needed(self, quad2):
         level, X = RegularizationLevel(8), self._grid(8)
-        with_jac = regularize_sigma(_mixed_sigma_field(), level, quad2)
-        without = regularize_sigma(_mixed_sigma_field(with_jac=False), level, quad2)
+        with_jac = regularize_sigma(make_mixed_sigma_field(), level, quad2)
+        without = regularize_sigma(make_mixed_sigma_field(with_jac=False), level, quad2)
         assert np.array_equal(without.sigma_jacobian(0.3, X), with_jac.sigma_jacobian(0.3, X))
 
 
@@ -418,21 +392,44 @@ class TestOffTableRoute:
         coefficients._on_table(np.array([[-16.0], [16.0]]), on, off)
         assert len(seen["on"]) == 1 and len(seen["off"]) == 1
 
-    def test_nonfinite_point_never_reaches_a_table(self, monkeypatch, sign1, quad1):
+    @staticmethod
+    def _lookups(monkeypatch):
+        """The points of every ``HermiteTable`` read from now on, one array per read."""
         looked_up = []
         real = HermiteTable._cells
         monkeypatch.setattr(HermiteTable, "_cells",
                             lambda table, x: looked_up.append(np.asarray(x).copy()) or real(table, x))
-        field = regularize_sigma(sign1, RegularizationLevel(4), quad1)  # σ = Id: finite off the table
-        X = np.array([0.3, np.nan, np.inf, -np.inf, 20.0, -1.0])[:, None]
+        return looked_up
+
+    X = np.array([0.3, np.nan, np.inf, -np.inf, 20.0, -1.0])[:, None]
+
+    def test_nonfinite_point_never_reaches_a_table(self, monkeypatch, quad1):
+        looked_up = self._lookups(monkeypatch)
+        sine = make_sine_field()  # σ = 2 + sin x, read at 0 for a non-finite x: finite off the table
+        finite = replace(sine, sigma=lambda t, X: sine.sigma(t, np.nan_to_num(X, posinf=0.0, neginf=0.0)))
+        field = regularize_sigma(finite, RegularizationLevel(4), quad1)
         with np.errstate(invalid="ignore"):
-            field.sigma(0.0, X)
-            field.sigma_jacobian(0.0, X)
+            field.sigma(0.0, self.X)
+            field.sigma_jacobian(0.0, self.X)
         # σ^n reads P_ε σ and ∇σ^n reads ∇P_ε σ at the points on the table; the
         # P_ε σ that ∇σ^n reads at the points off the plateau holds none of them
         assert all(np.isfinite(x).all() and (np.abs(x) <= 16.0).all() for x in looked_up)
         assert np.array_equal(looked_up[0], [0.3, -1.0]) and np.array_equal(looked_up[1], [0.3, -1.0])
-        assert all(x.size == 0 for x in looked_up[2:])
+        assert len(looked_up) == 3 and looked_up[2].size == 0
+
+    def test_constant_sigma_reads_no_table(self, monkeypatch, sign1, quad1):
+        # σ = Id is its own smoothing: σ^n and ∇σ^n read no table, b^n and ∇b^n one lookup each
+        looked_up = self._lookups(monkeypatch)
+        field = regularize(sign1, RegularizationLevel(4), quad1)
+        with np.errstate(invalid="ignore"):
+            field.sigma(0.0, self.X)
+            field.sigma_jacobian(0.0, self.X)
+            assert looked_up == []
+            X = self.X[~np.isnan(self.X[:, 0])]  # sign(NaN) is no drift value
+            field.b(0.0, X)
+            field.b_jacobian(0.0, X)
+        assert len(looked_up) == 2
+        assert np.array_equal(looked_up[0], [0.3, -1.0]) and np.array_equal(looked_up[1], [0.3, -1.0])
 
 
 class TestCutoffProductRule:
@@ -441,11 +438,33 @@ class TestCutoffProductRule:
     @pytest.mark.parametrize("n", [4, 8, 32])
     @pytest.mark.parametrize("key", ["translate", "sign_drift"])
     def test_unit_sigma_gives_the_cutoff(self, quad1, key, n):
-        # σ = 1, so P_ε σ = 1 and ∇P_ε σ = 0 up to rounding: σ^n is φ_n and ∂σ^n is φ_n'
+        # σ = 1 is declared constant, so P_ε σ = 1 and ∇P_ε σ = 0 exactly: σ^n is φ_n and ∂σ^n is φ_n'
         reg = regularize_sigma(builtin_coefficients(key, d=1), RegularizationLevel(n), quad1)
         xs = np.linspace(-(n + 3.0), n + 3.0, 20001)[:, None]
-        assert np.abs(reg.sigma(0.4, xs)[:, 0, 0] - cutoff(n, xs)).max() <= 1e-12
-        assert np.abs(reg.sigma_jacobian(0.4, xs)[:, 0, 0, 0] - cutoff_grad(n, xs)[:, 0]).max() <= 1e-12
+        assert np.array_equal(reg.sigma(0.4, xs)[:, 0, 0], cutoff(n, xs))
+        assert np.array_equal(reg.sigma_jacobian(0.4, xs)[:, 0, 0, 0], cutoff_grad(n, xs)[:, 0])
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_identity_in_d2_gives_the_cutoff_times_identity(self, quad2, n):
+        # ∂σ^{aj}/∂x_b = ∂_b φ_n δ_aj: exactly 0 on the plateau, ∇φ_n ⊗ Id off it
+        reg = regularize_sigma(builtin_coefficients("sign_drift", d=2), RegularizationLevel(n), quad2)
+        axis = np.linspace(-(n + 3.0), n + 3.0, 61)
+        X = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        eye = np.eye(2)
+        assert np.array_equal(reg.sigma(0.4, X), cutoff(n, X)[:, None, None] * eye)
+        jac = reg.sigma_jacobian(0.4, X)
+        assert np.array_equal(jac, np.einsum("kb,aj->kjab", cutoff_grad(n, X), eye))
+        plateau = np.abs(X).max(axis=-1) <= n / math.sqrt(2.0)
+        assert plateau.any() and not jac[plateau].any()
+
+    def test_constant_declaration(self, sign1, quad1):
+        # σ^n is not constant; b^n leaves σ, and so its declaration, as it is
+        level = RegularizationLevel(4)
+        assert np.array_equal(sign1.sigma_const, [[1.0]])
+        assert regularize_sigma(sign1, level, quad1).sigma_const is None
+        assert regularize_drift(sign1, level, quad1).sigma_const is sign1.sigma_const
+        assert regularize(sign1, level, quad1).sigma_const is None
+        assert make_sine_field().sigma_const is None
 
     @pytest.mark.parametrize("case", ["d=1 table", "d=2 moving nodes"])
     def test_plateau_reads_the_smoothed_values_as_they_are(self, quad1, quad2, monkeypatch, case):
@@ -455,7 +474,7 @@ class TestCutoffProductRule:
             chunk = np.linspace(-n, n, 161)[:, None]
             far = np.array([[n + 1.0]])
         else:
-            field, quad, t = _mixed_sigma_field(), quad2, 0.3
+            field, quad, t = make_mixed_sigma_field(), quad2, 0.3
             axis = np.linspace(-n / math.sqrt(2.0), n / math.sqrt(2.0), 12)
             chunk = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
             far = np.array([[n + 1.0, 0.0]])
@@ -474,17 +493,66 @@ class TestCutoffProductRule:
 class TestChunkIndependence:
     """A path's arithmetic is its own: the chunk it runs in does not change its bits."""
 
-    def test_regularized_mixed_sigma_ensemble(self, quad2, monkeypatch):
-        reg = regularize(_mixed_sigma_field(), RegularizationLevel(8), quad2)  # d = 2, m = 3
+    STARTS_PAST_TABLE = np.linspace(-24.0, 24.0, 301)[:, None]  # |x| up to 24, past the d = 1 tables
+
+    @staticmethod
+    def _same_at_every_cut(monkeypatch, run):
+        """``run()``, a tuple of per-path arrays, at the default chunk cap, 64 and 97: the same bits."""
         runs = []
         for cap in (None, 64, 97):
             if cap is not None:
                 monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m, cap=cap: cap)
-            ens, acc = run_density_ensemble(reg, 0.0, 2e-3, ("gaussian", 301), 1e-3, seed=3)
-            runs.append((ens.xT, acc.log_ktilde))
-        for xT, log_k in runs[1:]:
-            assert np.array_equal(xT, runs[0][0])
-            assert np.array_equal(log_k, runs[0][1])
+            runs.append(run())
+        for other in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+
+    @staticmethod
+    def _density(field, starts):
+        def run():
+            ens, acc = run_density_ensemble(field, 0.0, 2e-3, starts, 1e-3, seed=3)
+            return ens.xT, acc.log_ktilde
+        return run
+
+    def test_regularized_mixed_sigma_ensemble(self, quad2, monkeypatch):
+        reg = regularize(make_mixed_sigma_field(), RegularizationLevel(8), quad2)  # d = 2, m = 3
+        self._same_at_every_cut(monkeypatch, self._density(reg, ("gaussian", 301)))
+
+    def test_regularized_sign_drift_in_d2(self, quad2, monkeypatch):
+        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)  # m = 2
+        self._same_at_every_cut(monkeypatch, self._density(reg, ("gaussian", 301)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_catalog_fields(self, monkeypatch, key, d):
+        params = {"matrix": np.arange(1.0, d * (d + 1) + 1.0).reshape(d, d + 1) / 4.0} if key == "anisotropic" else {}
+        field = builtin_coefficients(key, d=d, **params)
+        self._same_at_every_cut(monkeypatch, self._density(field, ("gaussian", 301)))
+
+    @pytest.mark.parametrize("key", ["sine", "sign_drift"])
+    def test_regularized_level_in_d1_past_the_tables(self, quad1, monkeypatch, key):
+        field = make_sine_field() if key == "sine" else builtin_coefficients(key, d=1)
+        reg = regularize(field, RegularizationLevel(8), quad1)
+        self._same_at_every_cut(monkeypatch, self._density(reg, self.STARTS_PAST_TABLE))
+
+    @pytest.mark.parametrize("kind", ["density", "stratonovich", "krylov", "coupling"])
+    def test_each_accumulator(self, sign1, quad1, monkeypatch, kind):
+        reg = regularize(sign1, RegularizationLevel(8), quad1)
+        if kind == "density":
+            acc = DensityAccumulator(1e-3)
+        elif kind == "stratonovich":
+            acc = StratonovichAccumulator(reg, 1e-3)
+        elif kind == "krylov":
+            acc = KrylovAccumulator(lambda t, X: np.cos(X[..., 0]), 0.5, 1e-3)
+        else:
+            acc = _CouplingAccumulator([regularize(sign1, RegularizationLevel(n), quad1) for n in (2, 4)], 1, 1e-3)
+
+        def run():
+            ens = sde.simulate_ensemble(reg, 0.0, 2e-3, self.STARTS_PAST_TABLE, 1e-3, seed=3, accumulators=(acc,))
+            per_path = {"density": ("S", "D"), "stratonovich": ("S", "D"), "krylov": ("values",),
+                        "coupling": ("Y", "sup_dev")}[kind]
+            return (ens.xT,) + tuple(np.array(getattr(acc, name)) for name in per_path)
+
+        self._same_at_every_cut(monkeypatch, run)
 
 
 class TestDerivativesFromFieldOrKernel:

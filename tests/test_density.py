@@ -33,7 +33,7 @@ from flowlab.oracles import (
 from flowlab.rng import brownian_increments
 from flowlab.sde import simulate_ensemble
 
-from conftest import StoredStates, make_sine_field
+from conftest import StoredStates, make_mixed_sigma_field, make_sine_field
 
 
 def _ito_along(field, traj, inc, s, dt):
@@ -112,18 +112,53 @@ class TestAccumulatorStep:
         # d = 2 smooths on moving nodes: σ^n once, ∇σ^n once (on the plateau of φ_n it is the
         # kernel gradient alone), b^n once, ∇b^n once; the Euler step and the density weight
         # share σ^n and b^n
-        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
+        reg = regularize(make_mixed_sigma_field(), RegularizationLevel(8), quad2)
         assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 2, "ou_smooth_grad": 2}
 
     def test_plain_step_smooths_no_derivative(self, quad2, monkeypatch):
-        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
+        reg = regularize(make_mixed_sigma_field(), RegularizationLevel(8), quad2)
         calls = self._smoothing_calls(reg, monkeypatch, run=simulate_ensemble)
         assert calls == {"ou_smooth": 2, "ou_smooth_grad": 0}
+
+    @pytest.mark.parametrize("run, calls", [(run_density_ensemble, {"ou_smooth": 1, "ou_smooth_grad": 1}),
+                                            (simulate_ensemble, {"ou_smooth": 1, "ou_smooth_grad": 0})])
+    def test_constant_sigma_is_not_smoothed(self, quad2, monkeypatch, run, calls):
+        # σ = Id is its own smoothing: only b^n (and ∇b^n for the density weight) is smoothed
+        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), quad2)
+        assert self._smoothing_calls(reg, monkeypatch, run=run) == calls
 
     def test_regularized_step_in_d1_reads_tables(self, sign1, quad1, monkeypatch):
         # d = 1 and time-independent: every coefficient is a lookup in the level's tables
         reg = regularize(sign1, RegularizationLevel(8), quad1)
         assert self._smoothing_calls(reg, monkeypatch) == {"ou_smooth": 0, "ou_smooth_grad": 0}
+
+    @pytest.mark.parametrize("key, reads", [("sine", [{"value": 1, "derivative": 1}] * 2),
+                                            ("sign_drift", [{"value": 1, "derivative": 1}])])
+    def test_d1_step_reads_each_table_once(self, quad1, monkeypatch, key, reads):
+        # a varying σ has a table (built first) beside the drift's; a constant σ has none
+        from flowlab import coefficients
+
+        tables = []
+        real = coefficients.ou_smooth_table
+
+        class Counted:
+            def __init__(self, table):
+                self.table, self.reads = table, {"value": 0, "derivative": 0}
+
+            def __call__(self, x):
+                self.reads["value"] += 1
+                return self.table(x)
+
+            def derivative(self, x):
+                self.reads["derivative"] += 1
+                return self.table.derivative(x)
+
+        monkeypatch.setattr(coefficients, "ou_smooth_table",
+                            lambda f, eps: tables.append(Counted(real(f, eps))) or tables[-1])
+        field = make_sine_field() if key == "sine" else builtin_coefficients(key, d=1)
+        reg = regularize(field, RegularizationLevel(8), quad1)
+        run_density_ensemble(reg, 0.0, 1e-3, np.linspace(-2.0, 2.0, 16)[:, None], 1e-3, seed=0)
+        assert [t.reads for t in tables] == reads
 
     def test_sigma_T_shared_by_budget_and_hypotheses(self, sign1, quad1):
         reg = regularize(sign1, RegularizationLevel(8), quad1)
