@@ -72,6 +72,9 @@ SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
 #   config field has m = d).  The budget's m d^2 would be a smoothed ∇σ; the
 #   density weight takes ∇σ^n as the kernel gradient of P_ε σ, which reads
 #   only σ's d m floats per node, so the budget's count is an upper bound.
+#   Every config field declares its σ constant, which is not smoothed, so
+#   its levels smooth only the drift's d floats per node: both counts are
+#   upper bounds for them.
 MAX_FLOATS = 1 << 27
 MAX_D = 12
 # no Gauss-Hermite rule passes MAX_GH_ORDER = 370 (numpy's hermgauss gives
