@@ -477,6 +477,11 @@ def regularize(field, level, quad):
 
 # rounding allowance of the ellipticity check (``ellipticity_gap`` in ``validate``)
 HYPOTHESIS_TOL = 1e-9
+# time nodes of Σ_T on [0, T] in ``validate_hypotheses``
+HYPOTHESIS_TGRID = 17
+# largest log value a Gaussian integral of the hypotheses or the bounds may
+# reach; past it the integral is taken as divergent
+LOG_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -490,30 +495,30 @@ class HypothesisReport:
     grad_norm_sup: float
 
 
-def _hypothesis_integral(values, times, lam, logw, log_cap):
+def _hypothesis_integral(values, times, lam, logw):
     """Σ_T from one ``CoefficientValues`` per time node (see ``validate_hypotheses``).
 
-    Raises ``BoundUnavailableError`` when any node's log integral exceeds ``log_cap``.
+    Raises ``BoundUnavailableError`` when any node's log integral exceeds ``LOG_CAP``.
     """
     log_inner = np.array([
         logsumexp(logw + lam * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
         for ev in values
     ])
-    if log_inner.max() > log_cap:
+    if log_inner.max() > LOG_CAP:
         raise BoundUnavailableError("hypothesis integral diverges")
     # the trapezoid sum in scipy.integrate.trapezoid's operation order
     y = np.exp(log_inner)
     return float(((times[1:] - times[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
+def validate_hypotheses(field, T, quad):
     """Measure ellipticity, growth and the exponential-integrability integral.
 
     Σ_T = ∫_0^T ∫ exp[λ_T (|∇σ_t|^2 + |δ(σ_t)|^2 + |δ(b_t)|)] dγ_d dt is
-    accumulated in log space per time node; if any node exceeds ``log_cap``
-    the integral is flagged divergent and reported as +inf.
+    accumulated in log space on ``HYPOTHESIS_TGRID`` time nodes; if any node
+    exceeds ``LOG_CAP`` the integral is flagged divergent and reported as +inf.
     """
-    times = np.linspace(0.0, T, tgrid) if np.isscalar(tgrid) else np.asarray(tgrid, float)
+    times = np.linspace(0.0, T, HYPOTHESIS_TGRID)
     X = quad.nodes
     logw = quad.log_weights
 
@@ -539,7 +544,7 @@ def validate_hypotheses(field, T, quad, tgrid=17, log_cap=700.0):
             )
 
     try:
-        sigma_T, divergent = _hypothesis_integral(values, times, field.exp_const, logw, log_cap), False
+        sigma_T, divergent = _hypothesis_integral(values, times, field.exp_const, logw), False
     except BoundUnavailableError:
         sigma_T, divergent = math.inf, True
 

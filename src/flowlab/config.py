@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .coefficients import CATALOG, builtin_coefficients
 from .density import entropy_steps
 from .errors import ConfigError
-from .gaussian import MAX_GH_ORDER, default_quadrature
+from .gaussian import MAX_GH_ORDER, default_quadrature, refined_quadrature
 from .sde import _chunk_cap, make_grid
 
 
@@ -66,15 +66,10 @@ SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
 #   (it needs d = 1);
 # - (2 grid_R / grid_h + 1)^d * d^2 <= 2^27: the Fokker-Planck grid holds
 #   the diffusion matrix, d^2 floats per cell;
-# - in d >= 2, points * nodes * (d m + m d^2) <= 2^27 for the entropy budget,
-#   and points * nodes * d m for a coupling: a regularized level smooths σ
-#   on the rule's nodes moved to each point (``_check_smoothing_size``; every
-#   config field has m = d).  The budget's m d^2 would be a smoothed ∇σ; the
-#   density weight takes ∇σ^n as the kernel gradient of P_ε σ, which reads
-#   only σ's d m floats per node, so the budget's count is an upper bound.
-#   Every config field declares its σ constant, which is not smoothed, so
-#   its levels smooth only the drift's d floats per node: both counts are
-#   upper bounds for them.
+# - in d >= 2, points * nodes * floats per node <= 2^27 for a coupling or
+#   the entropy budget: a regularized level smooths b (d floats per node) and
+#   a σ not declared constant (d m) on a rule's nodes moved to each point
+#   (``_check_smoothing_size``).
 MAX_FLOATS = 1 << 27
 MAX_D = 12
 # no Gauss-Hermite rule passes MAX_GH_ORDER = 370 (numpy's hermgauss gives
@@ -293,20 +288,26 @@ def _validate_numerics(cfg):
 def _check_smoothing_size(cfg, fault):
     """The moving-node smoothing of regularized levels within ``MAX_FLOATS``.
 
-    In d >= 2 a level evaluates σ (d m floats) at every node of the rule
-    moved to every point, in one array; the entropy budget also counts
-    m d^2 floats of a smoothed ∇σ, an upper bound, since ∇σ^n reads σ only.
-    The points are a chunk of paths (at least 4 steps each for the entropy
-    budget's levels) and, for the entropy budget, also the rule's nodes,
-    where ``budget_constants`` evaluates each level.
+    In d >= 2 a level smooths b (d floats per node) and, unless the field
+    declares ``sigma_const``, σ (d m floats per node) on the nodes of a rule
+    moved to every point, in one array.  The rule is the section's or, for a
+    drift without ∇b, the 4x refined one its kernel gradient reads, whichever
+    is larger.  The points are a chunk of paths (at least 4 steps each for
+    the entropy budget's levels) and, for the entropy budget, also the
+    section rule's nodes, where ``budget_constants`` evaluates each level.
     """
     opt = cfg.options
-    d, m = opt["d"], build_field(cfg).m
-    nodes = default_quadrature(d, order=opt["quad_order"] or None).nodes.shape[0]
+    field = build_field(cfg)
+    d, m = opt["d"], field.m
+    quad = default_quadrature(d, order=opt["quad_order"] or None)
+    rule = nodes = quad.nodes.shape[0]
+    if field.b_jac is None:
+        nodes = max(rule, refined_quadrature(quad, factor=4).nodes.shape[0])
+    per_node = d + (d * m if field.sigma_const is None else 0)
     if cfg.kind == "coupling":
-        per_node, points = d * m, min(opt["trajectories"], _chunk_cap(make_grid(opt["s"], opt["t"], opt["dt"]), m))
+        points = min(opt["trajectories"], _chunk_cap(make_grid(opt["s"], opt["t"], opt["dt"]), m))
     else:
-        per_node, points = d * m + m * d * d, max(nodes, min(opt["trajectories"], _chunk_cap(4, m)))
+        points = max(rule, min(opt["trajectories"], _chunk_cap(4, m)))
     if not points * nodes * per_node <= MAX_FLOATS:
         key = "quad_order" if d == 2 else "d"
         raise fault(key, f"{key}: smoothing a level at {points} points on {nodes} nodes in d = {d} "

@@ -9,12 +9,10 @@ the inverse-flow push-forward:
 
 accumulated here with left-endpoint (Ito) evaluation along Euler paths by a
 ``simulate_ensemble`` accumulator, which reads each step's coefficient
-bundle from the Euler step itself: σ and b are evaluated once per step.  A
-Stratonovich accumulator (midpoint integral, drift δ(b~)) is kept only as a
-cross-check.  The forward density K is never computed by inverting the flow:
-the identity K(X_{s,t}(x)) = K~_{s,t}(x)^{-1} is read at the push-forward
-sample points, so every statistic below is an expectation over (x, ω) with
-x ~ γ_d.
+bundle from the Euler step itself: σ and b are evaluated once per step.  The
+forward density K is never computed by inverting the flow: the identity
+K(X_{s,t}(x)) = K~_{s,t}(x)^{-1} is read at the push-forward sample points,
+so every statistic below is an expectation over (x, ω) with x ~ γ_d.
 
 All density statistics run in log space with max-shifted accumulation, and
 their error bars come from trajectory-level batching (√n batches).
@@ -25,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _hypothesis_integral
+from .coefficients import HYPOTHESIS_TGRID, LOG_CAP, _hypothesis_integral
 from .errors import BoundUnavailableError, ConfigError
-from .gaussian import MAX_GH_ORDER, _delta, fd_jacobian, logsumexp, refined_quadrature
+from .gaussian import MAX_GH_ORDER, logsumexp, refined_quadrature
 from .oracles import gaussian_abs_moment, m2_exponential_moment
 from .sde import MAX_STEPS, simulate_ensemble
 
@@ -35,7 +33,6 @@ __all__ = [
     "BoundBudget",
     "DensityAccumulator",
     "Estimate",
-    "StratonovichAccumulator",
     "batch_statistic",
     "budget_constants",
     "entropy_estimate",
@@ -88,44 +85,6 @@ def run_density_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1)
         replicas=replicas, threads=threads, accumulators=(acc,),
     )
     return ens, acc
-
-
-def _strat_correction_divergence(field, t, X):
-    """δ of the Ito-Stratonovich correction field Σ_j (∇σ^{.j}) σ^{.j}."""
-
-    def correction(P):
-        sig = np.asarray(field.sigma(t, P), dtype=float)
-        jac = field.sigma_jacobian(t, P)
-        return np.einsum("...jab,...bj->...a", jac, sig)
-
-    X = np.asarray(X, dtype=float)
-    return _delta(correction(X), X, fd_jacobian(correction, X))
-
-
-class StratonovichAccumulator:
-    """Cross-check accumulation of S and D: midpoint stochastic integral, drift δ(b~).
-
-    Agrees with the Ito accumulation to O(dt) for smooth fields.  A
-    consistency check only: each step evaluates the field again at the
-    stepped state and takes two finite-difference Jacobians; the Ito form
-    (``DensityAccumulator``) is the production path.
-    """
-
-    def __init__(self, field, dt):
-        self.field = field
-        self.dt = dt
-
-    def alloc(self, n_traj, zeros):
-        self.S = zeros(n_traj)
-        self.D = zeros(n_traj)
-
-    def step(self, sl, k, t, X, dW, ev, X_next):
-        t1 = t + self.dt
-        ev1 = self.field.evaluate(t1, X_next)
-        self.S[sl] += np.einsum("nm,nm->n", 0.5 * (ev.delta_sigma + ev1.delta_sigma), dW)
-        drift0 = ev.delta_b - 0.5 * _strat_correction_divergence(self.field, t, X)
-        drift1 = ev1.delta_b - 0.5 * _strat_correction_divergence(self.field, t1, X_next)
-        self.D[sl] += 0.5 * (drift0 + drift1) * self.dt
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +148,10 @@ def mass_estimate(records):
 # a-priori bounds
 # ---------------------------------------------------------------------------
 
+# time nodes of the L^p bound's trapezoid sum on [s, t] (``theorem_bound_rhs``)
+BOUND_TGRID = 33
+
+
 def _pow2(k):
     """2**k as a float, +inf beyond double range (handled downstream)."""
     return math.inf if k > 1023 else float(2**k)
@@ -201,7 +164,7 @@ def _trapezoid_log_weights(times):
     return np.log(w)
 
 
-def _bound_log_average(field, s, t, p, quad, times, log_cap):
+def _bound_log_average(field, s, t, p, quad, times):
     tau = t - s
     logw = quad.log_weights
     X = quad.nodes
@@ -212,9 +175,9 @@ def _bound_log_average(field, s, t, p, quad, times, log_cap):
             2.0 * np.abs(ev.delta_b) + ev.hs2 + ev.grad_hs2 + 2.0 * (p - 1.0) * ev.delta_sigma2
         )
         log_inner[i] = logsumexp(logw + expo)
-    if log_inner.max() > log_cap:
+    if log_inner.max() > LOG_CAP:
         raise BoundUnavailableError(
-            f"bound integrand exceeds exp({log_cap}) at scale p(t-s)={p * tau:g}"
+            f"bound integrand exceeds exp({LOG_CAP}) at scale p(t-s)={p * tau:g}"
         )
     return logsumexp(log_inner + _trapezoid_log_weights(times)) - math.log(tau)
 
@@ -227,17 +190,18 @@ def _refined(quad):
     return None if fine is quad else fine
 
 
-def theorem_bound_rhs(field, s, t, p, quad, tgrid=33, log_cap=700.0):
+def theorem_bound_rhs(field, s, t, p, quad):
     """The L^p a-priori bound on ||K_{s,t}||, by log-space quadrature.
 
     [(1/(t-s)) ∫_s^t ∫ exp(p(t-s)[2|δ(b_u)| + ||σ_u||^2 + ||∇σ_u||^2
     + 2(p-1)|δ(σ_u)|^2]) dγ_d du]^{(p-1)/(p(2p-1))}.
 
-    Raises ``BoundUnavailableError`` when the integrability precondition at
-    scale p(t-s) fails: either the log accumulation exceeds ``log_cap`` or
-    the integral moves by more than 0.1 in log value under
-    order-doubling of the rule (a divergent Gaussian integral keeps growing
-    with quadrature order instead of converging).
+    The time integral is a trapezoid sum on ``BOUND_TGRID`` nodes.  Raises
+    ``BoundUnavailableError`` when the integrability precondition at scale
+    p(t-s) fails: either the log accumulation exceeds ``LOG_CAP`` or the
+    integral moves by more than 0.1 in log value under order-doubling of the
+    rule (a divergent Gaussian integral keeps growing with quadrature order
+    instead of converging).
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -246,11 +210,11 @@ def theorem_bound_rhs(field, s, t, p, quad, tgrid=33, log_cap=700.0):
         raise ValueError("need t >= s")
     if tau == 0:
         return 1.0
-    times = np.linspace(s, t, tgrid)
-    log_avg = _bound_log_average(field, s, t, p, quad, times, log_cap)
+    times = np.linspace(s, t, BOUND_TGRID)
+    log_avg = _bound_log_average(field, s, t, p, quad, times)
     fine = _refined(quad)
     if fine is not None:
-        log_avg_fine = _bound_log_average(field, s, t, p, fine, times, log_cap)
+        log_avg_fine = _bound_log_average(field, s, t, p, fine, times)
         if abs(log_avg_fine - log_avg) > 0.1:
             raise BoundUnavailableError(
                 f"integral not converged under order-doubling at scale p(t-s)={p * tau:g}"
@@ -329,7 +293,7 @@ def entropy_steps(field, horizon, dt):
     return tau, max(4, math.ceil(tau / dt))
 
 
-def budget_constants(field, T, quad, tgrid=17, log_cap=700.0):
+def budget_constants(field, T, quad, tgrid=HYPOTHESIS_TGRID):
     """Every constant of the entropy budget, from quadrature and closed forms.
 
     T0 = 1/(112 L_T (1+L_T)) ∧ λ_T/(8 e^2);  Λ_{T0} = (M2 Σ_T / T0)^{1/12};
@@ -344,10 +308,10 @@ def budget_constants(field, T, quad, tgrid=17, log_cap=700.0):
 
     times = np.linspace(0.0, T, tgrid)
     values = [field.evaluate(u, quad.nodes) for u in times]
-    sigma_T = _hypothesis_integral(values, times, lam, quad.log_weights, log_cap)
+    sigma_T = _hypothesis_integral(values, times, lam, quad.log_weights)
 
     log_lambda = (math.log(M2) + math.log(sigma_T) - math.log(T0)) / 12.0
-    if log_lambda > log_cap:
+    if log_lambda > LOG_CAP:
         raise BoundUnavailableError("Lambda_T0 overflows; budget unavailable")
     lam_T0 = math.exp(log_lambda)
     n_tilde = max(1, math.ceil(T / T0))

@@ -53,6 +53,11 @@ __all__ = [
     "write_solution_csv",
 ]
 
+# negative mass one step may clip before ``fp_solve`` gives up
+MAX_CLIP_PER_STEP = 1e-6
+# samples a cell needs to enter the ``density_factorization`` comparison
+MIN_CELL_COUNT = 10
+
 
 def diffusion_matrix(field, t, X):
     """a(t, x) = σ(t, x) σ(t, x)* in R^{d x d}."""
@@ -273,7 +278,7 @@ def _build_step(a, b, h, tau, scratch):
     return step
 
 
-def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
+def fp_solve(field, grid0, s, T, tau, n_frames=0):
     """Evolve the grid density from s to T; see the module docstring.
 
     ``frames`` holds the start and, with ``n_frames`` > 0, frame i = 1 ..
@@ -281,7 +286,7 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
     ``n_frames`` frames whenever n_frames <= n_steps; with 0, only the end.
     Raises ``ConfigError`` when τ violates the stability bound (checked by
     ``stable_coefficients`` at every coefficient refresh) and
-    ``SolverFailureError`` when a step clips more than ``max_clip_per_step``
+    ``SolverFailureError`` when a step clips more than ``MAX_CLIP_PER_STEP``
     of negative mass.
     """
     n_steps = make_grid(s, T, tau) if T != s else 0
@@ -325,9 +330,9 @@ def fp_solve(field, grid0, s, T, tau, max_clip_per_step=1e-6, n_frames=0):
         mass_after = u_new.sum() * vol
         audit = max(audit, abs((mass_after - mass_before) + boundary))
         clipped = -float(u_new[u_new < 0].sum()) * vol
-        if clipped > max_clip_per_step:
+        if clipped > MAX_CLIP_PER_STEP:
             raise SolverFailureError(
-                f"clipped negative mass {clipped:g} exceeds {max_clip_per_step:g} at step {k}"
+                f"clipped negative mass {clipped:g} exceeds {MAX_CLIP_PER_STEP:g} at step {k}"
             )
         np.maximum(u_new, 0.0, out=u_new)
         u, u_new = u_new, u
@@ -483,15 +488,14 @@ class FactorizationReport:
     fp_values: np.ndarray
 
 
-def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed,
-                          min_count=10, threads=1):
+def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed, threads=1):
     """Compare the PDE density against the flow-weight reconstruction k·u0.
 
     Starts x_i ~ μ0 (the grid density u0), pushes them through the flow and
     reconstructs the evolved density per grid cell from the accumulated
     weights: within cell B, the mean of 1/K^{μ0} read at push-forward points
     estimates μ0(B)/μ_t(B), so u_t(B) ≈ u0(B) / mean(ρ(y) K~ / ρ(x)).  Cells
-    with fewer than ``min_count`` samples are flagged and excluded, not
+    with fewer than ``MIN_CELL_COUNT`` samples are flagged and excluded, not
     silently averaged.
     """
     if u0_grid.d != 1:
@@ -517,7 +521,7 @@ def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed,
     cells = idx[in_domain]
     counts = np.bincount(cells, minlength=n_cells)
     sums = np.bincount(cells, weights=w_inv, minlength=n_cells)
-    valid = counts >= min_count
+    valid = counts >= MIN_CELL_COUNT
 
     estimate = np.zeros(n_cells)
     mean_inv = np.divide(sums, counts, out=np.ones(n_cells), where=counts > 0)

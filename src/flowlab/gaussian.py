@@ -23,12 +23,10 @@ from .rng import MC_QUAD_STREAM, standard_normals
 __all__ = [
     "GaussianQuadrature",
     "default_quadrature",
-    "fd_jacobian",
     "gauss_expectation",
     "ou_smooth",
 ]
 
-FD_STEP_SCALE = 1e-5
 # numpy's hermgauss gives zero weights from order 371 on (normalized, 0/0 = NaN),
 # so 370 is the largest Gauss-Hermite order a rule is built with
 MAX_GH_ORDER = 370
@@ -157,25 +155,6 @@ def logsumexp(a):
         if not np.isfinite(out):
             out = np.log(np.exp(a).sum())
     return out
-
-
-def fd_jacobian(fn, x):
-    """Central-difference Jacobian with scale-aware step h = FD_STEP_SCALE*(1+|x|)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    n, d = pts.shape
-    h = FD_STEP_SCALE * (1.0 + np.linalg.norm(pts, axis=-1))  # (n,)
-    cols = []
-    for b in range(d):
-        shift = np.zeros_like(pts)
-        shift[:, b] = h
-        hi = np.asarray(fn(pts + shift), dtype=float)
-        lo = np.asarray(fn(pts - shift), dtype=float)
-        denom = (2.0 * h).reshape((n,) + (1,) * (hi.ndim - 1))
-        cols.append((hi - lo) / denom)
-    jac = np.stack(cols, axis=-1)  # (n, ..., d)
-    return jac[0] if single else jac
 
 
 def _delta(values, x, jac):

@@ -2,10 +2,12 @@
 
 Floats are serialized with 17 significant digits so CSV outputs round-trip
 bit-stably; a rerun with the same config and seed produces byte-identical
-files at any worker count.
+files at any worker count.  JSON has no infinity or NaN, so summary.json
+holds a non-finite float as the text of its CSV cell: "inf", "-inf", "nan".
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -69,9 +71,18 @@ def write_table_csv(header, table, path):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _json_safe(value):
+    """value with each non-finite float in its dicts and lists written as ``fmt`` writes it."""
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_summary_json(summary, path):
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=fmt)
+        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True, default=fmt, allow_nan=False)
         fh.write("\n")
 
 

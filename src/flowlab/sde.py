@@ -27,9 +27,8 @@ caller of ``_run_chunks`` and its chunk body the only loop over steps.  At
 each step it copies that step's increments out of the chunk's block into
 one C-contiguous, read-only (rows, m) slab, which the Euler step and every
 accumulator read.  Every path functional (the density weight, the
-occupation functional, the Stratonovich cross-check, the coupling of
-regularization levels) is an accumulator streamed through
-``simulate_ensemble``.
+occupation functional, the coupling of regularization levels) is an
+accumulator streamed through ``simulate_ensemble``.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density

@@ -130,3 +130,33 @@ class StoredStates:
         if k == 0:
             self.paths[sl, 0] = X
         self.paths[sl, k + 1] = X_next
+
+
+class TangentReference:
+    """Accumulator of log|det J_T|, J_T the Jacobian of the Euler map x -> X_T(x).
+
+    J_T is the product of the step factors I + Σ_j ∇σ^{.j} ΔW_j + ∇b dt,
+    read from the step's ``ev.sigma_jac`` and the field's ``b_jacobian``, so
+    log K(X_T(x)) = (|X_T|^2 - |x|^2)/2 - log|det J_T| (the change of
+    variables of the flow) uses neither δ, nor Φ, nor the Itô correction.
+    ``logdet`` is Σ log|det| of the factors and ``nonpositive`` counts the
+    factors with det <= 0, where the Euler map is not a diffeomorphism.
+    """
+
+    def __init__(self, dt):
+        self.dt = dt
+
+    def alloc(self, n_traj, zeros):
+        self.logdet = zeros(n_traj)
+        self.nonpositive = zeros(n_traj)
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        factor = np.einsum("njab,nj->nab", ev.sigma_jac, dW) + ev.field.b_jacobian(t, X) * self.dt
+        factor += np.eye(X.shape[-1])
+        sign, logabs = np.linalg.slogdet(factor)
+        self.logdet[sl] += logabs
+        self.nonpositive[sl] += sign <= 0
+
+    def pushforward_logK(self, x0, xT):
+        """log K at the endpoints xT of the paths from x0, by the change of variables."""
+        return 0.5 * (np.einsum("na,na->n", xT, xT) - np.einsum("na,na->n", x0, x0)) - self.logdet

@@ -66,6 +66,8 @@ DENSITY_BASE = "kind = density_bound\nfield = translate\nt = 0.1\ntrajectories =
 FP_BASE = "kind = fokker_planck\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
 KRYLOV_BASE = "kind = krylov\nfield = translate\nt = 0.1\ndt = 0.01"
 COUPLING_BASE = "kind = coupling\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
+# a full chunk of paths on a level that smooths only b: 2 floats per node
+SIGN_COUPLING = "kind = coupling\nfield = sign_drift\nd = 2\nt = 0.25\ndt = 0.001\ntrajectories = 8192"
 ENTROPY_BASE = "kind = entropy_budget\nfield = translate\nhorizon = 0.1\ndt = 0.01\ntrajectories = 8"
 PATH_BASE = "kind = density_bound\nfield = translate\ndt = 0.01\ntrajectories = 8"
 # one valid section of each kind, small enough to validate in milliseconds
@@ -337,9 +339,12 @@ class TestCli:
         f"{KRYLOV_BASE}\nd = 2\ntrajectories = {2**26}",
         f"{KRYLOV_BASE.replace('krylov', 'density_bound')}\ntrajectories = {2**20}\nreplicas = {2**7}",
         f"{FP_BASE}\ngrid_h = 0.2\ngrid_tau = 0.005\nfactorization_samples = {2**27}",
-        # 8192 paths (a full chunk) and 64^2 nodes, 4 floats of σ each, make 2^27
-        f"{COUPLING_BASE.replace('trajectories = 8', 'trajectories = 100000')}\nd = 2\nquad_order = 64",
-        f"{ENTROPY_BASE}\nd = 2\nquad_order = 57",  # (57^2)^2 node pairs, 12 floats each
+        f"{SIGN_COUPLING}\nquad_order = 65",
+        f"{SIGN_COUPLING}\nquad_order = 90",  # 8192 * 90^2 * 2 <= 2^27 < 8192 * 91^2 * 2
+        # 8192 paths and 4096 Monte-Carlo nodes, 4 floats of b each, make 2^27
+        f"{COUPLING_BASE.replace('trajectories = 8', 'trajectories = 100000')}\nd = 4",
+        f"{ENTROPY_BASE}\nd = 2\nquad_order = 90",  # (90^2)^2 node pairs, 2 floats each
+        f"{ENTROPY_BASE}\nd = 8",  # 4096^2 node pairs, 8 floats each, make 2^27
     ])
     def test_size_limits_accept_their_edge(self, tmp_path, body):
         """Each size limit accepts its largest value; validate only, nothing of that size is run."""
@@ -348,11 +353,10 @@ class TestCli:
         assert main(["validate", str(p)]) == 0
 
     @pytest.mark.parametrize("body, key", [
-        _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 100000\nd = 2\nquad_order = 65",
-               "quad_order"),
-        _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 5000\nd = 3", "d"),
-        _fault(ENTROPY_BASE, "d = 2\nquad_order = 58", "quad_order"),
-        _fault(ENTROPY_BASE, "d = 3", "d"),
+        _fault(SIGN_COUPLING, "quad_order = 91", "quad_order"),
+        _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 100000\nd = 5", "d"),
+        _fault(ENTROPY_BASE, "d = 2\nquad_order = 91", "quad_order"),
+        _fault(ENTROPY_BASE, "d = 9", "d"),
     ])
     def test_smoothing_size_fault_exits_2(self, tmp_path, capsys, body, key):
         """A regularized level in d >= 2 whose moving-node smoothing passes 2^27 floats is refused.
@@ -366,6 +370,15 @@ class TestCli:
         assert main(["validate", str(p)]) == 2
         err = capsys.readouterr().err
         assert f"[section='x' key='{key}']" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, nodes", [("translate", 256), ("sign_drift", 4096)])
+    def test_smoothing_size_counts_the_gradient_rule(self, tmp_path, capsys, monkeypatch, field, nodes):
+        """A drift without ∇b takes its kernel gradient on the 4x refined rule, 64^2 nodes for GH-16."""
+        monkeypatch.setattr(config, "MAX_FLOATS", 1000)  # above the 16 floats of the paths
+        p = tmp_path / "rule.ini"
+        p.write_text(f"[x]\nkind = coupling\nfield = {field}\nd = 2\nt = 0.1\ndt = 0.01\ntrajectories = 8\n")
+        assert main(["validate", str(p)]) == 2
+        assert f"at 8 points on {nodes} nodes in d = 2 needs {8 * nodes * 2} floats" in capsys.readouterr().err
 
     def test_largest_quad_order_is_a_rule(self):
         """The largest order a config can ask for gives positive weights of unit mass, without a warning."""
@@ -478,6 +491,21 @@ class TestCli:
         summary = json.loads(Path("out", "summary.json").read_text())
         assert summary["config"] == "cfg.ini"
         assert summary["config_sha256"] == hashlib.sha256(GOOD_CONFIG.encode()).hexdigest()
+
+    def test_summary_is_strict_json_with_a_divergent_sigma_T(self, tmp_path):
+        """A non-finite value is written as its CSV text, so a parser that refuses Infinity and NaN reads the file."""
+        p = tmp_path / "cfg.ini"
+        p.write_text("[x]\nkind = validate\nfield = translate\nlam = 10\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1  # the divergent Σ_T fails its row
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        sigma_T = next(r for r in summary["experiments"]["x"]["rows"] if r["quantity"] == "sigma_T")
+        assert sigma_T["value"] == "inf" and sigma_T["passed"] is False
+        assert "x,sigma_T,inf,,,false" in (out / "x.csv").read_text()
 
     def test_run_produces_reports(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.ini"

@@ -25,12 +25,12 @@ from flowlab.coefficients import (
     validate_hypotheses,
 )
 from flowlab.convergence import KrylovAccumulator, _CouplingAccumulator
-from flowlab.density import DensityAccumulator, StratonovichAccumulator, run_density_ensemble
+from flowlab.density import DensityAccumulator, run_density_ensemble
 from flowlab.errors import CapabilityError
 from flowlab.gaussian import HermiteTable, _delta, default_quadrature
 from flowlab.oracles import gaussian_abs_moment
 
-from conftest import make_mixed_sigma_field, make_sine_field
+from conftest import TangentReference, make_mixed_sigma_field, make_sine_field
 
 
 class TestCutoff:
@@ -134,14 +134,15 @@ class TestRegularizeSigma:
         fd = (reg.sigma(0.0, pts + h) - reg.sigma(0.0, pts - h)) / (2 * h)
         np.testing.assert_allclose(jac[:, 0, 0, 0], fd[:, 0, 0], atol=5e-5)
 
-    def test_growth_constant_certified(self, quad1):
+    def test_growth_constant_certified(self, quad1, monkeypatch):
+        monkeypatch.setattr(coefficients, "HYPOTHESIS_TGRID", 3)
         field = make_sine_field()
         for n in (2, 8):
             reg = regularize_sigma(field, RegularizationLevel(n), quad1)
             assert reg.growth_const == pytest.approx(
                 field.growth_const * (1.0 + gaussian_abs_moment(1))
             )
-            rep = validate_hypotheses(reg, 0.5, quad1, tgrid=3)
+            rep = validate_hypotheses(reg, 0.5, quad1)
             assert rep.growth_ratio <= reg.growth_const
 
     def test_uniform_convergence_smooth_field(self, quad1):
@@ -534,13 +535,13 @@ class TestChunkIndependence:
         reg = regularize(field, RegularizationLevel(8), quad1)
         self._same_at_every_cut(monkeypatch, self._density(reg, self.STARTS_PAST_TABLE))
 
-    @pytest.mark.parametrize("kind", ["density", "stratonovich", "krylov", "coupling"])
+    @pytest.mark.parametrize("kind", ["density", "tangent", "krylov", "coupling"])
     def test_each_accumulator(self, sign1, quad1, monkeypatch, kind):
         reg = regularize(sign1, RegularizationLevel(8), quad1)
         if kind == "density":
             acc = DensityAccumulator(1e-3)
-        elif kind == "stratonovich":
-            acc = StratonovichAccumulator(reg, 1e-3)
+        elif kind == "tangent":
+            acc = TangentReference(1e-3)
         elif kind == "krylov":
             acc = KrylovAccumulator(lambda t, X: np.cos(X[..., 0]), 0.5, 1e-3)
         else:
@@ -548,7 +549,7 @@ class TestChunkIndependence:
 
         def run():
             ens = sde.simulate_ensemble(reg, 0.0, 2e-3, self.STARTS_PAST_TABLE, 1e-3, seed=3, accumulators=(acc,))
-            per_path = {"density": ("S", "D"), "stratonovich": ("S", "D"), "krylov": ("values",),
+            per_path = {"density": ("S", "D"), "tangent": ("logdet", "nonpositive"), "krylov": ("values",),
                         "coupling": ("Y", "sup_dev")}[kind]
             return (ens.xT,) + tuple(np.array(getattr(acc, name)) for name in per_path)
 
@@ -695,18 +696,21 @@ class TestEvaluate:
 
 
 class TestValidateHypotheses:
-    def test_sigma_integral_translate(self, quad1):
+    def test_sigma_integral_translate(self, quad1, monkeypatch):
+        monkeypatch.setattr(coefficients, "HYPOTHESIS_TGRID", 5)
         field = builtin_coefficients("translate", d=1, lam=0.25)
-        rep = validate_hypotheses(field, 1.0, quad1, tgrid=5)
+        rep = validate_hypotheses(field, 1.0, quad1)
         assert rep.sigma_T == pytest.approx(math.sqrt(2.0), rel=1e-6)
         assert not rep.divergent
 
-    def test_min_eigenvalue_identity(self, translate1, quad1):
-        rep = validate_hypotheses(translate1, 1.0, quad1, tgrid=3)
+    def test_min_eigenvalue_identity(self, translate1, quad1, monkeypatch):
+        monkeypatch.setattr(coefficients, "HYPOTHESIS_TGRID", 3)
+        rep = validate_hypotheses(translate1, 1.0, quad1)
         assert rep.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
         assert translate1.c1 - rep.min_eigenvalue <= coefficients.HYPOTHESIS_TOL
 
-    def test_growth_ratio_by_construction(self, quad1):
+    def test_growth_ratio_by_construction(self, quad1, monkeypatch):
+        monkeypatch.setattr(coefficients, "HYPOTHESIS_TGRID", 3)
         field = CoefficientField(
             d=1, m=1,
             sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
@@ -715,25 +719,31 @@ class TestValidateHypotheses:
             delta_b_fn=lambda t, X: 2.0 * (1.0 + np.abs(X[..., 0])) * X[..., 0] - 2.0 * np.sign(X[..., 0]),
             growth_const=2.0, exp_const=0.05, name="fast_growth",
         )
-        rep = validate_hypotheses(field, 1.0, quad1, tgrid=3)
+        rep = validate_hypotheses(field, 1.0, quad1)
         assert rep.growth_ratio == pytest.approx(2.0, rel=1e-9)
 
-    def test_divergence_flag(self, quad1):
-        field = builtin_coefficients("translate", d=1, lam=0.25)
-        rep = validate_hypotheses(field, 1.0, quad1, tgrid=3, log_cap=0.1)
+    def test_divergence_flag(self, quad1, monkeypatch):
+        # exp(10 |x|^2) is not γ-integrable; on GH-32 nodes its log integral passes LOG_CAP
+        monkeypatch.setattr(coefficients, "HYPOTHESIS_TGRID", 3)
+        rep = validate_hypotheses(builtin_coefficients("translate", d=1, lam=10.0), 1.0, quad1)
         assert rep.divergent and rep.sigma_T == math.inf
 
     @pytest.mark.parametrize("tgrid", [17, (0.0, 0.1, 0.35, 0.5, 0.9, 1.0)])
     def test_sigma_integral_is_scipy_trapezoid_bitwise(self, sine_field, ou1, quad1, tgrid):
+        # the uniform grid through validate_hypotheses, an uneven one through the integral itself
         times = np.linspace(0.0, 1.0, tgrid) if np.isscalar(tgrid) else np.asarray(tgrid)
         for field in (sine_field, ou1):
-            values = (field.evaluate(t, quad1.nodes) for t in times)
+            values = [field.evaluate(t, quad1.nodes) for t in times]
             log_inner = [
                 logsumexp(quad1.log_weights + field.exp_const * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
                 for ev in values
             ]
             expected = float(trapezoid(np.exp(log_inner), times))
-            assert validate_hypotheses(field, 1.0, quad1, tgrid=tgrid).sigma_T == expected
+            if np.isscalar(tgrid):
+                assert tgrid == coefficients.HYPOTHESIS_TGRID
+                assert validate_hypotheses(field, 1.0, quad1).sigma_T == expected
+            else:
+                assert coefficients._hypothesis_integral(values, times, field.exp_const, quad1.log_weights) == expected
 
 
 class TestCatalog:

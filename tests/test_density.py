@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flowlab.sde
-from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize, validate_hypotheses
+from flowlab.coefficients import (
+    CoefficientValues,
+    RegularizationLevel,
+    builtin_coefficients,
+    regularize,
+    validate_hypotheses,
+)
 from flowlab.density import (
     DensityAccumulator,
-    StratonovichAccumulator,
-    _strat_correction_divergence,
     batch_statistic,
     budget_constants,
     entropy_estimate,
@@ -33,7 +36,7 @@ from flowlab.oracles import (
 from flowlab.rng import brownian_increments
 from flowlab.sde import simulate_ensemble
 
-from conftest import StoredStates, make_mixed_sigma_field, make_sine_field
+from conftest import StoredStates, TangentReference, make_mixed_sigma_field, make_sine_field
 
 
 def _ito_along(field, traj, inc, s, dt):
@@ -43,23 +46,6 @@ def _ito_along(field, traj, inc, s, dt):
         ev = field.evaluate(s + k * dt, traj[k][None, :])
         S += float(ev.delta_sigma[0] @ inc[k])
         D += float(ev.phi[0]) * dt
-    return S, D
-
-
-def _stratonovich_along(field, traj, inc, s, dt):
-    """Midpoint S and drift-δ(b~) D along one stored path, evaluating both ends of every step."""
-    S = D = 0.0
-    for k in range(inc.shape[0]):
-        t0 = s + k * dt
-        t1 = t0 + dt
-        x0 = traj[k][None, :]
-        x1 = traj[k + 1][None, :]
-        ev0 = field.evaluate(t0, x0)
-        ev1 = field.evaluate(t1, x1)
-        S += float(0.5 * (ev0.delta_sigma[0] + ev1.delta_sigma[0]) @ inc[k])
-        corr0 = float(_strat_correction_divergence(field, t0, x0)[0])
-        corr1 = float(_strat_correction_divergence(field, t1, x1)[0])
-        D += 0.5 * ((float(ev0.delta_b[0]) - 0.5 * corr0) + (float(ev1.delta_b[0]) - 0.5 * corr1)) * dt
     return S, D
 
 
@@ -206,36 +192,59 @@ class TestRecords:
         rel = np.abs(np.exp(rec.log_ktilde - oracle) - 1.0)
         assert rel.mean() <= 0.05
 
-    def test_stratonovich_matches_ito_to_first_order(self, sine_field):
-        diffs = []
-        for dt in (4e-3, 2e-3):
-            ito = DensityAccumulator(dt)
-            strat = StratonovichAccumulator(sine_field, dt)
-            simulate_ensemble(sine_field, 0.0, 0.2, np.array([[0.3]]), dt, seed=11,
-                              accumulators=(ito, strat))
-            diffs.append(abs((ito.S[0] + ito.D[0]) - (strat.S[0] + strat.D[0])))
-        assert diffs[1] < diffs[0]
-        assert diffs[1] < 0.05
 
-    def test_stratonovich_accumulator_matches_per_path_loop(self, sine_field, monkeypatch):
-        n_steps, dt, seed = 20, 1e-2, 5
-        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * n_steps)  # chunks of 64 paths
-        starts = np.linspace(-1.5, 1.5, 150)[:, None]
-        assert len(flowlab.sde._chunk_edges(150, n_steps, 1)) == 3
-        runs = []
-        for threads in (1, 2):
-            strat = StratonovichAccumulator(sine_field, dt)
-            store = StoredStates(n_steps, 1)
-            simulate_ensemble(sine_field, 0.0, 0.2, starts, dt, seed, threads=threads,
-                              accumulators=(strat, store))
-            runs.append(strat)
-        assert np.array_equal(runs[0].S, runs[1].S)
-        assert np.array_equal(runs[0].D, runs[1].D)
-        for j in range(0, 150, 7):
-            inc = brownian_increments(seed, j, n_steps, 1, dt)
-            S, D = _stratonovich_along(sine_field, store.paths[j], inc, 0.0, dt)
-            assert strat.S[j] == pytest.approx(S, rel=1e-12)
-            assert strat.D[j] == pytest.approx(D, rel=1e-12)
+class TestTangentRoute:
+    """log K by the Itô accumulator against log K by the Jacobian of the Euler map.
+
+    The rule and its sizes were fixed before any fault was run: per path,
+    e = (S + D) - tangent log K from 10,000 γ starts on [0, 0.25] at seed 5,
+    at dt = 5e-3 and 2.5e-3 (the same starts); no step factor may have
+    det <= 0, and the first-order extrapolate 2 e(dt/2) - e(dt), paired per
+    start, must have |mean| <= 3 stderr.
+    """
+
+    FIELDS = {
+        "sine": make_sine_field,
+        "mixed_sigma": make_mixed_sigma_field,
+        "ou_linear_d2": lambda: builtin_coefficients("ou_linear", d=2),
+        "sign_drift_n8": lambda: regularize(builtin_coefficients("sign_drift", d=1), RegularizationLevel(8),
+                                            GaussianQuadrature.gauss_hermite(1, 32)),
+    }
+
+    # fault -> (the CoefficientValues term it lives in, its wrong value from the bundle and the right one)
+    FAULTS = {
+        "pairing_sign_flipped": ("pairing", lambda ev, right: -right),
+        "pairing_as_grad_hs2": ("pairing", lambda ev, right: ev.grad_hs2),
+        "delta_b_scaled_0.9": ("delta_b", lambda ev, right: 0.9 * right),
+    }
+
+    @staticmethod
+    def _route_gap(field, dt):
+        dens, tangent = DensityAccumulator(dt), TangentReference(dt)
+        ens = simulate_ensemble(field, 0.0, 0.25, ("gaussian", 10_000), dt, seed=5, threads=2,
+                                accumulators=(dens, tangent))
+        assert not tangent.nonpositive.any()
+        return pushforward_logK(dens) - tangent.pushforward_logK(ens.x0, ens.xT)
+
+    def _routes_agree(self, field):
+        est = mean_estimate(2.0 * self._route_gap(field, 2.5e-3) - self._route_gap(field, 5e-3))
+        return abs(est.value) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("key", sorted(FIELDS))
+    def test_routes_agree(self, key):
+        assert self._routes_agree(self.FIELDS[key]())
+
+    @pytest.mark.parametrize("fault, key", [
+        ("pairing_sign_flipped", "sine"),
+        ("pairing_sign_flipped", "mixed_sigma"),
+        ("pairing_as_grad_hs2", "mixed_sigma"),
+        ("delta_b_scaled_0.9", "ou_linear_d2"),
+    ])
+    def test_fault_breaks_agreement(self, monkeypatch, fault, key):
+        name, wrong = self.FAULTS[fault]
+        right = getattr(CoefficientValues, name).func
+        monkeypatch.setattr(CoefficientValues, name, property(lambda ev: wrong(ev, right(ev))))
+        assert not self._routes_agree(self.FIELDS[key]())
 
 
 class TestStatistics:

@@ -232,10 +232,11 @@ class TestSolver:
         with pytest.raises(ConfigError):
             fp_solve(translate1, grid, 0.0, 0.1, 0.01)
 
-    def test_clip_guard_trips(self, translate1):
+    def test_clip_guard_trips(self, translate1, monkeypatch):
+        monkeypatch.setattr(fokker_planck, "MAX_CLIP_PER_STEP", -1.0)
         grid = FPGrid.gaussian(1, 6.0, 0.1)
         with pytest.raises(SolverFailureError):
-            fp_solve(translate1, grid, 0.0, 0.1, 2e-3, max_clip_per_step=-1.0)
+            fp_solve(translate1, grid, 0.0, 0.1, 2e-3)
 
     def test_2d_heat_variance(self):
         field = builtin_coefficients("translate", d=2)
@@ -477,10 +478,10 @@ class TestFactorization:
         assert rep.out_of_domain_fraction <= 1e-4
         assert rep.flagged_mass <= 1e-3
 
-    def test_flagging_not_averaging(self, translate1):
+    def test_flagging_not_averaging(self, translate1, monkeypatch):
+        monkeypatch.setattr(fokker_planck, "MIN_CELL_COUNT", 50)
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-3)
-        rep = density_factorization(translate1, grid, sol, 0.0, 0.25, 2000, 1e-2, seed=31,
-                                    min_count=50)
+        rep = density_factorization(translate1, grid, sol, 0.0, 0.25, 2000, 1e-2, seed=31)
         assert rep.n_flagged_cells > 0
         assert rep.n_valid_cells + rep.n_flagged_cells == grid.u.shape[0]

@@ -14,7 +14,6 @@ from flowlab.gaussian import (
     GaussianQuadrature,
     HermiteTable,
     default_quadrature,
-    fd_jacobian,
     gauss_expectation,
     logsumexp,
     ou_smooth,
@@ -134,17 +133,6 @@ class TestDivergence:
         # σ and b evaluate; only reading δ(b) asks for the Jacobian a measurable drift lacks
         with pytest.raises(CapabilityError):
             ev.delta_b
-
-    def test_fd_matches_analytic(self):
-        fn = lambda x: np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2], axis=-1)
-        pts = np.array([[0.3, -1.2], [1.5, 0.4]])
-        jac_fd = fd_jacobian(fn, pts)
-        jac_true = np.empty((2, 2, 2))
-        jac_true[:, 0, 0] = np.cos(pts[:, 0]) * pts[:, 1]
-        jac_true[:, 0, 1] = np.sin(pts[:, 0])
-        jac_true[:, 1, 0] = 2 * pts[:, 0]
-        jac_true[:, 1, 1] = 0.0
-        np.testing.assert_allclose(jac_fd, jac_true, rtol=1e-5, atol=1e-7)
 
     def test_matrix_divergence_identity(self):
         sig = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
