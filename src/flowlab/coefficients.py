@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BoundUnavailableError, CapabilityError
 from .gaussian import (TABLE_RADIUS, _delta, logsumexp, ou_smooth, ou_smooth_grad, ou_smooth_table,
-                       refined_quadrature)
+                       refined_quadrature, spacetime_log_integral)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -495,20 +495,17 @@ class HypothesisReport:
     grad_norm_sup: float
 
 
-def _hypothesis_integral(values, times, lam, logw):
+def _hypothesis_integral(values, times, lam, quad):
     """Σ_T from one ``CoefficientValues`` per time node (see ``validate_hypotheses``).
 
     Raises ``BoundUnavailableError`` when any node's log integral exceeds ``LOG_CAP``.
     """
-    log_inner = np.array([
-        logsumexp(logw + lam * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
-        for ev in values
-    ])
-    if log_inner.max() > LOG_CAP:
+    log_sigma, peak = spacetime_log_integral(
+        (lam * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)) for ev in values), times, quad
+    )
+    if peak > LOG_CAP:
         raise BoundUnavailableError("hypothesis integral diverges")
-    # the trapezoid sum in scipy.integrate.trapezoid's operation order
-    y = np.exp(log_inner)
-    return float(((times[1:] - times[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
+    return math.exp(log_sigma)
 
 
 def validate_hypotheses(field, T, quad):
@@ -544,7 +541,7 @@ def validate_hypotheses(field, T, quad):
             )
 
     try:
-        sigma_T, divergent = _hypothesis_integral(values, times, field.exp_const, logw), False
+        sigma_T, divergent = _hypothesis_integral(values, times, field.exp_const, quad), False
     except BoundUnavailableError:
         sigma_T, divergent = math.inf, True
 

@@ -299,7 +299,7 @@ def _check_smoothing_size(cfg, fault):
     opt = cfg.options
     field = build_field(cfg)
     d, m = opt["d"], field.m
-    quad = default_quadrature(d, order=opt["quad_order"] or None)
+    quad = build_quad(cfg)
     rule = nodes = quad.nodes.shape[0]
     if field.b_jac is None:
         nodes = max(rule, refined_quadrature(quad, factor=4).nodes.shape[0])
@@ -357,6 +357,11 @@ def parse_config(path, seed=None):
     if not configs:
         raise ConfigError(f"config {path!r} defines no experiments")
     return configs
+
+
+def build_quad(cfg):
+    """The section's Gaussian rule: ``quad_order`` per axis, or d's default rule when it is 0 or absent."""
+    return default_quadrature(cfg.d, order=cfg.options.get("quad_order") or None)
 
 
 def build_field(cfg):

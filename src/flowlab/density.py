@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import HYPOTHESIS_TGRID, LOG_CAP, _hypothesis_integral
 from .errors import BoundUnavailableError, ConfigError
-from .gaussian import MAX_GH_ORDER, logsumexp, refined_quadrature
+from .gaussian import MAX_GH_ORDER, logsumexp, refined_quadrature, spacetime_log_integral
 from .oracles import gaussian_abs_moment, m2_exponential_moment
 from .sde import MAX_STEPS, simulate_ensemble
 
@@ -157,37 +157,18 @@ def _pow2(k):
     return math.inf if k > 1023 else float(2**k)
 
 
-def _trapezoid_log_weights(times):
-    w = np.full(times.shape[0], times[1] - times[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return np.log(w)
-
-
 def _bound_log_average(field, s, t, p, quad, times):
     tau = t - s
-    logw = quad.log_weights
-    X = quad.nodes
-    log_inner = np.empty(times.shape[0])
-    for i, u in enumerate(times):
-        ev = field.evaluate(u, X)
-        expo = p * tau * (
-            2.0 * np.abs(ev.delta_b) + ev.hs2 + ev.grad_hs2 + 2.0 * (p - 1.0) * ev.delta_sigma2
-        )
-        log_inner[i] = logsumexp(logw + expo)
-    if log_inner.max() > LOG_CAP:
+    evs = (field.evaluate(u, quad.nodes) for u in times)
+    log_integral, peak = spacetime_log_integral((
+        p * tau * (2.0 * np.abs(ev.delta_b) + ev.hs2 + ev.grad_hs2 + 2.0 * (p - 1.0) * ev.delta_sigma2)
+        for ev in evs
+    ), times, quad)
+    if peak > LOG_CAP:
         raise BoundUnavailableError(
             f"bound integrand exceeds exp({LOG_CAP}) at scale p(t-s)={p * tau:g}"
         )
-    return logsumexp(log_inner + _trapezoid_log_weights(times)) - math.log(tau)
-
-
-def _refined(quad):
-    """Order-doubled companion rule (None when not a tensor rule)."""
-    if quad.exactness < 1:
-        return None
-    fine = refined_quadrature(quad, factor=2, max_order=MAX_GH_ORDER)
-    return None if fine is quad else fine
+    return log_integral - math.log(tau)
 
 
 def theorem_bound_rhs(field, s, t, p, quad):
@@ -212,8 +193,8 @@ def theorem_bound_rhs(field, s, t, p, quad):
         return 1.0
     times = np.linspace(s, t, BOUND_TGRID)
     log_avg = _bound_log_average(field, s, t, p, quad, times)
-    fine = _refined(quad)
-    if fine is not None:
+    fine = refined_quadrature(quad, 2, MAX_GH_ORDER)
+    if fine is not quad:
         log_avg_fine = _bound_log_average(field, s, t, p, fine, times)
         if abs(log_avg_fine - log_avg) > 0.1:
             raise BoundUnavailableError(
@@ -260,16 +241,13 @@ def _spacetime_power_norm(f, times, quad, q):
     sup of f over the sample set, which is the q -> ∞ limit of the norm on
     the discrete rule.
     """
-    logw = quad.log_weights
-    log_tw = _trapezoid_log_weights(times)
     logf = np.log(np.maximum(f, 1e-300))
     peak = logf.max()
     if peak <= math.log(1e-300):
         return 0.0
     diff = logf - peak
     scaled = np.where(diff == 0.0, 0.0, q * diff)
-    contrib = log_tw[:, None] + logw[None, :] + scaled
-    total = logsumexp(contrib)
+    total, _ = spacetime_log_integral(scaled, times, quad)
     correction = total / q if math.isfinite(q) else 0.0
     return math.exp(peak + correction)
 
@@ -308,7 +286,7 @@ def budget_constants(field, T, quad, tgrid=HYPOTHESIS_TGRID):
 
     times = np.linspace(0.0, T, tgrid)
     values = [field.evaluate(u, quad.nodes) for u in times]
-    sigma_T = _hypothesis_integral(values, times, lam, quad.log_weights)
+    sigma_T = _hypothesis_integral(values, times, lam, quad)
 
     log_lambda = (math.log(M2) + math.log(sigma_T) - math.log(T0)) / 12.0
     if log_lambda > LOG_CAP:

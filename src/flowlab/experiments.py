@@ -8,7 +8,7 @@ value <= bound + 3 * stderr.
 import numpy as np
 
 from . import oracles
-from .config import build_field
+from .config import build_field, build_quad
 from .convergence import SpaceTimeBox, coupling_convergence, krylov_ratios
 from .coefficients import HYPOTHESIS_TOL, RegularizationLevel, regularize, validate_hypotheses
 from .density import (
@@ -29,19 +29,13 @@ from .fokker_planck import (
     weak_error,
     write_solution_csv,
 )
-from .gaussian import default_quadrature
 from .oracle_gate import oracle_rows, oracle_suite
 from .report import ReportRow
 
 
-def _quad_for(cfg):
-    order = cfg.options.get("quad_order") or None
-    return default_quadrature(cfg.options.get("d", 1), order=order)
-
-
 def run_validate(cfg, seed, threads, out_dir=None):
     field = build_field(cfg)
-    rep = validate_hypotheses(field, cfg.horizon, _quad_for(cfg))
+    rep = validate_hypotheses(field, cfg.horizon, build_quad(cfg))
     rows = [ReportRow(cfg.name, "min_eigenvalue", rep.min_eigenvalue, None, None, None)]
     if field.c1 is not None:
         # λ_min >= c1 as a row of the one pass rule: c1 - λ_min <= the tolerance
@@ -58,7 +52,7 @@ def run_validate(cfg, seed, threads, out_dir=None):
 
 def run_density_bound(cfg, seed, threads, out_dir=None):
     field = build_field(cfg)
-    quad = _quad_for(cfg)
+    quad = build_quad(cfg)
     ens, rec = run_density_ensemble(
         field, cfg.s, cfg.t, ("gaussian", cfg.trajectories), cfg.dt, seed,
         replicas=cfg.replicas, threads=threads,
@@ -79,7 +73,7 @@ def run_density_bound(cfg, seed, threads, out_dir=None):
 
 def run_entropy_budget(cfg, seed, threads, out_dir=None):
     field = build_field(cfg)
-    quad = _quad_for(cfg)
+    quad = build_quad(cfg)
     rows = []
     detail = []
     for n in cfg.n_list:
@@ -117,7 +111,7 @@ def run_entropy_budget(cfg, seed, threads, out_dir=None):
 
 def run_coupling(cfg, seed, threads, out_dir=None):
     field = build_field(cfg)
-    quad = _quad_for(cfg)
+    quad = build_quad(cfg)
     rep = coupling_convergence(
         field, list(cfg.n_list), cfg.n_ref, cfg.s, cfg.t,
         np.zeros((1, field.d)), cfg.dt, seed, quad,

@@ -34,6 +34,7 @@ import numpy as np
 
 from .density import mean_estimate, run_density_ensemble
 from .errors import ConfigError, SolverFailureError
+from .gaussian import tensor_mesh
 from .rng import GRID_SAMPLER_STREAM, substream, uniform_open
 from .sde import make_grid, simulate_ensemble
 
@@ -65,11 +66,6 @@ def diffusion_matrix(field, t, X):
     return np.einsum("...am,...bm->...ab", sig, sig)
 
 
-def _mesh(axis, d):
-    """The n^d tensor points of ``axis`` as rows of an (n^d, d) array, last coordinate fastest."""
-    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=-1)
-
-
 @dataclass
 class FPGrid:
     """Uniform tensor grid on [-R, R]^d carrying nonnegative density values."""
@@ -91,7 +87,7 @@ class FPGrid:
         # the last bits (318 of 321 points on R = 8, h = 0.05), and every solve
         # starts from these values, so switching would change every FP output byte
         axis = np.arange(-R, R + h / 2, h)
-        u = np.asarray(density(_mesh(axis, d)), dtype=float).reshape((axis.size,) * d)
+        u = np.asarray(density(tensor_mesh(axis, d)), dtype=float).reshape((axis.size,) * d)
         grid = cls(d=d, R=R, h=h, u=np.maximum(u, 0.0))
         grid.u /= grid.mass()
         return grid
@@ -110,7 +106,7 @@ class FPGrid:
         return -self.R + self.h * np.arange(n)
 
     def points(self):
-        return _mesh(self.axis, self.d)
+        return tensor_mesh(self.axis, self.d)
 
     def mass(self):
         return float(self.u.sum() * self.h**self.d)

@@ -32,6 +32,15 @@ __all__ = [
 MAX_GH_ORDER = 370
 
 
+def tensor_mesh(axis, d):
+    """The n^d tensor points of ``axis`` as rows of an (n^d, d) array, last coordinate fastest.
+
+    The one mesh of the package: tensor quadrature rules and Fokker-Planck
+    grids are both built on it.
+    """
+    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=-1)
+
+
 @dataclass(frozen=True)
 class GaussianQuadrature:
     """Nodes and weights integrating against γ_d.
@@ -66,18 +75,9 @@ class GaussianQuadrature:
         if not 1 <= order <= MAX_GH_ORDER:
             raise ValueError(f"Gauss-Hermite order must lie in [1, {MAX_GH_ORDER}], got {order}")
         x, w = np.polynomial.hermite.hermgauss(order)
-        x = x * math.sqrt(2.0)
-        w = w / math.sqrt(math.pi)
-        if d == 1:
-            nodes = x[:, None]
-            weights = w
-        else:
-            grids = np.meshgrid(*([x] * d), indexing="ij")
-            nodes = np.stack([g.ravel() for g in grids], axis=-1)
-            wgrids = np.meshgrid(*([w] * d), indexing="ij")
-            weights = np.prod(np.stack([g.ravel() for g in wgrids]), axis=0)
-        weights = weights / weights.sum()
-        return cls(d=d, nodes=nodes, weights=weights, exactness=2 * order - 1)
+        weights = tensor_mesh(w / math.sqrt(math.pi), d).prod(axis=1)
+        return cls(d=d, nodes=tensor_mesh(x * math.sqrt(2.0), d), weights=weights / weights.sum(),
+                   exactness=2 * order - 1)
 
     @classmethod
     def monte_carlo(cls, d, n_samples, seed):
@@ -155,6 +155,22 @@ def logsumexp(a):
         if not np.isfinite(out):
             out = np.log(np.exp(a).sum())
     return out
+
+
+def spacetime_log_integral(log_values, times, quad):
+    """log ∫∫ e^v dγ_d dt, with v given at the rule's nodes on the uniform ``times``.
+
+    ``log_values`` yields one row of v at ``quad.nodes`` per time.  Each
+    time's Gaussian integral is one log-sum-exp over the nodes; the time
+    integral is the trapezoid rule on the uniform grid, in log space too.
+    Returns the log integral and the largest per-time log integral, which
+    callers compare with their cap.  The one space-time rule of the package:
+    Σ_T, the L^p bound and the entropy budget's C1 and C2 all run on it.
+    """
+    log_inner = np.array([logsumexp(quad.log_weights + row) for row in log_values])
+    w = np.full(log_inner.shape[0], times[1] - times[0])
+    w[[0, -1]] *= 0.5
+    return logsumexp(log_inner + np.log(w)), log_inner.max()
 
 
 def _delta(values, x, jac):

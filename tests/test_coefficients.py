@@ -695,6 +695,10 @@ class TestEvaluate:
         assert calls == {"sigma": 1, "b": 1, "sigma_jac": 1, "b_jac": 1}
 
 
+# rounding allowance of Σ_T's log-space trapezoid against scipy's linear one
+SIGMA_T_RTOL = 1e-15
+
+
 class TestValidateHypotheses:
     def test_sigma_integral_translate(self, quad1, monkeypatch):
         monkeypatch.setattr(coefficients, "HYPOTHESIS_TGRID", 5)
@@ -728,22 +732,26 @@ class TestValidateHypotheses:
         rep = validate_hypotheses(builtin_coefficients("translate", d=1, lam=10.0), 1.0, quad1)
         assert rep.divergent and rep.sigma_T == math.inf
 
-    @pytest.mark.parametrize("tgrid", [17, (0.0, 0.1, 0.35, 0.5, 0.9, 1.0)])
-    def test_sigma_integral_is_scipy_trapezoid_bitwise(self, sine_field, ou1, quad1, tgrid):
-        # the uniform grid through validate_hypotheses, an uneven one through the integral itself
-        times = np.linspace(0.0, 1.0, tgrid) if np.isscalar(tgrid) else np.asarray(tgrid)
-        for field in (sine_field, ou1):
-            values = [field.evaluate(t, quad1.nodes) for t in times]
-            log_inner = [
-                logsumexp(quad1.log_weights + field.exp_const * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
-                for ev in values
-            ]
-            expected = float(trapezoid(np.exp(log_inner), times))
-            if np.isscalar(tgrid):
-                assert tgrid == coefficients.HYPOTHESIS_TGRID
-                assert validate_hypotheses(field, 1.0, quad1).sigma_T == expected
-            else:
-                assert coefficients._hypothesis_integral(values, times, field.exp_const, quad1.log_weights) == expected
+    @pytest.mark.parametrize("name", ["sine", "ou_linear", "sign_drift_n8"])
+    def test_sigma_integral_is_scipy_trapezoid_bitwise(self, sine_field, ou1, sign1, quad1, name):
+        # Σ_T's log-space trapezoid against scipy's linear one on the uniform HYPOTHESIS_TGRID
+        # nodes: bit for bit on the two time-independent fields, and within SIGMA_T_RTOL on a
+        # regularized level, whose drift ramp varies in time (measured: one ulp, 2.2e-16)
+        fields = {"sine": lambda: sine_field, "ou_linear": lambda: ou1,
+                  "sign_drift_n8": lambda: regularize(sign1, RegularizationLevel(8), quad1)}
+        field = fields[name]()
+        times = np.linspace(0.0, 1.0, coefficients.HYPOTHESIS_TGRID)
+        log_inner = [
+            logsumexp(quad1.log_weights + field.exp_const * (ev.grad_hs2 + ev.delta_sigma2 + np.abs(ev.delta_b)))
+            for ev in (field.evaluate(t, quad1.nodes) for t in times)
+        ]
+        assert np.ptp(log_inner) > 0.01 if name == "sign_drift_n8" else np.ptp(log_inner) == 0.0
+        expected = float(trapezoid(np.exp(log_inner), times))
+        sigma_T = validate_hypotheses(field, 1.0, quad1).sigma_T
+        if name == "sign_drift_n8":
+            assert sigma_T == pytest.approx(expected, rel=SIGMA_T_RTOL, abs=0.0)
+        else:
+            assert sigma_T == expected
 
 
 class TestCatalog:
