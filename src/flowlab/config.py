@@ -315,7 +315,7 @@ def _check_smoothing_size(cfg, fault):
 
 
 def _check_fp_stability(cfg, fault):
-    """grid_tau within the stability bound on both grids ``run`` solves.
+    """Both grids ``run`` solves: grid_h dividing 2 grid_R, and grid_tau within the stability bound.
 
     Those are grid_tau on grid_h and the coarse companion step 4 grid_tau
     on 2 grid_h, with the coefficients at s; ``fp_solve`` checks again at
@@ -326,9 +326,13 @@ def _check_fp_stability(cfg, fault):
     opt = cfg.options
     field = build_field(cfg)
     h, tau = opt["grid_h"], opt["grid_tau"]
-    for label, h_k, tau_k in (("grid_tau on grid_h", h, tau),
-                              ("coarse companion step 4 grid_tau on 2 grid_h", 2 * h, 4 * tau)):
-        pts = FPGrid.gaussian(field.d, opt["grid_R"], h_k).points()
+    for grid, label, h_k, tau_k in (("grid_h", "grid_tau on grid_h", h, tau),
+                                    ("coarse companion grid on 2 grid_h",
+                                     "coarse companion step 4 grid_tau on 2 grid_h", 2 * h, 4 * tau)):
+        try:
+            pts = FPGrid.gaussian(field.d, opt["grid_R"], h_k).points()
+        except ConfigError as exc:
+            raise fault("grid_h", f"{grid}: {exc}")
         try:
             stable_coefficients(field, opt["s"], pts, h_k, tau_k)
         except ConfigError as exc:

@@ -83,12 +83,16 @@ class FPGrid:
 
     @classmethod
     def from_density(cls, d, R, h, density):
-        # np.arange(-R, R + h/2, h), not the ``axis`` property: the two differ in
-        # the last bits (318 of 321 points on R = 8, h = 0.05), and every solve
-        # starts from these values, so switching would change every FP output byte
-        axis = np.arange(-R, R + h / 2, h)
-        u = np.asarray(density(tensor_mesh(axis, d)), dtype=float).reshape((axis.size,) * d)
-        grid = cls(d=d, R=R, h=h, u=np.maximum(u, 0.0))
+        """The grid of round(2R/h) + 1 points per axis, the density sampled at its points.
+
+        Raises ``ConfigError`` unless h divides 2R to 1e-9 relative, so that
+        the last point is R to that tolerance.
+        """
+        n = round(2 * R / h)
+        if not abs(n * h - 2 * R) <= 1e-9 * 2 * R:
+            raise ConfigError(f"h={h:g} does not divide 2R={2 * R:g}")
+        grid = cls(d=d, R=R, h=h, u=np.zeros((n + 1,) * d))
+        grid.u = np.maximum(np.asarray(density(grid.points()), dtype=float).reshape(grid.u.shape), 0.0)
         grid.u /= grid.mass()
         return grid
 

@@ -453,6 +453,19 @@ class TestCli:
             assert "[section='x' key='grid_tau']" in err
             assert "coarse companion" in err and "stability bound 0.001 " in err
 
+    @pytest.mark.parametrize("grid_h, coarse", [(0.7, False), (0.4, True)])
+    def test_fp_grid_step_that_does_not_divide_2R_exits_2(self, tmp_path, capsys, grid_h, coarse):
+        # 2 grid_R = 2: h = 0.7 divides it on neither grid, h = 0.4 on the fine grid only
+        p = tmp_path / "cfg.ini"
+        p.write_text("[x]\nkind = fokker_planck\nfield = translate\nd = 1\nt = 0.1\ndt = 0.01\n"
+                     f"trajectories = 8\ngrid_R = 1.0\ngrid_h = {grid_h}\ngrid_tau = 0.001\n")
+        for command in ("validate", "run"):
+            argv = [command, str(p)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "[section='x' key='grid_h']" in err and "does not divide" in err
+            assert ("coarse companion" in err) == coarse
+
     def test_failed_section_recorded_and_rest_run(self, tmp_path, capsys, monkeypatch):
         # a drift that grows in time breaks the FP stability bound after the
         # first step, a fault only the run can find: validate checks the

@@ -302,7 +302,7 @@ class TestGridLayout:
         np.testing.assert_array_equal(_bits(grid.points()), _bits(expected))
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_from_density_samples_at_arange(self, d):
+    def test_from_density_samples_at_points(self, d):
         R, h = 8.0, 0.05
         seen = []
 
@@ -311,13 +311,14 @@ class TestGridLayout:
             return np.ones(len(pts))
 
         grid = FPGrid.from_density(d, R, h, density)
-        ax = np.arange(-R, R + h / 2, h)
-        coords = np.meshgrid(*[ax] * d, indexing="ij")
-        expected = np.stack([c.ravel() for c in coords], axis=-1)
-        assert len(seen) == 1 and grid.u.shape == (ax.size,) * d
-        np.testing.assert_array_equal(_bits(seen[0]), _bits(expected))
-        # the evaluation points are not the ``axis`` property's in the last bits
-        assert not np.array_equal(ax, grid.axis)
+        assert len(seen) == 1 and grid.u.shape == (321,) * d
+        np.testing.assert_array_equal(_bits(seen[0]), _bits(grid.points()))
+        assert grid.axis[-1] == pytest.approx(R, rel=1e-12)
+
+    @pytest.mark.parametrize("R, h", [(1.0, 0.7), (1.0, 0.8), (8.0, 0.03)])
+    def test_refuses_a_step_that_does_not_divide_2R(self, R, h):
+        with pytest.raises(ConfigError, match="does not divide"):
+            FPGrid.gaussian(1, R, h)
 
 
 class TestStepBitwise:
