@@ -130,8 +130,6 @@ def krylov_ratios(field, fs, lam, s, T, x0, dt, seed, n_traj, threads=1, f_norms
 @dataclass(frozen=True)
 class CouplingReport:
     levels: tuple
-    n_ref: int
-    seed: int
     deviations: tuple        # Estimate of E sup_t |X^n - X^{ref}| per level
     monotone_steps: int      # count of strict decreases between consecutive levels
     final_over_first: float
@@ -195,11 +193,5 @@ def coupling_convergence(
     values = [e.value for e in deviations]
     monotone = sum(1 for a, b in zip(values[:-1], values[1:]) if b < a)
     ratio = values[-1] / values[0] if values and values[0] > 0 else 0.0
-    return CouplingReport(
-        levels=tuple(levels),
-        n_ref=n_ref,
-        seed=seed,
-        deviations=deviations,
-        monotone_steps=monotone,
-        final_over_first=ratio,
-    )
+    return CouplingReport(levels=tuple(levels), deviations=deviations, monotone_steps=monotone,
+                          final_over_first=ratio)

@@ -213,8 +213,6 @@ class BoundBudget:
     """
 
     T: float
-    L_T: float
-    lam_T: float
     Sigma_T: float
     M1: float
     M2: float
@@ -278,15 +276,13 @@ def budget_constants(field, T, quad, tgrid=HYPOTHESIS_TGRID):
     C1 and C2 are the 2^{N+1}- and 2^N-power space-time Gaussian norms of
     ||σ|| + e|δ(σ)| and |b| + e|δ(b)| + (3/2)||σ||^2 + ||∇σ||^2.
     """
-    L = field.growth_const
-    lam = field.exp_const
     T0 = time_threshold(field)
     M1 = gaussian_abs_moment(field.d)
     M2 = m2_exponential_moment(field.d)
 
     times = np.linspace(0.0, T, tgrid)
     values = [field.evaluate(u, quad.nodes) for u in times]
-    sigma_T = _hypothesis_integral(values, times, lam, quad)
+    sigma_T = _hypothesis_integral(values, times, field.exp_const, quad)
 
     log_lambda = (math.log(M2) + math.log(sigma_T) - math.log(T0)) / 12.0
     if log_lambda > LOG_CAP:
@@ -305,7 +301,5 @@ def budget_constants(field, T, quad, tgrid=HYPOTHESIS_TGRID):
     C1 = _spacetime_power_norm(f1, times, quad, q1)
     C2 = _spacetime_power_norm(f2, times, quad, q2)
 
-    return BoundBudget(
-        T=T, L_T=L, lam_T=lam, Sigma_T=sigma_T, M1=M1, M2=M2,
-        T0=T0, Lambda_T0=lam_T0, N_tilde=n_tilde, C1=C1, C2=C2,
-    )
+    return BoundBudget(T=T, Sigma_T=sigma_T, M1=M1, M2=M2, T0=T0, Lambda_T0=lam_T0, N_tilde=n_tilde,
+                       C1=C1, C2=C2)

@@ -396,8 +396,6 @@ def smooth_bump(center, width):
     if center.size > 1:
         coords = f"({coords})"
     phi.__name__ = f"bump(c={coords},w={width:g})"
-    phi.support_radius = width
-    phi.center = center
     return phi
 
 
@@ -484,7 +482,6 @@ class FactorizationReport:
     n_flagged_cells: int
     flagged_mass: float
     out_of_domain_fraction: float
-    estimate: np.ndarray
     fp_values: np.ndarray
 
 
@@ -536,6 +533,5 @@ def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed, threads
         n_flagged_cells=int((~valid).sum()),
         flagged_mass=flagged_mass,
         out_of_domain_fraction=float(frac_out),
-        estimate=estimate,
         fp_values=fp_u,
     )

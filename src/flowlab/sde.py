@@ -80,15 +80,11 @@ def make_grid(s, T, dt):
 class FlowEnsemble:
     """Trajectories of the flow from a set of starts under replicated noise."""
 
-    field_name: str
     s: float
     T: float
     dt: float
-    seed: int
     x0: np.ndarray            # (n_traj, d), replicas already expanded
     xT: np.ndarray            # (n_traj, d)
-    n_initials: int
-    replicas: int
 
     @property
     def n_traj(self):
@@ -346,8 +342,7 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     """
     n_steps = make_grid(s, T, dt) if T != s else 0
     x_init = _resolve_initials(initials, field.d, seed)
-    n0 = x_init.shape[0]
-    n_traj = n0 * replicas
+    n_traj = x_init.shape[0] * replicas
     x0 = np.repeat(x_init, replicas, axis=0)
     xT = _shared_zeros(x0.shape)
     for acc in accumulators:
@@ -367,14 +362,4 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
         xT[sl] = X
 
     _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
-    return FlowEnsemble(
-        field_name=field.name,
-        s=s,
-        T=T,
-        dt=dt,
-        seed=seed,
-        x0=x0,
-        xT=xT,
-        n_initials=n0,
-        replicas=replicas,
-    )
+    return FlowEnsemble(s=s, T=T, dt=dt, x0=x0, xT=xT)
