@@ -25,6 +25,7 @@ from flowlab.density import (
     theorem_bound_rhs,
     time_threshold,
 )
+from flowlab import density
 from flowlab.errors import BoundUnavailableError
 from flowlab.gaussian import GaussianQuadrature
 from flowlab.oracles import (
@@ -348,6 +349,18 @@ class TestBudget:
         budget = budget_constants(reg, tau, quad1, tgrid=5)
         assert np.isfinite(budget.entropy_bound)
         assert budget.entropy_bound > 0
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, 16.0])
+    def test_power_norm_matches_the_linear_sum(self, sign1, quad1, q):
+        # C2's integrand on a regularized level; the norm in linear arithmetic, where it cannot overflow
+        reg = regularize(sign1, RegularizationLevel(8), quad1)
+        times = np.linspace(0.0, 0.5, 9)
+        f = np.array([np.linalg.norm(ev.b, axis=-1) + math.e * np.abs(ev.delta_b) + 1.5 * ev.hs2 + ev.grad_hs2
+                      for ev in (reg.evaluate(t, quad1.nodes) for t in times)])
+        w = np.full(times.size, times[1] - times[0])
+        w[[0, -1]] /= 2.0
+        expected = (w @ (f**q @ quad1.weights)) ** (1.0 / q)
+        assert density._spacetime_power_norm(f, times, quad1, q) == pytest.approx(expected, rel=1e-13)
 
     def test_entropy_within_budget_smoke(self, sign1, quad1):
         reg = regularize(sign1, RegularizationLevel(8), quad1)

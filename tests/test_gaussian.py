@@ -19,6 +19,7 @@ from flowlab.gaussian import (
     ou_smooth,
     ou_smooth_grad,
     ou_smooth_table,
+    spacetime_log_integral,
 )
 from flowlab.oracles import gaussian_abs_moment
 
@@ -373,6 +374,30 @@ class TestLogSumExp:
 
     def test_empty(self):
         assert logsumexp(np.array([])) == scipy_logsumexp(np.array([])) == -np.inf
+
+
+class TestSpacetimeLogIntegral:
+    # rounding allowance of the log-space sums against the same sums in linear arithmetic
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("d, n_times", [(1, 17), (2, 5), (1, 2)])
+    def test_matches_the_linear_trapezoid(self, d, n_times):
+        quad = default_quadrature(d, order=8)
+        times = np.linspace(0.2, 0.7, n_times)
+        v = np.random.default_rng(3).standard_normal((n_times, quad.weights.size))
+        inner = np.exp(v) @ quad.weights
+        w = np.full(n_times, times[1] - times[0])
+        w[[0, -1]] /= 2.0
+        log_integral, peak = spacetime_log_integral(v, times, quad)
+        assert math.exp(log_integral) == pytest.approx(w @ inner, rel=self.RTOL)
+        assert math.exp(peak) == pytest.approx(inner.max(), rel=self.RTOL)
+
+    def test_past_double_range(self):
+        # e^800 overflows a double; the log integral of the constant is 800 + log(t1 - t0)
+        quad = default_quadrature(1)
+        log_integral, peak = spacetime_log_integral(np.full((9, 32), 800.0), np.linspace(0.0, 0.5, 9), quad)
+        assert log_integral == pytest.approx(800.0 + math.log(0.5), rel=1e-15)
+        assert peak == pytest.approx(800.0, rel=1e-15)
 
 
 class TestHermiteTable:
