@@ -282,7 +282,7 @@ def _validate_numerics(cfg):
         if not (axis <= MAX_FLOATS and axis**d * d * d <= MAX_FLOATS):
             raise fault("grid_h", f"grid_h: {axis:.6g}^{d} grid cells on [-grid_R, grid_R]^{d} hold more "
                         f"than {MAX_FLOATS} floats")
-        _check_fp_stability(cfg, fault)
+        _check_fp_grids(cfg, fault)
 
 
 def _check_smoothing_size(cfg, fault):
@@ -314,7 +314,7 @@ def _check_smoothing_size(cfg, fault):
                     f"needs {points * nodes * per_node} floats, more than {MAX_FLOATS}")
 
 
-def _check_fp_stability(cfg, fault):
+def _check_fp_grids(cfg, fault):
     """Both grids ``run`` solves: grid_h dividing 2 grid_R, and grid_tau within the stability bound.
 
     Those are grid_tau on grid_h and the coarse companion step 4 grid_tau

@@ -482,7 +482,6 @@ class FactorizationReport:
     n_flagged_cells: int
     flagged_mass: float
     out_of_domain_fraction: float
-    fp_values: np.ndarray
 
 
 def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed, threads=1):
@@ -533,5 +532,4 @@ def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed, threads
         n_flagged_cells=int((~valid).sum()),
         flagged_mass=flagged_mass,
         out_of_domain_fraction=float(frac_out),
-        fp_values=fp_u,
     )
