@@ -39,7 +39,7 @@ from .errors import (
     OracleMismatchError,
     SolverFailureError,
 )
-from .fokker_planck import FPGrid, density_factorization, diffusion_matrix, fp_solve, mc_measure, weak_error
+from .fokker_planck import FPGrid, density_factorization, diffusion_matrix, fp_solve, mc_flows, mc_measure, weak_error
 from .gaussian import (
     GaussianQuadrature,
     default_quadrature,

@@ -6,7 +6,7 @@ coefficient regularization, where every level n shares the trajectory's
 Brownian increments (common-noise coupling on one probability space) and is
 compared pathwise against the finest level.  Each study is an accumulator
 on one ``simulate_ensemble`` run; the coupling's run is the finest level's
-flow, beside which its accumulator steps the others.
+flow, beside which the others step as companion flows.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import RegularizationLevel, regularize
 from .density import Estimate, mean_estimate
 from .errors import ConfigError
-from .sde import _euler_step, make_grid, simulate_ensemble
+from .sde import CompanionFlow, _resolve_initials, make_grid, simulate_ensemble
 
 __all__ = [
     "CouplingReport",
@@ -138,31 +138,18 @@ class CouplingReport:
         return list(zip(self.levels, self.deviations))
 
 
-class _CouplingAccumulator:
-    """Regularization levels stepped beside the reference flow under its increments.
+class _SupDeviation:
+    """The running sup of |X^n - X^{ref}| per level, read after every level's companion flow steps."""
 
-    Per trajectory it carries the level states across steps (levels x n_traj
-    x d, so each level's rows of a chunk are contiguous; started at the
-    reference's start) and keeps the running sup of |X^n - X^{ref}| per level.
-    """
-
-    def __init__(self, fields, d, dt):
-        self.fields = fields
-        self.d = d
-        self.dt = dt
+    def __init__(self, levels):
+        self.levels = levels
 
     def alloc(self, n_traj, zeros):
-        self.Y = zeros((len(self.fields), n_traj, self.d))
-        self.sup_dev = zeros((len(self.fields), n_traj))
+        self.sup_dev = zeros((len(self.levels), n_traj))
 
     def step(self, sl, k, t, X, dW, ev, X_next):
-        Y = self.Y[:, sl]
-        if k == 0:
-            Y[:] = X
-        for li, fl in enumerate(self.fields):
-            Y[li] = _euler_step(fl, k, t, Y[li], dW, self.dt)[1]
-        dev = self.sup_dev[:, sl]
-        np.maximum(dev, np.linalg.norm(Y - X_next, axis=-1), out=dev)
+        for dev, level in zip(self.sup_dev[:, sl], self.levels):
+            np.maximum(dev, np.linalg.norm(level.xT[sl] - X_next, axis=-1), out=dev)
 
 
 def coupling_convergence(
@@ -175,7 +162,8 @@ def coupling_convergence(
     counter range per trajectory index), realizing the limit statement on a
     single probability space; the finest level stands in for the true
     solution.  The reference level is the flow ``simulate_ensemble`` runs
-    and the other levels are stepped beside it by an accumulator.  Returns
+    and the other levels step beside it as ``CompanionFlow``s from the same
+    starts, each read after its step by ``_SupDeviation``.  Returns
     per-level E sup_{t<=T} |X^n_t - X^{ref}_t|.  The reference steps first:
     when it and a level explode at the same step, the ``ExplosionError``
     names the reference's rows.
@@ -185,9 +173,9 @@ def coupling_convergence(
         raise ConfigError("reference level must be the finest")
     make_grid(s, T, dt)  # a coupling needs at least one step
     *fields, ref = [regularize(field, RegularizationLevel(n), quad) for n in levels + [n_ref]]
-    acc = _CouplingAccumulator(fields, field.d, dt)
-    simulate_ensemble(ref, s, T, initials, dt, seed, replicas=replicas, threads=threads,
-                      accumulators=(acc,))
+    x0 = np.repeat(_resolve_initials(initials, field.d, seed), replicas, axis=0)
+    acc = _SupDeviation([CompanionFlow(fl, x0, dt) for fl in fields])
+    simulate_ensemble(ref, s, T, x0, dt, seed, threads=threads, accumulators=(*acc.levels, acc))
 
     deviations = tuple(mean_estimate(dev) for dev in acc.sup_dev)
     values = [e.value for e in deviations]

@@ -23,8 +23,10 @@ from .density import (
 from .errors import BoundUnavailableError
 from .fokker_planck import (
     FPGrid,
+    GridSampler1D,
     density_factorization,
     fp_solve,
+    mc_flows,
     smooth_bump,
     weak_error,
     write_solution_csv,
@@ -178,8 +180,11 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
     sol_coarse = fp_solve(field, coarse_grid, cfg.s, cfg.t, 4 * tau)
     centers = (-2.0, -1.0, 0.0, 1.0, 2.0)
     phis = [smooth_bump(c, 1.5) for c in centers]
-    wrep = weak_error(sol, field, ("gaussian", cfg.trajectories), phis, cfg.s, cfg.t,
-                      cfg.dt, seed, threads=threads, fp_coarse=sol_coarse)
+    sampler = GridSampler1D(grid0) if cfg.factorization_samples else None
+    starts = sampler.sample(cfg.factorization_samples, seed) if sampler else None
+    weak_xT, factorization = mc_flows(field, cfg.trajectories, starts, cfg.s, cfg.t, cfg.dt, seed,
+                                      threads=threads)
+    wrep = weak_error(sol, weak_xT, phis, fp_coarse=sol_coarse)
     bar = wrep.max_combined_bar()
     rows.append(ReportRow.checked(cfg.name, "weak_error_max", wrep.max_discrepancy, None, 3.0 * bar))
     details = {
@@ -190,9 +195,8 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
                   for c, (_, fv, fe, mc) in zip(centers, wrep.rows())]),
     }
 
-    if cfg.factorization_samples:
-        frep = density_factorization(field, grid0, sol, cfg.s, cfg.t,
-                                     cfg.factorization_samples, cfg.dt, seed, threads=threads)
+    if factorization is not None:
+        frep = density_factorization(sol, sampler, *factorization)
         rows.append(ReportRow.checked(cfg.name, "factorization_l1", frep.l1_discrepancy, None, 5e-2))
         rows.append(ReportRow(cfg.name, "factorization_flagged_mass", frep.flagged_mass,
                               None, None, None))

@@ -32,11 +32,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .density import mean_estimate, run_density_ensemble
+from .density import DensityAccumulator, mean_estimate
 from .errors import ConfigError, SolverFailureError
 from .gaussian import tensor_mesh
-from .rng import GRID_SAMPLER_STREAM, substream, uniform_open
-from .sde import make_grid, simulate_ensemble
+from .rng import GRID_SAMPLER_STREAM, gaussian_points, substream, uniform_open
+from .sde import CompanionFlow, make_grid, simulate_ensemble
 
 __all__ = [
     "FPGrid",
@@ -47,6 +47,7 @@ __all__ = [
     "density_factorization",
     "diffusion_matrix",
     "fp_solve",
+    "mc_flows",
     "mc_measure",
     "smooth_bump",
     "stable_coefficients",
@@ -420,21 +421,21 @@ class WeakErrorReport:
         return list(zip(self.labels, self.fp_values, self.fp_errors, self.mc_values))
 
 
-def weak_error(fp, field, initials, phis, s, t, dt, seed, threads=1, fp_coarse=None):
+def weak_error(fp, xT, phis, fp_coarse=None):
     """Max |<φ, u_fp> - MC| over a smooth test set, with both error bars.
 
-    The PDE-side error bar per test function is the grid-refinement spread
-    |<φ, u_h> - <φ, u_2h>| when a coarse companion solve is supplied.  The
-    flow ensemble is simulated once and every φ is read off its endpoints,
-    so each MC value equals ``mc_measure`` of that φ bit for bit.
+    The MC value of each φ is the batched mean of φ at the flow endpoints
+    ``xT`` (from ``mc_flows``, where each equals ``mc_measure`` of that φ bit
+    for bit).  The PDE-side error bar per test function is the
+    grid-refinement spread |<φ, u_h> - <φ, u_2h>| when a coarse companion
+    solve is supplied.
     """
-    ens = simulate_ensemble(field, s, t, initials, dt, seed, threads=threads)
     fp_vals, fp_errs, mc_vals, labels = [], [], [], []
     for i, phi in enumerate(phis):
         v = fp.grid.moment(phi)
         fp_vals.append(v)
         fp_errs.append(abs(v - fp_coarse.grid.moment(phi)) if fp_coarse is not None else 0.0)
-        mc_vals.append(mean_estimate(phi(ens.xT)))
+        mc_vals.append(mean_estimate(phi(xT)))
         labels.append(getattr(phi, "__name__", f"phi_{i}"))
     disc = max(abs(v - m.value) for v, m in zip(fp_vals, mc_vals))
     return WeakErrorReport(
@@ -444,6 +445,32 @@ def weak_error(fp, field, initials, phis, s, t, dt, seed, threads=1, fp_coarse=N
         mc_values=tuple(mc_vals),
         max_discrepancy=disc,
     )
+
+
+def mc_flows(field, trajectories, starts, s, t, dt, seed, threads=1):
+    """The endpoints of the weak-error flow and, beside it, of the factorization flow.
+
+    The weak-error flow starts from ``trajectories`` γ_d points; the
+    factorization flow from ``starts`` (None for no factorization flow), with
+    a ``DensityAccumulator``.  Trajectory j of either flow reads the
+    increments of trajectory index j, so both run in one ``simulate_ensemble``
+    call and draw each row once: the larger start set is the run and the
+    other a ``CompanionFlow`` beside it.  Every endpoint and density weight
+    equals, bit for bit, that of a run of its starts alone.  Returns
+    (weak endpoints, (starts, endpoints, density record)), or (weak
+    endpoints, None) without ``starts``.
+    """
+    gauss = gaussian_points(seed, trajectories, field.d)
+    if starts is None:
+        return simulate_ensemble(field, s, t, gauss, dt, seed, threads=threads).xT, None
+    rec = DensityAccumulator(dt)
+    if starts.shape[0] >= trajectories:
+        weak = CompanionFlow(field, gauss, dt)
+        ens = simulate_ensemble(field, s, t, starts, dt, seed, threads=threads, accumulators=(rec, weak))
+        return weak.xT, (starts, ens.xT, rec)
+    factor = CompanionFlow(field, starts, dt, accumulators=(rec,))
+    ens = simulate_ensemble(field, s, t, gauss, dt, seed, threads=threads, accumulators=(factor,))
+    return ens.xT, (starts, factor.xT, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +492,8 @@ class GridSampler1D:
         gen = substream(seed, GRID_SAMPLER_STREAM)
         u1 = uniform_open(gen, n)
         u2 = uniform_open(gen, n)
-        idx = np.searchsorted(self.cdf, u1)
+        # the rounded CDF can end below the largest uniform, 1 - 2**-53: that draw takes the last cell
+        idx = np.minimum(np.searchsorted(self.cdf, u1), self.cdf.size - 1)
         x = self.grid.axis[idx] + (u2 - 0.5) * self.grid.h
         return x[:, None]
 
@@ -484,32 +512,27 @@ class FactorizationReport:
     out_of_domain_fraction: float
 
 
-def density_factorization(field, u0_grid, fp, s, t, n_samples, dt, seed, threads=1):
+def density_factorization(fp, sampler, x0, xT, record):
     """Compare the PDE density against the flow-weight reconstruction k·u0.
 
-    Starts x_i ~ μ0 (the grid density u0), pushes them through the flow and
-    reconstructs the evolved density per grid cell from the accumulated
-    weights: within cell B, the mean of 1/K^{μ0} read at push-forward points
-    estimates μ0(B)/μ_t(B), so u_t(B) ≈ u0(B) / mean(ρ(y) K~ / ρ(x)).  Cells
-    with fewer than ``MIN_CELL_COUNT`` samples are flagged and excluded, not
-    silently averaged.
+    The starts ``x0`` are drawn by ``sampler`` from μ0 (its grid density u0),
+    pushed by the flow to ``xT`` with density record ``record`` (from
+    ``mc_flows``).  The evolved density is reconstructed per grid cell from
+    the accumulated weights: within cell B, the mean of 1/K^{μ0} read at
+    push-forward points estimates μ0(B)/μ_t(B), so u_t(B) ≈ u0(B) /
+    mean(ρ(y) K~ / ρ(x)).  Cells with fewer than ``MIN_CELL_COUNT`` samples
+    are flagged and excluded, not silently averaged.
     """
-    if u0_grid.d != 1:
-        raise ConfigError("density factorization is implemented for d = 1")
-    sampler = GridSampler1D(u0_grid)
-    x0 = sampler.sample(n_samples, seed)
-    ens, rec = run_density_ensemble(field, s, t, x0, dt, seed, threads=threads)
-
     def log_gauss(x):
         return -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2.0 * math.pi)
 
     log_rho_x = sampler.log_density(x0) - log_gauss(x0)
-    log_rho_y = sampler.log_density(ens.xT) - log_gauss(ens.xT)
-    log_w_inv = rec.log_ktilde + log_rho_y - log_rho_x
+    log_rho_y = sampler.log_density(xT) - log_gauss(xT)
+    log_w_inv = record.log_ktilde + log_rho_y - log_rho_x
 
-    grid = u0_grid
+    grid = sampler.grid
     n_cells = grid.u.shape[0]
-    idx = np.round((ens.xT[:, 0] + grid.R) / grid.h).astype(int)
+    idx = np.round((xT[:, 0] + grid.R) / grid.h).astype(int)
     in_domain = (idx >= 0) & (idx < n_cells)
     frac_out = 1.0 - in_domain.mean()
 

@@ -16,8 +16,12 @@ Key and counter layout:
   steps of m-dimensional noise reads the B = ⌈n_steps m / 4⌉ counter blocks
   after counter j B (four words a block, the last block's spare words
   unused), so a row drawn alone equals that row of any block of rows.
-  Ensembles at one seed with different n_steps m read overlapping counters:
-  row j of one may share words with a different row of the other.
+  Two ensembles at one seed with the same n_steps m share rows: row j of
+  each is the same increments.  A Fokker-Planck section's two flows (the
+  weak-error and the factorization ensembles) share them by design, and
+  draw each row once (:class:`flowlab.sde.CompanionFlow`).  Ensembles at one
+  seed with different n_steps m read overlapping counters: row j of one may
+  share words with a different row of the other.
 * key ``[seed, 2**62]``: initial points drawn from the standard Gaussian.
 * key ``[seed, 2**62 + 1]``: inverse-CDF sampling of grid densities.
 * key ``[seed, 2**62 + 2]``: Monte-Carlo quadrature fallback nodes.

@@ -28,7 +28,12 @@ each step it copies that step's increments out of the chunk's block into
 one C-contiguous, read-only (rows, m) slab, which the Euler step and every
 accumulator read.  Every path functional (the density weight, the
 occupation functional, the coupling of regularization levels) is an
-accumulator streamed through ``simulate_ensemble``.
+accumulator streamed through ``simulate_ensemble``.  A companion flow
+(``CompanionFlow``) is the one way a second start set reads a run's rows:
+an accumulator that steps its own starts by ``_euler_step`` under the run's
+slab, for the trajectory indices below its size, and runs accumulators of
+its own.  The coupling's levels step beside its reference level this way,
+and a Fokker-Planck section's smaller Monte-Carlo flow beside its larger.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density
@@ -52,6 +57,7 @@ from .errors import ConfigError, ExplosionError
 from .rng import brownian_increments, gaussian_points
 
 __all__ = [
+    "CompanionFlow",
     "FlowEnsemble",
     "make_grid",
     "simulate_ensemble",
@@ -300,6 +306,49 @@ def _euler_step(field, k, t, X, dW, dt):
             f"{len(rows)} trajectories exploded at step {k + 1}", step=k + 1, indices=rows
         )
     return ev, X_next
+
+
+class CompanionFlow:
+    """A second start set stepped beside a run under the run's increments, as an accumulator.
+
+    Companion trajectory j starts at ``starts[j]`` and takes the run's
+    increments of trajectory index j, so a run needs at least as many
+    trajectories as the companion has starts.  At each step it makes its own
+    ``_euler_step`` of the field from its left-point states and then calls its
+    own ``accumulators`` with its slice, states, increments and bundle, as
+    ``simulate_ensemble`` calls the run's.  Its endpoints ``xT`` start as the
+    starts, so a run with no steps leaves them there, and each endpoint and
+    accumulated value is, bit for bit, that of a ``simulate_ensemble`` of
+    ``starts`` alone.  A companion path that explodes raises from its Euler
+    step, with its own trajectory index.
+    """
+
+    def __init__(self, field, starts, dt, accumulators=()):
+        self.field = field
+        self.starts = np.asarray(starts, dtype=float)
+        self.dt = dt
+        self.accumulators = accumulators
+        self.xT = None
+
+    def alloc(self, n_traj, zeros):
+        n = self.starts.shape[0]
+        if n > n_traj:
+            raise ValueError(f"a companion of {n} starts needs a run of as many trajectories, not {n_traj}")
+        self.xT = zeros(self.starts.shape)
+        self.xT[:] = self.starts
+        for acc in self.accumulators:
+            _alloc(acc, n)
+
+    def step(self, sl, k, t, X, dW, ev, X_next):
+        own = slice(sl.start, min(sl.stop, self.xT.shape[0]))
+        rows = own.stop - own.start
+        if rows <= 0:
+            return
+        Y, dW = self.xT[own], dW[:rows]
+        ev, Y_next = _euler_step(self.field, k, t, Y, dW, self.dt)
+        for acc in self.accumulators:
+            acc.step(own, k, t, Y, dW, ev, Y_next)
+        Y[:] = Y_next
 
 
 def _resolve_initials(initials, d, seed):

@@ -35,8 +35,10 @@ from flowlab.density import (
 from flowlab.errors import BoundUnavailableError
 from flowlab.fokker_planck import (
     FPGrid,
+    GridSampler1D,
     density_factorization,
     fp_solve,
+    mc_flows,
     smooth_bump,
     weak_error,
 )
@@ -308,17 +310,19 @@ def test_criterion_8_fokker_planck(translate, ou):
     for field, t_end, tau in ((translate, 1.0, 1e-3), (ou, 0.5, 5e-4)):
         sol = fp_solve(field, FPGrid.gaussian(1, 8.0, 0.05), 0.0, t_end, tau)
         coarse = fp_solve(field, FPGrid.gaussian(1, 8.0, 0.1), 0.0, t_end, 4 * tau)
-        rep = weak_error(sol, field, ("gaussian", 100_000), phis, 0.0, t_end,
-                         2e-3 if field is translate else 1e-3, SEED,
-                         threads=THREADS, fp_coarse=coarse)
+        xT, _ = mc_flows(field, 100_000, None, 0.0, t_end, 2e-3 if field is translate else 1e-3, SEED,
+                         threads=THREADS)
+        rep = weak_error(sol, xT, phis, fp_coarse=coarse)
         assert rep.max_discrepancy <= 3.0 * rep.max_combined_bar(), field.name
         weak_msgs.append(f"{field.name}: {rep.max_discrepancy:.2e}")
 
     # factorization of the evolved density through the flow weights
     grid0 = FPGrid.gaussian(1, 8.0, 0.05)
     sol = fp_solve(translate, grid0, 0.0, 0.25, 1e-3)
-    frep = density_factorization(translate, grid0, sol, 0.0, 0.25, 1_000_000,
-                                 1e-3, SEED, threads=THREADS)
+    sampler = GridSampler1D(grid0)
+    x0 = sampler.sample(1_000_000, SEED)
+    ens, rec = run_density_ensemble(translate, 0.0, 0.25, x0, 1e-3, SEED, threads=THREADS)
+    frep = density_factorization(sol, sampler, x0, ens.xT, rec)
     assert frep.l1_discrepancy <= 5e-2
     print(f"PASS criterion-8: heat variance err {var_err:.2e} <= 1%, weak errors "
           + ", ".join(weak_msgs) + f", factorization L1 {frep.l1_discrepancy:.3f} <= 0.05")

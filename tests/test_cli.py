@@ -19,6 +19,7 @@ from flowlab import config, errors, experiments
 from flowlab.density import time_threshold
 from flowlab.errors import ConfigError, FlowLabError
 from flowlab.gaussian import GaussianQuadrature
+from flowlab.rng import gaussian_points
 from flowlab.sde import MAX_STEPS
 
 from conftest import make_sine_field
@@ -492,6 +493,25 @@ class TestCli:
         rows = summary["experiments"]["hypotheses"]["rows"]
         assert {r["quantity"] for r in rows} >= {"min_eigenvalue", "sigma_T"}
         assert (out / "hypotheses.csv").exists()
+
+    def test_companion_explosion_recorded(self, tmp_path, capsys, monkeypatch):
+        # the factorization's 4000 starts lie in [-2.1, 2.1] and are the run; the 2000 γ starts of
+        # the weak-error check are its companion, and those beyond |x| = 3 leave the explosion
+        # radius at step 2 under a drift of 6e9 there
+        def flare(cfg):
+            field = build_field(cfg)
+            return dataclasses.replace(field, b=lambda t, X: 6e9 * np.sign(X) * (np.abs(X) > 3.0))
+
+        monkeypatch.setattr(experiments, "build_field", flare)
+        p = tmp_path / "cfg.ini"
+        p.write_text(FP_SECTION.replace("grid_R = 6.0", "grid_R = 2.0") + "factorization_samples = 4000\n")
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        n_bad = int((np.abs(gaussian_points(42, 2000, 1)) > 3.0).sum())
+        failed = json.loads((out / "summary.json").read_text())["experiments"]["fp-small"]
+        assert n_bad > 0 and failed["passed"] is False
+        assert failed["error"] == f"ExplosionError: {n_bad} trajectories exploded (earliest step 2)"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_override_out_of_range(self, config_path, tmp_path, capsys, seed):

@@ -24,7 +24,7 @@ from flowlab.coefficients import (
     time_mollifier,
     validate_hypotheses,
 )
-from flowlab.convergence import KrylovAccumulator, _CouplingAccumulator
+from flowlab.convergence import KrylovAccumulator, _SupDeviation
 from flowlab.density import DensityAccumulator, run_density_ensemble
 from flowlab.errors import CapabilityError
 from flowlab.gaussian import HermiteTable, _delta, default_quadrature
@@ -539,19 +539,21 @@ class TestChunkIndependence:
     def test_each_accumulator(self, sign1, quad1, monkeypatch, kind):
         reg = regularize(sign1, RegularizationLevel(8), quad1)
         if kind == "density":
-            acc = DensityAccumulator(1e-3)
+            accs = (DensityAccumulator(1e-3),)
         elif kind == "tangent":
-            acc = TangentReference(1e-3)
+            accs = (TangentReference(1e-3),)
         elif kind == "krylov":
-            acc = KrylovAccumulator(lambda t, X: np.cos(X[..., 0]), 0.5, 1e-3)
+            accs = (KrylovAccumulator(lambda t, X: np.cos(X[..., 0]), 0.5, 1e-3),)
         else:
-            acc = _CouplingAccumulator([regularize(sign1, RegularizationLevel(n), quad1) for n in (2, 4)], 1, 1e-3)
+            levels = [sde.CompanionFlow(regularize(sign1, RegularizationLevel(n), quad1), self.STARTS_PAST_TABLE, 1e-3)
+                      for n in (2, 4)]
+            accs = (*levels, _SupDeviation(levels))
+        per_path = {DensityAccumulator: ("S", "D"), TangentReference: ("logdet", "nonpositive"),
+                    KrylovAccumulator: ("values",), sde.CompanionFlow: ("xT",), _SupDeviation: ("sup_dev",)}
 
         def run():
-            ens = sde.simulate_ensemble(reg, 0.0, 2e-3, self.STARTS_PAST_TABLE, 1e-3, seed=3, accumulators=(acc,))
-            per_path = {"density": ("S", "D"), "tangent": ("logdet", "nonpositive"), "krylov": ("values",),
-                        "coupling": ("Y", "sup_dev")}[kind]
-            return (ens.xT,) + tuple(np.array(getattr(acc, name)) for name in per_path)
+            ens = sde.simulate_ensemble(reg, 0.0, 2e-3, self.STARTS_PAST_TABLE, 1e-3, seed=3, accumulators=accs)
+            return (ens.xT,) + tuple(np.array(getattr(acc, name)) for acc in accs for name in per_path[type(acc)])
 
         self._same_at_every_cut(monkeypatch, run)
 

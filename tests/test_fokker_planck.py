@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from flowlab import fokker_planck
+from flowlab import fokker_planck, sde
 from flowlab.coefficients import builtin_coefficients
-from flowlab.errors import ConfigError, SolverFailureError
+from flowlab.density import run_density_ensemble
+from flowlab.errors import ConfigError, ExplosionError, SolverFailureError
 from flowlab.fokker_planck import (
     FPGrid,
     GridSampler1D,
     density_factorization,
     diffusion_matrix,
     fp_solve,
+    mc_flows,
     mc_measure,
     smooth_bump,
     weak_error,
@@ -399,16 +401,17 @@ class TestWeakError:
     def test_degenerate_horizon(self, translate1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 0.0, 1e-3)
-        rep = weak_error(sol, translate1, ("gaussian", 40000), self._phis(),
-                         0.0, 0.0, 1e-3, seed=11)
+        # as many factorization starts, so the weak-error flow is the companion and sees no step
+        xT, _ = mc_flows(translate1, 40000, GridSampler1D(grid).sample(40000, 11), 0.0, 0.0, 1e-3, seed=11)
+        rep = weak_error(sol, xT, self._phis())
         assert rep.max_discrepancy <= 3.0 * max(m.stderr for m in rep.mc_values) + 1e-3
 
     def test_heat_agreement(self, translate1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 1.0, 1e-3)
         coarse = fp_solve(translate1, FPGrid.gaussian(1, 8.0, 0.1), 0.0, 1.0, 4e-3)
-        rep = weak_error(sol, translate1, ("gaussian", 50000), self._phis(),
-                         0.0, 1.0, 2e-3, seed=13, fp_coarse=coarse)
+        xT, _ = mc_flows(translate1, 50000, None, 0.0, 1.0, 2e-3, seed=13)
+        rep = weak_error(sol, xT, self._phis(), fp_coarse=coarse)
         assert rep.max_discrepancy <= 2e-2
         assert rep.max_discrepancy <= 3.0 * rep.max_combined_bar()
 
@@ -416,7 +419,7 @@ class TestWeakError:
         grid = FPGrid.gaussian(1, 8.0, 0.2)
         sol = fp_solve(translate1, grid, 0.0, 0.0, 1e-2)
         phis = [smooth_bump(c, 1.5) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-        rep = weak_error(sol, translate1, ("gaussian", 200), phis, 0.0, 0.0, 1e-2, seed=3)
+        rep = weak_error(sol, mc_flows(translate1, 200, None, 0.0, 0.0, 1e-2, seed=3)[0], phis)
         assert len(set(rep.labels)) == len(phis)
         assert rep.labels[0] == "bump(c=-2,w=1.5)"
         assert smooth_bump((1.0, -0.5), 0.25).__name__ == "bump(c=(1,-0.5),w=0.25)"
@@ -427,14 +430,16 @@ class TestWeakError:
         grid = FPGrid.gaussian(1, 8.0, 0.2)
         sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-2)
         phis = self._phis()
-        rep = weak_error(sol, translate1, ("gaussian", 10000), phis, 0.0, 0.25, 1e-2,
-                         seed=19, threads=threads)
+        xT, _ = mc_flows(translate1, 10000, None, 0.0, 0.25, 1e-2, seed=19, threads=threads)
+        rep = weak_error(sol, xT, phis)
         for phi, mc in zip(phis, rep.mc_values):
             ref = mc_measure(translate1, ("gaussian", 10000), phi, 0.0, 0.25, 1e-2,
                              seed=19, threads=threads)
             assert (mc.value, mc.stderr) == (ref.value, ref.stderr)
 
-    def test_simulates_one_ensemble(self, translate1, monkeypatch):
+    @pytest.mark.parametrize("n_samples", [0, 300, 500, 700])
+    def test_simulates_one_ensemble(self, translate1, monkeypatch, n_samples):
+        # both flows of a section, whichever is larger, run in one ensemble
         calls = []
         real = fokker_planck.simulate_ensemble
 
@@ -445,16 +450,25 @@ class TestWeakError:
         monkeypatch.setattr(fokker_planck, "simulate_ensemble", counted)
         grid = FPGrid.gaussian(1, 8.0, 0.2)
         sol = fp_solve(translate1, grid, 0.0, 0.1, 1e-2)
-        weak_error(sol, translate1, ("gaussian", 500), self._phis(), 0.0, 0.1, 1e-2, seed=5)
+        starts = GridSampler1D(grid).sample(n_samples, 5) if n_samples else None
+        xT, _ = mc_flows(translate1, 500, starts, 0.0, 0.1, 1e-2, seed=5)
+        weak_error(sol, xT, self._phis())
         assert len(calls) == 1
 
     def test_support_outside_domain(self, translate1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-3)
         phi = smooth_bump(20.0, 1.0)
-        rep = weak_error(sol, translate1, ("gaussian", 2000), [phi], 0.0, 0.25, 1e-2, seed=17)
+        rep = weak_error(sol, mc_flows(translate1, 2000, None, 0.0, 0.25, 1e-2, seed=17)[0], [phi])
         assert rep.fp_values[0] == 0.0
         assert rep.mc_values[0].value == 0.0
+
+
+def _factorization(field, grid, fp, s, t, n_samples, dt, seed, trajectories=1000):
+    """``density_factorization`` of ``n_samples`` starts drawn from the grid density, from ``mc_flows``."""
+    sampler = GridSampler1D(grid)
+    _, flow = mc_flows(field, trajectories, sampler.sample(n_samples, seed), s, t, dt, seed)
+    return density_factorization(fp, sampler, *flow)
 
 
 class TestFactorization:
@@ -468,13 +482,14 @@ class TestFactorization:
     def test_degenerate_horizon_binning_only(self, translate1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 0.0, 1e-3)
-        rep = density_factorization(translate1, grid, sol, 0.0, 0.0, 400000, 1e-3, seed=23)
+        # more weak-error starts, so the factorization flow is the companion and sees no step
+        rep = _factorization(translate1, grid, sol, 0.0, 0.0, 400000, 1e-3, seed=23, trajectories=400001)
         assert rep.l1_discrepancy <= 2e-2
 
     def test_translate_quarter_horizon(self, translate1):
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-3)
-        rep = density_factorization(translate1, grid, sol, 0.0, 0.25, 200000, 1e-3, seed=29)
+        rep = _factorization(translate1, grid, sol, 0.0, 0.25, 200000, 1e-3, seed=29)
         assert rep.l1_discrepancy <= 5e-2
         assert rep.out_of_domain_fraction <= 1e-4
         assert rep.flagged_mass <= 1e-3
@@ -483,6 +498,80 @@ class TestFactorization:
         monkeypatch.setattr(fokker_planck, "MIN_CELL_COUNT", 50)
         grid = FPGrid.gaussian(1, 8.0, 0.05)
         sol = fp_solve(translate1, grid, 0.0, 0.25, 1e-3)
-        rep = density_factorization(translate1, grid, sol, 0.0, 0.25, 2000, 1e-2, seed=31)
+        rep = _factorization(translate1, grid, sol, 0.0, 0.25, 2000, 1e-2, seed=31)
         assert rep.n_flagged_cells > 0
         assert rep.n_valid_cells + rep.n_flagged_cells == grid.u.shape[0]
+
+    def test_sampler_takes_the_last_cell_for_the_largest_uniform(self, monkeypatch):
+        # at R = 8, h = 0.025 the rounded CDF ends at 0.999999999999999, below the largest uniform
+        grid = FPGrid.gaussian(1, 8.0, 0.025)
+        sampler = GridSampler1D(grid)
+        assert sampler.cdf[-1] < 1.0 - 2.0**-53
+        monkeypatch.setattr(fokker_planck, "uniform_open", lambda gen, n: np.full(n, 1.0 - 2.0**-53))
+        x = sampler.sample(3, seed=1)[:, 0]
+        assert np.all(x == grid.axis[-1] + (0.5 - 2.0**-53) * grid.h)
+
+
+class TestSharedRun:
+    """A section's two flows from one run equal, bit for bit, each flow run alone."""
+
+    TRAJECTORIES = 300
+    DT = 1e-2
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        field = make_sine_field()
+        grid = FPGrid.gaussian(1, 4.0, 0.2)
+        return field, GridSampler1D(grid), fp_solve(field, grid, 0.0, 0.05, 1e-3)
+
+    @staticmethod
+    def _phis():
+        return [smooth_bump(-0.5, 1.5), smooth_bump(1.0, 2.0)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cap", [None, 64, 97])
+    @pytest.mark.parametrize("n_samples", [400, 300, 200, 0])
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    def test_equals_separate_runs(self, case, monkeypatch, t, n_samples, cap, threads):
+        field, sampler, sol = case
+        n, dt, seed = self.TRAJECTORIES, self.DT, 7
+        starts = sampler.sample(n_samples, seed) if n_samples else None
+        # the references run at the default chunk cap, the shared run at ``cap``
+        mc_refs = [mc_measure(field, ("gaussian", n), phi, 0.0, t, dt, seed, threads=threads)
+                   for phi in self._phis()]
+        if starts is not None:
+            ens, rec = run_density_ensemble(field, 0.0, t, starts, dt, seed, threads=threads)
+            factor_ref = density_factorization(sol, sampler, starts, ens.xT, rec)
+        if cap is not None:
+            monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m: cap)
+        weak_xT, flow = mc_flows(field, n, starts, 0.0, t, dt, seed, threads=threads)
+
+        mc = weak_error(sol, weak_xT, self._phis()).mc_values
+        assert [(e.value, e.stderr) for e in mc] == [(e.value, e.stderr) for e in mc_refs]
+        if starts is None:
+            assert flow is None
+            return
+        x0, xT, record = flow
+        assert np.array_equal(x0, starts)
+        assert np.array_equal(xT, ens.xT) and np.array_equal(record.log_ktilde, rec.log_ktilde)
+        assert density_factorization(sol, sampler, *flow) == factor_ref
+        if t == 0.0:
+            assert np.array_equal(xT, starts) and np.array_equal(record.log_ktilde, np.zeros(n_samples))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cap", [None, 64, 97])
+    def test_companion_explosion(self, monkeypatch, threads, cap):
+        # b = 6e9 sign(x) beyond |x| = 5: a start there passes the explosion radius at step 2;
+        # the γ starts of the run stay far inside, so only the companion explodes
+        field = dataclasses.replace(
+            builtin_coefficients("translate", d=1),
+            b=lambda t, X: 6e9 * np.sign(X) * (np.abs(X) > 5.0))
+        starts = np.zeros((200, 1))
+        bad = [3, 64, 130, 199]
+        starts[bad, 0] = [10.0, -10.0, 7.0, 10.0]
+        if cap is not None:
+            monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m: cap)
+        with pytest.raises(ExplosionError) as err:
+            mc_flows(field, self.TRAJECTORIES, starts, 0.0, 0.05, self.DT, seed=7, threads=threads)
+        assert err.value.step == 2 and err.value.indices == bad
+        assert str(err.value) == "4 trajectories exploded (earliest step 2)"
