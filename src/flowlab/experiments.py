@@ -188,8 +188,8 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
     bar = wrep.max_combined_bar()
     rows.append(ReportRow.checked(cfg.name, "weak_error_max", wrep.max_discrepancy, None, 3.0 * bar))
     details = {
-        "grid": (("mass", "leakage", "variance"),
-                 [(sol.grid.mass(), sol.total_leakage, sol.grid.variance())]),
+        "grid": (("mass", "leakage", "clipped", "variance"),
+                 [(sol.grid.mass(), sol.total_leakage, sol.total_clipped, sol.grid.variance())]),
         "weak": (("center", "fp_value", "fp_error", "mc_value", "mc_stderr"),
                  [(c, fv, fe, mc.value, mc.stderr)
                   for c, (_, fv, fe, mc) in zip(centers, wrep.rows())]),

@@ -9,17 +9,16 @@ interior update telescopes exactly and the per-step mass change equals the
 recorded boundary flux up to float roundoff; truncation losses are reported,
 never hidden.  Negative undershoots are clipped and accounted separately.
 
-One step serves d = 1 and 2, one axis at a time; only the cross term of the
-fluxes depends on d.  It is built once per coefficient refresh (once per
-solve unless σ or b depends on time): the upwind split of the face
-velocities, contiguous copies of the a^ii and, only in d = 2 when a12 has a
-nonzero entry at that refresh, the cross term.  The zero-bordered padded
-planes and face-flux buffers are allocated once per solve; every step fills
-their interiors in place, in the operation order of the flux formula, so
-each float equals that of the plain array expression (the step's
-docstring says why its folded scalings and the skipped zero cross term
-change no bit).  Grid points, initial densities and CSV frames likewise
-share one layout (last coordinate fastest) in either dimension.
+One step serves d = 1 and 2 on one flat zero-padded grid; only the cross
+term of the fluxes depends on d.  At each coefficient refresh (once per
+solve unless σ or b depends on time) it folds a^ii, the upwind split of the
+face velocities and τ/h into two coefficients per face and axis, so that
+each face flux is α u(upper) - β u(lower); only in d = 2, when a12 has a
+nonzero entry at that refresh, the cross term adds to it.  The buffers are
+allocated once per solve, and each step is a few passes over contiguous
+slices (``_FaceStep`` gives the formulas and says why a skipped zero cross
+term changes no bit).  Grid points, initial densities and CSV frames share
+one layout (last coordinate fastest) in either dimension.
 
 The PDE side is deliberately modest (d <= 2, explicit stepping with the
 stability bound τ <= h^2 / (2 d max||a|| + h max|b|)); it exists as an
@@ -173,11 +172,6 @@ def stable_coefficients(field, t, pts, h, tau):
     return a, b
 
 
-def _upwind_split(bf):
-    """max(bf, 0) and min(bf, 0): the face velocities that carry the cell below and above."""
-    return np.maximum(bf, 0.0), np.minimum(bf, 0.0)
-
-
 def _along(p, axis, index, rest=slice(None)):
     """View of ``p`` at ``index`` along ``axis`` and at ``rest`` along every other axis."""
     idx = [rest] * p.ndim
@@ -185,98 +179,103 @@ def _along(p, axis, index, rest=slice(None)):
     return p[(*idx, ...)]
 
 
-def _scratch(d, n):
-    """Buffers of the step on an n^d grid, allocated once per solve.
+class _FaceStep:
+    """The conservative step on an n^d grid, d = 1 or 2, held on one flat zero-padded grid.
 
-    Zero-bordered (n + 2)^d planes hold u, G (a12 u, then a^ii u) and, in
-    d = 2 only, the two cross derivatives; one face-flux array per axis and
-    two work arrays hold n^(d-1) (n + 1) values each.  Steps write only
-    interiors, so the borders stay the zero ghost cells.
+    Every array of the step spans the (n + 2)^d padded grid, flattened with
+    the last coordinate fastest, so point p's neighbour along axis i is
+    p + s_i, s_i = (n + 2)^(d-1-i), and face i of p lies between p and
+    p + s_i.  ``refresh(a, b)`` folds a^ii, the upwind split of the face
+    velocity b_f (b^i edge-extended, averaged across the face) and τ/h into
+    two coefficients per face,
+
+        α = (τ/h) (a^ii(p + s_i) / (2h) - min(b_f, 0)),
+        β = (τ/h) (a^ii(p) / (2h) + max(b_f, 0)),
+
+    so that the face flux times τ/h is F_i = α U[p + s_i] - β U[p]: two
+    multiplies and one subtraction on contiguous slices.  In d = 2, when a12
+    has a nonzero entry at that refresh, the centered cross term adds
+    D[p] + D[p + s_i], D = G[q + s_o] - G[q - s_o], G = (τ/(8h²)) a12 U and
+    s_o the other axis's stride.
+
+    ``step(u, out)`` writes u + Σ_i (F_i[p] - F_i[p - s_i]) into ``out`` and
+    returns the mass that left the domain, -h^d Σ_i Σ (F_i at the last face
+    - F_i at the first).  What one cell gains through a face its neighbour
+    loses, so the interior update telescopes and the mass change equals the
+    outflow up to roundoff.  The slices also cover faces in the padded
+    border; their coefficients stay 0 and no cell or edge reads them.
+
+    A zero cross term would change no bit: adding ±0 changes only a -0, and
+    no flux is -0, since α, β >= +0 and u >= +0 after every clip (and in
+    every grid ``FPGrid.from_density`` builds).
     """
-    planes = [np.zeros((n + 2,) * d) for _ in range(2 + d * (d - 1))]
-    faces = [np.empty(tuple(n + (j == i) for j in range(d))) for i in range(d)]
-    work = [np.empty(n ** (d - 1) * (n + 1)) for _ in range(2)]
-    return planes, faces, work
 
+    def __init__(self, d, n, h, tau):
+        N, inner = n + 2, slice(1, -1)
+        strides = [N ** (d - 1 - i) for i in range(d)]
+        S = sum(strides)
+        self.d, self.n, self.h, self.tau, self.cross = d, n, h, tau, False
+        self.U, self.G, self.g, D, work = (np.zeros((N,) * d) for _ in range(5))
+        self.u_in = self.U[(inner,) * d]
+        self.alpha, self.beta, fluxes = ([np.zeros((N,) * d) for _ in range(d)] for _ in range(3))
+        U, G, D, work = (x.reshape(-1) for x in (self.U, self.G, D, work))
+        # per axis: F, α, U[p + s], β, U[p], work and, in d = 2, D and the reads of D and G
+        self.axes = []
+        for i, s in enumerate(strides):
+            p = slice(S - s, n * S + 1)  # the points from (0, 1, ..) to (n, .., n) along axis i
+            up = slice(p.start + s, p.stop + s)
+            cross = None
+            if d == 2:
+                q, so = slice(p.start, up.stop), S - s
+                cross = (D[q], G[q.start + so:q.stop + so], G[q.start - so:q.stop - so], D[p], D[up])
+            self.axes.append((fluxes[i].reshape(-1)[p], self.alpha[i].reshape(-1)[p], U[up],
+                              self.beta[i].reshape(-1)[p], U[p], work[: p.stop - p.start], cross))
+        self.cells = [(F[(inner,) * d], _along(F, i, slice(None, -2), inner)) for i, F in enumerate(fluxes)]
+        self.edges = [(_along(F, i, n, inner), _along(F, i, 0, inner)) for i, F in enumerate(fluxes)]
+        self.w_cells = work[: n**d].reshape((n,) * d)
 
-def _build_step(a, b, h, tau, scratch):
-    """The conservative step for a (n^d, d, d) and b (n^d, d) held fixed, d = 1 or 2.
+    def refresh(self, a, b):
+        """Fold a (n^d, d, d) and b (n^d, d) at the grid points into the face coefficients."""
+        d, n, h, inner = self.d, self.n, self.h, slice(1, -1)
+        a, b = a.reshape((n,) * d + (d, d)), b.reshape((n,) * d + (d,))
+        tau_h, two_h = self.tau / h, 2.0 * h
+        for i, (alpha, beta) in enumerate(zip(self.alpha, self.beta)):
+            def hi(p):
+                return _along(p, i, slice(1, None), inner)
 
-    ``step(u, out)`` writes the stepped density into ``out`` and returns the
-    mass that left the domain.  The face flux along each axis is
-    (G+ - G-) / (2h) + 0.25 (c+ + c-) - (pos u- + neg u+), G = a^ii u and c
-    the centered derivative of a12 u along the other axis, evaluated in that
-    order in the buffers of ``scratch``.  The cell update sums the axes' flux
-    differences, then scales by τ / h and adds u.
+            def lo(p):
+                return _along(p, i, slice(None, -1), inner)
 
-    These are the floats of (0.5 (G+ - G-)) / h + 0.5 (0.5 (c+ + c-)):
-    halving a float and doubling h are exact, so both forms round one and
-    the same real quotient, and 0.25 x is two exact halvings (while the
-    halved values stay above the subnormal range, 2^-1022).  The cross term
-    is built only in d = 2 and only when a12 has a nonzero entry at this
-    refresh.  Its zeros would change no bit: u >= +0 after every clip, so G
-    and each (G+ - G-) are +0 or nonzero, and adding ±0 leaves them as they
-    are.
-    """
-    (upad, gpad, *cpads), faces, (w1, w2) = scratch
-    d, n = b.shape[-1], b.shape[0]
-    hi, lo, inner = slice(1, None), slice(None, -1), (slice(1, -1),) * d
+            apad, bpad = np.pad(a[..., i, i], 1), np.pad(b[..., i], 1, mode="edge")
+            bf = 0.5 * (hi(bpad) + lo(bpad))
+            lo(alpha)[...] = tau_h * (hi(apad) / two_h - np.minimum(bf, 0.0))
+            lo(beta)[...] = tau_h * (lo(apad) / two_h + np.maximum(bf, 0.0))
+        self.cross = d == 2 and bool(np.any(a[..., 0, 1]))
+        if self.cross:
+            self.g[inner, inner] = (self.tau / (8.0 * h * h)) * a[..., 0, 1]
 
-    def face(p, i, index):
-        """The padded plane p at ``index`` along axis i and at its interior along the others."""
-        return _along(p, i, index, slice(1, -1))
-
-    u_in, g_in = upad[inner], gpad[inner]
-    a12 = np.ascontiguousarray(a[..., 0, 1]) if d == 2 and np.any(a[..., 0, 1]) else None
-    # plane i: the centered derivative of G12 = a12 u along the other axis, for axis i's flux
-    cross = [(c[inner], face(gpad, 1 - i, slice(2, None)), face(gpad, 1 - i, slice(None, -2)))
-             for i, c in enumerate(cpads)] if a12 is not None else []
-    # per axis: flux, a^ii, G+, G-, c+, c- (None without the cross term), pos, u-, neg, u+, work arrays
-    axes = []
-    for i, F in enumerate(faces):
-        # face velocities: b^i edge-extended, averaged across each face and split upwind
-        bpad = np.pad(b[..., i], 1, mode="edge")
-        pos, neg = _upwind_split(0.5 * (face(bpad, i, hi) + face(bpad, i, lo)))
-        c_hi, c_lo = (face(cpads[i], i, hi), face(cpads[i], i, lo)) if cross else (None, None)
-        axes.append((F, np.ascontiguousarray(a[..., i, i]), face(gpad, i, hi), face(gpad, i, lo),
-                     c_hi, c_lo, pos, face(upad, i, lo), neg, face(upad, i, hi),
-                     w1.reshape(F.shape), w2.reshape(F.shape)))
-    (first_hi, first_lo), *other_cells = [(_along(F, i, hi), _along(F, i, lo)) for i, F in enumerate(faces)]
-    edges = [(_along(F, i, -1), _along(F, i, 0)) for i, F in enumerate(faces)]
-    w_cells = w1[: n**d].reshape(u_in.shape)
-    two_h = 2.0 * h
-    lead = -tau * h ** (d - 1)
-
-    def step(u, out):
-        u_in[...] = u
-        if cross:
-            np.multiply(a12, u, out=g_in)
-            for c_in, g_hi, g_lo in cross:
-                np.subtract(g_hi, g_lo, out=c_in)
-                np.divide(c_in, two_h, out=c_in)
-        for F, a_ii, g_hi, g_lo, c_hi, c_lo, pos, u_lo, neg, u_hi, wa, wb in axes:
-            np.multiply(a_ii, u, out=g_in)
-            np.subtract(g_hi, g_lo, out=F)
-            F /= two_h
-            if c_hi is not None:
-                np.add(c_hi, c_lo, out=wa)
-                wa *= 0.25
-                F += wa
-            np.multiply(pos, u_lo, out=wa)
-            np.multiply(neg, u_hi, out=wb)
-            wa += wb
-            F -= wa
+    def __call__(self, u, out):
+        self.u_in[...] = u
+        if self.cross:
+            np.multiply(self.g, self.U, out=self.G)
+        for F, alpha, u_hi, beta, u_lo, w, cross in self.axes:
+            np.multiply(alpha, u_hi, out=F)
+            np.multiply(beta, u_lo, out=w)
+            F -= w
+            if self.cross:
+                D, g_hi, g_lo, d_lo, d_hi = cross
+                np.subtract(g_hi, g_lo, out=D)
+                np.add(d_lo, d_hi, out=w)
+                F += w
+        (first_hi, first_lo), *other_cells = self.cells
         np.subtract(first_hi, first_lo, out=out)
         for F_hi, F_lo in other_cells:
-            np.subtract(F_hi, F_lo, out=w_cells)
-            out += w_cells
-        out *= tau / h
+            np.subtract(F_hi, F_lo, out=self.w_cells)
+            out += self.w_cells
         out += u
         # summed from the first axis's term, not from 0, which would turn a -0.0 into +0.0
-        outflow = [(last - first).sum() for last, first in edges]
-        return lead * sum(outflow[1:], outflow[0])
-
-    return step
+        outflow = [(last - first).sum() for last, first in self.edges]
+        return -self.h**self.d * sum(outflow[1:], outflow[0])
 
 
 def fp_solve(field, grid0, s, T, tau, n_frames=0):
@@ -302,16 +301,9 @@ def fp_solve(field, grid0, s, T, tau, n_frames=0):
 
     pts = grid.points()
     time_dep = field.sigma_time_dependent or field.b_time_dependent
-    shape = grid.u.shape
     d = grid.d
-    scratch = _scratch(d, shape[0])
-
-    def build_step(t):
-        """The step for the coefficients at t, once τ is checked against the stability bound there."""
-        a, b = stable_coefficients(field, t, pts, grid.h, tau)
-        return _build_step(a.reshape(shape + (d, d)), b.reshape(shape + (d,)), grid.h, tau, scratch)
-
-    step = build_step(s)
+    step = _FaceStep(d, grid.u.shape[0], grid.h, tau)
+    step.refresh(*stable_coefficients(field, s, pts, grid.h, tau))
 
     vol = grid.h**d
     mass_series = np.empty(n_steps)
@@ -326,7 +318,7 @@ def fp_solve(field, grid0, s, T, tau, n_frames=0):
     for k in range(n_steps):
         t = s + k * tau
         if time_dep and k > 0:
-            step = build_step(t)
+            step.refresh(*stable_coefficients(field, t, pts, grid.h, tau))
         boundary = step(u, u_new)
         mass_after = u_new.sum() * vol
         audit = max(audit, abs((mass_after - mass_before) + boundary))

@@ -1,4 +1,4 @@
-"""The verdict arithmetic of ``tools/bench_pairs.py`` on synthetic samples."""
+"""The verdict arithmetic and output comparison of ``tools/bench_pairs.py`` on synthetic samples."""
 
 from pathlib import Path
 
@@ -62,3 +62,19 @@ def test_bounds_read_from_the_benchmark_declaration(bench_pairs):
     bounds = bench_pairs["end_to_end_bounds"](ROOT)
     assert set(bounds) == set(bench_pairs["METRICS"])
     assert bounds["wall_s"] == 0.25 and bounds["peak_rss_mb"] == 0.05
+
+
+def test_differing_files_names_each_changed_or_unmatched_file(bench_pairs, tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for side in (before, after):
+        (side / "sub").mkdir(parents=True)
+        (side / "same.csv").write_bytes(b"1,2\n")
+        (side / "sub" / "moved.csv").write_bytes(b"0.1\n")
+    (after / "sub" / "moved.csv").write_bytes(b"0.10000000000000001\n")
+    (before / "gone.csv").write_bytes(b"")
+    (after / "new.csv").write_bytes(b"")
+    digests = bench_pairs["file_digests"]
+    assert set(digests(before)) == {"same.csv", "gone.csv", str(Path("sub", "moved.csv"))}
+    differ = bench_pairs["differing_files"]
+    assert differ(digests(before), digests(after)) == ["gone.csv", "new.csv", str(Path("sub", "moved.csv"))]
+    assert differ(digests(before), digests(before)) == []

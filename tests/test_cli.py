@@ -560,6 +560,12 @@ class TestCli:
         verdicts = [r["passed"] for e in summary["experiments"].values() for r in e["rows"]]
         assert "fp-small" in summary["experiments"]
         assert all(v is None or isinstance(v, bool) for v in verdicts)
+        # the grid file carries the whole mass ledger: start mass 1 = mass + leakage - clipped
+        with open(os.path.join(out, "fp-small_grid.csv")) as fh:
+            (grid,) = list(csv.DictReader(fh))
+        assert list(grid) == ["mass", "leakage", "clipped", "variance"]
+        mass, leakage, clipped = (float(grid[k]) for k in ("mass", "leakage", "clipped"))
+        assert clipped >= 0.0 and abs((1.0 - leakage + clipped) - mass) <= 1e-9
 
     def test_rerun_byte_identical_across_threads(self, config_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

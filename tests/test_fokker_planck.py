@@ -26,10 +26,44 @@ from conftest import make_sine_field
 
 
 # ---------------------------------------------------------------------------
-# reference: the step and the loop as first written, fresh arrays every step
+# references: the step as plain array expressions and the loop as first
+# written, fresh arrays every step
 # ---------------------------------------------------------------------------
 
 def _reference_step_1d(u, a, b, h, tau):
+    """The face-coefficient step in fp_solve's operation order: F = α U+ - β U-, times τ/h."""
+    U, A = np.pad(u, 1), np.pad(a, 1)
+    bpad = np.pad(b, 1, mode="edge")
+    bf = 0.5 * (bpad[1:] + bpad[:-1])
+    alpha = (tau / h) * (A[1:] / (2.0 * h) - np.minimum(bf, 0.0))
+    beta = (tau / h) * (A[:-1] / (2.0 * h) + np.maximum(bf, 0.0))
+    F = alpha * U[1:] - beta * U[:-1]
+    return u + (F[1:] - F[:-1]), -h * (F[-1] - F[0])
+
+
+def _reference_step_2d(u, a, b, h, tau):
+    """As ``_reference_step_1d`` per axis, plus the cross term D[p] + D[p + s] (computed even when a12 = 0)."""
+    U = np.pad(u, 1)
+    G = ((tau / (8.0 * h * h)) * np.pad(a[..., 0, 1], 1)) * U
+    # axis 0's faces read the derivative of G along axis 1, axis 1's along axis 0
+    D0, D1 = G[:, 2:] - G[:, :-2], G[2:, :] - G[:-2, :]
+    cross = (D0[:-1] + D0[1:], D1[:, :-1] + D1[:, 1:])
+    F = []
+    for i, (hi, lo) in enumerate([((slice(1, None), slice(1, -1)), (slice(None, -1), slice(1, -1))),
+                                  ((slice(1, -1), slice(1, None)), (slice(1, -1), slice(None, -1)))]):
+        A, bpad = np.pad(a[..., i, i], 1), np.pad(b[..., i], 1, mode="edge")
+        bf = 0.5 * (bpad[hi] + bpad[lo])
+        alpha = (tau / h) * (A[hi] / (2.0 * h) - np.minimum(bf, 0.0))
+        beta = (tau / h) * (A[lo] / (2.0 * h) + np.maximum(bf, 0.0))
+        F.append(alpha * U[hi] - beta * U[lo] + cross[i])
+    Fx, Fy = F
+    u_new = u + ((Fx[1:, :] - Fx[:-1, :]) + (Fy[:, 1:] - Fy[:, :-1]))
+    boundary = -h**2 * ((Fx[-1, :] - Fx[0, :]).sum() + (Fy[:, -1] - Fy[:, 0]).sum())
+    return u_new, boundary
+
+
+def _flux_order_step_1d(u, a, b, h, tau):
+    """The step in the flux order of the first solver: fluxes in mass units, scaled by τ/h last."""
     G = a * u
     Gpad = np.concatenate([[0.0], G, [0.0]])
     upad = np.concatenate([[0.0], u, [0.0]])
@@ -43,7 +77,8 @@ def _reference_step_1d(u, a, b, h, tau):
     return u_new, boundary
 
 
-def _reference_step_2d(u, a, b, h, tau):
+def _flux_order_step_2d(u, a, b, h, tau):
+    """As ``_flux_order_step_1d`` in d = 2, with the cross term."""
     a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     b1, b2 = b[..., 0], b[..., 1]
     G11, G12, G22 = a11 * u, a12 * u, a22 * u
@@ -93,8 +128,8 @@ def _reference_step_2d(u, a, b, h, tau):
     return u_new, boundary
 
 
-def _reference_solve(field, grid, s, T, tau):
-    """(u, mass_series, leak_series, clip_series, audit_residual) of the reference loop."""
+def _reference_solve(field, grid, s, T, tau, steps=(_reference_step_1d, _reference_step_2d)):
+    """(u, mass_series, leak_series, clip_series, audit_residual) of the reference loop on ``steps`` (d = 1, 2)."""
     pts = grid.points()
     shape = grid.u.shape
     time_dep = field.sigma_time_dependent or field.b_time_dependent
@@ -106,7 +141,7 @@ def _reference_solve(field, grid, s, T, tau):
             return a.reshape(-1), b.reshape(-1)
         return a.reshape(shape + (2, 2)), b.reshape(shape + (2,))
 
-    step = _reference_step_1d if grid.d == 1 else _reference_step_2d
+    step = steps[grid.d - 1]
     n_steps = int(round((T - s) / tau))
     vol = grid.h**grid.d
     a_cur, b_cur = coeffs(s)
@@ -218,6 +253,18 @@ class TestSolver:
         ledger = abs((grid.mass() - sol.total_leakage + sol.total_clipped) - sol.grid.mass())
         assert ledger <= 1e-9
 
+    @pytest.mark.parametrize("sigma", ["ou_linear", "anisotropic"])
+    def test_mass_audit_2d(self, sigma):
+        ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
+        # the 2 x 3 σ gives a12 = 0.18, so the cross term's fluxes enter the ledger too
+        field = ou2 if sigma == "ou_linear" else dataclasses.replace(builtin_coefficients(
+            "anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]]), b=ou2.b)
+        grid = FPGrid.gaussian(2, 4.0, 0.1)
+        sol = fp_solve(field, grid, 0.0, 0.25, 1e-3)
+        assert sol.audit_residual <= 1e-10
+        ledger = abs((grid.mass() - sol.total_leakage + sol.total_clipped) - sol.grid.mass())
+        assert ledger <= 1e-9
+
     def test_grid_convergence_second_order(self, translate1):
         target = heat_variance(0.5)
         errs = []
@@ -323,49 +370,55 @@ class TestGridLayout:
             FPGrid.gaussian(1, R, h)
 
 
+STEP_CASES = ["ou_linear-2", "anisotropic-2", "anisotropic-ou-drift-2", "ou_linear-2-time-dependent",
+              "translate-1", "ou_linear-1", "sine-1", "sine-ou-drift-1", "ou_linear-1-time-dependent",
+              "diagonal-ou-drift-2", "partial-cross-2", "cross-from-t>s-2-time-dependent"]
+
+
+def _step_case(case):
+    """(field, grid, T, tau) of one of ``STEP_CASES``."""
+    ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
+    ou1 = builtin_coefficients("ou_linear", d=1, a=2.0)
+    sine = make_sine_field()
+    # a 2 x 3 matrix: a12 != 0, so the cross terms are non-zero
+    aniso = builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]])
+    # a12 = 0.3 max(0, x1 - 1): zero on most of the grid, so the step must read every point
+    partial = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: 0.3 * np.maximum(0.0, x1 - 1.0)))
+    # a12 = 10 t: zero at t = s, so the step built at s has no cross term and the rebuilds do
+    late = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: np.full_like(x1, 10.0 * t)),
+                               sigma_time_dependent=True)
+    return {
+        "ou_linear-2": (ou2, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+        "anisotropic-2": (aniso, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+        # cross, diffusion and advection terms all non-zero: their order shows in the bits
+        "anisotropic-ou-drift-2": (dataclasses.replace(aniso, b=ou2.b),
+                                   FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+        # the step is rebuilt at every step
+        "ou_linear-2-time-dependent": (dataclasses.replace(ou2, b_time_dependent=True),
+                                       FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
+        "translate-1": (builtin_coefficients("translate", d=1), FPGrid.gaussian(1, 6.0, 0.05),
+                        0.1, 1e-3),
+        "ou_linear-1": (ou1, FPGrid.gaussian(1, 6.0, 0.05), 0.1, 5e-4),
+        # a varies in space: the diffusion flux differs from face to face
+        "sine-1": (sine, FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
+        "sine-ou-drift-1": (dataclasses.replace(sine, b=ou1.b), FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
+        "ou_linear-1-time-dependent": (dataclasses.replace(ou1, b_time_dependent=True),
+                                       FPGrid.gaussian(1, 4.0, 0.1), 0.02, 1e-3),
+        # a12 = 0 and a11 != a22: no cross term, unequal diffusion fluxes
+        "diagonal-ou-drift-2": (dataclasses.replace(
+            builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.0], [0.0, 0.6]]), b=ou2.b),
+            FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+        "partial-cross-2": (partial, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
+        "cross-from-t>s-2-time-dependent": (late, FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
+    }[case]
+
+
 class TestStepBitwise:
     """fp_solve's step computes the reference step's floats bit for bit, zero signs included."""
 
-    @pytest.mark.parametrize("case", ["ou_linear-2", "anisotropic-2", "anisotropic-ou-drift-2",
-                                      "ou_linear-2-time-dependent", "translate-1", "ou_linear-1",
-                                      "sine-1", "sine-ou-drift-1", "ou_linear-1-time-dependent",
-                                      "diagonal-ou-drift-2", "partial-cross-2",
-                                      "cross-from-t>s-2-time-dependent"])
+    @pytest.mark.parametrize("case", STEP_CASES)
     def test_matches_reference_loop(self, case):
-        ou2 = builtin_coefficients("ou_linear", d=2, a=1.0)
-        ou1 = builtin_coefficients("ou_linear", d=1, a=2.0)
-        sine = make_sine_field()
-        # a 2 x 3 matrix: a12 != 0, so the cross terms are non-zero
-        aniso = builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]])
-        # a12 = 0.3 max(0, x1 - 1): zero on most of the grid, so the step must read every point
-        partial = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: 0.3 * np.maximum(0.0, x1 - 1.0)))
-        # a12 = 10 t: zero at t = s, so the step built at s has no cross term and the rebuilds do
-        late = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: np.full_like(x1, 10.0 * t)),
-                                   sigma_time_dependent=True)
-        field, grid, T, tau = {
-            "ou_linear-2": (ou2, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
-            "anisotropic-2": (aniso, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
-            # cross, diffusion and advection terms all non-zero: their order shows in the bits
-            "anisotropic-ou-drift-2": (dataclasses.replace(aniso, b=ou2.b),
-                                       FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
-            # the step is rebuilt at every step
-            "ou_linear-2-time-dependent": (dataclasses.replace(ou2, b_time_dependent=True),
-                                           FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
-            "translate-1": (builtin_coefficients("translate", d=1), FPGrid.gaussian(1, 6.0, 0.05),
-                            0.1, 1e-3),
-            "ou_linear-1": (ou1, FPGrid.gaussian(1, 6.0, 0.05), 0.1, 5e-4),
-            # a varies in space: the diffusion flux differs from face to face
-            "sine-1": (sine, FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
-            "sine-ou-drift-1": (dataclasses.replace(sine, b=ou1.b), FPGrid.gaussian(1, 6.0, 0.05), 0.02, 1e-4),
-            "ou_linear-1-time-dependent": (dataclasses.replace(ou1, b_time_dependent=True),
-                                           FPGrid.gaussian(1, 4.0, 0.1), 0.02, 1e-3),
-            # a12 = 0 and a11 != a22: no cross term, unequal diffusion fluxes
-            "diagonal-ou-drift-2": (dataclasses.replace(
-                builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.0], [0.0, 0.6]]), b=ou2.b),
-                FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
-            "partial-cross-2": (partial, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
-            "cross-from-t>s-2-time-dependent": (late, FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
-        }[case]
+        field, grid, T, tau = _step_case(case)
         sol = fp_solve(field, grid, 0.0, T, tau)
         u, masses, leaks, clips, audit = _reference_solve(field, grid, 0.0, T, tau)
         assert len(masses) == round(T / tau)
@@ -374,6 +427,25 @@ class TestStepBitwise:
         np.testing.assert_array_equal(_bits(sol.leak_series), _bits(leaks))
         np.testing.assert_array_equal(_bits(sol.clip_series), _bits(clips))
         np.testing.assert_array_equal(_bits(sol.audit_residual), _bits(audit))
+
+
+class TestStepFluxOrder:
+    """fp_solve's step stays within roundoff of the flux-order step it replaced."""
+
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_close_to_flux_order_loop(self, case):
+        field, grid, T, tau = _step_case(case)
+        sol = fp_solve(field, grid, 0.0, T, tau)
+        u, masses, leaks, clips, audit = _reference_solve(
+            field, grid, 0.0, T, tau, steps=(_flux_order_step_1d, _flux_order_step_2d))
+        # u to 1e-13 max|u|; leakage to the mass of that error on one layer of cells, the
+        # other mass series to its mass on every cell
+        tol_u = 1e-13 * np.abs(u).max()
+        n, d, h = u.shape[0], grid.d, grid.h
+        np.testing.assert_allclose(sol.grid.u, u, rtol=0, atol=tol_u)
+        np.testing.assert_allclose(sol.leak_series, leaks, rtol=0, atol=tol_u * n ** (d - 1) * h**d)
+        for new, old in ((sol.mass_series, masses), (sol.clip_series, clips), (sol.audit_residual, audit)):
+            np.testing.assert_allclose(new, old, rtol=0, atol=tol_u * n**d * h**d)
 
 
 class TestMonteCarloSide:

@@ -16,8 +16,10 @@ which perfbench's ``cpu_s`` and ``peak_rss_mb`` do not see.
 
 Each run also records ``outputs_sha256``, the digest of its first timed
 pass's output directory (``.perfbench/<workload>/plain-0``, hashed by
-perfbench's own ``digest``), and each pair records whether the two sides
-wrote identical bytes (``outputs_identical``).
+perfbench's own ``digest``), and a sha256 of each file in it.  Each pair
+records whether the two sides wrote identical bytes (``outputs_identical``)
+and, by those per-file digests, the files that differ or that only one side
+wrote (``outputs_differ``, empty when the bytes are identical).
 
 The JSON written holds every sample, each side's median and quartiles
 (``statistics.quantiles``, inclusive method), the pairs the ``--after``
@@ -27,6 +29,7 @@ the ``--after`` checkout's ``BENCHMARK.json`` (see ``verdict``).
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -60,6 +63,17 @@ def _json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line.startswith("{")]
 
 
+def file_digests(out_dir):
+    """Path relative to ``out_dir`` -> sha256 of that file's bytes, for every file under it."""
+    return {str(path.relative_to(out_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(out_dir).rglob("*")) if path.is_file()}
+
+
+def differing_files(before, after):
+    """The names, sorted, whose ``file_digests`` differ or that only one side has."""
+    return sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+
+
 def run_perfbench(checkout, workload, seed, seconds, digest):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -67,10 +81,12 @@ def run_perfbench(checkout, workload, seed, seconds, digest):
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = _json_lines(proc.stdout)
     result = lines[-1]
+    outputs = Path(checkout) / ".perfbench" / workload / "plain-0"
     return {"correct": result["correct"],
             "check_fail_frac": result["failed"] / result["attempted"],
             **{name: result["metrics"][name]["value"] for name in METRICS},
-            "outputs_sha256": digest(Path(checkout) / ".perfbench" / workload / "plain-0"),
+            "outputs_sha256": digest(outputs),
+            "outputs_files": file_digests(outputs),
             "environment": lines[-2]["environment"]}
 
 
@@ -178,6 +194,8 @@ def main(argv=None):
         "outputs_sha256": {side: [r["outputs_sha256"] for r in runs[side]] for side in sides},
         "outputs_identical": [b["outputs_sha256"] == a["outputs_sha256"]
                               for b, a in zip(runs["before"], runs["after"])],
+        "outputs_differ": [differing_files(b["outputs_files"], a["outputs_files"])
+                           for b, a in zip(runs["before"], runs["after"])],
         "end_to_end": {name: judged(name) for name in METRICS},
         "with_children": {
             name: summary([u[name] for u in usage["before"]], [u[name] for u in usage["after"]])
