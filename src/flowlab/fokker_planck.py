@@ -196,7 +196,8 @@ class _FaceStep:
     multiplies and one subtraction on contiguous slices.  In d = 2, when a12
     has a nonzero entry at that refresh, the centered cross term adds
     D[p] + D[p + s_i], D = G[q + s_o] - G[q - s_o], G = (τ/(8h²)) a12 U and
-    s_o the other axis's stride.
+    s_o the other axis's stride; its buffers are allocated at the first
+    refresh that needs them.
 
     ``step(u, out)`` writes u + Σ_i (F_i[p] - F_i[p - s_i]) into ``out`` and
     returns the mass that left the domain, -h^d Σ_i Σ (F_i at the last face
@@ -212,27 +213,28 @@ class _FaceStep:
 
     def __init__(self, d, n, h, tau):
         N, inner = n + 2, slice(1, -1)
-        strides = [N ** (d - 1 - i) for i in range(d)]
-        S = sum(strides)
-        self.d, self.n, self.h, self.tau, self.cross = d, n, h, tau, False
-        self.U, self.G, self.g, D, work = (np.zeros((N,) * d) for _ in range(5))
+        self.d, self.n, self.h, self.tau, self.cross, self.g = d, n, h, tau, False, None
+        self.U, work = np.zeros((N,) * d), np.zeros(N**d)
         self.u_in = self.U[(inner,) * d]
         self.alpha, self.beta, fluxes = ([np.zeros((N,) * d) for _ in range(d)] for _ in range(3))
-        U, G, D, work = (x.reshape(-1) for x in (self.U, self.G, D, work))
-        # per axis: F, α, U[p + s], β, U[p], work and, in d = 2, D and the reads of D and G
-        self.axes = []
-        for i, s in enumerate(strides):
-            p = slice(S - s, n * S + 1)  # the points from (0, 1, ..) to (n, .., n) along axis i
-            up = slice(p.start + s, p.stop + s)
-            cross = None
-            if d == 2:
-                q, so = slice(p.start, up.stop), S - s
-                cross = (D[q], G[q.start + so:q.stop + so], G[q.start - so:q.stop - so], D[p], D[up])
-            self.axes.append((fluxes[i].reshape(-1)[p], self.alpha[i].reshape(-1)[p], U[up],
-                              self.beta[i].reshape(-1)[p], U[p], work[: p.stop - p.start], cross))
+        strides = [N ** (d - 1 - i) for i in range(d)]
+        S, U = sum(strides), self.U.reshape(-1)
+        # per axis: the points from (0, 1, ..) to (n, .., n) along it, as flat slices p and p + s
+        self.faces = [(slice(S - s, n * S + 1), slice(S, n * S + s + 1), S - s) for s in strides]
+        # per axis: F, α, U[p + s], β, U[p] and a work array
+        self.axes = [(F.reshape(-1)[p], alpha.reshape(-1)[p], U[up], beta.reshape(-1)[p], U[p],
+                      work[: p.stop - p.start])
+                     for F, alpha, beta, (p, up, _) in zip(fluxes, self.alpha, self.beta, self.faces)]
         self.cells = [(F[(inner,) * d], _along(F, i, slice(None, -2), inner)) for i, F in enumerate(fluxes)]
         self.edges = [(_along(F, i, n, inner), _along(F, i, 0, inner)) for i, F in enumerate(fluxes)]
         self.w_cells = work[: n**d].reshape((n,) * d)
+
+    def _cross_buffers(self):
+        """g = (τ/(8h²)) a12, G and D on the padded grid (d = 2), and per axis D, G[q ± s_o], D[p], D[p + s]."""
+        self.g, self.G, D = (np.zeros(self.U.shape) for _ in range(3))
+        G, D = self.G.reshape(-1), D.reshape(-1)
+        self.cross_reads = [(D[p.start:up.stop], G[p.start + so:up.stop + so], G[p.start - so:up.stop - so],
+                             D[p], D[up]) for p, up, so in self.faces]
 
     def refresh(self, a, b):
         """Fold a (n^d, d, d) and b (n^d, d) at the grid points into the face coefficients."""
@@ -252,18 +254,20 @@ class _FaceStep:
             lo(beta)[...] = tau_h * (lo(apad) / two_h + np.maximum(bf, 0.0))
         self.cross = d == 2 and bool(np.any(a[..., 0, 1]))
         if self.cross:
+            if self.g is None:
+                self._cross_buffers()
             self.g[inner, inner] = (self.tau / (8.0 * h * h)) * a[..., 0, 1]
 
     def __call__(self, u, out):
         self.u_in[...] = u
         if self.cross:
             np.multiply(self.g, self.U, out=self.G)
-        for F, alpha, u_hi, beta, u_lo, w, cross in self.axes:
+        for i, (F, alpha, u_hi, beta, u_lo, w) in enumerate(self.axes):
             np.multiply(alpha, u_hi, out=F)
             np.multiply(beta, u_lo, out=w)
             F -= w
             if self.cross:
-                D, g_hi, g_lo, d_lo, d_hi = cross
+                D, g_hi, g_lo, d_lo, d_hi = self.cross_reads[i]
                 np.subtract(g_hi, g_lo, out=D)
                 np.add(d_lo, d_hi, out=w)
                 F += w
