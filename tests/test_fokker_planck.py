@@ -384,7 +384,7 @@ def _step_case(case):
     aniso = builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.5, 0.2], [-0.3, 0.8, 0.4]])
     # a12 = 0.3 max(0, x1 - 1): zero on most of the grid, so the step must read every point
     partial = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: 0.3 * np.maximum(0.0, x1 - 1.0)))
-    # a12 = 10 t: zero at t = s, so the step built at s has no cross term and the rebuilds do
+    # a12 = 10 t: zero at t = s, so the step refreshed at s has no cross term and the later refreshes do
     late = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: np.full_like(x1, 10.0 * t)),
                                sigma_time_dependent=True)
     return {
@@ -393,7 +393,7 @@ def _step_case(case):
         # cross, diffusion and advection terms all non-zero: their order shows in the bits
         "anisotropic-ou-drift-2": (dataclasses.replace(aniso, b=ou2.b),
                                    FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
-        # the step is rebuilt at every step
+        # the step is refreshed at every step
         "ou_linear-2-time-dependent": (dataclasses.replace(ou2, b_time_dependent=True),
                                        FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
         "translate-1": (builtin_coefficients("translate", d=1), FPGrid.gaussian(1, 6.0, 0.05),
