@@ -326,14 +326,19 @@ def fp_solve(field, grid0, s, T, tau, n_frames=0):
         boundary = step(u, u_new)
         mass_after = u_new.sum() * vol
         audit = max(audit, abs((mass_after - mass_before) + boundary))
-        clipped = -float(u_new[u_new < 0].sum()) * vol
+        # with nothing negative the clip would change no bit: u_new = D + u is -0.0
+        # only where u is, and u >= +0 (see ``_FaceStep``); -(an empty sum) is -0.0
+        clean = u_new.min() >= 0.0
+        clipped = -0.0 if clean else -float(u_new[u_new < 0].sum()) * vol
         if clipped > MAX_CLIP_PER_STEP:
             raise SolverFailureError(
                 f"clipped negative mass {clipped:g} exceeds {MAX_CLIP_PER_STEP:g} at step {k}"
             )
-        np.maximum(u_new, 0.0, out=u_new)
+        if not clean:
+            np.maximum(u_new, 0.0, out=u_new)
+            mass_after = u_new.sum() * vol
         u, u_new = u_new, u
-        mass_before = mass_series[k] = u.sum() * vol
+        mass_before = mass_series[k] = mass_after
         leak_series[k] = boundary
         clip_series[k] = clipped
         if k + 1 in frame_steps:

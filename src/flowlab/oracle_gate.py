@@ -8,12 +8,14 @@ means an oracle itself is wrong, and no downstream test can be trusted until
 it is fixed.  The Gauss–Legendre rule checks itself against twice its panels
 and raises ``OracleMismatchError`` when it cannot resolve an integrand.
 
-The one Monte-Carlo check, the translate L^2 norm, streams its 10^7 pairs
-(x, Δw) in fixed blocks (``oracles.translate_lp_mc``), so it needs about
-1.5 MB whatever the sample count.  Its tolerance is four standard errors,
-an error bar only where the summand K^{p-1} has finite variance
-(2(p-1)(2p-1)τ < 1) and, for the standard error itself to be stable, a
-finite fourth moment (4(p-1)(4p-3)τ < 1); it runs at p = 2, τ = 0.04.
+The one Monte-Carlo check, the translate L^2 norm, streams 5·10^6
+antithetic draws (x, Δw) in fixed blocks (``oracles.translate_lp_mc``) and
+evaluates K at (x, Δw) and (-x, Δw), 10^7 times in all; it needs about 2 MB
+whatever the draw count.  Its tolerance is four standard errors of the
+mean of the draws' units, an error bar only where the summand K^{p-1} has
+finite variance (2(p-1)(2p-1)τ < 1) and, for the standard error itself to
+be stable, a finite fourth moment (4(p-1)(4p-3)τ < 1); a unit's moments are
+at most a summand's.  It runs at p = 2, τ = 0.04.
 """
 
 import math
@@ -79,7 +81,7 @@ def oracle_suite():
 
     # p = 2, τ = 0.04: 2(p-1)(2p-1)τ = 0.24 and 4(p-1)(4p-3)τ = 0.8, both below 1
     lp_formula = oracles.translate_lp_norm(2.0, 0.04)
-    lp_mc, lp_se = oracles.translate_lp_mc(2.0, 0.04, 10_000_000)
+    lp_mc, lp_se = oracles.translate_lp_mc(2.0, 0.04, 5_000_000)
     checks.append(OracleCheck("translate_L2_norm", lp_formula, lp_mc, 4.0 * lp_se))
 
     grid = FPGrid.gaussian(1, 8.0, 0.05)

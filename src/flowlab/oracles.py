@@ -3,9 +3,9 @@
 Everything here is independent of the simulation code paths it is used to
 check: plain Gaussian calculus, special functions, a composite Gauss–Legendre
 rule with an order-doubling check (``_legendre_integral``), and direct
-Monte-Carlo over (x, Δw) streamed in fixed blocks.  The
-translate field (σ = Id, b = 0) admits a fully explicit push-forward
-density, which drives most of the checks:
+Monte-Carlo over antithetic draws, (x, Δw) beside (-x, Δw), streamed in
+fixed blocks.  The translate field (σ = Id, b = 0) admits a fully explicit
+push-forward density, which drives most of the checks:
 
     log K(X(x)) = <x, Δw> + |Δw|^2 / 2,      Δw = w_t - w_s,
 
@@ -156,39 +156,47 @@ def gaussian_integral(f):
     return _legendre_integral(lambda x: f(x) * np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi), (-40.0, 0.0, 40.0))
 
 
-# (x, Δw) pairs per block of the streamed Monte-Carlo: 1 MB of normals
+# (x, Δw) draws per block of the streamed Monte-Carlo: 1 MB of normals
 _MC_BLOCK = 1 << 16
 
 
 def _translate_mc(seed, stream, tau, n, summand):
-    """Mean and standard error of ``summand(log K)`` over n pairs x ~ γ_1, Δw ~ N(0, τ).
+    """Mean and standard error of the antithetic ``summand(log K)`` over n draws x ~ γ_1, Δw ~ N(0, τ).
 
     Normals 2i and 2i+1 of the Philox stream keyed [seed, stream] (numpy's
-    ziggurat ``standard_normal``) are x_i and Δw_i/√τ, so the samples do not
-    depend on the block size.  Each block of log K = x Δw + Δw^2/2 is mapped
-    in place by ``summand``, and its mean and centred sum of squares are
-    merged into running totals (Chan, Golub and LeVeque, Am. Stat. 37, 1983):
-    memory is O(block), and the result equals a one-shot mean and
-    ``std(ddof=1)`` of the same samples to rounding.
+    ziggurat ``standard_normal``) are x_i and Δw_i/√τ, so the draws do not
+    depend on the block size.  Each draw is evaluated at x and at -x
+    (antithetic variates, Hammersley and Morton 1956): ``summand`` maps both
+    log K = ±x Δw + Δw^2/2 of a block in place, on one (2, k) view, and the
+    draw's unit is the mean of its two summands.  The flip keeps the law of
+    (x, Δw), so the units' mean is unbiased, and a unit's variance is at most
+    one summand's.  Each block's mean and centred sum of squares of the units
+    are merged into running totals (Chan, Golub and LeVeque, Am. Stat. 37,
+    1983): memory is O(block), and the result equals a one-shot mean and
+    ``std(ddof=1)`` of the same units to rounding.
     """
     if n < 2:
         raise ValueError("need at least two samples for a standard error")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    pairs = np.empty((min(_MC_BLOCK, n), 2))
-    vals = np.empty(pairs.shape[0])
+    normals = np.empty((min(_MC_BLOCK, n), 2))
+    vals = np.empty(2 * normals.shape[0])
     scale = math.sqrt(tau)
     mean, m2 = 0.0, 0.0
     for lo in range(0, n, _MC_BLOCK):
         k = min(_MC_BLOCK, n - lo)
-        block, v = pairs[:k], vals[:k]
+        block, both = normals[:k], vals[: 2 * k].reshape(2, k)
+        v, flipped = both
         rng.standard_normal(out=block)
         x, dw = block[:, 0], block[:, 1]
         dw *= scale
         np.multiply(x, dw, out=v)
         dw *= dw
         dw /= 2.0
+        np.subtract(dw, v, out=flipped)
         v += dw
-        summand(v)
+        summand(both)
+        v += flipped
+        v /= 2.0
         block_mean = v.mean()
         v -= block_mean
         total = lo + k
@@ -201,10 +209,12 @@ def _translate_mc(seed, stream, tau, n, summand):
 def translate_lp_mc(p, tau, n, seed=123):
     """Direct Monte-Carlo of the translate L^p norm (independent of the flow code).
 
-    The mean of K^{p-1} over n streamed pairs (see ``_translate_mc``), so the
-    extra memory is one block whatever n.  The summand K^{p-1} has a finite
+    The mean of K^{p-1} over n streamed antithetic draws (see
+    ``_translate_mc``), 2n evaluations of K from 2n normals, so the extra
+    memory is one block whatever n.  The summand K^{p-1} has a finite
     variance only when 2(p-1)(2p-1)τ < 1; beyond that the standard error is
-    no error bar, and ``ValueError`` is raised.
+    no error bar, and ``ValueError`` is raised.  A unit's variance is at
+    most a summand's, so it is finite under the same condition.
     """
     if 2.0 * (p - 1.0) * (2.0 * p - 1.0) * tau >= 1.0:
         raise ValueError(
@@ -252,5 +262,5 @@ def smoothed_sign_quad(beta, eps, x):
 
 
 def translate_entropy_mc(tau, n, seed=321):
-    """Direct Monte-Carlo of E|x Δw + Δw^2/2| under x ~ γ_1, Δw ~ N(0, τ), streamed in blocks."""
+    """Direct Monte-Carlo of E|x Δw + Δw^2/2| under x ~ γ_1, Δw ~ N(0, τ), over n antithetic draws."""
     return _translate_mc(seed, 1, tau, n, lambda v: np.abs(v, out=v))

@@ -265,6 +265,13 @@ class TestSolver:
         ledger = abs((grid.mass() - sol.total_leakage + sol.total_clipped) - sol.grid.mass())
         assert ledger <= 1e-9
 
+    def test_clipping_step_closes_the_ledger(self):
+        field, grid, T, tau = _step_case("spike-cross-2")
+        sol = fp_solve(field, grid, 0.0, T, tau)
+        assert sol.clip_series[0] > 0 and sol.total_clipped > 0
+        ledger = abs((grid.mass() - sol.total_leakage + sol.total_clipped) - sol.grid.mass())
+        assert ledger <= 1e-9
+
     def test_grid_convergence_second_order(self, translate1):
         target = heat_variance(0.5)
         errs = []
@@ -372,7 +379,7 @@ class TestGridLayout:
 
 STEP_CASES = ["ou_linear-2", "anisotropic-2", "anisotropic-ou-drift-2", "ou_linear-2-time-dependent",
               "translate-1", "ou_linear-1", "sine-1", "sine-ou-drift-1", "ou_linear-1-time-dependent",
-              "diagonal-ou-drift-2", "partial-cross-2", "cross-from-t>s-2-time-dependent"]
+              "diagonal-ou-drift-2", "partial-cross-2", "cross-from-t>s-2-time-dependent", "spike-cross-2"]
 
 
 def _step_case(case):
@@ -387,6 +394,9 @@ def _step_case(case):
     # a12 = 10 t: zero at t = s, so the step refreshed at s has no cross term and the later refreshes do
     late = dataclasses.replace(ou2, sigma=_sigma_2d(lambda t, x1: np.full_like(x1, 10.0 * t)),
                                sigma_time_dependent=True)
+    # mass 1e-5 on one cell of a zero grid: the cross term undershoots beside it, so steps clip
+    spike = np.zeros((41, 41))
+    spike[20, 20] = 1e-5 / 0.1**2
     return {
         "ou_linear-2": (ou2, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
         "anisotropic-2": (aniso, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
@@ -410,6 +420,8 @@ def _step_case(case):
             FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
         "partial-cross-2": (partial, FPGrid.gaussian(2, 3.0, 0.1), 0.05, 1e-3),
         "cross-from-t>s-2-time-dependent": (late, FPGrid.gaussian(2, 2.0, 0.1), 0.02, 1e-3),
+        "spike-cross-2": (builtin_coefficients("anisotropic", d=2, matrix=[[1.0, 0.9], [0.0, 0.45]]),
+                          FPGrid(d=2, R=2.0, h=0.1, u=spike), 0.01, 1e-3),
     }[case]
 
 

@@ -11,13 +11,27 @@ from flowlab import oracles
 from flowlab.errors import OracleMismatchError
 
 
-def _one_shot(seed, stream, tau, n, summand):
-    """Mean and standard error of summand(log K) over all n pairs drawn at once."""
+def _draws(seed, stream, tau, n):
+    """x and Δw of n draws at once: normals 2i and 2i+1 of the Philox stream keyed [seed, stream]."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     z = gen.standard_normal((n, 2))
-    dw = z[:, 1] * math.sqrt(tau)
-    vals = summand(z[:, 0] * dw + dw * dw / 2.0)
-    return vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+    return z[:, 0], z[:, 1] * math.sqrt(tau)
+
+
+def _mean_and_stderr(vals):
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+def _one_shot(seed, stream, tau, n, summand):
+    """Mean and standard error of the antithetic units over all n draws at once."""
+    x, dw = _draws(seed, stream, tau, n)
+    return _mean_and_stderr((summand(x * dw + dw * dw / 2.0) + summand(-x * dw + dw * dw / 2.0)) / 2.0)
+
+
+def _plain_one_shot(seed, stream, tau, n, summand):
+    """Mean and standard error of summand(log K) over n plain pairs, without the flip."""
+    x, dw = _draws(seed, stream, tau, n)
+    return _mean_and_stderr(summand(x * dw + dw * dw / 2.0))
 
 
 class TestStreamedMonteCarlo:
@@ -48,6 +62,13 @@ class TestStreamedMonteCarlo:
         assert value == pytest.approx(mean, rel=1e-12, abs=0)
         assert stderr == pytest.approx(se, rel=1e-12, abs=0)
 
+    def test_lp_error_bar_is_narrower_than_plain_pairs_at_equal_evaluations(self):
+        # n draws evaluate K 2n times, as 2n plain pairs do, from half the normals
+        p, tau, n = 2.0, 0.04, 200_003
+        value, stderr = oracles.translate_lp_mc(p, tau, n)
+        mean, se = _plain_one_shot(123, 0, tau, 2 * n, lambda v: np.exp((p - 1.0) * v))
+        assert stderr <= 0.6 * se * mean ** (1.0 / p - 1.0) / p
+
     @pytest.mark.parametrize("p, tau", [(2.0, 0.25), (3.0, 0.1), (2.0, 1.0 / 6.0)])
     def test_lp_refuses_an_infinite_variance_summand(self, p, tau):
         # 2(p-1)(2p-1)τ = 1.5, 2 and exactly 1: K^(p-1) has no finite variance
@@ -57,6 +78,17 @@ class TestStreamedMonteCarlo:
     def test_lp_matches_closed_form_where_the_error_bar_holds(self):
         value, stderr = oracles.translate_lp_mc(2.0, 0.04, 10**6)
         assert abs(value - oracles.translate_lp_norm(2.0, 0.04)) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("shift", [1.2e-4, -1.2e-4])
+    def test_oracle_suite_command_exits_1_on_a_moved_l2_norm(self, tmp_path, monkeypatch, capsys, shift):
+        from flowlab.cli import main
+
+        closed_form = oracles.translate_lp_norm
+        monkeypatch.setattr(oracles, "translate_lp_norm", lambda p, tau: closed_form(p, tau) + shift)
+        assert main(["oracle-suite", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "oracle suite FAILED" in err and "translate_L2_norm" in err
+        assert "Traceback" not in err
 
 
 def _quadpack(f, breaks, **kw):
