@@ -65,7 +65,7 @@ class TestStreamedMonteCarlo:
     def test_lp_error_bar_is_narrower_than_plain_pairs_at_equal_evaluations(self):
         # n draws evaluate K 2n times, as 2n plain pairs do, from half the normals
         p, tau, n = 2.0, 0.04, 200_003
-        value, stderr = oracles.translate_lp_mc(p, tau, n)
+        _, stderr = oracles.translate_lp_mc(p, tau, n)
         mean, se = _plain_one_shot(123, 0, tau, 2 * n, lambda v: np.exp((p - 1.0) * v))
         assert stderr <= 0.6 * se * mean ** (1.0 / p - 1.0) / p
 
