@@ -250,12 +250,15 @@ class TestTangentRoute:
 
 class TestStatistics:
     def test_lp_matches_closed_form(self, translate1):
-        for tau, n in ((0.1, 30000), (0.25, 30000)):
+        # the summand K^(p-1) has tail index (p - 1)/(q* - 1), q* = (1 + sqrt(1 + 4/τ))/2,
+        # and finite variance only below 1/2: 0.37 at (τ = 0.1, p = 2) and 0.32 at
+        # (τ = 0.25, p = 1.5), where p = 2 would be 0.64 and its stderr no error bar
+        for tau, p in ((0.1, 2.0), (0.25, 1.5)):
             _, rec = run_density_ensemble(
-                translate1, 0.0, tau, ("gaussian", n), 1e-3, seed=13
+                translate1, 0.0, tau, ("gaussian", 30000), 1e-3, seed=13
             )
-            est = lp_norm_estimate(rec, 2.0)
-            assert abs(est.value - translate_lp_norm(2.0, tau)) <= 3.0 * est.stderr
+            est = lp_norm_estimate(rec, p)
+            assert abs(est.value - translate_lp_norm(p, tau)) <= 3.0 * est.stderr
 
     def test_entropy_against_direct_mc(self, translate1):
         tau = 0.25
