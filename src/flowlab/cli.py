@@ -59,11 +59,11 @@ def _run(args):
         return _config_error(exc)
 
     out = _out_dir(args)
-    # the path as given plus a content hash: the same config run from any
-    # checkout writes the same bytes
+    # the file name, not the path as typed, plus a content hash: the same
+    # config run from any directory or checkout writes the same bytes
     with open(args.config, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    summary = {"config": args.config, "config_sha256": digest, "experiments": {}}
+    summary = {"config": os.path.basename(args.config), "config_sha256": digest, "experiments": {}}
     status = 0
     for cfg in configs:
         entry = summary["experiments"][cfg.name] = {"kind": cfg.kind, "seed": cfg.seed}

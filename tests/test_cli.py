@@ -525,6 +525,15 @@ class TestCli:
         assert summary["config"] == "cfg.ini"
         assert summary["config_sha256"] == hashlib.sha256(GOOD_CONFIG.encode()).hexdigest()
 
+    def test_summary_names_the_config_file_not_its_path(self, config_path, tmp_path, monkeypatch):
+        """The same config run by a relative and an absolute path writes the same summary bytes."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "cfg.ini", "--out", "rel"]) == 0
+        assert main(["run", str(tmp_path / "cfg.ini"), "--out", "abs"]) == 0
+        summary = Path("abs", "summary.json").read_bytes()
+        assert json.loads(summary)["config"] == "cfg.ini"
+        assert summary == Path("rel", "summary.json").read_bytes()
+
     def test_summary_is_strict_json_with_a_divergent_sigma_T(self, tmp_path):
         """A non-finite value is written as its CSV text, so a parser that refuses Infinity and NaN reads the file."""
         p = tmp_path / "cfg.ini"
