@@ -292,9 +292,9 @@ def _check_smoothing_size(cfg, fault):
     declares ``sigma_const``, σ (d m floats per node) on the nodes of a rule
     moved to every point, in one array.  The rule is the section's or, for a
     drift without ∇b, the 4x refined one its kernel gradient reads, whichever
-    is larger.  The points are a chunk of paths (at least 4 steps each for
-    the entropy budget's levels) and, for the entropy budget, also the
-    section rule's nodes, where ``budget_constants`` evaluates each level.
+    is larger.  The points are a chunk of paths, min(trajectories, 8192) at
+    any step count (``_chunk_cap``), and, for the entropy budget, at least
+    the section rule's nodes, where ``budget_constants`` evaluates each level.
     """
     opt = cfg.options
     field = build_field(cfg)
@@ -304,10 +304,9 @@ def _check_smoothing_size(cfg, fault):
     if field.b_jac is None:
         nodes = max(rule, refined_quadrature(quad, factor=4).nodes.shape[0])
     per_node = d + (d * m if field.sigma_const is None else 0)
-    if cfg.kind == "coupling":
-        points = min(opt["trajectories"], _chunk_cap(make_grid(opt["s"], opt["t"], opt["dt"]), m))
-    else:
-        points = max(rule, min(opt["trajectories"], _chunk_cap(4, m)))
+    points = min(opt["trajectories"], _chunk_cap())
+    if cfg.kind != "coupling":
+        points = max(rule, points)
     if not points * nodes * per_node <= MAX_FLOATS:
         key = "quad_order" if d == 2 else "d"
         raise fault(key, f"{key}: smoothing a level at {points} points on {nodes} nodes in d = {d} "

@@ -12,16 +12,19 @@ ziggurat normals from a Philox of its own, at seeds of its own.
 
 Key and counter layout:
 
-* key ``[seed, 0]``: all trajectory noise.  Row j of an ensemble with n_steps
-  steps of m-dimensional noise reads the B = ⌈n_steps m / 4⌉ counter blocks
-  after counter j B (four words a block, the last block's spare words
-  unused), so a row drawn alone equals that row of any block of rows.
-  Two ensembles at one seed with the same n_steps m share rows: row j of
-  each is the same increments.  A Fokker-Planck section's two flows (the
-  weak-error and the factorization ensembles) share them by design, and
-  draw each row once (:class:`flowlab.sde.CompanionFlow`).  Ensembles at one
-  seed with different n_steps m read overlapping counters: row j of one may
-  share words with a different row of the other.
+* key ``[seed, 0]``: all trajectory noise, drawn four steps at a time.  In
+  an ensemble of n_steps steps of m-dimensional noise, the increments of
+  trajectory j, noise component a, at steps 4g .. 4g+3 are the four words
+  of the (j m + a + 1)-th counter block after counter (0, g, n_steps, m)
+  (the four 64-bit counter words, lowest first).  So a Philox set once to
+  (lo m, g, n_steps, m) gives rows lo .. hi-1 their next four steps in one
+  read, and a row drawn alone equals that row of any block of rows.  A row
+  reads 4⌈n_steps/4⌉ m words; the spare words of a last partial group go
+  unused.  Two ensembles at one seed share row j's increments exactly when
+  they share n_steps and m, and otherwise read disjoint counters.  A
+  Fokker-Planck section's two flows (the weak-error and the factorization
+  ensembles) share them by design, and draw each row once
+  (:class:`flowlab.sde.CompanionFlow`).
 * key ``[seed, 2**62]``: initial points drawn from the standard Gaussian.
 * key ``[seed, 2**62 + 1]``: inverse-CDF sampling of grid densities.
 * key ``[seed, 2**62 + 2]``: Monte-Carlo quadrature fallback nodes.
@@ -31,6 +34,8 @@ A word w becomes the uniform ((w >> 12) + 1/2) 2**-52, which lies in
 ``ndtri`` stays finite.  With 53 bits the top word would give
 (2**53 - 1/2) 2**-53, which rounds to exactly 1.0, and ``ndtri(1.0)`` is inf.
 """
+
+import functools
 
 import numpy as np
 from scipy.special import ndtri
@@ -67,34 +72,73 @@ def standard_normals(seed, index, shape):
     return ndtri(uniform_open(substream(seed, index), shape))
 
 
-def brownian_increments(seed, index, n_steps, m, dt):
-    """Increments of m-dimensional Brownian paths on a uniform grid.
+def _set_counter(bitgen, seed, counter):
+    """Put ``bitgen``, a Philox keyed [seed, 0], at ``counter``: its next word opens the block after it."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array(counter, dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer spent: the next read computes a fresh block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
-    ``index`` is one trajectory index, giving an (n_steps, m) array, or a
-    ``range`` of consecutive ones, giving (len(index), n_steps, m) whose
+
+@functools.lru_cache(maxsize=1)
+def _trajectory_philox(seed):
+    """This process's Philox keyed [seed, 0]; each draw sets its counter first, so reuse is safe.
+
+    Building a Philox costs several times what resetting its counter does,
+    and an ensemble draws once per four steps of every chunk.
+    """
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+
+
+def brownian_increments(seed, index, n_steps, m, dt, steps=None):
+    """Increments of m-dimensional Brownian paths on a uniform grid of n_steps steps.
+
+    ``index`` is one trajectory index, giving an (len(steps), m) array, or a
+    ``range`` of consecutive ones, giving (len(index), len(steps), m) whose
     row j is bitwise the increments of trajectory ``index[j]`` drawn on its
-    own.  One Philox keyed [seed, 0] is set to the first row's counter; its
-    words are read and converted in row blocks of about ``_BLOCK_WORDS``.
+    own.  ``steps`` is a ``range`` of consecutive step indices within
+    n_steps, by default every step; the increments of a step do not depend
+    on which other steps or rows are drawn with it.  Each group of four
+    steps is one Philox read at the counter of the module docstring, and
+    words are converted about ``_BLOCK_WORDS`` at a time.  The array
+    returned is a view of a step-major block: ``np.moveaxis(inc, 1, 0)`` is
+    C-contiguous, so each step's (rows, m) slab of it is too.
     """
     single = not isinstance(index, range)
     rows = range(index, index + 1) if single else index
-    if rows.step != 1:
-        raise ValueError("brownian_increments reads a range of consecutive trajectories")
-    n_words = n_steps * m
-    out = np.empty((len(rows), n_steps, m))
+    steps = range(n_steps) if steps is None else steps
+    if rows.step != 1 or steps.step != 1:
+        raise ValueError("brownian_increments reads ranges of consecutive trajectories and steps")
+    if steps and not 0 <= steps.start < steps.stop <= n_steps:
+        raise ValueError(f"{steps} is not a range of the {n_steps} steps")
+    if rows and not (0 <= rows.start and rows.stop * m < 1 << 64):
+        raise ValueError(f"trajectories {rows} at m = {m} need counter blocks past 2**64 - 1")
+    out = np.empty((len(steps), len(rows), m))
     if out.size:
-        flat = out.reshape(len(rows), n_words)
-        row_words = 4 * -(-n_words // 4)
-        bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64),
-                                  counter=rows[0] * (row_words // 4))
-        per_block = max(1, _BLOCK_WORDS // row_words)
+        bitgen = _trajectory_philox(seed)
+        width = 4 * len(rows) * m  # words of one step group
+        per_pass = max(1, _BLOCK_WORDS // width)
+        groups = range(steps.start // 4, (steps.stop - 1) // 4 + 1)
         scale = np.sqrt(dt)
-        for lo in range(0, len(rows), per_block):
-            z = flat[lo:lo + per_block]
-            words = bitgen.random_raw(len(z) * row_words).reshape(len(z), row_words)
-            ndtri(_to_uniforms(words[:, :n_words], z), out=z)
+        for first in range(groups.start, groups.stop, per_pass):
+            part = range(first, min(first + per_pass, groups.stop))
+            words = np.empty((len(part), width), dtype=np.uint64)
+            for i, g in enumerate(part):
+                _set_counter(bitgen, seed, (rows.start * m, g, n_steps, m))
+                words[i] = bitgen.random_raw(width)
+            # each group's words are (row, component, step); make them step-major
+            words = words.reshape(len(part), len(rows), m, 4).transpose(0, 3, 1, 2).reshape(-1, len(rows), m)
+            lo, hi = max(steps.start, 4 * first), min(steps.stop, 4 * part.stop)
+            z = out[lo - steps.start:hi - steps.start]
+            ndtri(_to_uniforms(words[lo - 4 * first:hi - 4 * first], z), out=z)
             z *= scale
-    return out[0] if single else out
+    inc = out.transpose(1, 0, 2)
+    return inc[0] if single else inc
 
 
 def gaussian_points(seed, n, d):

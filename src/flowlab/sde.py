@@ -1,15 +1,15 @@
 """Euler-Maruyama flow simulation with counter-addressed noise.
 
-Each trajectory owns a fixed range of Philox counters under the key
-``[seed, 0]``, set by its index (see :mod:`flowlab.rng`), so ensembles are
-bitwise reproducible for a fixed ``(seed, dt, grid)`` at any worker count.
+Each trajectory's increments sit at Philox counters under the key
+``[seed, 0]`` set by its index, the step group and the grid (see
+:mod:`flowlab.rng`), so ensembles are bitwise reproducible for a fixed
+``(seed, dt, grid)`` at any worker count.
 
 One package-private driver is the only place where chunks, workers and
 trajectory noise are handled: ``_run_chunks`` fixes the worker count,
 partitions trajectories into equal chunks (a multiple of the worker count,
-none past the increment budget), draws each chunk's increments in one block
-(each row bit for bit that trajectory's increments drawn alone) and runs
-the caller's body on it.  No output depends on the cut: every trajectory's
+none past the 8192 rows of ``_chunk_cap``, at any step count) and runs the
+caller's body on each.  No output depends on the cut: every trajectory's
 arithmetic is its own, the coefficient maps included (``ou_smooth`` and
 ``ou_smooth_grad`` sum each point's quadrature nodes in one order, whatever
 points share the call), so each path's endpoint and density weight are the
@@ -23,10 +23,13 @@ per-chunk results come back in chunk order for the caller to reduce.
 are evaluated along a path: one ``CoefficientField.evaluate`` per step,
 whose σ and b step the state and whose bundle the accumulators read; it
 guards every path against explosion.  ``simulate_ensemble`` is the only
-caller of ``_run_chunks`` and its chunk body the only loop over steps.  At
-each step it copies that step's increments out of the chunk's block into
-one C-contiguous, read-only (rows, m) slab, which the Euler step and every
-accumulator read.  Every path functional (the density weight, the
+caller of ``_run_chunks`` and its chunk body the only loop over steps.  It
+draws the chunk's increments four steps at a time, one
+``brownian_increments`` call per group (each row bit for bit that
+trajectory's increments drawn alone), as a read-only step-major block; each
+step's increments are one C-contiguous (rows, m) slab of it, which the
+Euler step and every accumulator read.  So a chunk holds four steps of
+noise, not its whole horizon.  Every path functional (the density weight, the
 occupation functional, the coupling of regularization levels) is an
 accumulator streamed through ``simulate_ensemble``.  A companion flow
 (``CompanionFlow``) is the one way a second start set reads a run's rows:
@@ -64,8 +67,9 @@ __all__ = [
 ]
 
 EXPLOSION_RADIUS = 1e8
-_CHUNK_BUDGET = 1 << 22  # floats of increment storage per chunk
-# a 64-row chunk of one-dimensional increments at this many steps holds 2 GiB
+# the loop over steps runs in Python, one Euler step of every row of a chunk
+# per pass: 2^22 steps is minutes of work for each chunk, and a trajectory's
+# increments drawn alone at this many steps are 32 MiB per noise component
 MAX_STEPS = 1 << 22
 
 
@@ -101,20 +105,20 @@ class FlowEnsemble:
         return int(round((self.T - self.s) / self.dt))
 
 
-def _chunk_cap(n_steps, m):
-    """Most rows a chunk holds: the increment budget's share, at least 64, at most 8192."""
-    return max(64, min(8192, _CHUNK_BUDGET // max(n_steps * m, 1)))
+def _chunk_cap():
+    """Most rows a chunk holds, at any step count: a chunk holds four steps of noise at a time."""
+    return 8192
 
 
-def _chunk_edges(n_traj, n_steps, m, workers=1):
+def _chunk_edges(n_traj, workers=1):
     """Chunks of equal size (to one row), as many as a multiple of ``workers``.
 
     No chunk holds more rows than ``_chunk_cap``, so the chunks dealt
     round-robin give every worker the same number of rows to within one per
     chunk.
     """
-    cap = _chunk_cap(n_steps, m)
-    count = max(1, -(-n_traj // cap))           # chunks at the budget
+    cap = _chunk_cap()
+    count = max(1, -(-n_traj // cap))           # chunks at the cap
     count = -(-count // workers) * workers      # rounded up to a multiple of workers
     edges = [i * n_traj // count for i in range(count + 1)]
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
@@ -237,13 +241,12 @@ def _run_shares(run, shares):
             os.waitpid(pid, 0)
 
 
-def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
-    """Run ``body(lo, hi, inc)`` on every trajectory chunk; results in chunk order.
+def _run_chunks(n_traj, body, threads=1):
+    """Run ``body(lo, hi)`` on every chunk of trajectories lo .. hi-1; results in chunk order.
 
-    ``inc`` holds the increments of trajectories lo .. hi-1, drawn in one
-    ``brownian_increments`` call per chunk.  The worker count, min(threads,
-    usable CPUs, chunks at the budget), is fixed first, so an ensemble of one
-    budget chunk runs inline; the chunks are cut for it (``_chunk_edges``) and
+    The body draws its own noise.  The worker count, min(threads, usable
+    CPUs, chunks at the cap), is fixed first, so an ensemble of one chunk at
+    the cap runs inline; the chunks are cut for it (``_chunk_edges``) and
     dealt round-robin into one share per worker, run by ``_run_shares``, so a
     body writes its output into arrays from ``_shared_zeros`` and returns
     only small, picklable results.  A chunk whose body raises
@@ -252,16 +255,16 @@ def _run_chunks(n_traj, n_steps, m, dt, seed, body, threads=1):
     exception stops its share; the one of the lowest chunk is raised, which
     is the one a serial run raises.
     """
-    at_budget = len(_chunk_edges(n_traj, n_steps, m))
-    workers = max(1, min(threads, at_budget, _usable_cpus())) if hasattr(os, "fork") else 1
-    chunks = _chunk_edges(n_traj, n_steps, m, workers)
+    at_cap = len(_chunk_edges(n_traj))
+    workers = max(1, min(threads, at_cap, _usable_cpus())) if hasattr(os, "fork") else 1
+    chunks = _chunk_edges(n_traj, workers)
 
     def run(share):
         results, failures = {}, []
         for i in share:
             lo, hi = chunks[i]
             try:
-                results[i] = body(lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt))
+                results[i] = body(lo, hi)
             except ExplosionError as exc:
                 failures.append((exc.step, [lo + j for j in exc.indices]))
             except Exception as exc:
@@ -370,13 +373,16 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     drawn from a reserved stream.  Trajectory j uses initial point
     ``j // replicas`` and the Brownian increments of trajectory index j.
 
-    Each chunk is one loop over the steps: step k makes one ``_euler_step``
-    and then calls every accumulator.  ``accumulators`` stream path
+    Each chunk is one loop over the steps: every four steps it draws the
+    chunk's next four steps of increments in one ``brownian_increments``
+    call, and step k makes one ``_euler_step`` and then calls every
+    accumulator.  ``accumulators`` stream path
     functionals: each has ``alloc(n_traj, zeros)``, called once before the
     run, and ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of
     every chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
     left-point states X, the increments dW of that step (a C-contiguous,
-    read-only (rows, m) slab, the one the Euler step read), the step's
+    read-only (rows, m) slab of the group's block, the one the Euler step
+    read), the step's
     coefficient bundle ``ev`` = ``field.evaluate(t, X)`` (see
     ``CoefficientValues``) and the stepped states X_next.  An accumulator
     keeps its per-trajectory results (and any state it carries across steps)
@@ -397,18 +403,21 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     for acc in accumulators:
         _alloc(acc, n_traj)
 
-    def body(lo, hi, inc):
+    def body(lo, hi):
         sl = slice(lo, hi)
         X = x0[sl]
-        for k in range(n_steps):
-            t = s + k * dt
-            dW = inc[:, k, :].copy()  # one contiguous slab that every consumer reads
-            dW.flags.writeable = False
-            ev, X_next = _euler_step(field, k, t, X, dW, dt)
-            for acc in accumulators:
-                acc.step(sl, k, t, X, dW, ev, X_next)
-            X = X_next
+        for group in range(0, n_steps, 4):
+            steps = range(group, min(group + 4, n_steps))
+            # step-major: block[i] is the contiguous (rows, m) slab of step steps[i]
+            block = np.moveaxis(brownian_increments(seed, range(lo, hi), n_steps, field.m, dt, steps), 1, 0)
+            block.flags.writeable = False
+            for k, dW in zip(steps, block):
+                t = s + k * dt
+                ev, X_next = _euler_step(field, k, t, X, dW, dt)
+                for acc in accumulators:
+                    acc.step(sl, k, t, X, dW, ev, X_next)
+                X = X_next
         xT[sl] = X
 
-    _run_chunks(n_traj, n_steps, field.m, dt, seed, body, threads)
+    _run_chunks(n_traj, body, threads)
     return FlowEnsemble(s=s, T=T, dt=dt, x0=x0, xT=xT)

@@ -69,6 +69,7 @@ KRYLOV_BASE = "kind = krylov\nfield = translate\nt = 0.1\ndt = 0.01"
 COUPLING_BASE = "kind = coupling\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
 # a full chunk of paths on a level that smooths only b: 2 floats per node
 SIGN_COUPLING = "kind = coupling\nfield = sign_drift\nd = 2\nt = 0.25\ndt = 0.001\ntrajectories = 8192"
+LONG_SIGN_COUPLING = SIGN_COUPLING.replace("t = 0.25", "t = 1.0")
 ENTROPY_BASE = "kind = entropy_budget\nfield = translate\nhorizon = 0.1\ndt = 0.01\ntrajectories = 8"
 PATH_BASE = "kind = density_bound\nfield = translate\ndt = 0.01\ntrajectories = 8"
 # one valid section of each kind, small enough to validate in milliseconds
@@ -342,6 +343,7 @@ class TestCli:
         f"{FP_BASE}\ngrid_h = 0.2\ngrid_tau = 0.005\nfactorization_samples = {2**27}",
         f"{SIGN_COUPLING}\nquad_order = 65",
         f"{SIGN_COUPLING}\nquad_order = 90",  # 8192 * 90^2 * 2 <= 2^27 < 8192 * 91^2 * 2
+        f"{LONG_SIGN_COUPLING}\nquad_order = 90",  # 1000 steps: still a chunk of 8192 points
         # 8192 paths and 4096 Monte-Carlo nodes, 4 floats of b each, make 2^27
         f"{COUPLING_BASE.replace('trajectories = 8', 'trajectories = 100000')}\nd = 4",
         f"{ENTROPY_BASE}\nd = 2\nquad_order = 90",  # (90^2)^2 node pairs, 2 floats each
@@ -355,6 +357,8 @@ class TestCli:
 
     @pytest.mark.parametrize("body, key", [
         _fault(SIGN_COUPLING, "quad_order = 91", "quad_order"),
+        # chunks no longer shrink with the horizon: 1000 steps smooth at 8192 points, not 2097
+        pytest.param(f"{LONG_SIGN_COUPLING}\nquad_order = 91", "quad_order", id="long-horizon-quad_order"),
         _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 100000\nd = 5", "d"),
         _fault(ENTROPY_BASE, "d = 2\nquad_order = 91", "quad_order"),
         _fault(ENTROPY_BASE, "d = 9", "d"),

@@ -502,7 +502,7 @@ class TestChunkIndependence:
         runs = []
         for cap in (None, 64, 97):
             if cap is not None:
-                monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m, cap=cap: cap)
+                monkeypatch.setattr(sde, "_chunk_cap", lambda cap=cap: cap)
             runs.append(run())
         for other in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))

@@ -627,7 +627,7 @@ class TestSharedRun:
             ens, rec = run_density_ensemble(field, 0.0, t, starts, dt, seed, threads=threads)
             factor_ref = density_factorization(sol, sampler, starts, ens.xT, rec)
         if cap is not None:
-            monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m: cap)
+            monkeypatch.setattr(sde, "_chunk_cap", lambda: cap)
         weak_xT, flow = mc_flows(field, n, starts, 0.0, t, dt, seed, threads=threads)
 
         mc = weak_error(sol, weak_xT, self._phis()).mc_values
@@ -654,7 +654,7 @@ class TestSharedRun:
         bad = [3, 64, 130, 199]
         starts[bad, 0] = [10.0, -10.0, 7.0, 10.0]
         if cap is not None:
-            monkeypatch.setattr(sde, "_chunk_cap", lambda n_steps, m: cap)
+            monkeypatch.setattr(sde, "_chunk_cap", lambda: cap)
         with pytest.raises(ExplosionError) as err:
             mc_flows(field, self.TRAJECTORIES, starts, 0.0, 0.05, self.DT, seed=7, threads=threads)
         assert err.value.step == 2 and err.value.indices == bad

@@ -85,11 +85,12 @@ class TestBrownianPath:
 class TestBlockDraw:
     @pytest.mark.parametrize(
         "seed, lo, count, n_steps, m",
-        [   # blocks of 2**14 words
-            (3, 0, 70, 500, 1),                 # 32 rows per block: blocks of 32, 32, 6
-            (11, 5, 12, 1000, 3),               # 5 rows per block: blocks of 5, 5, 2
-            ((1 << 64) - 1, (1 << 40) - 3, 9, 7, 2),  # indices across 2**40, one block
-            (5, 1, 3, 12000, 2),                # one row exceeds the block size
+        [   # passes of 2**14 words
+            (3, 0, 70, 500, 1),                 # 58 step groups a pass: passes of 58, 58, 9
+            (11, 5, 12, 1000, 3),               # 113 step groups a pass: passes of 113, 113, 24
+            ((1 << 64) - 1, (1 << 40) - 3, 9, 7, 2),  # indices across 2**40, one pass
+            (5, 1, 3, 12000, 2),                # 682 step groups a pass, 5 passes
+            (2, 0, 5000, 9, 1),                 # one step group exceeds the pass size
         ],
     )
     def test_range_equals_scalar_draws(self, seed, lo, count, n_steps, m):
@@ -104,28 +105,69 @@ class TestBlockDraw:
         assert brownian_increments(1, range(4, 4), 10, 2, 0.1).shape == (0, 10, 2)
         assert brownian_increments(1, range(0, 3), 0, 2, 0.1).shape == (3, 0, 2)
 
-    def test_row_alone_equals_row_of_block_across_counter_carry(self):
-        # 100 steps x 2 noise dimensions: B = 50 counter blocks a row, so
-        # rows 2**64 // 50 - 2 .. + 2 straddle a carry out of the counter's low word
-        seed, n_steps, m, dt = 9, 100, 2, 0.01
-        mid = (1 << 64) // 50
-        rows = range(mid - 2, mid + 3)
-        assert rows[0] * 50 < 1 << 64 <= rows[-1] * 50
+    @pytest.mark.parametrize("n_steps", [1, 3, 4, 5, 257])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_row_alone_equals_row_of_any_block(self, n_steps, m):
+        # every chunk cut of 11 rows, whole or cut at every step group boundary
+        seed, dt, n_traj = 21, 0.01, 11
+        alone = np.stack([brownian_increments(seed, j, n_steps, m, dt) for j in range(n_traj)])
+        assert alone.shape == (n_traj, n_steps, m)
+        bounds = sorted({0, n_steps, *range(4, n_steps, 4)})
+        cuts = [(lo, hi) for lo in range(n_traj) for hi in range(lo + 1, n_traj + 1)]
+        for lo, hi in cuts:
+            block = brownian_increments(seed, range(lo, hi), n_steps, m, dt)
+            assert np.array_equal(block, alone[lo:hi])
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            lo, hi = cuts[7 * i % len(cuts)]
+            for steps in (range(a, b), range(max(a - 1, 0), min(b + 1, n_steps)), range(a, n_steps)):
+                part = brownian_increments(seed, range(lo, hi), n_steps, m, dt, steps)
+                assert np.array_equal(part, alone[lo:hi, steps.start:steps.stop])
+
+    def test_steps_must_lie_on_the_grid(self):
+        for steps in (range(3, 11), range(-1, 2), range(0, 4, 2)):
+            with pytest.raises(ValueError):
+                brownian_increments(1, range(3), 10, 1, 0.1, steps)
+        assert brownian_increments(1, range(3), 10, 1, 0.1, range(5, 5)).shape == (3, 0, 1)
+
+    def test_last_rows_below_the_counter_carry(self):
+        # row j, component a reads counter word 0 = j m + a + 1 of its step group:
+        # the highest row that fits reads 2**64 - 1 and draws as it does alone;
+        # one row more would carry into the group word and is refused
+        seed, n_steps, m, dt = 9, 6, 2, 0.01
+        top = ((1 << 64) - 1) // m
+        rows = range(top - 3, top)
+        assert rows.stop * m == (1 << 64) - 2
         block = brownian_increments(seed, rows, n_steps, m, dt)
         alone = np.stack([brownian_increments(seed, j, n_steps, m, dt) for j in rows])
-        assert np.array_equal(block, alone)
-        assert np.isfinite(block).all()
-        # the rows are distinct draws, not one row repeated across the carry
+        assert np.array_equal(block, alone) and np.isfinite(block).all()
         assert len({row.tobytes() for row in block}) == len(rows)
+        with pytest.raises(ValueError):
+            brownian_increments(seed, range(top - 3, top + 1), n_steps, m, dt)
+        with pytest.raises(ValueError):
+            brownian_increments(seed, -1, n_steps, m, dt)
 
-    def test_row_reads_its_own_counter_blocks(self):
-        # row j of n_steps x m = 10 words reads counter blocks 3j + 1 .. 3j + 3
-        # of key [seed, 0]; the last block's two spare words go unused
-        seed, n_steps, m, dt = 6, 5, 2, 0.25
-        words = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(48)
-        expected = ndtri(((words >> np.uint64(12)) + 0.5) * 2.0**-52) * 0.5
-        block = brownian_increments(seed, range(4), n_steps, m, dt)
-        assert np.array_equal(block.reshape(4, 10), expected.reshape(4, 12)[:, :10])
+    @pytest.mark.parametrize("n_steps, m", [(5, 2), (8, 1), (3, 3)])
+    def test_row_reads_its_documented_counter_blocks(self, n_steps, m):
+        # trajectory j, component a, steps 4g .. 4g+3: the (j m + a + 1)-th block
+        # after counter (0, g, n_steps, m) of key [seed, 0]
+        seed, dt, rows = 6, 0.25, range(2, 6)
+        block = brownian_increments(seed, rows, n_steps, m, dt)
+        for g in range(-(-n_steps // 4)):
+            words = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64),
+                                     counter=[0, g, n_steps, m]).random_raw(4 * rows.stop * m)
+            z = ndtri(((words >> np.uint64(12)) + 0.5) * 2.0**-52) * 0.5
+            z = z.reshape(rows.stop, m, 4)[rows.start:]      # (row, component, step of the group)
+            k = min(4, n_steps - 4 * g)
+            assert np.array_equal(block[:, 4 * g:4 * g + k], z[..., :k].transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("other", [(9, 1), (8, 2), (4, 1), (8, 3)])
+    def test_ensembles_of_another_grid_share_no_word(self, other):
+        # (n_steps, m) = (8, 1) against the same rows at another step count or noise dimension
+        seed, rows = 3, range(64)
+        mine = brownian_increments(seed, rows, 8, 1, 1.0)
+        theirs = brownian_increments(seed, rows, *other, 1.0)
+        assert np.intersect1d(mine.ravel(), theirs.ravel()).size == 0
+        assert mine.size == 512 and np.unique(mine).size == 512
 
     def test_extreme_words_give_finite_normals(self):
         words = np.array([0, 1 << 12, (1 << 64) - 1], dtype=np.uint64)
@@ -178,13 +220,14 @@ class TestBlockDraw:
     def test_run_chunks_increments_are_chunk_invariant(self, monkeypatch, threads):
         n_traj, n_steps, m, dt, seed = 300, 50, 2, 0.01, 4
         whole = brownian_increments(seed, range(n_traj), n_steps, m, dt)
-        for budget in (flowlab.sde._CHUNK_BUDGET, 64 * n_steps * m):
-            monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", budget)
+        for cap in (flowlab.sde._chunk_cap(), 64):
+            monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda cap=cap: cap)
             parts = flowlab.sde._run_chunks(
-                n_traj, n_steps, m, dt, seed, lambda lo, hi, inc: (lo, hi, inc), threads
+                n_traj, lambda lo, hi: (lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt)),
+                threads,
             )
-            workers = _workers(threads, n_traj, n_steps, m)
-            edges = flowlab.sde._chunk_edges(n_traj, n_steps, m, workers)
+            workers = _workers(threads, n_traj)
+            edges = flowlab.sde._chunk_edges(n_traj, workers)
             assert [(lo, hi) for lo, hi, _ in parts] == edges
             assert np.array_equal(np.concatenate([inc for _, _, inc in parts]), whole)
         # 300 rows at 64 a chunk: 5 chunks, rounded up to 6 for two workers
@@ -199,14 +242,14 @@ class TestNoiseSpan:
     def test_chunks_draw_through_the_module_name(self, monkeypatch, tmp_path, translate1, quad1,
                                                  driver):
         n_steps, n_traj = 10, 200
-        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * n_steps)
+        monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda: 64)
         log = tmp_path / "draws"  # a file, so draws made in worker processes are seen too
         real = flowlab.sde.brownian_increments
 
-        def counted(seed, index, n_steps, m, dt):
+        def counted(seed, index, n_steps, m, dt, steps):
             with open(log, "a") as fh:
-                fh.write(f"{index.start} {index.stop}\n")
-            return real(seed, index, n_steps, m, dt)
+                fh.write(f"{index.start} {index.stop} {steps.start} {steps.stop}\n")
+            return real(seed, index, n_steps, m, dt, steps)
 
         monkeypatch.setattr(flowlab.sde, "brownian_increments", counted)
         starts = np.zeros((1, 1))
@@ -215,10 +258,11 @@ class TestNoiseSpan:
         else:
             coupling_convergence(translate1, [4], 8, 0.0, 0.1, starts, 1e-2, seed=1, quad=quad1,
                                  replicas=n_traj, threads=2)
-        edges = flowlab.sde._chunk_edges(n_traj, n_steps, 1)
+        edges = flowlab.sde._chunk_edges(n_traj)
         assert len(edges) == 4
-        drawn = [range(*map(int, line.split())) for line in log.read_text().splitlines()]
-        assert sorted(drawn, key=lambda r: r.start) == [range(lo, hi) for lo, hi in edges]
+        drawn = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        # each chunk draws once per group of four steps, the last group short
+        assert sorted(drawn) == [(lo, hi, a, b) for lo, hi in edges for a, b in ((0, 4), (4, 8), (8, 10))]
 
 
 class TestSimulate:
@@ -320,12 +364,12 @@ class TestIncrementSlabs:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [1, 2])
     def test_every_consumer_reads_a_contiguous_slab(self, monkeypatch, threads, m):
-        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * 20 * m)  # chunks of 64 paths
+        monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda: 64)  # chunks of 64 paths
         field = builtin_coefficients("translate", d=m)
         acc = _SlabContract(m)
         ens = simulate_ensemble(field, 0.0, 0.2, ("gaussian", 300), 1e-2, seed=4, threads=threads,
                                 accumulators=(acc,))
-        assert len(flowlab.sde._chunk_edges(300, 20, m)) == 5
+        assert len(flowlab.sde._chunk_edges(300)) == 5
         assert (acc.steps == 20).all()
         X = ens.x0
         for dW in np.moveaxis(brownian_increments(4, range(300), 20, m, 1e-2), 1, 0):
@@ -336,33 +380,33 @@ class TestIncrementSlabs:
 class TestChunkEdges:
     """Chunks are cut for the worker count: equal to one row, a multiple of it, none past the cap."""
 
-    @pytest.mark.parametrize("n_traj, n_steps, m", [(40000, 250, 1), (6250, 5000, 1), (6250, 100, 1),
-                                                    (300, 50, 2), (5000, 500, 1), (1, 10, 1)])
+    @pytest.mark.parametrize("n_traj", [40000, 6250, 8192, 8193, 300, 5000, 1])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equal_chunks(self, n_traj, n_steps, m, workers):
-        cap = max(64, min(8192, flowlab.sde._CHUNK_BUDGET // (n_steps * m)))
-        edges = flowlab.sde._chunk_edges(n_traj, n_steps, m, workers)
+    def test_equal_chunks(self, n_traj, workers):
+        cap = flowlab.sde._chunk_cap()
+        assert cap == 8192
+        edges = flowlab.sde._chunk_edges(n_traj, workers)
         sizes = [hi - lo for lo, hi in edges]
         assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]] and edges[-1][1] == n_traj
         assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
-        at_budget = math.ceil(n_traj / cap)
-        assert len(edges) == min(n_traj, math.ceil(at_budget / workers) * workers)
+        at_cap = math.ceil(n_traj / cap)
+        assert len(edges) == min(n_traj, math.ceil(at_cap / workers) * workers)
 
     def test_two_workers_get_equal_shares(self):
-        # 40,000 paths of 250 steps were 5 chunks (8192 rows) dealt 3/2; now 6 dealt 3/3
-        edges = flowlab.sde._chunk_edges(40000, 250, 1, 2)
+        # 40,000 paths are 5 chunks at the cap (8192 rows), dealt 3/2; cut as 6 they are dealt 3/3
+        edges = flowlab.sde._chunk_edges(40000, 2)
         shares = [sum(hi - lo for lo, hi in edges[w::2]) for w in range(2)]
         assert len(edges) == 6 and shares == [20000, 20000]
 
     @pytest.mark.parametrize("threads, n_traj, workers, chunks", [
-        (8, 6250, 1, 1),       # one chunk at the budget (8192 rows) runs inline
+        (8, 6250, 1, 1),       # one chunk at the cap (8192 rows) runs inline
         (2, 8193, 2, 2),
-        (2, 40000, 2, 6),      # 5 at the budget, rounded up to a multiple of 2
-        (8, 3 * 8192, 3, 3),   # capped by the chunks at the budget
+        (2, 40000, 2, 6),      # 5 at the cap, rounded up to a multiple of 2
+        (8, 3 * 8192, 3, 3),   # capped by the chunks at the cap
         (8, 10**6, 4, 124),    # capped by the usable CPUs
         (1, 10**6, 1, 123),
     ])
-    def test_worker_count_comes_from_the_budget(self, monkeypatch, threads, n_traj, workers, chunks):
+    def test_worker_count_comes_from_the_cap(self, monkeypatch, threads, n_traj, workers, chunks):
         monkeypatch.setattr(flowlab.sde, "_usable_cpus", lambda: 4)
         dealt = []
 
@@ -371,17 +415,35 @@ class TestChunkEdges:
             return [({i: None for i in share}, [], None) for share in shares]
 
         monkeypatch.setattr(flowlab.sde, "_run_shares", deal)
-        assert len(flowlab.sde._run_chunks(n_traj, 250, 1, 1e-3, 0, None, threads)) == chunks
+        assert len(flowlab.sde._run_chunks(n_traj, None, threads)) == chunks
         assert dealt[-1] == [range(w, chunks, workers) for w in range(workers)]
-        assert workers == _workers(threads, n_traj, 250, 1)
+        assert workers == _workers(threads, n_traj)
         monkeypatch.delattr(flowlab.sde.os, "fork")
-        flowlab.sde._run_chunks(n_traj, 250, 1, 1e-3, 0, None, threads)
+        flowlab.sde._run_chunks(n_traj, None, threads)
         assert len(dealt[-1]) == 1
 
 
-def _workers(threads, n_traj, n_steps, m):
-    """The worker count of ``_run_chunks``: min(threads, usable CPUs, chunks at the budget)."""
-    return max(1, min(threads, flowlab.sde._usable_cpus(), len(flowlab.sde._chunk_edges(n_traj, n_steps, m))))
+class TestNoiseMemory:
+    def test_peak_memory_does_not_grow_with_the_horizon(self, translate1):
+        # one 8192-row chunk holds four steps of noise whatever the step count:
+        # the traced peak at 4096 steps stays within 2x of the peak at 64
+        import tracemalloc
+
+        peaks = {}
+        for n_steps in (64, 4096):
+            tracemalloc.start()
+            try:
+                simulate_ensemble(translate1, 0.0, n_steps * 1e-4, np.zeros((1, 1)), 1e-4, seed=5,
+                                  replicas=8192)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] <= 2 * peaks[64]
+
+
+def _workers(threads, n_traj):
+    """The worker count of ``_run_chunks``: min(threads, usable CPUs, chunks at the cap)."""
+    return max(1, min(threads, flowlab.sde._usable_cpus(), len(flowlab.sde._chunk_edges(n_traj))))
 
 
 def _custom1(sigma, b, name):
@@ -410,8 +472,8 @@ class TestWorkerProcesses:
 
     @pytest.fixture(autouse=True)
     def _chunks_of_64(self, monkeypatch):
-        monkeypatch.setattr(flowlab.sde, "_CHUNK_BUDGET", 64 * 20)
-        assert len(flowlab.sde._chunk_edges(256, 20, 1)) == 4
+        monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda: 64)
+        assert len(flowlab.sde._chunk_edges(256)) == 4
 
     def _run(self, field, threads, accumulators=()):
         return simulate_ensemble(field, 0.0, 0.2, self.STARTS, 1e-2, seed=3, threads=threads,
@@ -430,7 +492,7 @@ class TestWorkerProcesses:
                 self.values[sl] += X[:, 0]
 
         drawn = []
-        monkeypatch.setattr(flowlab.sde, "brownian_increments", lambda *a: drawn.append(a))
+        monkeypatch.setattr(flowlab.sde, "brownian_increments", lambda *a, **k: drawn.append(a))
         with pytest.raises(TypeError, match="Private.alloc made 'values'"):
             self._run(translate1, 2, (Private(),))
         assert drawn == []
@@ -511,11 +573,11 @@ class TestStrongOrder:
         dtf = dt / refine
         n_paths = 4000
         errs = {}
+        paths = brownian_increments(seed=77, index=range(n_paths), n_steps=int(T / dtf), m=1, dt=dtf)[..., 0]
         for factor in (1, 4):
             dtc = dt / factor
             err_abs = np.empty(n_paths)
-            for j in range(n_paths):
-                fine = brownian_increments(seed=77, index=j, n_steps=int(T / dtf), m=1, dt=dtf)[:, 0]
+            for j, fine in enumerate(paths):
                 xr = 1.0
                 decay_f = math.exp(-a * dtf)
                 for k in range(fine.shape[0]):
