@@ -29,8 +29,8 @@ draws the chunk's increments four steps at a time, one
 trajectory's increments drawn alone), as a read-only step-major block; each
 step's increments are one C-contiguous (rows, m) slab of it, which the
 Euler step and every accumulator read.  So a chunk holds four steps of
-noise, not its whole horizon.  Every path functional (the density weight, the
-occupation functional, the coupling of regularization levels) is an
+noise, not its whole horizon.  Every path functional (the density weight,
+the occupation functional, the coupling of regularization levels) is an
 accumulator streamed through ``simulate_ensemble``.  A companion flow
 (``CompanionFlow``) is the one way a second start set reads a run's rows:
 an accumulator that steps its own starts by ``_euler_step`` under the run's
@@ -67,9 +67,9 @@ __all__ = [
 ]
 
 EXPLOSION_RADIUS = 1e8
-# the loop over steps runs in Python, one Euler step of every row of a chunk
-# per pass: 2^22 steps is minutes of work for each chunk, and a trajectory's
-# increments drawn alone at this many steps are 32 MiB per noise component
+# a chunk's loop over steps runs in Python, tens of microseconds a step, so
+# 2^22 steps take minutes per chunk; a trajectory's increments drawn alone
+# at this many steps are 32 MiB per noise component
 MAX_STEPS = 1 << 22
 
 
@@ -376,15 +376,14 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     Each chunk is one loop over the steps: every four steps it draws the
     chunk's next four steps of increments in one ``brownian_increments``
     call, and step k makes one ``_euler_step`` and then calls every
-    accumulator.  ``accumulators`` stream path
-    functionals: each has ``alloc(n_traj, zeros)``, called once before the
-    run, and ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of
-    every chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
+    accumulator.  ``accumulators`` stream path functionals: each has
+    ``alloc(n_traj, zeros)``, called once before the run, and
+    ``step(sl, k, t, X, dW, ev, X_next)``, called at every step k of every
+    chunk with the chunk's trajectory slice ``sl``, t = s + k dt, the
     left-point states X, the increments dW of that step (a C-contiguous,
     read-only (rows, m) slab of the group's block, the one the Euler step
-    read), the step's
-    coefficient bundle ``ev`` = ``field.evaluate(t, X)`` (see
-    ``CoefficientValues``) and the stepped states X_next.  An accumulator
+    read), the step's coefficient bundle ``ev`` = ``field.evaluate(t, X)``
+    (see ``CoefficientValues``) and the stepped states X_next.  An accumulator
     keeps its per-trajectory results (and any state it carries across steps)
     in arrays it allocates in ``alloc`` with ``zeros(shape)`` (the run's
     shared-memory allocator; an array made otherwise raises ``TypeError``)

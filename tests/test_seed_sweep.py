@@ -49,6 +49,7 @@ def swept(tmp_path_factory):
 def test_rows_hold_every_seed_as_flowlab_run_writes_it(swept, tmp_path):
     config, _, report = swept
     assert report["config"] == "small.ini" and report["seeds"] == [5, 7]
+    assert report["flowlab"] == str(ROOT / "src" / "flowlab")
     assert set(report["rows"]) == {"lp mass_abs_error", "lp lp_norm(p=1.5)",
                                    "fp mass_audit_residual", "fp mass_ledger_residual",
                                    "fp heat_variance_abs_error", "fp weak_error_max"}

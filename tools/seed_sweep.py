@@ -16,7 +16,8 @@ value / bound (where the bound is nonzero).  For ``mass_abs_error`` rows,
 whose bound is 0, -z is |mass - 1| / stderr.  A section that raises is
 recorded under ``errors`` with its seed and message.  ``--src`` puts
 another checkout's ``src`` first on the import path, so one script sweeps a
-parent commit and a change alike; by default it is this checkout's.
+parent commit and a change alike; by default it is this checkout's.  The
+JSON names the package directory that was imported.
 
 ``compare`` prints, for each row of two sweeps of one config, the failures
 and the median z on each side, the value / bound quartiles, and the
@@ -47,6 +48,7 @@ def summarize(samples):
 
 
 def sweep(config, seeds, threads):
+    import flowlab
     from flowlab.config import parse_config
     from flowlab.experiments import EXECUTORS
 
@@ -65,6 +67,7 @@ def sweep(config, seeds, threads):
                          "passed": r.passed})
         print(f"seed {seed} done", file=sys.stderr)
     return {"config": Path(config).name, "seeds": [seeds.start, seeds.stop], "threads": threads,
+            "flowlab": str(Path(flowlab.__file__).resolve().parent),
             "rows": {name: {**summarize(samples), "samples": samples} for name, samples in rows.items()},
             "errors": errors}
 
