@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,8 +428,6 @@ class TestNoiseMemory:
     def test_peak_memory_does_not_grow_with_the_horizon(self, translate1):
         # one 8192-row chunk holds four steps of noise whatever the step count:
         # the traced peak at 4096 steps stays within 2x of the peak at 64
-        import tracemalloc
-
         peaks = {}
         for n_steps in (64, 4096):
             tracemalloc.start()
