@@ -92,7 +92,7 @@ def test_a_section_that_raises_is_recorded_for_each_seed(swept, monkeypatch):
     namespace = {"__name__": "seed_sweep", "__file__": str(SEED_SWEEP)}
     exec(compile(SEED_SWEEP.read_text(), str(SEED_SWEEP), "exec"), namespace)
     monkeypatch.setitem(flowlab.experiments.EXECUTORS, "fokker_planck", explode)
-    report = namespace["sweep"](swept[0], range(5, 7), 1)
+    report = namespace["sweep"](swept[0], range(5, 7))
     assert report["errors"] == [
         {"seed": seed, "section": "fp", "error": f"ExplosionError: 3 trajectories exploded at seed {seed}"}
         for seed in (5, 6)]

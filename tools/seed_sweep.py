@@ -2,13 +2,13 @@
 
 Usage::
 
-    python3 tools/seed_sweep.py sweep CONFIG --seeds 1000:1100 --out FILE.json \
-        [--threads N] [--src DIR]
+    python3 tools/seed_sweep.py sweep CONFIG --seeds 1000:1100 --out FILE.json [--src DIR]
     python3 tools/seed_sweep.py compare BEFORE.json AFTER.json
 
 ``sweep`` gives every section each seed of the half-open range in turn, as
-``flowlab run --seed`` does, and runs it through its executor without
-writing output files.  For each checked row (section, quantity) the JSON
+``flowlab run --seed`` does, and runs it through its executor on one
+thread without writing output files (outputs are the same bits at any
+``--threads``).  For each checked row (section, quantity) the JSON
 holds every seed's value, stderr, bound and verdict, the number of failed
 verdicts, and the quartiles of z = (bound - value) / stderr (the row's
 margin in standard errors, over the seeds where stderr is positive) and of
@@ -47,7 +47,7 @@ def summarize(samples):
             "ratio_quartiles": quartiles(ratio)}
 
 
-def sweep(config, seeds, threads):
+def sweep(config, seeds):
     import flowlab
     from flowlab.config import parse_config
     from flowlab.experiments import EXECUTORS
@@ -56,7 +56,7 @@ def sweep(config, seeds, threads):
     for seed in seeds:
         for cfg in parse_config(config, seed=seed):
             try:
-                checked, _ = EXECUTORS[cfg.kind](cfg, cfg.seed, threads, out_dir=None)
+                checked, _ = EXECUTORS[cfg.kind](cfg, cfg.seed, 1, out_dir=None)
             except Exception as exc:
                 errors.append({"seed": seed, "section": cfg.name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -66,7 +66,7 @@ def sweep(config, seeds, threads):
                         {"seed": seed, "value": r.value, "stderr": r.stderr, "bound": r.bound,
                          "passed": r.passed})
         print(f"seed {seed} done", file=sys.stderr)
-    return {"config": Path(config).name, "seeds": [seeds.start, seeds.stop], "threads": threads,
+    return {"config": Path(config).name, "seeds": [seeds.start, seeds.stop],
             "flowlab": str(Path(flowlab.__file__).resolve().parent),
             "rows": {name: {**summarize(samples), "samples": samples} for name, samples in rows.items()},
             "errors": errors}
@@ -103,7 +103,6 @@ def main(argv=None):
     p_sweep.add_argument("config")
     p_sweep.add_argument("--seeds", required=True, help="half-open range FIRST:STOP")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     p_compare = commands.add_parser("compare")
     p_compare.add_argument("before")
@@ -116,7 +115,7 @@ def main(argv=None):
         return 0
     first, stop = map(int, args.seeds.split(":"))
     sys.path.insert(0, args.src)
-    report = sweep(args.config, range(first, stop), args.threads)
+    report = sweep(args.config, range(first, stop))
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
