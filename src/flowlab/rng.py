@@ -35,8 +35,6 @@ A word w becomes the uniform ((w >> 12) + 1/2) 2**-52, which lies in
 (2**53 - 1/2) 2**-53, which rounds to exactly 1.0, and ``ndtri(1.0)`` is inf.
 """
 
-import functools
-
 import numpy as np
 from scipy.special import ndtri
 
@@ -85,14 +83,9 @@ def _set_counter(bitgen, seed, counter):
     }
 
 
-@functools.lru_cache(maxsize=1)
-def _trajectory_philox(seed):
-    """This process's Philox keyed [seed, 0]; each draw sets its counter first, so reuse is safe.
-
-    Building a Philox costs several times what resetting its counter does,
-    and an ensemble draws once per four steps of every chunk.
-    """
-    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+# the one Philox trajectory noise is read from; each read sets its key and
+# counter first (``_set_counter``), which costs a fraction of building one
+_TRAJECTORY_PHILOX = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
 
 
 def brownian_increments(seed, index, n_steps, m, dt, steps=None):
@@ -107,7 +100,9 @@ def brownian_increments(seed, index, n_steps, m, dt, steps=None):
     steps is one Philox read at the counter of the module docstring, and
     words are converted about ``_BLOCK_WORDS`` at a time.  The array
     returned is a view of a step-major block: ``np.moveaxis(inc, 1, 0)`` is
-    C-contiguous, so each step's (rows, m) slab of it is too.
+    C-contiguous, so each step's (rows, m) slab of it is too.  Every call
+    reads through one module-level Philox, so it is not thread-safe; worker
+    processes each have their own copy.
     """
     single = not isinstance(index, range)
     rows = range(index, index + 1) if single else index
@@ -120,7 +115,7 @@ def brownian_increments(seed, index, n_steps, m, dt, steps=None):
         raise ValueError(f"trajectories {rows} at m = {m} need counter blocks past 2**64 - 1")
     out = np.empty((len(steps), len(rows), m))
     if out.size:
-        bitgen = _trajectory_philox(seed)
+        bitgen = _TRAJECTORY_PHILOX
         width = 4 * len(rows) * m  # words of one step group
         per_pass = max(1, _BLOCK_WORDS // width)
         groups = range(steps.start // 4, (steps.stop - 1) // 4 + 1)
