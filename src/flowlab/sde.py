@@ -6,11 +6,12 @@ Each trajectory's increments sit at Philox counters under the key
 ``(seed, dt, grid)`` at any worker count.
 
 One package-private driver is the only place where chunks, workers and
-trajectory noise are handled: ``_run_chunks`` fixes the worker count,
-partitions trajectories into equal chunks (a multiple of the worker count,
-none past the 8192 rows of ``_chunk_cap``, at any step count) and runs the
-caller's body on each.  No output depends on the cut: every trajectory's
-arithmetic is its own, the coefficient maps included (``ou_smooth`` and
+trajectory noise are handled: ``_run_chunks`` fixes the worker count (no
+more than one per 2^22 noise variates of the ensemble), partitions
+trajectories into equal chunks (a multiple of the worker count, none past
+the 8192 rows of ``_chunk_cap``, at any step count) and runs the caller's
+body on each.  No output depends on the cut: every trajectory's arithmetic
+is its own, the coefficient maps included (``ou_smooth`` and
 ``ou_smooth_grad`` sum each point's quadrature nodes in one order, whatever
 points share the call), so each path's endpoint and density weight are the
 same bits at any chunk size and ``--threads``.  With more than one worker
@@ -67,6 +68,8 @@ __all__ = [
 ]
 
 EXPLOSION_RADIUS = 1e8
+# noise variates a forked worker needs to itself to repay the fork (``_workers``)
+_WORKER_VARIATES = 1 << 22
 # a chunk's loop over steps runs in Python, tens of microseconds a step, so
 # 2^22 steps take minutes per chunk; a trajectory's increments drawn alone
 # at this many steps are 32 MiB per noise component
@@ -110,15 +113,29 @@ def _chunk_cap():
     return 8192
 
 
-def _chunk_edges(n_traj, workers=1):
-    """Chunks of equal size (to one row), as many as a multiple of ``workers``.
+def _workers(n_traj, n_steps, m, threads=1):
+    """Worker processes for an ensemble: at most threads, the usable CPUs and its loads; 1 without ``os.fork``.
 
-    No chunk holds more rows than ``_chunk_cap``, so the chunks dealt
-    round-robin give every worker the same number of rows to within one per
-    chunk.
+    A load is ``_WORKER_VARIATES`` noise variates' worth of rows (n_steps m
+    variates a row), at least 64 rows and at most ``_chunk_cap``: less work
+    does not repay a fork.  So a long horizon spreads even an ensemble of one
+    chunk over workers.
     """
-    cap = _chunk_cap()
-    count = max(1, -(-n_traj // cap))           # chunks at the cap
+    if not hasattr(os, "fork"):
+        return 1
+    load = max(64, min(_chunk_cap(), _WORKER_VARIATES // max(n_steps * m, 1)))
+    return max(1, min(threads, _usable_cpus(), -(-n_traj // load)))
+
+
+def _chunk_edges(n_traj, n_steps, m, threads=1):
+    """The chunks an ensemble runs in at ``threads``: equal in size (to one row), as few as fit.
+
+    No chunk holds more rows than ``_chunk_cap``, and their number is a
+    multiple of the ensemble's ``_workers``, so the chunks dealt round-robin
+    give every worker the same number of rows to within one per chunk.
+    """
+    workers = _workers(n_traj, n_steps, m, threads)
+    count = max(1, -(-n_traj // _chunk_cap()))  # chunks at the cap
     count = -(-count // workers) * workers      # rounded up to a multiple of workers
     edges = [i * n_traj // count for i in range(count + 1)]
     return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
@@ -241,13 +258,13 @@ def _run_shares(run, shares):
             os.waitpid(pid, 0)
 
 
-def _run_chunks(n_traj, body, threads=1):
+def _run_chunks(n_traj, n_steps, m, body, threads=1):
     """Run ``body(lo, hi)`` on every chunk of trajectories lo .. hi-1; results in chunk order.
 
-    The body draws its own noise.  The worker count, min(threads, usable
-    CPUs, chunks at the cap), is fixed first, so an ensemble of one chunk at
-    the cap runs inline; the chunks are cut for it (``_chunk_edges``) and
-    dealt round-robin into one share per worker, run by ``_run_shares``, so a
+    The body draws its own noise, n_steps steps of m components a row.  The
+    worker count (``_workers``) is fixed first, so an ensemble of one load
+    runs inline; the chunks are cut for it (``_chunk_edges``) and dealt
+    round-robin into one share per worker, run by ``_run_shares``, so a
     body writes its output into arrays from ``_shared_zeros`` and returns
     only small, picklable results.  A chunk whose body raises
     ``ExplosionError`` stops there while the others run to the end; then one
@@ -255,9 +272,8 @@ def _run_chunks(n_traj, body, threads=1):
     exception stops its share; the one of the lowest chunk is raised, which
     is the one a serial run raises.
     """
-    at_cap = len(_chunk_edges(n_traj))
-    workers = max(1, min(threads, at_cap, _usable_cpus())) if hasattr(os, "fork") else 1
-    chunks = _chunk_edges(n_traj, workers)
+    workers = _workers(n_traj, n_steps, m, threads)
+    chunks = _chunk_edges(n_traj, n_steps, m, threads)
 
     def run(share):
         results, failures = {}, []
@@ -418,5 +434,5 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
                 X = X_next
         xT[sl] = X
 
-    _run_chunks(n_traj, body, threads)
+    _run_chunks(n_traj, n_steps, field.m, body, threads)
     return FlowEnsemble(s=s, T=T, dt=dt, x0=x0, xT=xT)

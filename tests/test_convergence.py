@@ -110,7 +110,7 @@ class TestCoupling:
 
     def test_matches_reference_at_any_thread_count(self, monkeypatch, sign1, quad1):
         monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda: 64)  # chunks of 64 paths
-        assert len(flowlab.sde._chunk_edges(300)) == 5
+        assert len(flowlab.sde._chunk_edges(300, 20, 1)) == 5
         kw = dict(initials=np.zeros((1, 1)), dt=1e-2, seed=9, quad=quad1, replicas=300)
         reps = [coupling_convergence(sign1, [4, 8], 16, 0.0, 0.2, threads=t, **kw) for t in (1, 2)]
         assert reps[0].deviations == reps[1].deviations

@@ -224,11 +224,12 @@ class TestBlockDraw:
         for cap in (flowlab.sde._chunk_cap(), 64):
             monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda cap=cap: cap)
             parts = flowlab.sde._run_chunks(
-                n_traj, lambda lo, hi: (lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt)),
+                n_traj, n_steps, m,
+                lambda lo, hi: (lo, hi, brownian_increments(seed, range(lo, hi), n_steps, m, dt)),
                 threads,
             )
-            workers = _workers(threads, n_traj)
-            edges = flowlab.sde._chunk_edges(n_traj, workers)
+            workers = flowlab.sde._workers(n_traj, n_steps, m, threads)
+            edges = flowlab.sde._chunk_edges(n_traj, n_steps, m, threads)
             assert [(lo, hi) for lo, hi, _ in parts] == edges
             assert np.array_equal(np.concatenate([inc for _, _, inc in parts]), whole)
         # 300 rows at 64 a chunk: 5 chunks, rounded up to 6 for two workers
@@ -259,7 +260,7 @@ class TestNoiseSpan:
         else:
             coupling_convergence(translate1, [4], 8, 0.0, 0.1, starts, 1e-2, seed=1, quad=quad1,
                                  replicas=n_traj, threads=2)
-        edges = flowlab.sde._chunk_edges(n_traj)
+        edges = flowlab.sde._chunk_edges(n_traj, n_steps, 1, 2)
         assert len(edges) == 4
         drawn = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         # each chunk draws once per group of four steps, the last group short
@@ -370,7 +371,7 @@ class TestIncrementSlabs:
         acc = _SlabContract(m)
         ens = simulate_ensemble(field, 0.0, 0.2, ("gaussian", 300), 1e-2, seed=4, threads=threads,
                                 accumulators=(acc,))
-        assert len(flowlab.sde._chunk_edges(300)) == 5
+        assert len(flowlab.sde._chunk_edges(300, 20, m)) == 5
         assert (acc.steps == 20).all()
         X = ens.x0
         for dW in np.moveaxis(brownian_increments(4, range(300), 20, m, 1e-2), 1, 0):
@@ -381,12 +382,18 @@ class TestIncrementSlabs:
 class TestChunkEdges:
     """Chunks are cut for the worker count: equal to one row, a multiple of it, none past the cap."""
 
+    @pytest.fixture(autouse=True)
+    def _four_cpus(self, monkeypatch):
+        monkeypatch.setattr(flowlab.sde, "_usable_cpus", lambda: 4)
+
     @pytest.mark.parametrize("n_traj", [40000, 6250, 8192, 8193, 300, 5000, 1])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equal_chunks(self, n_traj, workers):
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n_steps", [100, 5000])
+    def test_equal_chunks(self, n_traj, threads, n_steps):
         cap = flowlab.sde._chunk_cap()
         assert cap == 8192
-        edges = flowlab.sde._chunk_edges(n_traj, workers)
+        edges = flowlab.sde._chunk_edges(n_traj, n_steps, 1, threads)
+        workers = flowlab.sde._workers(n_traj, n_steps, 1, threads)
         sizes = [hi - lo for lo, hi in edges]
         assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]] and edges[-1][1] == n_traj
         assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
@@ -395,20 +402,23 @@ class TestChunkEdges:
 
     def test_two_workers_get_equal_shares(self):
         # 40,000 paths are 5 chunks at the cap (8192 rows), dealt 3/2; cut as 6 they are dealt 3/3
-        edges = flowlab.sde._chunk_edges(40000, 2)
+        edges = flowlab.sde._chunk_edges(40000, 100, 1, 2)
         shares = [sum(hi - lo for lo, hi in edges[w::2]) for w in range(2)]
         assert len(edges) == 6 and shares == [20000, 20000]
 
-    @pytest.mark.parametrize("threads, n_traj, workers, chunks", [
-        (8, 6250, 1, 1),       # one chunk at the cap (8192 rows) runs inline
-        (2, 8193, 2, 2),
-        (2, 40000, 2, 6),      # 5 at the cap, rounded up to a multiple of 2
-        (8, 3 * 8192, 3, 3),   # capped by the chunks at the cap
-        (8, 10**6, 4, 124),    # capped by the usable CPUs
-        (1, 10**6, 1, 123),
+    @pytest.mark.parametrize("threads, n_traj, n_steps, workers, chunks", [
+        (8, 6250, 100, 1, 1),       # one load (8192 rows at 100 steps) runs inline
+        (8, 6250, 5000, 4, 4),      # 838-row loads: one chunk at the cap is cut for four workers
+        (8, 10000, 1000, 3, 3),     # 4194-row loads: 3 of them, one worker each
+        (8, 100, 10**5, 2, 2),      # loads are 64 rows at least
+        (2, 8193, 100, 2, 2),
+        (2, 40000, 100, 2, 6),      # 5 at the cap, rounded up to a multiple of 2
+        (8, 3 * 8192, 100, 3, 3),   # capped by the loads
+        (8, 10**6, 100, 4, 124),    # capped by the usable CPUs
+        (1, 10**6, 100, 1, 123),
     ])
-    def test_worker_count_comes_from_the_cap(self, monkeypatch, threads, n_traj, workers, chunks):
-        monkeypatch.setattr(flowlab.sde, "_usable_cpus", lambda: 4)
+    def test_worker_count_comes_from_the_loads(self, monkeypatch, threads, n_traj, n_steps, workers,
+                                               chunks):
         dealt = []
 
         def deal(run, shares):  # records the shares and runs no chunk
@@ -416,11 +426,11 @@ class TestChunkEdges:
             return [({i: None for i in share}, [], None) for share in shares]
 
         monkeypatch.setattr(flowlab.sde, "_run_shares", deal)
-        assert len(flowlab.sde._run_chunks(n_traj, None, threads)) == chunks
+        assert len(flowlab.sde._run_chunks(n_traj, n_steps, 1, None, threads)) == chunks
         assert dealt[-1] == [range(w, chunks, workers) for w in range(workers)]
-        assert workers == _workers(threads, n_traj)
+        assert workers == flowlab.sde._workers(n_traj, n_steps, 1, threads)
         monkeypatch.delattr(flowlab.sde.os, "fork")
-        flowlab.sde._run_chunks(n_traj, None, threads)
+        flowlab.sde._run_chunks(n_traj, n_steps, 1, None, threads)
         assert len(dealt[-1]) == 1
 
 
@@ -438,11 +448,6 @@ class TestNoiseMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[4096] <= 2 * peaks[64]
-
-
-def _workers(threads, n_traj):
-    """The worker count of ``_run_chunks``: min(threads, usable CPUs, chunks at the cap)."""
-    return max(1, min(threads, flowlab.sde._usable_cpus(), len(flowlab.sde._chunk_edges(n_traj))))
 
 
 def _custom1(sigma, b, name):
@@ -472,7 +477,7 @@ class TestWorkerProcesses:
     @pytest.fixture(autouse=True)
     def _chunks_of_64(self, monkeypatch):
         monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda: 64)
-        assert len(flowlab.sde._chunk_edges(256)) == 4
+        assert len(flowlab.sde._chunk_edges(256, 20, 1)) == 4
 
     def _run(self, field, threads, accumulators=()):
         return simulate_ensemble(field, 0.0, 0.2, self.STARTS, 1e-2, seed=3, threads=threads,
