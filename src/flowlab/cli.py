@@ -15,7 +15,8 @@ sections still run; summary.json is always written.  Exit codes: 0 all
 checks passed, 1 experiment failure or bound violation beyond the
 documented slack, 2 configuration error, whether found by ``validate`` at
 parse time (e.g. a grid step above the Fokker-Planck stability bound) or
-raised while running.
+raised while running, or an ``--out`` that cannot be made a directory (the
+one case in which summary.json cannot be written).
 The default output directory is $FLOWLAB_OUT, falling back to ./flowlab_out.
 """
 
@@ -34,7 +35,10 @@ from .report import rows_all_passed, write_rows_csv, write_summary_json, write_t
 
 def _out_dir(args):
     out = args.out or os.environ.get("FLOWLAB_OUT") or "flowlab_out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out!r} cannot be made: {exc}", key="out")
     return out
 
 
@@ -55,10 +59,10 @@ def _run(args):
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}", key="threads")
         configs = parse_config(args.config, seed=args.seed)
+        out = _out_dir(args)
     except ConfigError as exc:
         return _config_error(exc)
 
-    out = _out_dir(args)
     # the file name, not the path as typed, plus a content hash: the same
     # config run from any directory or checkout writes the same bytes
     with open(args.config, "rb") as fh:
@@ -105,7 +109,10 @@ def _validate(args):
 
 
 def _oracle(args):
-    out = _out_dir(args)
+    try:
+        out = _out_dir(args)
+    except ConfigError as exc:
+        return _config_error(exc)
     try:
         checks = oracle_suite()
     except OracleMismatchError as exc:

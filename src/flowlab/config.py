@@ -32,8 +32,8 @@ from dataclasses import dataclass, field as dc_field
 from .coefficients import CATALOG, builtin_coefficients
 from .density import entropy_steps
 from .errors import ConfigError
-from .gaussian import MAX_GH_ORDER, default_quadrature, refined_quadrature
-from .sde import _chunk_cap, make_grid
+from .gaussian import MAX_GH_ORDER, default_quadrature
+from .sde import make_grid
 
 
 def _config_fields():
@@ -65,11 +65,9 @@ SEED_LIMIT = 1 << 64  # seeds key a Philox generator as one uint64 word
 #   Gaussian starts drawn for them; factorization_samples <= 2^27 likewise
 #   (it needs d = 1);
 # - (2 grid_R / grid_h + 1)^d * d^2 <= 2^27: the Fokker-Planck grid holds
-#   the diffusion matrix, d^2 floats per cell;
-# - in d >= 2, points * nodes * floats per node <= 2^27 for a coupling or
-#   the entropy budget: a regularized level smooths b (d floats per node) and
-#   a σ not declared constant (d m) on a rule's nodes moved to each point
-#   (``_check_smoothing_size``).
+#   the diffusion matrix, d^2 floats per cell.
+# The smoothing of regularized levels needs no limit: ``gaussian`` moves the
+# rule's nodes to one bounded block of points at a time.
 MAX_FLOATS = 1 << 27
 MAX_D = 12
 # no Gauss-Hermite rule passes MAX_GH_ORDER = 370 (numpy's hermgauss gives
@@ -257,6 +255,8 @@ def _validate_numerics(cfg):
             entropy_steps(build_field(cfg), opt["horizon"], opt["dt"])
         except ConfigError as exc:
             raise fault("dt", f"dt: {exc}")
+    if opt.get("quad_order") and opt["d"] >= 3:
+        raise fault("quad_order", "quad_order must be 0 in d >= 3, whose rule is 4096 Monte-Carlo nodes")
     if "trajectories" in opt:
         floats = opt["trajectories"] * opt.get("replicas", 1) * opt["d"]
         if floats > MAX_FLOATS:
@@ -271,8 +271,6 @@ def _validate_numerics(cfg):
                             f"(t - s))^2 overflows at u = {u:g}")
     if "n_ref" in opt and opt["n_ref"] < max(opt["n_list"]):
         raise fault("n_ref", f"n_ref = {opt['n_ref']} is below the finest level {max(opt['n_list'])}")
-    if cfg.kind in ("coupling", "entropy_budget") and opt["d"] >= 2:
-        _check_smoothing_size(cfg, fault)
     if cfg.kind == "fokker_planck":
         if opt["d"] not in (1, 2):
             raise fault("d", "the Fokker-Planck grid needs d = 1 or 2")
@@ -283,34 +281,6 @@ def _validate_numerics(cfg):
             raise fault("grid_h", f"grid_h: {axis:.6g}^{d} grid cells on [-grid_R, grid_R]^{d} hold more "
                         f"than {MAX_FLOATS} floats")
         _check_fp_grids(cfg, fault)
-
-
-def _check_smoothing_size(cfg, fault):
-    """The moving-node smoothing of regularized levels within ``MAX_FLOATS``.
-
-    In d >= 2 a level smooths b (d floats per node) and, unless the field
-    declares ``sigma_const``, σ (d m floats per node) on the nodes of a rule
-    moved to every point, in one array.  The rule is the section's or, for a
-    drift without ∇b, the 4x refined one its kernel gradient reads, whichever
-    is larger.  The points are a chunk of paths, min(trajectories, 8192) at
-    any step count (``_chunk_cap``), and, for the entropy budget, at least
-    the section rule's nodes, where ``budget_constants`` evaluates each level.
-    """
-    opt = cfg.options
-    field = build_field(cfg)
-    d, m = opt["d"], field.m
-    quad = build_quad(cfg)
-    rule = nodes = quad.nodes.shape[0]
-    if field.b_jac is None:
-        nodes = max(rule, refined_quadrature(quad, factor=4).nodes.shape[0])
-    per_node = d + (d * m if field.sigma_const is None else 0)
-    points = min(opt["trajectories"], _chunk_cap())
-    if cfg.kind != "coupling":
-        points = max(rule, points)
-    if not points * nodes * per_node <= MAX_FLOATS:
-        key = "quad_order" if d == 2 else "d"
-        raise fault(key, f"{key}: smoothing a level at {points} points on {nodes} nodes in d = {d} "
-                    f"needs {points * nodes * per_node} floats, more than {MAX_FLOATS}")
 
 
 def _check_fp_grids(cfg, fault):

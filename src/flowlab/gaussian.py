@@ -4,8 +4,9 @@ The standard Gaussian measure γ_d is the reference measure throughout the
 package.  This module provides quadrature against γ_d, the Gaussian
 divergence operator δ (the adjoint of the gradient under γ_d) and the
 Ornstein-Uhlenbeck smoothing semigroup P_ε: on moving quadrature nodes in any
-d (``ou_smooth``, ``ou_smooth_grad``), and in d = 1 as one fixed-node table of
-P_ε f and its kernel gradient (``ou_smooth_table``, a ``HermiteTable``).
+d (``ou_smooth``, ``ou_smooth_grad``, in blocks of points of bounded size),
+and in d = 1 as one fixed-node table of P_ε f and its kernel gradient
+(``ou_smooth_table``, a ``HermiteTable``).
 
 Sign convention: δ(B)(x) = <B(x), x> - div B(x), which is the unique choice
 satisfying the adjoint identity ∫ <B, ∇f> dγ_d = ∫ f δ(B) dγ_d.  In
@@ -88,11 +89,13 @@ class GaussianQuadrature:
 
 
 def default_quadrature(d, order=None):
-    """Default rule: GH(32) in d=1, GH(16 per axis) in d=2, 4096 MC nodes (seed 0) beyond."""
+    """Default rule: GH(32) in d=1, GH(16 per axis) in d=2, 4096 MC nodes (seed 0) beyond, which take no ``order``."""
     if d == 1:
         return GaussianQuadrature.gauss_hermite(1, order or 32)
     if d == 2:
         return GaussianQuadrature.gauss_hermite(2, order or 16)
+    if order:
+        raise ValueError(f"no Gauss-Hermite order in d = {d}: the rule beyond d = 2 is Monte-Carlo")
     return GaussianQuadrature.monte_carlo(d, 4096, 0)
 
 
@@ -184,25 +187,38 @@ def _delta(values, x, jac):
     return np.einsum(spec, values, x) - np.trace(jac, axis1=-2, axis2=-1)
 
 
-def _moving_node_values(f, eps, x, quad):
-    """f at the nodes e^{-ε} x + sqrt(1-e^{-2ε}) y_k, shaped (K, n, ...).
+# moved-node floats (nodes * points * d) one block of ``_moving_node_sums`` holds
+SMOOTH_BLOCK_FLOATS = 1 << 18
 
-    Returns the values, the spread sqrt(1-e^{-2ε}), e^{-ε} and whether ``x``
-    was a single point (d,) rather than a batch (n, d).
+
+def _moving_node_sums(f, eps, x, quad, reduce):
+    """``reduce`` of f at the nodes e^{-ε} x + sqrt(1-e^{-2ε}) y_k, a block of points at a time.
+
+    ``reduce`` maps a block's (K, b, ...) values to (b, ...).  A block holds
+    ``SMOOTH_BLOCK_FLOATS`` moved-node floats' worth of points but at least
+    two, and a last lone point joins the block before it: einsum sums a lone
+    point's scalar over the nodes in another order.  Returns the sums (a
+    single point (d,) without the point axis), e^{-ε} and sqrt(1-e^{-2ε}).
     """
     if eps <= 0:
         raise ValueError("smoothing parameter must be positive")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
+    pts = x[None, :] if x.ndim == 1 else x
     n, d = pts.shape
     decay = math.exp(-eps)
     spread = math.sqrt(max(1.0 - decay * decay, 0.0))
-    shifted = decay * pts[None, :, :] + spread * quad.nodes[:, None, :]  # (K, n, d)
-    values = np.asarray(f(shifted.reshape(-1, d)), dtype=float)
-    values = values.reshape((quad.nodes.shape[0], n) + values.shape[1:])
-    _check_finite(values, quad)
-    return values, decay, spread, single
+    k = quad.nodes.shape[0]
+    block = max(2, SMOOTH_BLOCK_FLOATS // (k * d))
+    starts = list(range(0, max(n - 1, 1), block))  # to n - 1: no last block of one point alone
+    sums = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        shifted = decay * pts[None, start:stop, :] + spread * quad.nodes[:, None, :]  # (K, b, d)
+        values = np.asarray(f(shifted.reshape(-1, d)), dtype=float)
+        values = values.reshape((k, stop - start) + values.shape[1:])
+        _check_finite(values, quad)
+        sums.append(reduce(values))
+    out = np.concatenate(sums) if len(sums) > 1 else sums[0]
+    return (out[0] if x.ndim == 1 else out), decay, spread
 
 
 def ou_smooth(f, eps, x, quad):
@@ -210,13 +226,13 @@ def ou_smooth(f, eps, x, quad):
 
     P_ε f(x) = ∫ f(e^{-ε} x + sqrt(1-e^{-2ε}) y) dγ_d(y).  ``f`` must accept
     stacked points of shape (..., d); scalar- or tensor-valued outputs are
-    both supported.  ``x`` may be a single point (d,) or a batch (n, d).
-    Each point's value is summed over the nodes in one fixed order, so it
-    does not depend on the other points of the call.
+    both supported.  ``x`` may be a single point (d,) or a batch (n, d),
+    smoothed in blocks of about ``SMOOTH_BLOCK_FLOATS`` moved-node floats.
+    In a batch of two or more points each point's value is summed over the
+    nodes in one fixed order, so it does not depend on the other points of
+    the call or on the blocks.
     """
-    values, _, _, single = _moving_node_values(f, eps, x, quad)
-    out = np.einsum("k,k...->...", quad.weights, values)
-    return out[0] if single else out
+    return _moving_node_sums(f, eps, x, quad, lambda v: np.einsum("k,k...->...", quad.weights, v))[0]
 
 
 def ou_smooth_grad(f, eps, x, quad):
@@ -227,11 +243,10 @@ def ou_smooth_grad(f, eps, x, quad):
     Output shape is f-output shape with a trailing d axis; as in
     ``ou_smooth``, each point's value does not depend on the other points.
     """
-    values, decay, spread, single = _moving_node_values(f, eps, x, quad)
     weighted = quad.weights[:, None] * quad.nodes  # (K, d)
-    out = np.einsum("kd,k...->d...", weighted, values)  # (d, n, ...)
-    out = np.moveaxis(out, 0, -1) * (decay / spread)   # (n, ..., d)
-    return out[0] if single else out
+    out, decay, spread = _moving_node_sums(
+        f, eps, x, quad, lambda v: np.moveaxis(np.einsum("kd,k...->d...", weighted, v), 0, -1))
+    return out * (decay / spread)  # (n, ..., d)
 
 
 # fixed-node tables of P_ε f in d = 1 (see ``ou_smooth_table``)

@@ -67,7 +67,7 @@ DENSITY_BASE = "kind = density_bound\nfield = translate\nt = 0.1\ntrajectories =
 FP_BASE = "kind = fokker_planck\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
 KRYLOV_BASE = "kind = krylov\nfield = translate\nt = 0.1\ndt = 0.01"
 COUPLING_BASE = "kind = coupling\nfield = translate\nt = 0.1\ndt = 0.01\ntrajectories = 8"
-# a full chunk of paths on a level that smooths only b: 2 floats per node
+# a full chunk of paths on a d = 2 regularized level
 SIGN_COUPLING = "kind = coupling\nfield = sign_drift\nd = 2\nt = 0.25\ndt = 0.001\ntrajectories = 8192"
 LONG_SIGN_COUPLING = SIGN_COUPLING.replace("t = 0.25", "t = 1.0")
 ENTROPY_BASE = "kind = entropy_budget\nfield = translate\nhorizon = 0.1\ndt = 0.01\ntrajectories = 8"
@@ -272,6 +272,10 @@ class TestCli:
         _fault(ENTROPY_BASE, "n_list =", "n_list"),  # a budget section that checks no level
         _fault(ENTROPY_BASE, "lam = 0", "lam"),  # the budget's T0 <= λ / 8e^2 would be 0
         _fault(VALIDATE_BASE, "field = translate\nquad_order = -1", "quad_order"),
+        # d >= 3 has one rule, 4096 Monte-Carlo nodes, and no order to set
+        _fault(VALIDATE_BASE, "field = translate\nd = 3\nquad_order = 8", "quad_order"),
+        _fault(ENTROPY_BASE, "d = 3\nquad_order = 4", "quad_order"),
+        _fault(DENSITY_BASE, "dt = 0.01\nd = 12\nquad_order = 1", "quad_order"),
         _fault(KRYLOV_BASE, "trajectories = 8\nslab_widths = -0.1, 0.05", "slab_widths"),
         # non-finite values, each refused by its key's parser
         _fault(PATH_BASE, "t = nan", "t"),
@@ -341,49 +345,26 @@ class TestCli:
         f"{KRYLOV_BASE}\nd = 2\ntrajectories = {2**26}",
         f"{KRYLOV_BASE.replace('krylov', 'density_bound')}\ntrajectories = {2**20}\nreplicas = {2**7}",
         f"{FP_BASE}\ngrid_h = 0.2\ngrid_tau = 0.005\nfactorization_samples = {2**27}",
+        # regularized levels in d >= 2 smooth on a rule's nodes moved to a chunk of points (or
+        # to the budget's rule nodes) in bounded blocks, so no size limit reads them; the last
+        # five move 2^27 floats or more in all
         f"{SIGN_COUPLING}\nquad_order = 65",
-        f"{SIGN_COUPLING}\nquad_order = 90",  # 8192 * 90^2 * 2 <= 2^27 < 8192 * 91^2 * 2
-        f"{LONG_SIGN_COUPLING}\nquad_order = 90",  # 1000 steps: still a chunk of 8192 points
-        # 8192 paths and 4096 Monte-Carlo nodes, 4 floats of b each, make 2^27
+        f"{SIGN_COUPLING}\nquad_order = 90",
+        f"{LONG_SIGN_COUPLING}\nquad_order = 90",
         f"{COUPLING_BASE.replace('trajectories = 8', 'trajectories = 100000')}\nd = 4",
-        f"{ENTROPY_BASE}\nd = 2\nquad_order = 90",  # (90^2)^2 node pairs, 2 floats each
-        f"{ENTROPY_BASE}\nd = 8",  # 4096^2 node pairs, 8 floats each, make 2^27
+        f"{ENTROPY_BASE}\nd = 2\nquad_order = 90",
+        f"{ENTROPY_BASE}\nd = 8",
+        f"{SIGN_COUPLING}\nquad_order = 91",
+        f"{LONG_SIGN_COUPLING}\nquad_order = 91",
+        f"{COUPLING_BASE.replace('trajectories = 8', 'trajectories = 100000')}\nd = 5",
+        f"{ENTROPY_BASE}\nd = 2\nquad_order = 91",
+        f"{ENTROPY_BASE}\nd = 9",
     ])
     def test_size_limits_accept_their_edge(self, tmp_path, body):
         """Each size limit accepts its largest value; validate only, nothing of that size is run."""
         p = tmp_path / "edge.ini"
         p.write_text(f"[x]\n{body}\n")
         assert main(["validate", str(p)]) == 0
-
-    @pytest.mark.parametrize("body, key", [
-        _fault(SIGN_COUPLING, "quad_order = 91", "quad_order"),
-        # chunks no longer shrink with the horizon: 1000 steps smooth at 8192 points, not 2097
-        pytest.param(f"{LONG_SIGN_COUPLING}\nquad_order = 91", "quad_order", id="long-horizon-quad_order"),
-        _fault(COUPLING_BASE.replace("\ntrajectories = 8", ""), "trajectories = 100000\nd = 5", "d"),
-        _fault(ENTROPY_BASE, "d = 2\nquad_order = 91", "quad_order"),
-        _fault(ENTROPY_BASE, "d = 9", "d"),
-    ])
-    def test_smoothing_size_fault_exits_2(self, tmp_path, capsys, body, key):
-        """A regularized level in d >= 2 whose moving-node smoothing passes 2^27 floats is refused.
-
-        Validate only: ``run`` parses the same way, but without this check it
-        would allocate 1-5 GB, far below the 2^40 bytes at which allocation
-        fails at once.
-        """
-        p = tmp_path / "bad.ini"
-        p.write_text(f"[x]\n{body}\n")
-        assert main(["validate", str(p)]) == 2
-        err = capsys.readouterr().err
-        assert f"[section='x' key='{key}']" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("field, nodes", [("translate", 256), ("sign_drift", 4096)])
-    def test_smoothing_size_counts_the_gradient_rule(self, tmp_path, capsys, monkeypatch, field, nodes):
-        """A drift without ∇b takes its kernel gradient on the 4x refined rule, 64^2 nodes for GH-16."""
-        monkeypatch.setattr(config, "MAX_FLOATS", 1000)  # above the 16 floats of the paths
-        p = tmp_path / "rule.ini"
-        p.write_text(f"[x]\nkind = coupling\nfield = {field}\nd = 2\nt = 0.1\ndt = 0.01\ntrajectories = 8\n")
-        assert main(["validate", str(p)]) == 2
-        assert f"at 8 points on {nodes} nodes in d = 2 needs {8 * nodes * 2} floats" in capsys.readouterr().err
 
     def test_largest_quad_order_is_a_rule(self):
         """The largest order a config can ask for gives positive weights of unit mass, without a warning."""
@@ -444,6 +425,20 @@ class TestCli:
         assert main(["run", config_path, "--out", str(out), "--threads", "0"]) == 2
         assert "key='threads'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle-suite"])
+    @pytest.mark.parametrize("below_a_file", [False, True])
+    def test_out_that_cannot_be_a_directory_exits_2(self, config_path, tmp_path, capsys, command, below_a_file):
+        """An --out naming a file, or a path below one, is a configuration error: no section runs."""
+        existing = tmp_path / "existing"
+        existing.write_text("kept\n")
+        out = existing / "x" if below_a_file else existing
+        argv = ["run", config_path] if command == "run" else ["oracle-suite"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "key='out'" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert existing.read_text() == "kept\n"
 
     def test_fp_stability_fault_names_key_and_solve(self, tmp_path, capsys):
         # stable on grid_h; the coarse companion 4 grid_tau = 0.0016 on 2 grid_h

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -556,6 +557,26 @@ class TestChunkIndependence:
             return (ens.xT,) + tuple(np.array(getattr(acc, name)) for acc in accs for name in per_path[type(acc)])
 
         self._same_at_every_cut(monkeypatch, run)
+
+
+class TestSmoothingMemory:
+    def test_a_d2_bundle_at_a_full_chunk_stays_small(self):
+        """One (σ, b, Φ) bundle of a d = 2 sign_drift level at a chunk of 8192 points peaks under 64 MB.
+
+        The drift declares no ∇b, so its kernel gradient moves the 64^2 nodes
+        of the refined rule to every point: in one array, 8192 * 4096 * 2
+        floats, 512 MiB.  In blocks, a few MB.
+        """
+        reg = regularize(builtin_coefficients("sign_drift", d=2), RegularizationLevel(8), default_quadrature(2))
+        X = np.random.default_rng(0).normal(size=(8192, 2))
+        tracemalloc.start()
+        try:
+            values = reg.evaluate(0.3, X)
+            assert np.isfinite(values.sigma).all() and np.isfinite(values.b).all() and np.isfinite(values.phi).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestDerivativesFromFieldOrKernel:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
+from flowlab import gaussian
 from flowlab.coefficients import CoefficientField
 from flowlab.errors import CapabilityError, EvaluationError
 from flowlab.gaussian import (
@@ -55,6 +56,11 @@ _ROTATION_JAC = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestQuadrature:
+    def test_no_order_beyond_d_2(self):
+        assert default_quadrature(3).exactness == 0 and default_quadrature(3, order=0).exactness == 0
+        with pytest.raises(ValueError):
+            default_quadrature(3, order=8)
+
     def test_weights_sum_to_one(self, quad1, quad2):
         assert abs(quad1.weights.sum() - 1.0) <= 1e-12
         assert abs(quad2.weights.sum() - 1.0) <= 1e-12
@@ -244,6 +250,50 @@ class TestSmoothing:
     def test_rejects_bad_eps(self, quad1):
         with pytest.raises(ValueError):
             ou_smooth(lambda p: p[:, 0], 0.0, np.array([1.0]), quad1)
+
+
+class TestSmoothingBlocks:
+    """Moving-node smoothing in blocks of points gives the sums of one block, bit for bit."""
+
+    FUNCTIONS = {
+        "scalar": lambda P: np.sin(P[:, 0]) + np.abs(P).sum(axis=-1),
+        "tensor": lambda P: np.einsum("na,nb->nab", np.cos(P), np.sign(P)),
+    }
+
+    @pytest.mark.parametrize("smooth", [ou_smooth, ou_smooth_grad])
+    @pytest.mark.parametrize("f", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("n", [1025, 37, 2, 1, 0, None])  # None: a single point (d,)
+    @pytest.mark.parametrize("points", [1, 3, None])  # a block's points; None: SMOOTH_BLOCK_FLOATS as set
+    def test_blocks_give_the_one_block_bits(self, quad2, monkeypatch, smooth, f, n, points):
+        k, d = quad2.nodes.shape
+        x = np.random.default_rng(5).normal(size=(d,) if n is None else (n, d)) * 2.0
+        sizes = []
+
+        def counted(P):
+            sizes.append(P.shape[0] // k)
+            return self.FUNCTIONS[f](P)
+
+        monkeypatch.setattr(gaussian, "SMOOTH_BLOCK_FLOATS", 1 << 62)
+        whole = smooth(counted, 0.3, x, quad2)
+        assert len(sizes) == 1
+        monkeypatch.undo()
+        if points is not None:
+            monkeypatch.setattr(gaussian, "SMOOTH_BLOCK_FLOATS", points * k * d)
+        block = max(2, gaussian.SMOOTH_BLOCK_FLOATS // (k * d))
+        sizes.clear()
+        blocked = smooth(counted, 0.3, x, quad2)
+        assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
+        # every point once; no block past its size, and none of one point among several
+        assert sum(sizes) == (1 if n is None else n)
+        assert max(sizes) <= block + 1 and (len(sizes) > 1) == ((n or 1) > block + 1)
+        assert min(sizes) >= 2 or len(sizes) == 1
+
+    def test_non_finite_value_in_a_later_block(self, quad2, monkeypatch):
+        monkeypatch.setattr(gaussian, "SMOOTH_BLOCK_FLOATS", 2 * quad2.nodes.size)
+        x = np.zeros((9, 2))
+        x[7] = 100.0  # f is infinite off |P_1| <= 50, so on every node moved to x_7 only
+        with pytest.raises(EvaluationError):
+            ou_smooth(lambda P: np.where(np.abs(P[:, 0]) <= 50.0, 1.0, np.inf), 0.3, x, quad2)
 
 
 def _table_nodes(table):
