@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BoundUnavailableError, CapabilityError
-from .gaussian import (TABLE_RADIUS, _delta, logsumexp, ou_smooth, ou_smooth_grad, ou_smooth_table,
-                       refined_quadrature, spacetime_log_integral)
+from .gaussian import (TABLE_RADIUS, _delta, logsumexp, ou_smooth, ou_smooth_grad, ou_smooth_stack,
+                       ou_smooth_table, refined_quadrature, spacetime_log_integral)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "CoefficientValues",
     "HYPOTHESIS_TOL",
     "HypothesisReport",
+    "RegularizationLadder",
     "RegularizationLevel",
     "builtin_coefficients",
     "cutoff",
@@ -181,6 +182,9 @@ class CoefficientField:
     b_time_dependent: bool = False
     name: str = "custom"
 
+    # leading state axes beyond (rows, d): none; a ``RegularizationLadder`` steps (L, rows, d)
+    lead = ()
+
     # -- derivative access ---------------------------------------------------
 
     def sigma_jacobian(self, t, X):
@@ -297,15 +301,20 @@ def _on_table(X, on_table, off_table):
     return out.reshape(X.shape[:-1] + out.shape[1:])
 
 
-def _smoothed(g, eps, quad, grad_quad, tabulate):
+def _table(g, eps):
+    """The ``ou_smooth_table`` of P_ε g for a g that does not depend on t (d = 1), or None."""
+    return ou_smooth_table(lambda P: g(0.0, P), eps)
+
+
+def _smoothed(g, eps, quad, grad_quad, table):
     """P_ε g and its kernel gradient ∇P_ε g, as maps of (t, X).
 
     The gradient has g's value shape with a trailing d axis, and no
-    derivative of g is taken.  With ``tabulate`` (d = 1, g independent of t)
-    both are read off one ``ou_smooth_table`` of g at |x| <= TABLE_RADIUS;
-    elsewhere, and always without it, P_ε moves the ``quad`` nodes with the
-    point, and the kernel gradient the nodes of ``grad_quad()``, a rule built
-    on the first such read.
+    derivative of g is taken.  With a ``table`` (d = 1, g independent of t,
+    see ``_table``) both are read off it at |x| <= TABLE_RADIUS; elsewhere,
+    and always without one, P_ε moves the ``quad`` nodes with the point, and
+    the kernel gradient the nodes of ``grad_quad()``, a rule built on the
+    first such read.
     """
     def moving(t, X):
         return ou_smooth(lambda P: g(t, P), eps, X, quad)
@@ -313,7 +322,6 @@ def _smoothed(g, eps, quad, grad_quad, tabulate):
     def moving_grad(t, X):
         return ou_smooth_grad(lambda P: g(t, P), eps, X, grad_quad())
 
-    table = ou_smooth_table(lambda P: g(0.0, P), eps) if tabulate else None
     if table is None:
         return moving, moving_grad
 
@@ -344,8 +352,9 @@ def regularize_sigma(field, level, quad):
     n, d, A = level.n, field.d, field.sigma_const
     plateau = n / math.sqrt(d)
     if A is None:
+        tabulate = d == 1 and not field.sigma_time_dependent
         smoothed, smoothed_grad = _smoothed(field.sigma, level.eps, quad, lambda: quad,
-                                            d == 1 and not field.sigma_time_dependent)
+                                            _table(field.sigma, level.eps) if tabulate else None)
     else:
         def smoothed(t, X):
             return np.broadcast_to(A, np.shape(X)[:-1] + A.shape)
@@ -421,7 +430,7 @@ def _time_convolved(g, n):
     return conv
 
 
-def regularize_drift(field, level, quad):
+def regularize_drift(field, level, quad, table=None):
     """Smooth drift  b^n_t = P_{1/n}[(b_.(x) * χ_n)(t)]  (σ and ``sigma_const`` left untouched).
 
     Derivative access comes from the smoothing kernel itself (Gaussian
@@ -435,16 +444,20 @@ def regularize_drift(field, level, quad):
     time-dependent b is convolved in time first, on moving nodes.  A drift
     that declares no ∇b (``b_jac`` None) gets its kernel gradient on a 4x
     refined rule: that integrand is one derivative rougher than b itself
-    (for a jump drift it is a step function).
+    (for a jump drift it is a step function).  A d = 1 table of P_ε b built
+    already (a ``RegularizationLadder`` stores its levels' tables as one
+    ``HermiteStack``) is passed as ``table``; otherwise it is built here.
     """
     n, timed = level.n, field.b_time_dependent
+    if table is None and field.d == 1 and not timed:
+        table = _table(field.b, level.eps)
 
     @lru_cache(maxsize=1)
     def grad_quad():
         return quad if field.b_jac is not None else refined_quadrature(quad, factor=4)
 
     smoothed, smoothed_grad = _smoothed(_time_convolved(field.b, n) if timed else field.b, level.eps, quad,
-                                        grad_quad, field.d == 1 and not timed)
+                                        grad_quad, table)
     if timed:
         new_b, new_b_jac = smoothed, smoothed_grad
     else:
@@ -466,9 +479,57 @@ def regularize_drift(field, level, quad):
     )
 
 
-def regularize(field, level, quad):
-    """Full pipeline: cutoff/smooth the diffusion, mollify/smooth the drift."""
-    return regularize_drift(regularize_sigma(field, level, quad), level, quad)
+def regularize(field, level, quad, drift_table=None):
+    """Full pipeline: cutoff/smooth the diffusion, mollify/smooth the drift (``drift_table`` as ``table`` there)."""
+    return regularize_drift(regularize_sigma(field, level, quad), level, quad, table=drift_table)
+
+
+class RegularizationLadder:
+    """Regularized levels of one field, stepped as one flow whose states hold the levels on a leading axis.
+
+    ``fields[l]`` is ``regularize(field, RegularizationLevel(ns[l]), quad)``.
+    ``simulate_ensemble`` steps a ladder like a field of states (L, rows, d),
+    level-major (``lead`` = (L,)), every level under the same increments.
+    ``evaluate(t, X)`` gives σ (L, rows, d, m) and b (L, rows, d), level l's
+    the bits of ``fields[l].evaluate(t, X[l])``, by one of two routes:
+
+    * stacked, for a d = 1 field with a drift independent of t and a declared
+      constant σ = A, when every point of every level lies in the smallest
+      level's plateau |x| <= n and in |x| <= TABLE_RADIUS: there σ^n = A, and
+      b^n is the level's ramp ∫_{-∞}^t χ_n times its table of P_ε b, read for
+      every level at once off the ladder's ``HermiteStack``;
+    * per level, otherwise: each level's own σ and b maps on its slice.
+
+    The stack holds the levels' drift tables once: each level's table is a
+    view of it.  The bundle carries σ and b, all the Euler step reads; a
+    ladder has no derivatives of its own.
+    """
+
+    def __init__(self, field, ns, quad):
+        self.ns = tuple(ns)
+        self.d, self.m, self.lead = field.d, field.m, (len(self.ns),)
+        levels = [RegularizationLevel(n) for n in self.ns]
+        tables = [None] * len(levels)
+        self.sigma_const, self.stack = field.sigma_const, None
+        if field.d == 1 and not field.b_time_dependent and self.sigma_const is not None:
+            self.stack = ou_smooth_stack(lambda P: field.b(0.0, P), [level.eps for level in levels], 1)
+            if self.stack is not None:
+                tables = self.stack.tables
+                self.bound = min(float(min(self.ns)), TABLE_RADIUS)
+        self.fields = [regularize(field, level, quad, drift_table=table) for level, table in zip(levels, tables)]
+
+    def evaluate(self, t, X):
+        """σ and b of every level at (t, X), X (L, rows, d); see the class docstring."""
+        X = np.asarray(X, dtype=float)
+        if self.stack is not None and np.abs(X).max(initial=0.0) <= self.bound:
+            ramps = np.array([float(mollifier_mass_below(n, t)) for n in self.ns])
+            b = self.stack(X[..., 0])
+            b *= ramps[:, None, None]
+            sigma = np.broadcast_to(self.sigma_const, X.shape[:-1] + self.sigma_const.shape)
+        else:
+            sigma = np.stack([fl.sigma(t, Y) for fl, Y in zip(self.fields, X)])
+            b = np.stack([fl.b(t, Y) for fl, Y in zip(self.fields, X)])
+        return CoefficientValues(self, t, X, sigma, b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ stability on thin space-time sets, and the convergence of solutions under
 coefficient regularization, where every level n shares the trajectory's
 Brownian increments (common-noise coupling on one probability space) and is
 compared pathwise against the finest level.  Each study is an accumulator
-on one ``simulate_ensemble`` run; the coupling's run is the finest level's
-flow, beside which the others step as companion flows.
+on one ``simulate_ensemble`` run; the coupling's run steps all its levels
+as one ``RegularizationLadder``, whose states hold the levels on a leading
+axis.
 """
 
 import math
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import RegularizationLevel, regularize
+from .coefficients import RegularizationLadder
 from .density import Estimate, mean_estimate
 from .errors import ConfigError
-from .sde import CompanionFlow, _resolve_initials, make_grid, simulate_ensemble
+from .sde import make_grid, simulate_ensemble
 
 __all__ = [
     "CouplingReport",
@@ -139,17 +140,17 @@ class CouplingReport:
 
 
 class _SupDeviation:
-    """The running sup of |X^n - X^{ref}| per level, read after every level's companion flow steps."""
+    """The running sup of |X^n - X^{ref}| for each of ``count`` levels of a ladder run, its last level the reference."""
 
-    def __init__(self, levels):
-        self.levels = levels
+    def __init__(self, count):
+        self.count = count
 
     def alloc(self, n_traj, zeros):
-        self.sup_dev = zeros((len(self.levels), n_traj))
+        self.sup_dev = zeros((self.count, n_traj))
 
     def step(self, sl, k, t, X, dW, ev, X_next):
-        for dev, level in zip(self.sup_dev[:, sl], self.levels):
-            np.maximum(dev, np.linalg.norm(level.xT[sl] - X_next, axis=-1), out=dev)
+        dev = self.sup_dev[:, sl]
+        np.maximum(dev, np.linalg.norm(X_next[:-1] - X_next[-1], axis=-1), out=dev)
 
 
 def coupling_convergence(
@@ -161,21 +162,20 @@ def coupling_convergence(
     All levels of one trajectory share the same Brownian increments (one
     counter range per trajectory index), realizing the limit statement on a
     single probability space; the finest level stands in for the true
-    solution.  The reference level is the flow ``simulate_ensemble`` runs
-    and the other levels step beside it as ``CompanionFlow``s from the same
-    starts, each read after its step by ``_SupDeviation``.  Returns
-    per-level E sup_{t<=T} |X^n_t - X^{ref}_t|.  The reference steps first:
-    when it and a level explode at the same step, the ``ExplosionError``
-    names the reference's rows.
+    solution.  The levels, the reference last, are one
+    ``RegularizationLadder`` that ``simulate_ensemble`` runs from the same
+    starts: each step is one evaluation, one Euler update and one
+    ``_SupDeviation`` update for every level.  Returns per-level
+    E sup_{t<=T} |X^n_t - X^{ref}_t|.  An ``ExplosionError`` names every
+    row in which some level exploded.
     """
     levels = sorted(n_list)
     if levels and levels[-1] > n_ref:
         raise ConfigError("reference level must be the finest")
     make_grid(s, T, dt)  # a coupling needs at least one step
-    *fields, ref = [regularize(field, RegularizationLevel(n), quad) for n in levels + [n_ref]]
-    x0 = np.repeat(_resolve_initials(initials, field.d, seed), replicas, axis=0)
-    acc = _SupDeviation([CompanionFlow(fl, x0, dt) for fl in fields])
-    simulate_ensemble(ref, s, T, x0, dt, seed, threads=threads, accumulators=(*acc.levels, acc))
+    acc = _SupDeviation(len(levels))
+    simulate_ensemble(RegularizationLadder(field, levels + [n_ref], quad), s, T, initials, dt, seed,
+                      replicas=replicas, threads=threads, accumulators=(acc,))
 
     deviations = tuple(mean_estimate(dev) for dev in acc.sup_dev)
     values = [e.value for e in deviations]

@@ -21,9 +21,13 @@ anonymous shared memory (``_shared_zeros``); with one worker, or without
 ``os.fork``, the same loop runs inline.  Bodies write into disjoint slices of those arrays, and
 per-chunk results come back in chunk order for the caller to reduce.
 ``_euler_step`` is the only Euler update and the only place coefficients
-are evaluated along a path: one ``CoefficientField.evaluate`` per step,
-whose σ and b step the state and whose bundle the accumulators read; it
-guards every path against explosion.  ``simulate_ensemble`` is the only
+are evaluated along a path: one ``field.evaluate`` per step, whose σ and b
+step the state and whose bundle the accumulators read; it guards every path
+against explosion.  A field may step states with leading axes (its
+``lead``): a ``RegularizationLadder`` of L levels steps (L, rows, d), its
+starts broadcast over the levels and every level driven by the row's one
+increment slab, so a step makes one evaluation and one Euler update for all
+the levels.  ``simulate_ensemble`` is the only
 caller of ``_run_chunks`` and its chunk body the only loop over steps.  It
 draws the chunk's increments four steps at a time, one
 ``brownian_increments`` call per group (each row bit for bit that
@@ -31,13 +35,13 @@ trajectory's increments drawn alone), as a read-only step-major block; each
 step's increments are one C-contiguous (rows, m) slab of it, which the
 Euler step and every accumulator read.  So a chunk holds four steps of
 noise, not its whole horizon.  Every path functional (the density weight,
-the occupation functional, the coupling of regularization levels) is an
-accumulator streamed through ``simulate_ensemble``.  A companion flow
-(``CompanionFlow``) is the one way a second start set reads a run's rows:
-an accumulator that steps its own starts by ``_euler_step`` under the run's
-slab, for the trajectory indices below its size, and runs accumulators of
-its own.  The coupling's levels step beside its reference level this way,
-and a Fokker-Planck section's smaller Monte-Carlo flow beside its larger.
+the occupation functional, the coupling of regularization levels, read off
+one ladder run) is an accumulator streamed through ``simulate_ensemble``.
+A companion flow (``CompanionFlow``) is the one way a second start set
+reads a run's rows: an accumulator that steps its own starts by
+``_euler_step`` under the run's slab, for the trajectory indices below its
+size, and runs accumulators of its own.  A Fokker-Planck section's smaller
+Monte-Carlo flow steps beside its larger this way.
 
 The scheme is plain Euler-Maruyama with left-endpoint coefficient evaluation
 (the Ito convention), which is the discretization matching the density
@@ -97,7 +101,7 @@ class FlowEnsemble:
     T: float
     dt: float
     x0: np.ndarray            # (n_traj, d), replicas already expanded
-    xT: np.ndarray            # (n_traj, d)
+    xT: np.ndarray            # (n_traj, d), or (L, n_traj, d) for a field of ``lead`` (L,)
 
     @property
     def n_traj(self):
@@ -311,16 +315,21 @@ def _euler_step(field, k, t, X, dW, dt):
     """Step k of the Euler scheme from the left-point states X at time t.
 
     Returns (ev, X_next) with ev = ``field.evaluate(t, X)`` and X_next =
-    X + ev.sigma dW + ev.b dt.  A non-finite stepped state or one beyond
-    ``EXPLOSION_RADIUS`` raises ``ExplosionError`` with step k + 1 and the
-    exploded rows of X.
+    X + ev.sigma dW + ev.b dt.  X is (rows, d), or (L, rows, d) for a field
+    with ``lead`` = (L,) (a ``RegularizationLadder``), whose every level the
+    one slab dW (rows, m) drives.  A non-finite stepped state or one beyond
+    ``EXPLOSION_RADIUS`` raises ``ExplosionError`` with step k + 1 and every
+    row in which some level exploded.
     """
     ev = field.evaluate(t, X)
-    X_next = X + np.einsum("nam,nm->na", ev.sigma, dW) + ev.b * dt
+    # (X + σ dW) + b dt, with σ dW taken first: addition commutes, bit for bit
+    X_next = np.einsum("...nam,nm->...na", ev.sigma, dW)
+    X_next += X
+    X_next += ev.b * dt
     # one whole-array test per step; NaN fails the comparison too
     if not np.abs(X_next).max() <= EXPLOSION_RADIUS:
-        bad = ~np.isfinite(X_next).all(axis=1) | (np.abs(X_next).max(axis=1) > EXPLOSION_RADIUS)
-        rows = np.where(bad)[0].tolist()
+        bad = ~np.isfinite(X_next).all(axis=-1) | (np.abs(X_next).max(axis=-1) > EXPLOSION_RADIUS)
+        rows = np.nonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0].tolist()
         raise ExplosionError(
             f"{len(rows)} trajectories exploded at step {k + 1}", step=k + 1, indices=rows
         )
@@ -330,7 +339,10 @@ def _euler_step(field, k, t, X, dW, dt):
 class CompanionFlow:
     """A second start set stepped beside a run under the run's increments, as an accumulator.
 
-    Companion trajectory j starts at ``starts[j]`` and takes the run's
+    A Fokker-Planck section's second start set steps this way; the levels of
+    a coupling do not, since they share their starts too and step as one
+    ``RegularizationLadder`` run.  Companion trajectory j starts at
+    ``starts[j]`` and takes the run's
     increments of trajectory index j, so a run needs at least as many
     trajectories as the companion has starts.  At each step it makes its own
     ``_euler_step`` of the field from its left-point states and then calls its
@@ -388,6 +400,10 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     ``initials`` is an (n0, d) array or ``("gaussian", n0)`` for γ_d starts
     drawn from a reserved stream.  Trajectory j uses initial point
     ``j // replicas`` and the Brownian increments of trajectory index j.
+    For a field with leading state axes (``field.lead``, a
+    ``RegularizationLadder``'s levels) the starts broadcast over them, the
+    states X and X_next the accumulators see carry them in front, and
+    ``xT`` is ``lead + (n_traj, d)``; ``n_traj`` still counts trajectories.
 
     Each chunk is one loop over the steps: every four steps it draws the
     chunk's next four steps of increments in one ``brownian_increments``
@@ -414,13 +430,13 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
     x_init = _resolve_initials(initials, field.d, seed)
     n_traj = x_init.shape[0] * replicas
     x0 = np.repeat(x_init, replicas, axis=0)
-    xT = _shared_zeros(x0.shape)
+    xT = _shared_zeros(field.lead + x0.shape)
     for acc in accumulators:
         _alloc(acc, n_traj)
 
     def body(lo, hi):
         sl = slice(lo, hi)
-        X = x0[sl]
+        X = np.broadcast_to(x0[sl], field.lead + x0[sl].shape)
         for group in range(0, n_steps, 4):
             steps = range(group, min(group + 4, n_steps))
             # step-major: block[i] is the contiguous (rows, m) slab of step steps[i]
@@ -432,7 +448,7 @@ def simulate_ensemble(field, s, T, initials, dt, seed, replicas=1, threads=1, ac
                 for acc in accumulators:
                     acc.step(sl, k, t, X, dW, ev, X_next)
                 X = X_next
-        xT[sl] = X
+        xT[..., sl, :] = X
 
     _run_chunks(n_traj, n_steps, field.m, body, threads)
     return FlowEnsemble(s=s, T=T, dt=dt, x0=x0, xT=xT)

@@ -14,6 +14,7 @@ from flowlab import coefficients, config, oracles, sde
 from flowlab.coefficients import (
     CATALOG,
     CoefficientField,
+    RegularizationLadder,
     RegularizationLevel,
     builtin_coefficients,
     cutoff,
@@ -536,6 +537,15 @@ class TestChunkIndependence:
         reg = regularize(field, RegularizationLevel(8), quad1)
         self._same_at_every_cut(monkeypatch, self._density(reg, self.STARTS_PAST_TABLE))
 
+    def test_a_point_off_the_table_alone_or_among_others(self, quad1):
+        # off the d = 1 table, σ^n smooths on moving nodes the points passed on to it: here
+        # 16.7 alone, beside a point on the table (so again alone) and beside one off it
+        reg = regularize(make_sine_field(), RegularizationLevel(64), quad1)
+        bundles = [reg.evaluate(0.3, np.array(X)) for X in ([[16.7]], [[16.7], [0.1]], [[16.7], [18.0]])]
+        for name in ("sigma", "delta_sigma", "phi"):
+            first = [getattr(ev, name)[0].tobytes() for ev in bundles]
+            assert first[1] == first[0] and first[2] == first[0], name
+
     @pytest.mark.parametrize("kind", ["density", "tangent", "krylov", "coupling"])
     def test_each_accumulator(self, sign1, quad1, monkeypatch, kind):
         reg = regularize(sign1, RegularizationLevel(8), quad1)
@@ -546,11 +556,10 @@ class TestChunkIndependence:
         elif kind == "krylov":
             accs = (KrylovAccumulator(lambda t, X: np.cos(X[..., 0]), 0.5, 1e-3),)
         else:
-            levels = [sde.CompanionFlow(regularize(sign1, RegularizationLevel(n), quad1), self.STARTS_PAST_TABLE, 1e-3)
-                      for n in (2, 4)]
-            accs = (*levels, _SupDeviation(levels))
+            # levels 2 and 4 beside the reference level 8, as one ladder: every level's endpoints and deviations
+            reg, accs = RegularizationLadder(sign1, [2, 4, 8], quad1), (_SupDeviation(2),)
         per_path = {DensityAccumulator: ("S", "D"), TangentReference: ("logdet", "nonpositive"),
-                    KrylovAccumulator: ("values",), sde.CompanionFlow: ("xT",), _SupDeviation: ("sup_dev",)}
+                    KrylovAccumulator: ("values",), _SupDeviation: ("sup_dev",)}
 
         def run():
             ens = sde.simulate_ensemble(reg, 0.0, 2e-3, self.STARTS_PAST_TABLE, 1e-3, seed=3, accumulators=accs)

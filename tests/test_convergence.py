@@ -3,7 +3,8 @@ import pytest
 
 import flowlab.sde
 from flowlab import convergence
-from flowlab.coefficients import RegularizationLevel, builtin_coefficients, regularize
+from flowlab.coefficients import (CoefficientField, RegularizationLadder, RegularizationLevel, builtin_coefficients,
+                                  regularize)
 from flowlab.config import parse_config
 from flowlab.convergence import (
     SpaceTimeBox,
@@ -14,10 +15,10 @@ from flowlab.convergence import (
 from flowlab.density import batch_statistic
 from flowlab.errors import ConfigError, ExplosionError
 from flowlab.experiments import run_krylov
-from flowlab.gaussian import GaussianQuadrature
+from flowlab.gaussian import GaussianQuadrature, HermiteStack
 from flowlab.oracles import krylov_translate_functional
 from flowlab.rng import brownian_increments
-from flowlab.sde import _euler_step
+from flowlab.sde import _euler_step, simulate_ensemble
 
 
 class TestKrylov:
@@ -87,11 +88,14 @@ class TestKrylov:
 
 
 def _coupling_reference(field, n_list, n_ref, T, x0, dt, seed, quad, n_traj):
-    """Per-level deviation estimates with every level and the reference stepped side by side."""
+    """Per-level deviation estimates with every level and the reference stepped side by side.
+
+    Trajectory j of the n_traj starts at row j // (n_traj / len(x0)) of x0.
+    """
     fields = [regularize(field, RegularizationLevel(n), quad) for n in list(n_list) + [n_ref]]
     n_steps = int(round(T / dt))
     inc = brownian_increments(seed, range(n_traj), n_steps, field.m, dt)
-    states = [np.repeat(x0, n_traj, axis=0)] * len(fields)
+    states = [np.repeat(x0, n_traj // len(x0), axis=0)] * len(fields)
     sup = np.zeros((len(n_list), n_traj))
     for k in range(n_steps):
         states = [_euler_step(fl, k, k * dt, Y, inc[:, k], dt)[1] for fl, Y in zip(fields, states)]
@@ -112,10 +116,44 @@ class TestCoupling:
         monkeypatch.setattr(flowlab.sde, "_chunk_cap", lambda: 64)  # chunks of 64 paths
         assert len(flowlab.sde._chunk_edges(300, 20, 1)) == 5
         kw = dict(initials=np.zeros((1, 1)), dt=1e-2, seed=9, quad=quad1, replicas=300)
-        reps = [coupling_convergence(sign1, [4, 8], 16, 0.0, 0.2, threads=t, **kw) for t in (1, 2)]
-        assert reps[0].deviations == reps[1].deviations
+        reps = [coupling_convergence(sign1, [4, 8], 16, 0.0, 0.2, threads=t, **kw) for t in (1, 2, 3)]
+        assert reps[0].deviations == reps[1].deviations == reps[2].deviations
         assert reps[0].deviations == _coupling_reference(sign1, [4, 8], 16, 0.2, np.zeros((1, 1)),
                                                          1e-2, 9, quad1, 300)
+
+    @staticmethod
+    def _stacked_reads(monkeypatch):
+        """The steps that read all the ladder's levels off its stacked tables at once, counted from now on."""
+        reads = []
+        real = HermiteStack.__call__
+        monkeypatch.setattr(HermiteStack, "__call__", lambda stack, X: reads.append(1) or real(stack, X))
+        return reads
+
+    def test_matches_reference_as_paths_cross_the_smallest_plateau(self, monkeypatch, sign1, quad1):
+        # paths from ±1.5 wander across |x| = 2, the plateau of level 2: the steps on which all
+        # of them lie inside read the stacked tables, the others each level's own maps
+        reads = self._stacked_reads(monkeypatch)
+        x0 = np.array([[1.5], [-1.5]])
+        rep = coupling_convergence(sign1, [2, 4], 8, 0.0, 0.5, x0, 1e-2, seed=4, quad=quad1, replicas=3)
+        assert 0 < len(reads) < 50
+        assert rep.deviations == _coupling_reference(sign1, [2, 4], 8, 0.5, x0, 1e-2, 4, quad1, 6)
+
+    def test_matches_reference_past_the_tables(self, monkeypatch, sign1, quad1):
+        # starts past TABLE_RADIUS = 16 and inside it: every step takes each level's own maps,
+        # which smooth the points off the tables on moving nodes
+        reads = self._stacked_reads(monkeypatch)
+        x0 = np.array([[-17.0], [0.5], [16.5], [20.0], [-3.0]])
+        rep = coupling_convergence(sign1, [2, 4], 8, 0.0, 0.1, x0, 1e-2, seed=6, quad=quad1, replicas=2)
+        assert reads == []
+        assert rep.deviations == _coupling_reference(sign1, [2, 4], 8, 0.1, x0, 1e-2, 6, quad1, 10)
+
+    def test_ladder_run_counts_trajectories_and_steps_each_level_as_alone(self, sign1, quad1):
+        ladder = RegularizationLadder(sign1, [4, 8, 16], quad1)
+        ens = simulate_ensemble(ladder, 0.0, 0.1, ("gaussian", 7), 1e-2, seed=5, replicas=3)
+        assert ens.n_traj == 21 and ens.x0.shape == (21, 1) and ens.xT.shape == (3, 21, 1)
+        for level, xT in zip(ladder.fields, ens.xT):
+            alone = simulate_ensemble(level, 0.0, 0.1, ("gaussian", 7), 1e-2, seed=5, replicas=3)
+            assert np.array_equal(xT, alone.xT)
 
     def test_degenerate_horizon_refused(self, sign1, quad1):
         with pytest.raises(ConfigError):
@@ -154,6 +192,19 @@ class TestCoupling:
                                    2e-3, seed=11, quad=quad1, replicas=500)
         assert all(est.value >= 0 for est in rep.deviations)
         assert rep.levels == (8, 32)
+
+    def test_explosion_in_a_coarse_level_names_its_row(self, quad1):
+        # b = 1.5e10 on x > 0.5: smoothed at ε = 1/2 and 1/4 it pushes the path from 0 past the
+        # explosion radius in one step of 0.1, at ε = 1/16 (the reference) and from -2 it does not
+        jump = CoefficientField(
+            d=1, m=1, sigma=lambda t, X: np.ones(np.shape(X)[:-1] + (1, 1)),
+            b=lambda t, X: np.where(np.asarray(X) > 0.5, 1.5e10, 0.0), sigma_const=np.eye(1), name="jump")
+        with pytest.raises(ExplosionError) as err:
+            coupling_convergence(jump, [2, 4], 16, 0.0, 0.1, np.array([[0.0], [-2.0]]), 0.1, seed=0,
+                                 quad=quad1, replicas=1)
+        assert err.value.step == 1 and err.value.indices == [0]
+        ref = regularize(jump, RegularizationLevel(16), quad1)
+        assert np.abs(simulate_ensemble(ref, 0.0, 0.1, np.array([[0.0], [-2.0]]), 0.1, seed=0).xT).max() < 1e8
 
     def test_explosion_guard(self, rocket1):
         with pytest.raises(ExplosionError) as err:

@@ -19,6 +19,7 @@ from flowlab.gaussian import (
     logsumexp,
     ou_smooth,
     ou_smooth_grad,
+    ou_smooth_stack,
     ou_smooth_table,
     spacetime_log_integral,
 )
@@ -283,8 +284,10 @@ class TestSmoothingBlocks:
         sizes.clear()
         blocked = smooth(counted, 0.3, x, quad2)
         assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
-        # every point once; no block past its size, and none of one point among several
-        assert sum(sizes) == (1 if n is None else n)
+        # every point once (a point alone in its call twice, as a block of two); no block
+        # past its size, and none of one point among several
+        count = 1 if n is None else n
+        assert sum(sizes) == (2 if count == 1 else count)
         assert max(sizes) <= block + 1 and (len(sizes) > 1) == ((n or 1) > block + 1)
         assert min(sizes) >= 2 or len(sizes) == 1
 
@@ -298,7 +301,7 @@ class TestSmoothingBlocks:
 
 def _table_nodes(table):
     """The grid points of a ``HermiteTable`` up to its last cell's left edge."""
-    return table.x0 + table.h * np.arange(table.coef.shape[0])
+    return table.x0 + table.h * np.arange(table.coef.shape[1])
 
 
 class TestSmoothingTable:
@@ -307,7 +310,7 @@ class TestSmoothingTable:
         for eps in (1.0 / 4, 1.0 / 64):
             rho = math.exp(-eps)
             tab = ou_smooth_table(lambda p: p[:, 0] ** 2, eps)
-            assert tab.x0 < -TABLE_RADIUS and tab.x0 + tab.h * tab.coef.shape[0] > TABLE_RADIUS
+            assert tab.x0 < -TABLE_RADIUS and tab.x0 + tab.h * tab.coef.shape[1] > TABLE_RADIUS
             xs = _table_nodes(tab)
             np.testing.assert_allclose(tab(xs), rho**2 * xs**2 + 1.0 - rho**2, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(tab.derivative(xs), 2.0 * rho**2 * xs, rtol=1e-12, atol=1e-11)
@@ -336,13 +339,13 @@ class TestSmoothingTable:
 
 
 def _gather_formula(table, x):
-    """Value and derivative by one (cells, 4, k) gather, a clip of every index and out-of-place Horner."""
+    """Value and derivative by one gather from the (4, cells, k) planes, a clip of every index and out-of-place Horner."""
     u = (np.asarray(x, dtype=float) - table.x0) / table.h
-    j = np.clip(np.floor(u).astype(np.intp), 0, table.coef.shape[0] - 1)
+    j = np.clip(np.floor(u).astype(np.intp), 0, table.coef.shape[1] - 1)
     tau = (u - j)[:, None]
-    c = np.take(table.coef, j, axis=0)
-    value = c[:, 0] + tau * (c[:, 1] + tau * (c[:, 2] + tau * c[:, 3]))
-    slope = (c[:, 1] + tau * (2.0 * c[:, 2] + 3.0 * tau * c[:, 3])) / table.h
+    c = np.take(table.coef, j, axis=1)
+    value = c[0] + tau * (c[1] + tau * (c[2] + tau * c[3]))
+    slope = (c[1] + tau * (2.0 * c[2] + 3.0 * tau * c[3])) / table.h
     return value.reshape((-1,) + table.shape), slope.reshape((-1,) + table.shape)
 
 
@@ -363,9 +366,9 @@ class TestHermiteKernel:
         table = tables[name]
         rng = np.random.default_rng(5)
         lo = table.x0
-        hi = lo + table.coef.shape[0] * table.h
+        hi = lo + table.coef.shape[1] * table.h
         inside = rng.uniform(lo, hi, 2000)
-        edges = lo + table.h * np.arange(table.coef.shape[0] + 1)
+        edges = lo + table.h * np.arange(table.coef.shape[1] + 1)
         beyond = np.concatenate([rng.uniform(lo - 3.0, lo, 50), rng.uniform(hi, hi + 3.0, 50)])
         for pts in (inside, edges, np.concatenate([inside, beyond]), beyond):
             value, slope = _gather_formula(table, pts)
@@ -448,6 +451,38 @@ class TestSpacetimeLogIntegral:
         log_integral, peak = spacetime_log_integral(np.full((9, 32), 800.0), np.linspace(0.0, 0.5, 9), quad)
         assert log_integral == pytest.approx(800.0 + math.log(0.5), rel=1e-15)
         assert peak == pytest.approx(800.0, rel=1e-15)
+
+
+class TestHermiteStack:
+    """A stack of tables reads each row off its own table, bit for bit, and holds the tables once."""
+
+    EPS = (1.0 / 4, 1.0 / 32, 1.0 / 128)
+
+    def test_rows_read_their_own_tables(self):
+        f = lambda p: np.sign(p) + 0.1 * np.sin(3.0 * p)  # (n, 1): one value a point
+        stack = ou_smooth_stack(f, self.EPS, 1)
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(-TABLE_RADIUS, TABLE_RADIUS, (3, 500))
+        beyond = inside.copy()
+        beyond[1, :7] = [-40.0, -17.0, 17.0, 30.0, np.nextafter(-TABLE_RADIUS, 0.0), 0.0, 16.0]
+        for X in (inside, beyond, np.empty((3, 0))):
+            rows = stack(X)
+            assert rows.shape == X.shape + (1,)
+            for table, eps, x, row in zip(stack.tables, self.EPS, X, rows):
+                alone = ou_smooth_table(f, eps)
+                assert np.array_equal(row, table(x)) and np.array_equal(row, alone(x))
+                assert np.array_equal(table.derivative(x), alone.derivative(x))
+
+    def test_tables_are_views_of_the_planes(self):
+        stack = ou_smooth_stack(np.sign, self.EPS, 1)
+        assert all(np.shares_memory(table.coef, stack.planes) for table in stack.tables)
+        assert sum(table.coef.shape[1] for table in stack.tables) == stack.planes.shape[1]
+
+    def test_no_stack_without_every_table(self):
+        # e^z grows too fast for any table; at ε = 1e-9 the grid would pass TABLE_MAX_NODES
+        assert ou_smooth_table(np.sign, 1e-9) is None
+        assert ou_smooth_stack(np.exp, (1.0 / 4, 0.5), 1) is None
+        assert ou_smooth_stack(np.sign, (1.0 / 4, 1e-9), 1) is None
 
 
 class TestHermiteTable:
