@@ -27,9 +27,11 @@ P_ε A = A and ∇P_ε A = 0 exactly, and no table or node is read for it.
 Every other P_ε and its kernel gradient come from one route, ``_smoothed``:
 in d = 1, for a coefficient that does not depend on time, one table per
 level on fixed Mehler nodes, a Hermite interpolant whose exact derivative is
-the kernel gradient; elsewhere moving quadrature nodes.  On top of it σ^n
-applies φ_n by the product rule at the points off its plateau, and b^n the
-ramp ∫_{-∞}^t χ_n of a time-independent drift.  Derivatives come from the
+the kernel gradient (a ``gaussian.HermiteStack``, the one table type: the
+level's own stack of one, or its ``level`` of a ladder's stack); elsewhere
+moving quadrature nodes.  On top of it σ^n applies φ_n by the product rule
+at the points off its plateau, and b^n the ramp ∫_{-∞}^t χ_n of a
+time-independent drift.  Derivatives come from the
 field or from the kernel only: a field that declares no ∇σ or ∇b raises
 ``CapabilityError`` where one is read, and nothing takes central
 differences.
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import BoundUnavailableError, CapabilityError
 from .gaussian import (TABLE_RADIUS, _delta, logsumexp, ou_smooth, ou_smooth_grad, ou_smooth_stack,
-                       ou_smooth_table, refined_quadrature, spacetime_log_integral)
+                       refined_quadrature, spacetime_log_integral)
 from .oracles import gaussian_abs_moment
 
 __all__ = [
@@ -301,20 +303,15 @@ def _on_table(X, on_table, off_table):
     return out.reshape(X.shape[:-1] + out.shape[1:])
 
 
-def _table(g, eps):
-    """The ``ou_smooth_table`` of P_ε g for a g that does not depend on t (d = 1), or None."""
-    return ou_smooth_table(lambda P: g(0.0, P), eps)
-
-
 def _smoothed(g, eps, quad, grad_quad, table):
     """P_ε g and its kernel gradient ∇P_ε g, as maps of (t, X).
 
     The gradient has g's value shape with a trailing d axis, and no
-    derivative of g is taken.  With a ``table`` (d = 1, g independent of t,
-    see ``_table``) both are read off it at |x| <= TABLE_RADIUS; elsewhere,
-    and always without one, P_ε moves the ``quad`` nodes with the point, and
-    the kernel gradient the nodes of ``grad_quad()``, a rule built on the
-    first such read.
+    derivative of g is taken.  With a ``table`` (d = 1, g independent of t:
+    the ``ou_smooth_stack`` of one ε, or a ladder's ``level``) both are read
+    off it at |x| <= TABLE_RADIUS; elsewhere, and always without one, P_ε
+    moves the ``quad`` nodes with the point, and the kernel gradient the
+    nodes of ``grad_quad()``, a rule built on the first such read.
     """
     def moving(t, X):
         return ou_smooth(lambda P: g(t, P), eps, X, quad)
@@ -326,10 +323,10 @@ def _smoothed(g, eps, quad, grad_quad, table):
         return moving, moving_grad
 
     def value(t, X):
-        return _on_table(X, table, lambda P: moving(t, P))
+        return _on_table(X, lambda x: table(x[None])[0], lambda P: moving(t, P))
 
     def grad(t, X):
-        return _on_table(X, lambda x: table.derivative(x)[..., None], lambda P: moving_grad(t, P))
+        return _on_table(X, lambda x: table.derivative(x[None])[0][..., None], lambda P: moving_grad(t, P))
 
     return value, grad
 
@@ -353,8 +350,8 @@ def regularize_sigma(field, level, quad):
     plateau = n / math.sqrt(d)
     if A is None:
         tabulate = d == 1 and not field.sigma_time_dependent
-        smoothed, smoothed_grad = _smoothed(field.sigma, level.eps, quad, lambda: quad,
-                                            _table(field.sigma, level.eps) if tabulate else None)
+        table = ou_smooth_stack(lambda P: field.sigma(0.0, P), [level.eps]) if tabulate else None
+        smoothed, smoothed_grad = _smoothed(field.sigma, level.eps, quad, lambda: quad, table)
     else:
         def smoothed(t, X):
             return np.broadcast_to(A, np.shape(X)[:-1] + A.shape)
@@ -444,13 +441,14 @@ def regularize_drift(field, level, quad, table=None):
     time-dependent b is convolved in time first, on moving nodes.  A drift
     that declares no ∇b (``b_jac`` None) gets its kernel gradient on a 4x
     refined rule: that integrand is one derivative rougher than b itself
-    (for a jump drift it is a step function).  A d = 1 table of P_ε b built
-    already (a ``RegularizationLadder`` stores its levels' tables as one
-    ``HermiteStack``) is passed as ``table``; otherwise it is built here.
+    (for a jump drift it is a step function).  The d = 1 table of P_ε b is
+    a ``HermiteStack`` of one table, ``ou_smooth_stack`` at the level's ε,
+    built here unless passed as ``table`` (a ``RegularizationLadder`` passes
+    each level its ``level`` of the ladder's stack).
     """
     n, timed = level.n, field.b_time_dependent
     if table is None and field.d == 1 and not timed:
-        table = _table(field.b, level.eps)
+        table = ou_smooth_stack(lambda P: field.b(0.0, P), [level.eps])
 
     @lru_cache(maxsize=1)
     def grad_quad():
@@ -500,9 +498,9 @@ class RegularizationLadder:
       every level at once off the ladder's ``HermiteStack``;
     * per level, otherwise: each level's own σ and b maps on its slice.
 
-    The stack holds the levels' drift tables once: each level's table is a
-    view of it.  The bundle carries σ and b, all the Euler step reads; a
-    ladder has no derivatives of its own.
+    The stack holds the levels' drift tables once: each level's table is its
+    ``level``, a view of it.  The bundle carries σ and b, all the Euler step
+    reads; a ladder has no derivatives of its own.
     """
 
     def __init__(self, field, ns, quad):
@@ -512,9 +510,9 @@ class RegularizationLadder:
         tables = [None] * len(levels)
         self.sigma_const, self.stack = field.sigma_const, None
         if field.d == 1 and not field.b_time_dependent and self.sigma_const is not None:
-            self.stack = ou_smooth_stack(lambda P: field.b(0.0, P), [level.eps for level in levels], 1)
+            self.stack = ou_smooth_stack(lambda P: field.b(0.0, P), [level.eps for level in levels])
             if self.stack is not None:
-                tables = self.stack.tables
+                tables = [self.stack.level(l) for l in range(len(levels))]
                 self.bound = min(float(min(self.ns)), TABLE_RADIUS)
         self.fields = [regularize(field, level, quad, drift_table=table) for level, table in zip(levels, tables)]
 

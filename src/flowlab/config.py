@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .coefficients import CATALOG, builtin_coefficients
 from .density import entropy_steps
 from .errors import ConfigError
+from .fokker_planck import FPGrid, coarse_companion, stable_coefficients
 from .gaussian import MAX_GH_ORDER, default_quadrature
 from .sde import make_grid
 
@@ -241,10 +242,11 @@ def _validate_numerics(cfg):
         if opt.get(key) is not None and key not in FIELD_PARAMS[opt["field"]]:
             raise fault(key, f"field {opt['field']!r} takes no {key!r}")
     # every step ``run`` simulates with must divide the horizon [s, t]; the
-    # Fokker-Planck check also solves a coarse companion grid with step 4 grid_tau
+    # Fokker-Planck check also solves a coarse companion grid (``coarse_companion``)
     steps = [("dt", opt["dt"])] if "t" in opt else []
     if "grid_tau" in opt:
-        steps += [("grid_tau", opt["grid_tau"]), ("grid_tau", 4 * opt["grid_tau"])]
+        coarse_tau = coarse_companion(opt["grid_h"], opt["grid_tau"])[1]
+        steps += [("grid_tau", opt["grid_tau"]), ("grid_tau", coarse_tau)]
     for key, step in steps:
         try:
             make_grid(opt["s"], opt["t"], step)
@@ -287,17 +289,16 @@ def _check_fp_grids(cfg, fault):
     """Both grids ``run`` solves: grid_h dividing 2 grid_R, and grid_tau within the stability bound.
 
     Those are grid_tau on grid_h and the coarse companion step 4 grid_tau
-    on 2 grid_h, with the coefficients at s; ``fp_solve`` checks again at
-    every refresh of time-dependent coefficients.
+    on 2 grid_h (``coarse_companion``), with the coefficients at s;
+    ``fp_solve`` checks again at every refresh of time-dependent
+    coefficients.
     """
-    from .fokker_planck import FPGrid, stable_coefficients
-
     opt = cfg.options
     field = build_field(cfg)
     h, tau = opt["grid_h"], opt["grid_tau"]
     for grid, label, h_k, tau_k in (("grid_h", "grid_tau on grid_h", h, tau),
                                     ("coarse companion grid on 2 grid_h",
-                                     "coarse companion step 4 grid_tau on 2 grid_h", 2 * h, 4 * tau)):
+                                     "coarse companion step 4 grid_tau on 2 grid_h", *coarse_companion(h, tau))):
         try:
             pts = FPGrid.gaussian(field.d, opt["grid_R"], h_k).points()
         except ConfigError as exc:

@@ -24,6 +24,7 @@ from .errors import BoundUnavailableError
 from .fokker_planck import (
     FPGrid,
     GridSampler1D,
+    coarse_companion,
     density_factorization,
     fp_solve,
     mc_flows,
@@ -176,8 +177,8 @@ def run_fokker_planck(cfg, seed, threads, out_dir=None):
         err = abs(sol.grid.variance() - target)
         rows.append(ReportRow.checked(cfg.name, "heat_variance_abs_error", err, None, 0.01 * target))
 
-    coarse_grid = FPGrid.gaussian(field.d, cfg.grid_R, 2 * cfg.grid_h)
-    sol_coarse = fp_solve(field, coarse_grid, cfg.s, cfg.t, 4 * tau)
+    coarse_h, coarse_tau = coarse_companion(cfg.grid_h, tau)
+    sol_coarse = fp_solve(field, FPGrid.gaussian(field.d, cfg.grid_R, coarse_h), cfg.s, cfg.t, coarse_tau)
     centers = (-2.0, -1.0, 0.0, 1.0, 2.0)
     phis = [smooth_bump(c, 1.5) for c in centers]
     sampler = GridSampler1D(grid0) if cfg.factorization_samples else None

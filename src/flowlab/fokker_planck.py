@@ -43,6 +43,7 @@ __all__ = [
     "FactorizationReport",
     "GridSampler1D",
     "WeakErrorReport",
+    "coarse_companion",
     "density_factorization",
     "diffusion_matrix",
     "fp_solve",
@@ -420,6 +421,11 @@ class WeakErrorReport:
 
     def rows(self):
         return list(zip(self.labels, self.fp_values, self.fp_errors, self.mc_values))
+
+
+def coarse_companion(h, tau):
+    """Cell width and step (2 h, 4 τ) of the coarse companion solve behind ``weak_error``'s refinement spread."""
+    return 2 * h, 4 * tau
 
 
 def weak_error(fp, xT, phis, fp_coarse=None):

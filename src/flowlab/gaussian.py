@@ -5,9 +5,9 @@ package.  This module provides quadrature against γ_d, the Gaussian
 divergence operator δ (the adjoint of the gradient under γ_d) and the
 Ornstein-Uhlenbeck smoothing semigroup P_ε: on moving quadrature nodes in any
 d (``ou_smooth``, ``ou_smooth_grad``, in blocks of points of bounded size),
-and in d = 1 as one fixed-node table of P_ε f and its kernel gradient
-(``ou_smooth_table``, a ``HermiteTable``), or as the tables of several ε
-stored and read together (``ou_smooth_stack``, a ``HermiteStack``).
+and in d = 1 as fixed-node tables of P_ε f and its kernel gradient, one per
+ε, held and read together as one ``HermiteStack`` (``ou_smooth_stack``; a
+single ε gives a stack of one).
 
 Sign convention: δ(B)(x) = <B(x), x> - div B(x), which is the unique choice
 satisfying the adjoint identity ∫ <B, ∇f> dγ_d = ∫ f δ(B) dγ_d.  In
@@ -257,7 +257,7 @@ def ou_smooth_grad(f, eps, x, quad):
     return out * (decay / spread)  # (n, ..., d)
 
 
-# fixed-node tables of P_ε f in d = 1 (see ``ou_smooth_table``)
+# fixed-node tables of P_ε f in d = 1 (see ``ou_smooth_stack``)
 TABLE_RADIUS = 16.0          # |x| a table covers; the GH-64 nodes reach 14.9
 TABLE_NODES_PER_WIDTH = 64   # nodes per kernel width s = sqrt(1 - e^{-2ε})
 TABLE_KERNEL_WIDTHS = 10     # kernel cut at ±10 s, where its tail mass is below 1e-22
@@ -265,51 +265,18 @@ TABLE_MAX_NODES = 1 << 22    # beyond this (ε below about 1e-7) no table is bui
 TABLE_MAX_GROWTH = 1e6       # FFT round-off is ~1e-16 of the largest sample: refuse faster growth
 
 
-def _table_grid(eps):
-    """ρ = e^{-ε}, s = sqrt(1 - ρ^2), the node spacing h and the count ``half`` of ``ou_smooth_table``'s grid.
-
-    The table has 2 half points, so 2 half - 1 cells; None when its samples
-    would exceed ``TABLE_MAX_NODES``.
-    """
+def _mehler_samples(f, eps):
+    """The table points x_j of one ε with P_ε f and ∇P_ε f at them, or None (see ``ou_smooth_stack``)."""
     if eps <= 0:
         raise ValueError("smoothing parameter must be positive")
     decay = math.exp(-eps)
     spread = math.sqrt(1.0 - decay * decay)
     h = spread / TABLE_NODES_PER_WIDTH
     half = int(math.ceil(decay * TABLE_RADIUS / h)) + 2   # table points z_j / ρ, j = -half .. half-1
-    if 2 * (half + TABLE_KERNEL_WIDTHS * TABLE_NODES_PER_WIDTH) > TABLE_MAX_NODES:
-        return None
-    return decay, spread, h, half
-
-
-def ou_smooth_table(f, eps, out=None):
-    """P_ε f on |x| <= TABLE_RADIUS, d = 1, as a ``HermiteTable`` of it and its kernel gradient.
-
-    Mehler form: P_ε f(x) = ∫ f(z) M_ε(x, z) dγ(z) = ∫ f(z) g_s(z - ρx) dz with
-    ρ = e^{-ε}, s = sqrt(1 - ρ^2) and g_s the N(0, s^2) density, so f is read
-    at fixed nodes z_i = (i + 1/2) h, h = s / 64: cell centres symmetric about
-    0, so a jump of f at 0 falls on a cell boundary.  At the table points
-    x_j = z_j / ρ the weight of z_i depends on i - j only, and the whole table
-    is one discrete Gaussian convolution (by FFT) of the samples f(z_i):
-
-        P_ε f(x_j) ≈ Σ_k f(z_{j+k}) K_k,    K_k ∝ exp(-(k h/s)^2 / 2),  Σ_k K_k = 1,
-        ∇P_ε f(x_j) ≈ (ρ/s) Σ_k f(z_{j+k}) (k h/s) K_k,
-
-    the value and x-derivative of one Riemann sum, so the gradient is the
-    kernel gradient and needs no derivative of f.  ``f`` maps (K, 1) points
-    to (K, ...) values.  Returns the interpolant through both at the x_j,
-    whose ``derivative`` is ∇P_ε f, or None when the grid would exceed
-    ``TABLE_MAX_NODES``, or f is not finite at some node or grows beyond
-    ``TABLE_MAX_GROWTH`` times its size on |z| <= 1 (e^{|z|} does).  Its
-    coefficients are written to ``out`` (4, 2 half - 1, k) when one is
-    given (see ``_table_grid``).
-    """
-    grid = _table_grid(eps)
-    if grid is None:
-        return None
-    decay, spread, h, half = grid
     taps = TABLE_KERNEL_WIDTHS * TABLE_NODES_PER_WIDTH
     n_z = 2 * (half + taps)
+    if n_z > TABLE_MAX_NODES:
+        return None
     z = (np.arange(n_z) - n_z // 2 + 0.5) * h
     values = np.asarray(f(z[:, None]), dtype=float)
     size = np.abs(values).max(initial=0.0)
@@ -327,36 +294,41 @@ def ou_smooth_table(f, eps, out=None):
         corr = np.fft.irfft(spec * np.fft.rfft(kernel, n_fft)[:, None], n_fft, axis=0)[valid]
         return corr.reshape((n_z - 2 * taps,) + values.shape[1:])
 
-    return HermiteTable.fit(z[taps:n_z - taps] / decay, correlate(kern), correlate(-u * kern) * (decay / spread),
-                            out=out)
+    return z[taps:n_z - taps] / decay, correlate(kern), correlate(-u * kern) * (decay / spread)
 
 
-def ou_smooth_stack(f, eps_list, k):
-    """The ``ou_smooth_table`` of f at each ε of ``eps_list`` as one ``HermiteStack``, or None.
+def ou_smooth_stack(f, eps_list):
+    """P_ε f and its kernel gradient on |x| <= TABLE_RADIUS, d = 1, at each ε of ``eps_list``: a ``HermiteStack``.
 
-    f has k values a point.  The tables are written straight into the
-    stack's planes, so they are held once and never copied; None when
-    ``ou_smooth_table`` builds no table at some ε.
+    Mehler form: P_ε f(x) = ∫ f(z) M_ε(x, z) dγ(z) = ∫ f(z) g_s(z - ρx) dz with
+    ρ = e^{-ε}, s = sqrt(1 - ρ^2) and g_s the N(0, s^2) density, so f is read
+    at fixed nodes z_i = (i + 1/2) h, h = s / 64: cell centres symmetric about
+    0, so a jump of f at 0 falls on a cell boundary.  At the table points
+    x_j = z_j / ρ the weight of z_i depends on i - j only, and the whole table
+    is one discrete Gaussian convolution (by FFT) of the samples f(z_i):
+
+        P_ε f(x_j) ≈ Σ_k f(z_{j+k}) K_k,    K_k ∝ exp(-(k h/s)^2 / 2),  Σ_k K_k = 1,
+        ∇P_ε f(x_j) ≈ (ρ/s) Σ_k f(z_{j+k}) (k h/s) K_k,
+
+    the value and x-derivative of one Riemann sum, so the gradient is the
+    kernel gradient and needs no derivative of f.  ``f`` maps (K, 1) points
+    to (K, ...) values, whose shape past K is the stack's value shape.
+    Table l interpolates both at the x_j of ``eps_list[l]``, and its
+    ``derivative`` is ∇P_ε f; a single ε gives a stack of one.  Returns None
+    when, at some ε, the grid would exceed ``TABLE_MAX_NODES``, or f is not
+    finite at some node or grows beyond ``TABLE_MAX_GROWTH`` times its size
+    on |z| <= 1 (e^{|z|} does).
     """
-    grids = [_table_grid(eps) for eps in eps_list]
-    if None in grids:
-        return None
-    cells = np.array([2 * grid[3] - 1 for grid in grids])
-    first = np.cumsum(cells) - cells
-    planes = np.empty((4, int(cells.sum()), k))
-    tables = tuple(ou_smooth_table(f, eps, out=planes[:, a:a + n]) for eps, a, n in zip(eps_list, first, cells))
-    if any(table is None for table in tables):
-        return None
-    return HermiteStack(tables=tables, planes=planes, x0=np.array([[t.x0] for t in tables]),
-                        h=np.array([[t.h] for t in tables]), first=first[:, None], last=cells - 1)
+    samples = [_mehler_samples(f, eps) for eps in eps_list]
+    return None if None in samples else HermiteStack.fit(samples)
 
 
 def _locate(x, x0, h, last):
-    """Cell indices j and local coordinates τ (..., 1) of the points x in a table of cells 0 .. last.
+    """Cell indices j and local coordinates τ (L, n, 1) of the points x (L, n) in a stack of L tables.
 
-    The table has left end x0 and cell width h.  For a stack of L tables, x
-    is (L, n), x0 and h are (L, 1) and last is (L,), one table per row.
-    Cell indices are clipped to 0 .. last only when some point falls outside.
+    Table l has left end x0[l] and cell width h[l] (x0 and h are (L, 1)) and
+    cells 0 .. last[l] (last is (L,)).  Cell indices are clipped to those
+    cells only when some point falls outside.
     """
     u = np.asarray(x, dtype=float) - x0
     u /= h
@@ -396,84 +368,69 @@ def _horner(c, tau):
 
 
 @dataclass(frozen=True)
-class HermiteTable:
-    """C¹ piecewise-cubic Hermite interpolant of tabulated values and slopes.
-
-    ``derivative`` is the exact derivative of the interpolant, so a field read
-    off the table and its Jacobian read off the same table agree to rounding.
-    Points beyond the grid use its end cubics.
-
-    ``coef`` holds four coefficient planes, c0 .. c3 of every cell: one
-    ``take`` along the cell axis brings each point's four coefficients, and
-    the cubic is summed by Horner's rule in place, in the operation order of
-    c0 + τ(c1 + τ(c2 + τ c3)).  Planes rather than cell-major rows
-    (cells, 4, k), so that a ``HermiteStack`` keeps several tables in one set
-    of planes, each table a view of it, and reads them a plane at a time.
-    Measured on 5000 points in d = 1 (k = 1; a 2-vCPU Xeon, medians of nine
-    rounds of best-of-three), one table reads in 42.7 µs from planes and
-    42.3 µs from cell-major rows.  The six drift tables of the desk coupling
-    (n = 4 .. 128) read in 215 µs as one stack on planes, against 230 µs
-    for one gather of a cell-major stack and 250 µs for six cell-major
-    reads, and the stack holds one plane of the gathered coefficients at a
-    time, a quarter of what a cell-major gather holds.
-    """
-
-    x0: float
-    h: float
-    coef: np.ndarray   # (4, cells, k): cubic in the local coordinate τ ∈ [0, 1) of each cell
-    shape: tuple       # value shape of one point
-
-    @classmethod
-    def fit(cls, x, values, slopes, out=None):
-        """The interpolant through ``values`` and ``slopes`` at the uniform x; its planes written to ``out`` if given."""
-        x = np.asarray(x, dtype=float)
-        h = (x[-1] - x[0]) / (x.shape[0] - 1)
-        v = np.asarray(values, dtype=float).reshape(x.shape[0], -1)
-        g = np.asarray(slopes, dtype=float).reshape(x.shape[0], -1) * h
-        dv = v[1:] - v[:-1]
-        coef = np.stack([v[:-1], g[:-1], 3.0 * dv - 2.0 * g[:-1] - g[1:], g[:-1] + g[1:] - 2.0 * dv], out=out)
-        return cls(x0=float(x[0]), h=float(h), coef=coef, shape=np.shape(values)[1:])
-
-    def _cells(self, x):
-        """The coefficients (4, n, k) of the cells of the points x (n,) and their τ (n, 1)."""
-        j, tau = _locate(x, self.x0, self.h, self.coef.shape[1] - 1)
-        return self.coef.take(j, axis=1), tau
-
-    def __call__(self, x):
-        """Interpolated values at the points x (n,); shape (n,) + ``shape``."""
-        return _horner(*self._cells(x)).reshape((-1,) + self.shape)
-
-    def derivative(self, x):
-        """Exact derivative of the interpolant at the points x (n,)."""
-        c, tau = self._cells(x)
-        out = c[3] * (3.0 * tau)
-        out += 2.0 * c[2]
-        out *= tau
-        out += c[1]
-        out /= self.h
-        return out.reshape((-1,) + self.shape)
-
-
-@dataclass(frozen=True)
 class HermiteStack:
-    """``HermiteTable``s of one value shape in one set of coefficient planes, all read in one gather.
+    """C¹ piecewise-cubic Hermite interpolants of tabulated values and slopes, L tables of one value shape.
 
-    ``tables[l]`` has its ``coef`` a view of ``planes`` (4, cells, k), so the
-    tables are stored once (``ou_smooth_stack`` builds one).  A stack read at
-    X (L, n) gives (L, n) + shape, row l bit for bit ``tables[l](X[l])``: the
-    same cell arithmetic with each table's own x0 and h, one ``take`` of all
-    the rows' coefficients and one Horner sum.
+    ``derivative`` is the exact derivative of each interpolant, so a field read
+    off a table and its Jacobian read off the same table agree to rounding.
+    Points beyond a table's grid use its end cubics.
+
+    ``planes`` holds c0 .. c3 of every cell of every table, table l in the
+    cells ``first[l]`` .. ``first[l] + last[l]``, so the tables are stored
+    once.  A read at X (L, n) gives (L, n) + ``shape``, row l off table l
+    with that table's own x0 and h: one plane at a time (``_PlaneReads``),
+    then Horner's rule in place, in the operation order of
+    c0 + τ(c1 + τ(c2 + τ c3)).  A single table is a stack of one, read at
+    x[None]; ``level(l)`` is table l as one, its planes a view of these.
     """
 
-    tables: tuple
-    planes: np.ndarray
+    planes: np.ndarray  # (4, cells, k): cubic in the local coordinate τ ∈ [0, 1) of each cell
     x0: np.ndarray      # (L, 1) left end of each table
     h: np.ndarray       # (L, 1) cell width of each table
     first: np.ndarray   # (L, 1) first cell of each table in the planes
     last: np.ndarray    # (L,) last cell index of each table
+    shape: tuple        # value shape of one point
 
-    def __call__(self, X):
-        """Row l of X (L, n) read off table l; shape (L, n) + the tables' value shape."""
+    @classmethod
+    def fit(cls, tables):
+        """The interpolants through the ``values`` and ``slopes`` at the uniform x of each (x, values, slopes)."""
+        cells = np.array([len(x) - 1 for x, _, _ in tables])
+        first = np.cumsum(cells) - cells
+        shape = np.shape(tables[0][1])[1:]
+        planes = np.empty((4, int(cells.sum()), math.prod(shape)))
+        x0, h = np.empty((len(tables), 1)), np.empty((len(tables), 1))
+        for l, (x, values, slopes) in enumerate(tables):
+            x = np.asarray(x, dtype=float)
+            x0[l], h[l] = x[0], (x[-1] - x[0]) / (x.shape[0] - 1)
+            v = np.asarray(values, dtype=float).reshape(x.shape[0], -1)
+            g = np.asarray(slopes, dtype=float).reshape(x.shape[0], -1) * h[l, 0]
+            dv = v[1:] - v[:-1]
+            np.stack([v[:-1], g[:-1], 3.0 * dv - 2.0 * g[:-1] - g[1:], g[:-1] + g[1:] - 2.0 * dv],
+                     out=planes[:, first[l]:first[l] + cells[l]])
+        return cls(planes, x0, h, first[:, None], cells - 1, shape)
+
+    def level(self, l):
+        """Table l as a stack of one, its planes a view of these."""
+        a = self.first[l, 0]
+        return HermiteStack(self.planes[:, a:a + self.last[l] + 1], self.x0[l:l + 1], self.h[l:l + 1],
+                            np.zeros((1, 1), dtype=np.intp), self.last[l:l + 1], self.shape)
+
+    def _cells(self, X):
+        """The coefficient planes at the cells of the points X (L, n), and their τ (L, n, 1)."""
         j, tau = _locate(X, self.x0, self.h, self.last)
         j += self.first
-        return _horner(_PlaneReads(self.planes, j), tau).reshape(np.shape(X) + self.tables[0].shape)
+        return _PlaneReads(self.planes, j), tau
+
+    def __call__(self, X):
+        """Row l of X (L, n) read off table l; shape (L, n) + ``shape``."""
+        return _horner(*self._cells(X)).reshape(np.shape(X) + self.shape)
+
+    def derivative(self, X):
+        """Exact derivative of table l's interpolant at row l of X (L, n); shape (L, n) + ``shape``."""
+        c, tau = self._cells(X)
+        out = c[3] * (3.0 * tau)
+        out += 2.0 * c[2]
+        out *= tau
+        out += c[1]
+        out /= self.h[..., None]
+        return out.reshape(np.shape(X) + self.shape)

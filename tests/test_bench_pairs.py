@@ -78,3 +78,33 @@ def test_differing_files_names_each_changed_or_unmatched_file(bench_pairs, tmp_p
     differ = bench_pairs["differing_files"]
     assert differ(digests(before), digests(after)) == ["gone.csv", "new.csv", str(Path("sub", "moved.csv"))]
     assert differ(digests(before), digests(before)) == []
+
+
+def test_clear_bytecode_caches_removes_only_the_caches_under_src_and_perfbench(bench_pairs, tmp_path):
+    kept = [tmp_path / "src" / "pkg" / "mod.py", tmp_path / "tools" / "__pycache__" / "t.cpython-311.pyc",
+            tmp_path / "perfbench" / "run.py"]
+    cached = [tmp_path / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc",
+              tmp_path / "src" / "__pycache__" / "top.cpython-311.pyc",
+              tmp_path / "perfbench" / "micro" / "__pycache__" / "m.cpython-311.pyc"]
+    for path in kept + cached:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"")
+    stray = tmp_path / "src" / "data" / "__pycache__"  # a file of that name, not a cache directory
+    stray.parent.mkdir()
+    stray.write_bytes(b"")
+    removed = bench_pairs["clear_bytecode_caches"](tmp_path)
+    assert removed == [str(Path("perfbench", "micro", "__pycache__")), str(Path("src", "__pycache__")),
+                       str(Path("src", "pkg", "__pycache__"))]
+    assert all(path.exists() for path in kept) and not any(path.parent.exists() for path in cached)
+    assert stray.is_file()
+    assert bench_pairs["clear_bytecode_caches"](tmp_path) == []
+    # a checkout without one of the two directories has nothing there to clear
+    assert bench_pairs["clear_bytecode_caches"](tmp_path / "tools") == []
+
+
+def test_one_pair_is_its_own_quartiles(bench_pairs):
+    summ = bench_pairs["summary"]([1.0], [0.9])
+    assert summ["before"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "samples": [1.0]}
+    assert summ["after"]["median"] == 0.9 and summ["after_wins"] == 1 and summ["pairs"] == 1
+    v = bench_pairs["verdict"](summ, 0.25)
+    assert v["gain_resolved"] and not v["worse_beyond_bound"] and not v["spread_wider_than_bound"]

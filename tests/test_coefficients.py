@@ -29,7 +29,7 @@ from flowlab.coefficients import (
 from flowlab.convergence import KrylovAccumulator, _SupDeviation
 from flowlab.density import DensityAccumulator, run_density_ensemble
 from flowlab.errors import CapabilityError
-from flowlab.gaussian import HermiteTable, _delta, default_quadrature
+from flowlab.gaussian import HermiteStack, _delta, default_quadrature
 from flowlab.oracles import gaussian_abs_moment
 
 from conftest import TangentReference, make_mixed_sigma_field, make_sine_field
@@ -319,7 +319,7 @@ class TestRegularizeDrift:
     def test_table_beyond_radius_uses_moving_nodes(self, sign1, quad1, monkeypatch):
         level = RegularizationLevel(8)
         reg = regularize(sign1, level, quad1)
-        monkeypatch.setattr(coefficients, "ou_smooth_table", lambda *args, **kwargs: None)
+        monkeypatch.setattr(coefficients, "ou_smooth_stack", lambda *args, **kwargs: None)
         moving = regularize(sign1, level, quad1)
         far = np.array([[-30.0], [25.0], [1e3]])
         mixed = np.array([[0.3], [-30.0], [2.0], [25.0]])
@@ -340,7 +340,7 @@ def moving(monkeypatch):
     """Build a regularized field on the moving-node rule, with no d = 1 table."""
     def build(regularizer, field, level, quad):
         with monkeypatch.context() as m:
-            m.setattr(coefficients, "ou_smooth_table", lambda *args, **kwargs: None)
+            m.setattr(coefficients, "ou_smooth_stack", lambda *args, **kwargs: None)
             return regularizer(field, level, quad)
     return build
 
@@ -397,11 +397,16 @@ class TestOffTableRoute:
 
     @staticmethod
     def _lookups(monkeypatch):
-        """The points of every ``HermiteTable`` read from now on, one array per read."""
+        """The points of every table read from now on (a stack of one, read at x[None]), one array per read."""
         looked_up = []
-        real = HermiteTable._cells
-        monkeypatch.setattr(HermiteTable, "_cells",
-                            lambda table, x: looked_up.append(np.asarray(x).copy()) or real(table, x))
+        real = HermiteStack._cells
+
+        def cells(stack, X):
+            assert np.shape(X)[0] == 1
+            looked_up.append(np.asarray(X)[0].copy())
+            return real(stack, X)
+
+        monkeypatch.setattr(HermiteStack, "_cells", cells)
         return looked_up
 
     X = np.array([0.3, np.nan, np.inf, -np.inf, 20.0, -1.0])[:, None]

@@ -123,10 +123,19 @@ class TestCoupling:
 
     @staticmethod
     def _stacked_reads(monkeypatch):
-        """The steps that read all the ladder's levels off its stacked tables at once, counted from now on."""
+        """The steps that read all the ladder's levels off its stacked tables at once, counted from now on.
+
+        Only reads of a stack of several tables count: a level's own table is a stack of one.
+        """
         reads = []
         real = HermiteStack.__call__
-        monkeypatch.setattr(HermiteStack, "__call__", lambda stack, X: reads.append(1) or real(stack, X))
+
+        def call(stack, X):
+            if len(stack.last) > 1:
+                reads.append(1)
+            return real(stack, X)
+
+        monkeypatch.setattr(HermiteStack, "__call__", call)
         return reads
 
     def test_matches_reference_as_paths_cross_the_smallest_plateau(self, monkeypatch, sign1, quad1):

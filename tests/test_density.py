@@ -126,22 +126,22 @@ class TestAccumulatorStep:
         from flowlab import coefficients
 
         tables = []
-        real = coefficients.ou_smooth_table
+        real = coefficients.ou_smooth_stack
 
         class Counted:
             def __init__(self, table):
                 self.table, self.reads = table, {"value": 0, "derivative": 0}
 
-            def __call__(self, x):
+            def __call__(self, X):
                 self.reads["value"] += 1
-                return self.table(x)
+                return self.table(X)
 
-            def derivative(self, x):
+            def derivative(self, X):
                 self.reads["derivative"] += 1
-                return self.table.derivative(x)
+                return self.table.derivative(X)
 
-        monkeypatch.setattr(coefficients, "ou_smooth_table",
-                            lambda f, eps: tables.append(Counted(real(f, eps))) or tables[-1])
+        monkeypatch.setattr(coefficients, "ou_smooth_stack",
+                            lambda f, eps_list: tables.append(Counted(real(f, eps_list))) or tables[-1])
         field = make_sine_field() if key == "sine" else builtin_coefficients(key, d=1)
         reg = regularize(field, RegularizationLevel(8), quad1)
         run_density_ensemble(reg, 0.0, 1e-3, np.linspace(-2.0, 2.0, 16)[:, None], 1e-3, seed=0)

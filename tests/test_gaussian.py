@@ -13,14 +13,13 @@ from flowlab.gaussian import (
     MAX_GH_ORDER,
     TABLE_RADIUS,
     GaussianQuadrature,
-    HermiteTable,
+    HermiteStack,
     default_quadrature,
     gauss_expectation,
     logsumexp,
     ou_smooth,
     ou_smooth_grad,
     ou_smooth_stack,
-    ou_smooth_table,
     spacetime_log_integral,
 )
 from flowlab.oracles import gaussian_abs_moment
@@ -299,9 +298,28 @@ class TestSmoothingBlocks:
             ou_smooth(lambda P: np.where(np.abs(P[:, 0]) <= 50.0, 1.0, np.inf), 0.3, x, quad2)
 
 
+class _One:
+    """A stack of one table read at points x (n,): its value and derivative rows at x[None]."""
+
+    def __init__(self, stack):
+        self.stack, self.shape = stack, stack.shape
+        self.x0, self.h, self.cells = stack.x0[0, 0], stack.h[0, 0], stack.planes.shape[1]
+
+    def __call__(self, x):
+        return self.stack(np.asarray(x)[None])[0]
+
+    def derivative(self, x):
+        return self.stack.derivative(np.asarray(x)[None])[0]
+
+
+def _one_eps(f, eps):
+    """The ``ou_smooth_stack`` of f at the one ε, as a ``_One``."""
+    return _One(ou_smooth_stack(f, [eps]))
+
+
 def _table_nodes(table):
-    """The grid points of a ``HermiteTable`` up to its last cell's left edge."""
-    return table.x0 + table.h * np.arange(table.coef.shape[1])
+    """The grid points of a ``_One`` up to its last cell's left edge."""
+    return table.x0 + table.h * np.arange(table.cells)
 
 
 class TestSmoothingTable:
@@ -309,14 +327,14 @@ class TestSmoothingTable:
         # P_ε x^2 = ρ^2 x^2 + s^2 and its gradient 2 ρ^2 x, at every table point
         for eps in (1.0 / 4, 1.0 / 64):
             rho = math.exp(-eps)
-            tab = ou_smooth_table(lambda p: p[:, 0] ** 2, eps)
-            assert tab.x0 < -TABLE_RADIUS and tab.x0 + tab.h * tab.coef.shape[1] > TABLE_RADIUS
+            tab = _one_eps(lambda p: p[:, 0] ** 2, eps)
+            assert tab.x0 < -TABLE_RADIUS and tab.x0 + tab.h * tab.cells > TABLE_RADIUS
             xs = _table_nodes(tab)
             np.testing.assert_allclose(tab(xs), rho**2 * xs**2 + 1.0 - rho**2, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(tab.derivative(xs), 2.0 * rho**2 * xs, rtol=1e-12, atol=1e-11)
 
     def test_constant_and_tensor_values(self):
-        tab = ou_smooth_table(lambda p: np.broadcast_to([[4.2, -1.0]], (p.shape[0], 1, 2)), 0.3)
+        tab = _one_eps(lambda p: np.broadcast_to([[4.2, -1.0]], (p.shape[0], 1, 2)), 0.3)
         xs = np.linspace(-TABLE_RADIUS, TABLE_RADIUS, 1001)
         assert tab.shape == (1, 2) and tab(xs).shape == (1001, 1, 2)
         np.testing.assert_allclose(tab(xs), np.broadcast_to([[4.2, -1.0]], (1001, 1, 2)), rtol=1e-14)
@@ -324,13 +342,13 @@ class TestSmoothingTable:
 
     def test_no_table_where_round_off_would_show(self):
         # samples reach about ±(TABLE_RADIUS + 10 s); e^{z^2} overflows there, e^z is 1e7 against e
-        assert ou_smooth_table(lambda p: np.exp(p[:, 0] ** 2), 0.5) is None
-        assert ou_smooth_table(lambda p: np.exp(p[:, 0]), 0.5) is None
-        assert ou_smooth_table(lambda p: p[:, 0] ** 4, 0.5) is not None
+        assert ou_smooth_stack(lambda p: np.exp(p[:, 0] ** 2), [0.5]) is None
+        assert ou_smooth_stack(lambda p: np.exp(p[:, 0]), [0.5]) is None
+        assert ou_smooth_stack(lambda p: p[:, 0] ** 4, [0.5]) is not None
 
     def test_matches_quadrature_on_smooth_integrand(self, quad1_fine):
         f = lambda p: np.sin(p[:, 0]) + 0.1 * p[:, 0] ** 3
-        tab = ou_smooth_table(f, 0.2)
+        tab = _one_eps(f, 0.2)
         nodes = _table_nodes(tab)
         pts = nodes[np.abs(nodes) <= 6.0][::97, None]
         np.testing.assert_allclose(tab(pts[:, 0]), ou_smooth(f, 0.2, pts, quad1_fine), atol=1e-11)
@@ -341,34 +359,34 @@ class TestSmoothingTable:
 def _gather_formula(table, x):
     """Value and derivative by one gather from the (4, cells, k) planes, a clip of every index and out-of-place Horner."""
     u = (np.asarray(x, dtype=float) - table.x0) / table.h
-    j = np.clip(np.floor(u).astype(np.intp), 0, table.coef.shape[1] - 1)
+    j = np.clip(np.floor(u).astype(np.intp), 0, table.cells - 1)
     tau = (u - j)[:, None]
-    c = np.take(table.coef, j, axis=1)
+    c = np.take(table.stack.planes, j, axis=1)
     value = c[0] + tau * (c[1] + tau * (c[2] + tau * c[3]))
     slope = (c[1] + tau * (2.0 * c[2] + 3.0 * tau * c[3])) / table.h
     return value.reshape((-1,) + table.shape), slope.reshape((-1,) + table.shape)
 
 
 class TestHermiteKernel:
-    """The in-place kernel gives the floats of the plain gather formula, bit for bit."""
+    """The plane-at-a-time, in-place kernel gives the floats of the plain gather formula, bit for bit."""
 
     @pytest.fixture(scope="class")
     def tables(self):
         rng = np.random.default_rng(17)
         x = np.linspace(-4.0, 4.0, 257)
-        scalar = HermiteTable.fit(x, np.sin(3 * x), 3 * np.cos(3 * x))
+        scalar = HermiteStack.fit([(x, np.sin(3 * x), 3 * np.cos(3 * x))])
         vals = rng.standard_normal((257, 1, 3))
         slopes = rng.standard_normal((257, 1, 3))
-        return {"k=1": scalar, "k=3": HermiteTable.fit(x, vals, slopes)}
+        return {"k=1": _One(scalar), "k=3": _One(HermiteStack.fit([(x, vals, slopes)]))}
 
     @pytest.mark.parametrize("name", ["k=1", "k=3"])
     def test_equals_the_gather_formula(self, tables, name):
         table = tables[name]
         rng = np.random.default_rng(5)
         lo = table.x0
-        hi = lo + table.coef.shape[1] * table.h
+        hi = lo + table.cells * table.h
         inside = rng.uniform(lo, hi, 2000)
-        edges = lo + table.h * np.arange(table.coef.shape[1] + 1)
+        edges = lo + table.h * np.arange(table.cells + 1)
         beyond = np.concatenate([rng.uniform(lo - 3.0, lo, 50), rng.uniform(hi, hi + 3.0, 50)])
         for pts in (inside, edges, np.concatenate([inside, beyond]), beyond):
             value, slope = _gather_formula(table, pts)
@@ -457,39 +475,53 @@ class TestHermiteStack:
     """A stack of tables reads each row off its own table, bit for bit, and holds the tables once."""
 
     EPS = (1.0 / 4, 1.0 / 32, 1.0 / 128)
+    F = staticmethod(lambda p: np.sign(p) + 0.1 * np.sin(3.0 * p))  # (n, 1): one value a point
 
-    def test_rows_read_their_own_tables(self):
-        f = lambda p: np.sign(p) + 0.1 * np.sin(3.0 * p)  # (n, 1): one value a point
-        stack = ou_smooth_stack(f, self.EPS, 1)
+    def _points(self):
         rng = np.random.default_rng(11)
         inside = rng.uniform(-TABLE_RADIUS, TABLE_RADIUS, (3, 500))
         beyond = inside.copy()
         beyond[1, :7] = [-40.0, -17.0, 17.0, 30.0, np.nextafter(-TABLE_RADIUS, 0.0), 0.0, 16.0]
-        for X in (inside, beyond, np.empty((3, 0))):
+        return inside, beyond, np.empty((3, 0))
+
+    def test_rows_read_their_own_tables(self):
+        stack = ou_smooth_stack(self.F, self.EPS)
+        for X in self._points():
             rows = stack(X)
             assert rows.shape == X.shape + (1,)
-            for table, eps, x, row in zip(stack.tables, self.EPS, X, rows):
-                alone = ou_smooth_table(f, eps)
-                assert np.array_equal(row, table(x)) and np.array_equal(row, alone(x))
-                assert np.array_equal(table.derivative(x), alone.derivative(x))
+            for l, (eps, x, row) in enumerate(zip(self.EPS, X, rows)):
+                alone = ou_smooth_stack(self.F, [eps])
+                assert np.array_equal(row, stack.level(l)(x[None])[0]) and np.array_equal(row, alone(x[None])[0])
+                assert np.array_equal(stack.level(l).derivative(x[None]), alone.derivative(x[None]))
 
-    def test_tables_are_views_of_the_planes(self):
-        stack = ou_smooth_stack(np.sign, self.EPS, 1)
-        assert all(np.shares_memory(table.coef, stack.planes) for table in stack.tables)
-        assert sum(table.coef.shape[1] for table in stack.tables) == stack.planes.shape[1]
+    def test_derivative_rows_read_their_own_tables(self):
+        stack = ou_smooth_stack(self.F, self.EPS)
+        for X in self._points():
+            rows = stack.derivative(X)
+            assert rows.shape == X.shape + (1,)
+            for l, (eps, x, row) in enumerate(zip(self.EPS, X, rows)):
+                alone = ou_smooth_stack(self.F, [eps])
+                assert np.array_equal(row, stack.level(l).derivative(x[None])[0])
+                assert np.array_equal(row, alone.derivative(x[None])[0])
+
+    def test_levels_are_views_of_the_planes(self):
+        stack = ou_smooth_stack(np.sign, self.EPS)
+        levels = [stack.level(l) for l in range(len(self.EPS))]
+        assert all(np.shares_memory(level.planes, stack.planes) for level in levels)
+        assert sum(level.planes.shape[1] for level in levels) == stack.planes.shape[1]
 
     def test_no_stack_without_every_table(self):
         # e^z grows too fast for any table; at ε = 1e-9 the grid would pass TABLE_MAX_NODES
-        assert ou_smooth_table(np.sign, 1e-9) is None
-        assert ou_smooth_stack(np.exp, (1.0 / 4, 0.5), 1) is None
-        assert ou_smooth_stack(np.sign, (1.0 / 4, 1e-9), 1) is None
+        assert ou_smooth_stack(np.sign, [1e-9]) is None
+        assert ou_smooth_stack(np.exp, (1.0 / 4, 0.5)) is None
+        assert ou_smooth_stack(np.sign, (1.0 / 4, 1e-9)) is None
 
 
-class TestHermiteTable:
+class TestHermiteInterpolant:
     def test_reproduces_cubics_and_their_derivative(self):
         x = np.linspace(-3.0, 3.0, 61)
         p = np.polynomial.Polynomial([0.5, -1.0, 2.0, 0.7])
-        table = HermiteTable.fit(x, p(x), p.deriv()(x))
+        table = _One(HermiteStack.fit([(x, p(x), p.deriv()(x))]))
         pts = np.linspace(-3.0, 3.0, 1001)
         np.testing.assert_allclose(table(pts), p(pts), rtol=0, atol=1e-12)
         np.testing.assert_allclose(table.derivative(pts), p.deriv()(pts), rtol=0, atol=1e-11)
@@ -498,6 +530,6 @@ class TestHermiteTable:
         x = np.linspace(0.0, 1.0, 11)
         vals = np.stack([np.sin(7 * x), np.cos(3 * x)], axis=-1)[:, None, :]
         slopes = np.stack([7 * np.cos(7 * x), -3 * np.sin(3 * x)], axis=-1)[:, None, :]
-        table = HermiteTable.fit(x, vals, slopes)
+        table = _One(HermiteStack.fit([(x, vals, slopes)]))
         np.testing.assert_allclose(table(x), vals, atol=1e-14)
         np.testing.assert_allclose(table.derivative(x), slopes, atol=1e-12)

@@ -26,12 +26,19 @@ The JSON written holds every sample, each side's median and quartiles
 side won (ties count for neither) and the environment line of the runs.
 Each end-to-end metric also carries its verdict against its ``bound`` in
 the ``--after`` checkout's ``BENCHMARK.json`` (see ``verdict``).
+
+Both checkouts start from the same bytecode state: before the first pair
+every ``__pycache__`` under their ``src/`` and ``perfbench/`` is removed
+(``clear_bytecode_caches``), and every child runs with
+``PYTHONDONTWRITEBYTECODE=1``, so no run compiles for a later one.  The
+report's ``environment`` records both, per side.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,6 +64,17 @@ print(json.dumps({"self_cpu_s": own.ru_utime + own.ru_stime,
 """
 METRICS = ("wall_s", "traj_steps_per_s", "cpu_s", "peak_rss_mb", "setup_s")
 LOWER_IS_BETTER = {"traj_steps_per_s": False}
+# every child runs without writing bytecode, so each one's caches are as the last clearing left them
+CHILD_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def clear_bytecode_caches(checkout):
+    """Remove every ``__pycache__`` under the checkout's ``src/`` and ``perfbench/``; their paths, sorted."""
+    caches = sorted(cache for sub in ("src", "perfbench") for cache in (Path(checkout) / sub).rglob("__pycache__")
+                    if cache.is_dir())
+    for cache in caches:
+        shutil.rmtree(cache)
+    return [str(cache.relative_to(checkout)) for cache in caches]
 
 
 def _json_lines(text):
@@ -78,7 +96,7 @@ def run_perfbench(checkout, workload, seed, seconds, digest):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, env={**os.environ, **CHILD_ENV}, capture_output=True, text=True, check=True)
     lines = _json_lines(proc.stdout)
     result = lines[-1]
     outputs = Path(checkout) / ".perfbench" / workload / "plain-0"
@@ -95,7 +113,7 @@ def run_rusage_pass(checkout, workload, threads, pin_env):
     proc = subprocess.run(
         [sys.executable, "-c", SHIM, "perfbench/worker.py", str(workload_dir / "workload.ini"),
          str(workload_dir / "rusage-pass"), "--threads", str(threads)],
-        cwd=checkout, env={**os.environ, **pin_env}, capture_output=True, text=True, check=True)
+        cwd=checkout, env={**os.environ, **pin_env, **CHILD_ENV}, capture_output=True, text=True, check=True)
     record, usage = _json_lines(proc.stdout)[-2:]
     return {"wall_s": record["wall_s"],
             "cpu_s": record["cpu_s"],
@@ -108,7 +126,8 @@ def run_rusage_pass(checkout, workload, threads, pin_env):
 
 def summary(before, after, lower_is_better=True):
     def stats(xs):
-        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        # one sample is each of its own quartiles; ``quantiles`` wants two
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
         return {"median": med, "q1": q1, "q3": q3, "samples": xs}
 
     wins = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
@@ -157,6 +176,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    sys.dont_write_bytecode = True  # the imports below leave no cache in the checkout either
     sys.path.insert(0, str(Path(args.after) / "perfbench"))
     import run
     import workloads
@@ -164,6 +184,7 @@ def main(argv=None):
     threads = workloads.WORKLOADS[args.workload].threads
     bounds = end_to_end_bounds(args.after)
     sides = {"before": args.before, "after": args.after}
+    cleared = {side: clear_bytecode_caches(checkout) for side, checkout in sides.items()}
     runs = {side: [] for side in sides}
     usage = {side: [] for side in sides}
     order = []
@@ -201,7 +222,8 @@ def main(argv=None):
             name: summary([u[name] for u in usage["before"]], [u[name] for u in usage["after"]])
             for name in ("cpu_s", "cpu_s_with_children", "peak_rss_mb", "children_peak_rss_mb")
         },
-        "environment": {side: runs[side][0]["environment"] for side in sides},
+        "environment": {side: {**runs[side][0]["environment"], "bytecode_caches_removed": cleared[side],
+                               "child_env": CHILD_ENV} for side in sides},
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
